@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -23,6 +24,7 @@ from .evaluation import (
     EvalReport,
     EvaluationError,
     ExperimentConfig,
+    fit_spaces,
     run_full,
     run_holdout,
     run_kfold,
@@ -59,7 +61,7 @@ from .sweep import (
     run_sweep,
     sweep_to_json,
 )
-from .vectorspace import HashEmbeddingProvider, VectorSpaceError, fit_tfidf
+from .vectorspace import EmbeddingProvider, HashEmbeddingProvider, VectorSpaceError
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -92,8 +94,15 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merge_config(
-    defaults: dict, file_cfg: dict, overrides: dict, allowed: set[str], required: set[str]
+    args: argparse.Namespace,
+    defaults: dict,
+    overrides: dict,
+    allowed: set[str],
+    required: set[str],
 ) -> dict:
+    """defaults < --config file < flags; --out and --cache-dir are flags too."""
+    file_cfg = _load_config_file(args.config)
+    overrides = {"out_dir": args.out, "cache_dir": args.cache_dir, **overrides}
     unknown = set(file_cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -104,6 +113,15 @@ def _merge_config(
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(sorted(missing))}")
     return merged
+
+
+def _data_args(args: argparse.Namespace) -> dict:
+    return {
+        "data": args.data,
+        "scheme": args.scheme,
+        "text_col": args.text_col,
+        "label_col": args.label_col,
+    }
 
 
 def _resolve_scheme(name_or_path: str) -> LabelScheme:
@@ -120,7 +138,8 @@ def _load_data(cfg: dict) -> Corpus:
     )
 
 
-def _build_profiles(cfg: dict) -> dict[str, ModelProfile]:
+def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfile]:
+    """Built-in profiles overlaid with the config's; check `model` has one."""
     profiles = dict(DEFAULT_PROFILES)
     spec = cfg.get("profiles") or {}
     if isinstance(spec, str):
@@ -131,20 +150,16 @@ def _build_profiles(cfg: dict) -> dict[str, ModelProfile]:
         if not isinstance(fields, dict):
             raise ConfigError(f"profile {name!r}: fields must be an object")
         base = profiles.get(name)
-        merged = {
-            "name": name,
-            **({k: getattr(base, k) for k in (
-                "kind", "base_url", "context_window", "temperature",
-                "max_output_tokens", "rate_limit_per_s", "provider_tag",
-                "embedding_dim", "max_attempts", "backoff_base_s", "timeout_s",
-                "api_key_env",
-            )} if base else {}),
-            **fields,
-        }
         try:
-            profiles[name] = ModelProfile(**merged)
+            profiles[name] = (
+                dataclasses.replace(base, **fields)
+                if base
+                else ModelProfile(**{"name": name, **fields})
+            )
         except TypeError as exc:
             raise ConfigError(f"profile {name!r}: {exc}") from exc
+    if model is not None and model not in profiles:
+        raise ConfigError(f"model {model!r} has no profile")
     return profiles
 
 
@@ -175,7 +190,9 @@ def _register_mocks(
             raise ConfigError(f"unknown mock backend {name!r}")
 
 
-def _build_provider(cfg: dict, client: Client, profiles: dict[str, ModelProfile]):
+def _build_provider(
+    cfg: dict, client: Client, profiles: dict[str, ModelProfile]
+) -> EmbeddingProvider:
     spec = cfg.get("provider", "hash:64")
     if isinstance(spec, str) and spec.startswith("hash"):
         _, _, dim = spec.partition(":")
@@ -186,6 +203,31 @@ def _build_provider(cfg: dict, client: Client, profiles: dict[str, ModelProfile]
             raise ConfigError(f"provider profile {name!r} not found")
         return GatewayEmbeddingProvider(client, profiles[name])
     raise ConfigError(f"unknown provider spec {spec!r} (use hash:<dim> or profile:<name>)")
+
+
+def _open_session(
+    cfg: dict, profiles: dict[str, ModelProfile]
+) -> tuple[Corpus, Client, EmbeddingProvider]:
+    """Load the corpus and open a client with its mocks and embedding provider."""
+    corpus = _load_data(cfg)
+    client = Client(cache=ResponseCache(cfg.get("cache_dir")))
+    _register_mocks(client, profiles, corpus)
+    return corpus, client, _build_provider(cfg, client, profiles)
+
+
+def _write_manifest(
+    out_dir: Path, cfg: dict, artifacts: dict[str, str], started: str
+) -> None:
+    manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
+    manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
+    manifest = make_manifest(manifest_cfg, artifacts, __version__, started, _now())
+    atomic_write(out_dir / "manifest.json", manifest.to_json())
+
+
+def _print_dry_run(args: argparse.Namespace, cfg: dict) -> int:
+    shown = {k: v for k, v in cfg.items() if k != "profiles"}
+    _print(args, shown, "\n".join(f"{k}: {v}" for k, v in sorted(shown.items())))
+    return EXIT_OK
 
 
 def _template_from(cfg: dict):
@@ -224,13 +266,7 @@ def _class_distribution_text(corpus: Corpus) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
-    }
-    corpus = _load_data(cfg)
+    corpus = _load_data(_data_args(args))
     payload = {
         "records": len(corpus),
         "scheme": corpus.scheme.name,
@@ -241,16 +277,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_pool(args: argparse.Namespace) -> int:
-    cfg = {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
-    }
-    corpus = _load_data(cfg)
-    pool = build_pool(
-        list(corpus.records), corpus.scheme, args.size, args.seed, source_partition="all"
-    )
+    corpus = _load_data(_data_args(args))
+    pool = build_pool(list(corpus.records), corpus.scheme, args.size, args.seed)
     counts = {lid: len(ids) for lid, ids in pool.per_class.items()}
     payload = {"size": len(pool), "seed": args.seed, "per_class": counts}
     text = "\n".join(
@@ -262,28 +290,16 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    cfg = {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
-    }
-    corpus = _load_data(cfg)
+    corpus = _load_data(_data_args(args))
     pool = build_pool(
         list(corpus.records),
         corpus.scheme,
         args.pool_size if args.pool_size is not None else len(corpus),
         args.pool_seed,
-        source_partition="all",
     )
     sel_cfg = SelectionConfig(args.method, args.k, args.seed)
     provider = HashEmbeddingProvider(args.hash_dim)
-    tfidf = fit_tfidf(pool.candidates) if args.method == "tfidf" and args.k else None
-    embeddings = None
-    if args.method == "embedding" and args.k:
-        from .vectorspace import build_embedding_matrix
-
-        embeddings = build_embedding_matrix(pool.candidates, provider)
+    tfidf, embeddings = fit_spaces(pool, args.method, args.k, provider)
     result = select(
         pool, args.query, sel_cfg, tfidf=tfidf, embeddings=embeddings, provider=provider
     )
@@ -330,36 +346,24 @@ def _run_split_desc(cfg: dict) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     overrides = {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
+        **_data_args(args),
         "model": args.model,
         "method": args.method,
         "k": args.k,
-        "out_dir": args.out,
-        "cache_dir": args.cache_dir,
     }
     cfg = _merge_config(
+        args,
         {"scoring_policy": "strict"},
-        _load_config_file(args.config),
         overrides,
         _RUN_KEYS,
         {"data", "scheme", "model", "method", "k", "out_dir"},
     )
     started = _now()
     split_spec = _run_split_desc(cfg)
-    profiles = _build_profiles(cfg)
-    if cfg["model"] not in profiles:
-        raise ConfigError(f"model {cfg['model']!r} has no profile")
+    profiles = _build_profiles(cfg, cfg["model"])
     if args.dry_run:
-        shown = {k: v for k, v in cfg.items() if k != "profiles"}
-        _print(args, shown, "\n".join(f"{k}: {v}" for k, v in sorted(shown.items())))
-        return EXIT_OK
-    corpus = _load_data(cfg)
-    client = Client(cache=ResponseCache(cfg.get("cache_dir")))
-    _register_mocks(client, profiles, corpus)
-    provider = _build_provider(cfg, client, profiles)
+        return _print_dry_run(args, cfg)
+    corpus, client, provider = _open_session(cfg, profiles)
     exp = _experiment_config(cfg, cfg["method"], int(cfg["k"]))
     out_dir = Path(cfg["out_dir"])
     trace_path = out_dir / "trace.jsonl"
@@ -379,16 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             corpus, profiles[cfg["model"]], exp, client, provider, trace_path
         )
     atomic_write(out_dir / "report.json", report.to_json())
-    manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
-    manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
-    manifest = make_manifest(
-        manifest_cfg,
-        artifacts,
-        __version__,
-        started,
-        _now(),
-    )
-    atomic_write(out_dir / "manifest.json", manifest.to_json())
+    _write_manifest(out_dir, cfg, artifacts, started)
     payload = {
         "weighted_f1": report.weighted_f1,
         "macro_f1": report.macro_f1,
@@ -414,14 +409,14 @@ _SWEEP_KEYS = {
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_config(
+        args,
         {
             "methods": ["random", "embedding", "tfidf"],
             "grid": list(DEFAULT_GRID),
             "scoring_policy": "strict",
             "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD,
         },
-        _load_config_file(args.config),
-        {"out_dir": args.out, "cache_dir": args.cache_dir},
+        {},
         _SWEEP_KEYS,
         {"data", "scheme", "models", "out_dir"},
     )
@@ -449,11 +444,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"{plan.n_cells} cells")
         return EXIT_OK
     started = _now()
-    corpus = _load_data(cfg)
     profiles = _build_profiles(cfg)
-    client = Client(cache=ResponseCache(cfg.get("cache_dir")))
-    _register_mocks(client, profiles, corpus)
-    provider = _build_provider(cfg, client, profiles)
+    corpus, client, provider = _open_session(cfg, profiles)
     run = run_sweep(
         plan, corpus, profiles, client, provider,
         template=_template_from(cfg),
@@ -473,10 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rel = f"cells/{model}__{method}__k{k}.json"
         atomic_write(out_dir / rel, report.to_json())
         artifacts[f"cell:{model}:{method}:{k}"] = rel
-    manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
-    manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
-    manifest = make_manifest(manifest_cfg, artifacts, __version__, started, _now())
-    atomic_write(out_dir / "manifest.json", manifest.to_json())
+    _write_manifest(out_dir, cfg, artifacts, started)
     payload = {
         "n_cells": plan.n_cells,
         "n_completed": len(run.reports),
@@ -519,20 +508,15 @@ def _shots_from_manifest(path: str, model: str, method: str) -> int:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     overrides = {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
+        **_data_args(args),
         "model": args.model,
         "method": args.method,
         "k": args.shots,
         "k_folds": args.folds,
-        "out_dir": args.out,
-        "cache_dir": args.cache_dir,
     }
     cfg = _merge_config(
+        args,
         {"scoring_policy": "strict", "k_folds": 10},
-        _load_config_file(args.config),
         overrides,
         _CV_KEYS,
         {"data", "scheme", "model", "method", "out_dir"},
@@ -545,17 +529,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if k_folds < 2:
         raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
     started = _now()
-    profiles = _build_profiles(cfg)
-    if cfg["model"] not in profiles:
-        raise ConfigError(f"model {cfg['model']!r} has no profile")
+    profiles = _build_profiles(cfg, cfg["model"])
     if args.dry_run:
-        shown = {k: v for k, v in cfg.items() if k != "profiles"}
-        _print(args, shown, "\n".join(f"{k}: {v}" for k, v in sorted(shown.items())))
-        return EXIT_OK
-    corpus = _load_data(cfg)
-    client = Client(cache=ResponseCache(cfg.get("cache_dir")))
-    _register_mocks(client, profiles, corpus)
-    provider = _build_provider(cfg, client, profiles)
+        return _print_dry_run(args, cfg)
+    corpus, client, provider = _open_session(cfg, profiles)
     exp = _experiment_config(cfg, cfg["method"], int(cfg["k"]))
     out_dir = Path(cfg["out_dir"])
     result = run_kfold(
@@ -566,19 +543,13 @@ def cmd_cv(args: argparse.Namespace) -> int:
         on_small_class=cfg.get("on_small_class", "error"),
     )
     atomic_write(out_dir / "aggregate.json", result.aggregate.to_json())
-    split = make_split(
-        corpus, "kfold", k_folds, int(cfg.get("split_seed", 0)),
-        cfg.get("on_small_class", "error"),
-    )
-    atomic_write(out_dir / "split.json", split.to_json())
+    atomic_write(out_dir / "split.json", result.split.to_json())
     for i, fold_report in enumerate(result.per_fold):
         atomic_write(out_dir / f"folds/fold{i:02d}.json", fold_report.to_json())
     layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
     table = emit_table([result.aggregate], layout)
     atomic_write(out_dir / "table.txt", table.text)
     atomic_write(out_dir / "table.csv", table.csv_text)
-    manifest_cfg = {key: v for key, v in cfg.items() if key not in ("out_dir", "cache_dir")}
-    manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
     artifacts = {
         "aggregate": "aggregate.json",
         "split": "split.json",
@@ -587,8 +558,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         "trace": "trace.jsonl",
         **{f"fold:{i}": f"folds/fold{i:02d}.json" for i in range(k_folds)},
     }
-    manifest = make_manifest(manifest_cfg, artifacts, __version__, started, _now())
-    atomic_write(out_dir / "manifest.json", manifest.to_json())
+    _write_manifest(out_dir, cfg, artifacts, started)
     payload = {
         "weighted_f1": result.aggregate.weighted_f1,
         "macro_f1": result.aggregate.macro_f1,

@@ -106,12 +106,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self, record_id: int) -> RequirementRecord:
-        for record in self.records:
-            if record.record_id == record_id:
-                return record
-        raise KeyError(record_id)
-
 
 # Built-in schemes. The binary scheme folds the legacy subclass codes into
 # NFR so a subclass-labeled export ingests directly as FR/NFR.
@@ -257,15 +251,6 @@ class SplitPlan:
     param: float | int
     seed: int
     assignments: dict[int, int]
-
-    @property
-    def n_partitions(self) -> int:
-        return int(self.param) if self.kind == "kfold" else 2
-
-    def partition(self, index: int) -> tuple[int, ...]:
-        return tuple(
-            rid for rid, part in sorted(self.assignments.items()) if part == index
-        )
 
     def to_json(self) -> str:
         payload = {

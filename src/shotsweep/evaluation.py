@@ -12,7 +12,6 @@ from .gateway import Client, ModelProfile, ParsedLabel, parse_label
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate, render_prompt
 from .selection import FewShotPool, SelectionConfig, build_pool, select
 from .vectorspace import (
-    EmbeddingCache,
     EmbeddingMatrix,
     EmbeddingProvider,
     TfidfModel,
@@ -226,20 +225,21 @@ class TraceWriter:
         self.close()
 
 
-def _fit_spaces(
+def fit_spaces(
     pool: FewShotPool,
-    cfg: ExperimentConfig,
+    method: str,
+    k: int,
     provider: EmbeddingProvider | None,
-    embed_cache: EmbeddingCache,
 ) -> tuple[TfidfModel | None, EmbeddingMatrix | None]:
-    if cfg.k == 0 or not len(pool):
+    """Fit the vector space a selection method ranks the pool in, if any."""
+    if k == 0 or not len(pool):
         return None, None
-    if cfg.method == "tfidf":
+    if method == "tfidf":
         return fit_tfidf(pool.candidates), None
-    if cfg.method == "embedding":
+    if method == "embedding":
         if provider is None:
             raise EvaluationError("embedding method requires an embedding provider")
-        return None, build_embedding_matrix(pool.candidates, provider, cache=embed_cache)
+        return None, build_embedding_matrix(pool.candidates, provider)
     return None, None
 
 
@@ -254,8 +254,7 @@ def evaluate_records(
     trace: TraceWriter | None = None,
 ) -> list[Prediction]:
     """select -> render -> complete -> parse -> score, for every test record."""
-    embed_cache = EmbeddingCache()
-    tfidf, embeddings = _fit_spaces(pool, cfg, provider, embed_cache)
+    tfidf, embeddings = fit_spaces(pool, cfg.method, cfg.k, provider)
     sel_cfg = SelectionConfig(cfg.method, cfg.k, cfg.selection_seed)
     predictions: list[Prediction] = []
     for record in test_records:
@@ -266,7 +265,6 @@ def evaluate_records(
             tfidf=tfidf,
             embeddings=embeddings,
             provider=provider,
-            embed_cache=embed_cache,
         )
         prompt = render_prompt(
             cfg.template, scheme, chosen, pool, record.text, cfg.ordering
@@ -305,6 +303,46 @@ def _run_metadata(
     }
 
 
+_Partition = tuple[list[RequirementRecord], list[RequirementRecord]]
+
+
+def _split_partition(corpus: Corpus, split: SplitPlan, test_part: int) -> _Partition:
+    train = [r for r in corpus.records if split.assignments[r.record_id] != test_part]
+    test = [r for r in corpus.records if split.assignments[r.record_id] == test_part]
+    return train, test
+
+
+def _evaluate_partitions(
+    corpus: Corpus,
+    partitions: Sequence[_Partition],
+    profile: ModelProfile,
+    cfg: ExperimentConfig,
+    client: Client,
+    provider: EmbeddingProvider | None,
+    trace_path: str | Path | None,
+    split_desc: str,
+) -> tuple[EvalReport, list[list[Prediction]]]:
+    """Evaluate each (train, test) partition with a pool built from its train
+    records, into one trace; score the pooled predictions of all partitions."""
+    meta = _run_metadata(corpus, profile, cfg, split_desc)
+    trace = TraceWriter(trace_path, meta) if trace_path is not None else None
+    per_partition: list[list[Prediction]] = []
+    try:
+        for train, test in partitions:
+            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
+            pool = build_pool(train, corpus.scheme, pool_size, cfg.pool_seed)
+            per_partition.append(
+                evaluate_records(
+                    test, pool, corpus.scheme, profile, cfg, client, provider, trace
+                )
+            )
+    finally:
+        if trace is not None:
+            trace.close()
+    pooled = [pred for predictions in per_partition for pred in predictions]
+    return compute_report(pooled, corpus.scheme, meta), per_partition
+
+
 def run_holdout(
     corpus: Corpus,
     split: SplitPlan,
@@ -317,25 +355,14 @@ def run_holdout(
     """Evaluate the holdout test partition with a pool built from train only."""
     if split.kind != "holdout":
         raise EvaluationError(f"expected a holdout split, got {split.kind!r}")
-    train = [r for r in corpus.records if split.assignments[r.record_id] == 0]
-    test = [r for r in corpus.records if split.assignments[r.record_id] == 1]
-    if not test:
+    partition = _split_partition(corpus, split, 1)
+    if not partition[1]:
         raise EvaluationError("holdout test partition is empty")
-    pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-    pool = build_pool(
-        train, corpus.scheme, pool_size, cfg.pool_seed, source_partition="holdout:0"
-    )
     split_desc = f"holdout:{split.param}:{split.seed}"
-    meta = _run_metadata(corpus, profile, cfg, split_desc)
-    trace = TraceWriter(trace_path, meta) if trace_path is not None else None
-    try:
-        predictions = evaluate_records(
-            test, pool, corpus.scheme, profile, cfg, client, provider, trace
-        )
-    finally:
-        if trace is not None:
-            trace.close()
-    return compute_report(predictions, corpus.scheme, meta)
+    report, _ = _evaluate_partitions(
+        corpus, [partition], profile, cfg, client, provider, trace_path, split_desc
+    )
+    return report
 
 
 def run_full(
@@ -348,27 +375,18 @@ def run_full(
 ) -> EvalReport:
     """Evaluate every record; the pool covers the whole corpus and query
     self-exclusion keeps each record out of its own prompt."""
-    pool_size = cfg.pool_size if cfg.pool_size is not None else len(corpus.records)
-    pool = build_pool(
-        list(corpus.records), corpus.scheme, pool_size, cfg.pool_seed,
-        source_partition="all",
+    records = list(corpus.records)
+    report, _ = _evaluate_partitions(
+        corpus, [(records, records)], profile, cfg, client, provider, trace_path, "full"
     )
-    meta = _run_metadata(corpus, profile, cfg, "full")
-    trace = TraceWriter(trace_path, meta) if trace_path is not None else None
-    try:
-        predictions = evaluate_records(
-            list(corpus.records), pool, corpus.scheme, profile, cfg, client, provider, trace
-        )
-    finally:
-        if trace is not None:
-            trace.close()
-    return compute_report(predictions, corpus.scheme, meta)
+    return report
 
 
 @dataclass(frozen=True)
 class KfoldResult:
     aggregate: EvalReport
     per_fold: tuple[EvalReport, ...]
+    split: SplitPlan
 
 
 def run_kfold(
@@ -390,29 +408,13 @@ def run_kfold(
     if k_folds < 2:
         raise EvaluationError(f"k_folds must be >= 2, got {k_folds}")
     split = make_split(corpus, "kfold", k_folds, split_seed, on_small_class)
-    split_desc = f"kfold:{k_folds}:{split_seed}"
-    meta = _run_metadata(corpus, profile, cfg, split_desc)
-    trace = TraceWriter(trace_path, meta) if trace_path is not None else None
-    pooled: list[Prediction] = []
-    fold_reports: list[EvalReport] = []
-    try:
-        for fold in range(k_folds):
-            test = [r for r in corpus.records if split.assignments[r.record_id] == fold]
-            train = [r for r in corpus.records if split.assignments[r.record_id] != fold]
-            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-            pool = build_pool(
-                train, corpus.scheme, pool_size, cfg.pool_seed,
-                source_partition=f"kfold:{fold}",
-            )
-            predictions = evaluate_records(
-                test, pool, corpus.scheme, profile, cfg, client, provider, trace
-            )
-            pooled.extend(predictions)
-            fold_reports.append(
-                compute_report(predictions, corpus.scheme, {**meta, "fold": fold})
-            )
-    finally:
-        if trace is not None:
-            trace.close()
-    aggregate = compute_report(pooled, corpus.scheme, meta)
-    return KfoldResult(aggregate=aggregate, per_fold=tuple(fold_reports))
+    partitions = [_split_partition(corpus, split, fold) for fold in range(k_folds)]
+    aggregate, per_fold = _evaluate_partitions(
+        corpus, partitions, profile, cfg, client, provider, trace_path,
+        f"kfold:{k_folds}:{split_seed}",
+    )
+    fold_reports = tuple(
+        compute_report(predictions, corpus.scheme, {**aggregate.metadata, "fold": fold})
+        for fold, predictions in enumerate(per_fold)
+    )
+    return KfoldResult(aggregate=aggregate, per_fold=fold_reports, split=split)

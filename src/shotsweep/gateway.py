@@ -96,9 +96,6 @@ class ParsedLabel:
     labels: tuple[str, ...] = ()
     spans: tuple[tuple[str, int, int], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "labels": list(self.labels), "spans": [list(s) for s in self.spans]}
-
 
 _NON_WORD_RE = re.compile(r"[^a-z0-9]+")
 
@@ -246,39 +243,6 @@ class ChatBackend(Protocol):
     def respond(self, profile: ModelProfile, prompt: PromptSpec) -> str: ...
 
 
-class EchoGoldBackend:
-    """Answers with the gold label wired in for each query text."""
-
-    def __init__(self, gold_by_text: dict[str, str]):
-        self.gold_by_text = dict(gold_by_text)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def respond(self, profile: ModelProfile, prompt: PromptSpec) -> str:
-        with self._lock:
-            self.calls += 1
-        try:
-            return self.gold_by_text[prompt.query_text]
-        except KeyError:
-            raise GatewayError(
-                f"echo-gold backend has no gold label for {prompt.query_text[:60]!r}"
-            ) from None
-
-
-class ConstantBackend:
-    """Always answers with the same text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def respond(self, profile: ModelProfile, prompt: PromptSpec) -> str:
-        with self._lock:
-            self.calls += 1
-        return self.text
-
-
 class CallableBackend:
     """Adapter for arbitrary deterministic response rules (tests, schedules)."""
 
@@ -291,6 +255,30 @@ class CallableBackend:
         with self._lock:
             self.calls += 1
         return self.fn(profile, prompt)
+
+
+class EchoGoldBackend(CallableBackend):
+    """Answers with the gold label wired in for each query text."""
+
+    def __init__(self, gold_by_text: dict[str, str]):
+        gold = dict(gold_by_text)
+
+        def echo(profile: ModelProfile, prompt: PromptSpec) -> str:
+            try:
+                return gold[prompt.query_text]
+            except KeyError:
+                raise GatewayError(
+                    f"echo-gold backend has no gold label for {prompt.query_text[:60]!r}"
+                ) from None
+
+        super().__init__(echo)
+
+
+class ConstantBackend(CallableBackend):
+    """Always answers with the same text."""
+
+    def __init__(self, text: str):
+        super().__init__(lambda profile, prompt: text)
 
 
 class _RateLimiter:

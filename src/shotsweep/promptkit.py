@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -80,8 +79,6 @@ DEFAULT_TEMPLATE = PromptTemplate(
     version="analyst-v1",
 )
 
-TEMPLATES: dict[str, PromptTemplate] = {"default": DEFAULT_TEMPLATE}
-
 _TEMPLATE_SECTIONS = {
     "system": "system_role_text",
     "task": "task_description_text",
@@ -134,18 +131,6 @@ class PromptSpec:
     template_version: str
     content_hash: str
     query_text: str
-
-    def to_json(self) -> str:
-        payload = {
-            "system_message": self.system_message,
-            "user_message": self.user_message,
-            "example_provenance": list(self.example_provenance),
-            "shot_count": self.shot_count,
-            "template_version": self.template_version,
-            "content_hash": self.content_hash,
-            "query_text": self.query_text,
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _content_hash(system_message: str, user_message: str) -> str:

@@ -9,7 +9,6 @@ from typing import Sequence
 
 from .corpus import LabelScheme, RequirementRecord
 from .vectorspace import (
-    EmbeddingCache,
     EmbeddingMatrix,
     EmbeddingProvider,
     TfidfModel,
@@ -26,8 +25,6 @@ class SelectionError(Exception):
 class FewShotPool:
     candidates: tuple[RequirementRecord, ...]
     per_class: dict[str, tuple[int, ...]]
-    pool_seed: int
-    source_partition: str
 
     def __post_init__(self) -> None:
         by_id = {}
@@ -62,7 +59,6 @@ def build_pool(
     scheme: LabelScheme,
     size: int,
     seed: int,
-    source_partition: str = "train",
 ) -> FewShotPool:
     """Round-robin over classes in scheme order, one pick per class per round.
 
@@ -106,8 +102,6 @@ def build_pool(
     return FewShotPool(
         candidates=tuple(picked),
         per_class={lid: tuple(ids) for lid, ids in per_class.items()},
-        pool_seed=seed,
-        source_partition=source_partition,
     )
 
 
@@ -163,19 +157,6 @@ def _check_space(pool: FewShotPool, row_ids: tuple[int, ...], what: str) -> None
         )
 
 
-def _embed_query(
-    provider: EmbeddingProvider, text: str, cache: EmbeddingCache | None
-) -> list[float]:
-    if cache is not None:
-        hit = cache.get(provider.provider_tag, text)
-        if hit is not None:
-            return list(hit)
-    vector = provider.embed_batch([text])[0]
-    if cache is not None:
-        cache.put(provider.provider_tag, text, vector)
-    return list(vector)
-
-
 def select(
     pool: FewShotPool,
     query: str | RequirementRecord,
@@ -183,7 +164,6 @@ def select(
     tfidf: TfidfModel | None = None,
     embeddings: EmbeddingMatrix | None = None,
     provider: EmbeddingProvider | None = None,
-    embed_cache: EmbeddingCache | None = None,
 ) -> SelectionResult:
     """Pick cfg.k examples from the pool for one query.
 
@@ -231,7 +211,7 @@ def select(
                 f"provider {provider.provider_tag!r} does not match matrix "
                 f"{embeddings.provider_tag!r}"
             )
-        query_vector = _embed_query(provider, query_text, embed_cache)
+        query_vector = list(provider.embed_batch([query_text])[0])
         space = embeddings
 
     want = k_delivered + (1 if excluded_id is not None else 0)

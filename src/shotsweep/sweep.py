@@ -9,16 +9,28 @@ from typing import Sequence
 from .corpus import Corpus, make_split
 from .evaluation import (
     EvalReport,
+    EvaluationError,
     ExperimentConfig,
     run_full,
     run_holdout,
 )
-from .gateway import Client, ModelProfile
-from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate
-from .vectorspace import EmbeddingProvider
+from .gateway import Client, GatewayError, ModelProfile
+from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, PromptTemplate
+from .selection import SelectionError
+from .vectorspace import EmbeddingProvider, VectorSpaceError
 
 DEFAULT_GRID = (0, 5, 10, 20, 40, 80, 120, 160)
 DEFAULT_OVERPROMPTING_THRESHOLD = 0.02
+
+# Failures that belong to one cell (its model, prompts or data); anything
+# else is a harness bug and aborts the sweep.
+CELL_ERRORS = (
+    GatewayError,
+    EvaluationError,
+    SelectionError,
+    PromptError,
+    VectorSpaceError,
+)
 
 
 class SweepError(Exception):
@@ -206,8 +218,9 @@ def run_sweep(
 ) -> SweepRun:
     """Run every (model, method, shot_count) cell and assemble curves.
 
-    Cell failures are recorded and the sweep continues; completions are
-    cache-backed, so re-running a plan only executes what is missing.
+    Cell failures (CELL_ERRORS) are recorded and the sweep continues; any
+    other exception propagates. Completions are cache-backed, so re-running
+    a plan only executes what is missing.
     """
     missing = [m for m in plan.models if m not in profiles]
     if missing:
@@ -239,7 +252,7 @@ def run_sweep(
             else:
                 report = run_full(corpus, profiles[model], cfg, client, provider)
             reports[(model, method, k)] = report
-        except Exception as exc:
+        except CELL_ERRORS as exc:
             failures.append(CellFailure(model, method, k, f"{type(exc).__name__}: {exc}"))
     curves = []
     for model in plan.models:

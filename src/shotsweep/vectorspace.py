@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -75,25 +71,6 @@ class TfidfModel:
     @property
     def n_docs(self) -> int:
         return len(self.rows)
-
-    def to_json(self) -> str:
-        payload = {
-            "terms": list(self.vocabulary.terms),
-            "idf": list(self.idf),
-            "rows": [sorted(row.items()) for row in self.rows],
-            "row_ids": list(self.row_ids),
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "TfidfModel":
-        payload = json.loads(text)
-        return cls(
-            vocabulary=Vocabulary(tuple(payload["terms"])),
-            idf=tuple(payload["idf"]),
-            rows=tuple({int(c): float(w) for c, w in row} for row in payload["rows"]),
-            row_ids=tuple(payload["row_ids"]),
-        )
 
 
 def fit_tfidf(candidates: Sequence[RequirementRecord]) -> TfidfModel:
@@ -169,26 +146,6 @@ class HashEmbeddingProvider:
         return vec
 
 
-class EmbeddingCache:
-    """Thread-safe (provider_tag, text) -> vector cache."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[str, str], tuple[float, ...]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, tag: str, text: str) -> tuple[float, ...] | None:
-        with self._lock:
-            return self._store.get((tag, text))
-
-    def put(self, tag: str, text: str, vector: Sequence[float]) -> None:
-        with self._lock:
-            self._store[(tag, text)] = tuple(vector)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     dim: int
@@ -200,83 +157,44 @@ class EmbeddingMatrix:
     def n_docs(self) -> int:
         return len(self.row_ids)
 
-    def to_json(self) -> str:
-        payload = {
-            "dim": self.dim,
-            "provider_tag": self.provider_tag,
-            "row_ids": list(self.row_ids),
-            "rows": [[float(x) for x in row] for row in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EmbeddingMatrix":
-        payload = json.loads(text)
-        return cls(
-            dim=payload["dim"],
-            rows=np.array(payload["rows"], dtype=np.float64).reshape(
-                len(payload["row_ids"]), payload["dim"]
-            ),
-            row_ids=tuple(payload["row_ids"]),
-            provider_tag=payload["provider_tag"],
-        )
+_EMBED_BATCH_SIZE = 32
 
 
 def build_embedding_matrix(
     candidates: Sequence[RequirementRecord],
     provider: EmbeddingProvider,
-    batch_size: int = 32,
-    cache: EmbeddingCache | None = None,
-    max_workers: int = 1,
 ) -> EmbeddingMatrix:
     """Encode candidates into an N x D matrix via batched provider calls.
 
-    Vectors are cached by (provider_tag, text), so rebuilds and duplicate
-    texts cost nothing extra.
+    Each distinct text is encoded once, so duplicate texts cost nothing extra.
     """
     if not candidates:
         raise VectorSpaceError("cannot build an embedding matrix over no candidates")
-    cache = cache if cache is not None else EmbeddingCache()
     tag = provider.provider_tag
-    pending: list[str] = []
-    seen: set[str] = set()
-    for record in candidates:
-        if record.text not in seen and cache.get(tag, record.text) is None:
-            pending.append(record.text)
-            seen.add(record.text)
-    batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
-
-    def encode(batch_no: int, batch: list[str]) -> None:
+    pending = list(dict.fromkeys(record.text for record in candidates))
+    vectors: dict[str, Sequence[float]] = {}
+    for batch_no, start in enumerate(range(0, len(pending), _EMBED_BATCH_SIZE)):
+        batch = pending[start : start + _EMBED_BATCH_SIZE]
         try:
-            vectors = provider.embed_batch(batch)
+            encoded = provider.embed_batch(batch)
         except Exception as exc:
             raise VectorSpaceError(
                 f"embedding provider failed on batch {batch_no} "
                 f"({len(batch)} texts, first: {batch[0][:60]!r}): {exc}"
             ) from exc
-        if len(vectors) != len(batch):
+        if len(encoded) != len(batch):
             raise VectorSpaceError(
-                f"provider returned {len(vectors)} vectors for batch {batch_no} "
+                f"provider returned {len(encoded)} vectors for batch {batch_no} "
                 f"of {len(batch)} texts"
             )
-        for text, vector in zip(batch, vectors):
-            cache.put(tag, text, vector)
+        vectors.update(zip(batch, encoded))
 
-    if max_workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for future in [pool.submit(encode, i, b) for i, b in enumerate(batches)]:
-                future.result()
-    else:
-        for i, batch in enumerate(batches):
-            encode(i, batch)
-
-    first = cache.get(tag, candidates[0].text)
-    assert first is not None
+    first = vectors[candidates[0].text]
     dim = provider.dim if getattr(provider, "dim", 0) else len(first)
     matrix = np.zeros((len(candidates), dim), dtype=np.float64)
     for i, record in enumerate(candidates):
-        vector = cache.get(tag, record.text)
-        assert vector is not None
+        vector = vectors[record.text]
         if len(vector) != dim:
             raise VectorSpaceError(
                 f"record {record.record_id}: provider returned dimension "
@@ -356,24 +274,3 @@ def knn(
             raise VectorSpaceError("TF-IDF queries must be sparse {column: weight} maps")
         return _knn_tfidf(space, query_vector, k)
     return _knn_embedding(space, query_vector, k)
-
-
-def candidates_key(candidates: Sequence[RequirementRecord]) -> str:
-    """Content hash of a candidate set; key persisted spaces by it so sweeps
-    re-use fitted artifacts only when the pool is byte-identical."""
-    digest = hashlib.sha256()
-    for record in candidates:
-        digest.update(f"{record.record_id}\x1f{record.text}\x1e".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def save_space(space: TfidfModel | EmbeddingMatrix, path: str | Path) -> None:
-    Path(path).write_text(space.to_json(), encoding="utf-8")
-
-
-def load_tfidf(path: str | Path) -> TfidfModel:
-    return TfidfModel.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
-    return EmbeddingMatrix.from_json(Path(path).read_text(encoding="utf-8"))

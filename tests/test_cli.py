@@ -136,6 +136,25 @@ class TestRun:
         code = main(["run", "--config", config])
         assert code == EXIT_CONFIG
 
+    def test_profile_override_keeps_builtin_fields(self):
+        from shotsweep.cli import _build_profiles
+
+        spec = {"gpt-3.5-turbo": {"base_url": "http://localhost:8000/v1"}}
+        profile = _build_profiles({"profiles": spec})["gpt-3.5-turbo"]
+        assert profile.base_url == "http://localhost:8000/v1"
+        assert profile.context_window == 16384
+        assert profile.provider_tag == "gpt-3.5-turbo"
+
+    def test_unknown_profile_field_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="gpt-4o",
+            method="tfidf", k=1, profiles={"gpt-4o": {"context_windw": 10}},
+        )
+        code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "context_windw" in err
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):
@@ -265,6 +284,27 @@ class TestCv:
         assert len(folds) == 10
         aggregate = json.loads((out_dir / "aggregate.json").read_text())
         assert aggregate["n_predictions"] == 625
+
+    def test_split_is_made_once(self, tmp_path, capsys, monkeypatch):
+        import shotsweep.cli
+        import shotsweep.evaluation
+        from shotsweep.corpus import make_split
+
+        calls = []
+
+        def counting_make_split(*args, **kwargs):
+            calls.append(args[1:])
+            return make_split(*args, **kwargs)
+
+        monkeypatch.setattr(shotsweep.cli, "make_split", counting_make_split, raising=False)
+        monkeypatch.setattr(shotsweep.evaluation, "make_split", counting_make_split)
+        config = self.cv_config(tmp_path, k_folds=5, pool_size=40)
+        out_dir = tmp_path / "cv"
+        code = main(["cv", "--config", config, "--shots", "2", "--out", str(out_dir)])
+        assert code == EXIT_OK
+        assert calls == [("kfold", 5, 0, "error")]
+        split = json.loads((out_dir / "split.json").read_text())
+        assert split["kind"] == "kfold" and len(split["assignments"]) == 625
 
     def test_invalid_fold_count_rejected(self, tmp_path, capsys):
         config = self.cv_config(tmp_path, k_folds=1)

@@ -365,22 +365,6 @@ class TestConcurrency:
         assert len(records) == 50
         assert backend.calls == 5  # one upstream call per distinct prompt
 
-    def test_embedding_cache_concurrent_inserts(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from shotsweep.vectorspace import EmbeddingCache
-
-        cache = EmbeddingCache()
-
-        def worker(i):
-            cache.put("tag", f"text {i % 10}", [float(i % 10)])
-            return cache.get("tag", f"text {i % 10}")
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, range(200)))
-        assert all(r is not None for r in results)
-        assert len(cache) == 10
-
 
 class TestProfiles:
     def test_default_profiles_have_positive_windows(self):

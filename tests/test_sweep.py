@@ -14,6 +14,7 @@ from shotsweep import (
     find_optimum,
     run_sweep,
 )
+from shotsweep.gateway import CallableBackend, GatewayError
 from shotsweep.sweep import (
     CurvePoint,
     OverpromptingVerdict,
@@ -180,7 +181,7 @@ class TestRunSweep:
         class FailsAtK5(EchoGoldBackend):
             def respond(self, profile, prompt):
                 if prompt.shot_count == 5:
-                    raise RuntimeError("cell-level boom")
+                    raise GatewayError("cell-level boom")
                 return super().respond(profile, prompt)
 
         client = Client(mocks={"echo-gold": FailsAtK5(gold)})
@@ -190,6 +191,19 @@ class TestRunSweep:
         assert run.failures[0].shot_count == 5
         curve = run.curves[0]
         assert [p.shot_count for p in curve.points] == [0, 10]
+
+    def test_harness_bug_propagates_instead_of_failing_a_cell(self):
+        corpus = balanced_corpus(10)
+
+        def respond(profile, prompt):
+            if prompt.shot_count == 5:
+                raise KeyError("harness bug")
+            return "Functional"
+
+        client = Client(mocks={"echo-gold": CallableBackend(respond)})
+        plan = SweepPlan(("m1",), ("random",), (0, 5, 10), split_param=0.5)
+        with pytest.raises(KeyError, match="harness bug"):
+            run_sweep(plan, corpus, mock_profiles(["m1"]), client)
 
     def test_missing_profile_aborts(self):
         corpus = balanced_corpus(4)

@@ -14,7 +14,7 @@ from shotsweep import (
     knn,
     tokenize,
 )
-from shotsweep.vectorspace import EmbeddingCache, TfidfModel, VectorSpaceError
+from shotsweep.vectorspace import VectorSpaceError
 
 from conftest import make_records
 from oracles import oracle_cosine, oracle_tfidf_query, oracle_tfidf_ranking
@@ -226,22 +226,6 @@ class TestEmbeddingMatrix:
         with pytest.raises(VectorSpaceError, match="batch 0"):
             build_embedding_matrix(records, FailingProvider())
 
-    def test_cache_makes_rebuild_free(self):
-        provider = CountingProvider()
-        cache = EmbeddingCache()
-        records = make_records([(f"text {i}", "X") for i in range(10)])
-        build_embedding_matrix(records, provider, batch_size=3, cache=cache)
-        calls_after_first = provider.batches
-        build_embedding_matrix(records, provider, batch_size=3, cache=cache)
-        assert provider.batches == calls_after_first
-
-    def test_parallel_build_matches_serial(self):
-        provider = HashEmbeddingProvider(16)
-        records = make_records([(f"text number {i}", "X") for i in range(40)])
-        serial = build_embedding_matrix(records, provider, batch_size=4)
-        parallel = build_embedding_matrix(records, provider, batch_size=4, max_workers=4)
-        assert np.array_equal(serial.rows, parallel.rows)
-
     def test_embedding_knn_matches_bruteforce(self):
         rng = random.Random(7)
         provider = HashEmbeddingProvider(16)
@@ -262,34 +246,3 @@ class TestEmbeddingMatrix:
         matrix = build_embedding_matrix(records, provider)
         with pytest.raises(VectorSpaceError, match="dimension"):
             knn(matrix, [0.0] * 5, 1)
-
-
-class TestPersistence:
-    def test_candidates_key_tracks_content(self):
-        from shotsweep.vectorspace import candidates_key
-
-        a = make_records([("alpha", "X"), ("beta", "X")])
-        b = make_records([("alpha", "X"), ("beta", "X")])
-        c = make_records([("alpha", "X"), ("gamma", "X")])
-        assert candidates_key(a) == candidates_key(b)
-        assert candidates_key(a) != candidates_key(c)
-
-    def test_tfidf_roundtrip(self):
-        records = make_records([("alpha beta", "X"), ("beta gamma", "X")])
-        model = fit_tfidf(records)
-        again = TfidfModel.from_json(model.to_json())
-        assert again.rows == model.rows
-        assert again.row_ids == model.row_ids
-        assert again.vocabulary.terms == model.vocabulary.terms
-        query = embed_query_tfidf(model, "beta")
-        assert knn(again, query, 2) == knn(model, query, 2)
-
-    def test_embedding_roundtrip(self):
-        from shotsweep.vectorspace import EmbeddingMatrix
-
-        provider = HashEmbeddingProvider(8)
-        records = make_records([("alpha", "X"), ("beta", "X")])
-        matrix = build_embedding_matrix(records, provider)
-        again = EmbeddingMatrix.from_json(matrix.to_json())
-        assert np.array_equal(again.rows, matrix.rows)
-        assert again.provider_tag == matrix.provider_tag
