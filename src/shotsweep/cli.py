@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,6 +69,7 @@ EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
+EXIT_BUG = 5
 
 
 class ConfigError(Exception):
@@ -210,7 +212,14 @@ def _open_session(
 ) -> tuple[Corpus, Client, EmbeddingProvider]:
     """Load the corpus and open a client with its mocks and embedding provider."""
     corpus = _load_data(cfg)
-    client = Client(cache=ResponseCache(cfg.get("cache_dir")))
+    cache = ResponseCache(cfg.get("cache_dir"))
+    if cache.torn_lines:
+        print(
+            f"warning: skipped {cache.torn_lines} torn line(s) in cache "
+            f"{cfg['cache_dir']}",
+            file=sys.stderr,
+        )
+    client = Client(cache=cache)
     _register_mocks(client, profiles, corpus)
     return corpus, client, _build_provider(cfg, client, profiles)
 
@@ -729,6 +738,10 @@ def main(argv: list[str] | None = None) -> int:
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in shotsweep", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

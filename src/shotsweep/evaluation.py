@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan, make_split
 from .gateway import Client, ModelProfile, ParsedLabel, parse_label
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate, render_prompt
-from .selection import FewShotPool, SelectionConfig, build_pool, select
+from .selection import FewShotPool, Ranking, SelectionConfig, build_pool, rank
 from .vectorspace import (
     EmbeddingMatrix,
     EmbeddingProvider,
@@ -243,47 +243,6 @@ def fit_spaces(
     return None, None
 
 
-def evaluate_records(
-    test_records: Sequence[RequirementRecord],
-    pool: FewShotPool,
-    scheme: LabelScheme,
-    profile: ModelProfile,
-    cfg: ExperimentConfig,
-    client: Client,
-    provider: EmbeddingProvider | None = None,
-    trace: TraceWriter | None = None,
-) -> list[Prediction]:
-    """select -> render -> complete -> parse -> score, for every test record."""
-    tfidf, embeddings = fit_spaces(pool, cfg.method, cfg.k, provider)
-    sel_cfg = SelectionConfig(cfg.method, cfg.k, cfg.selection_seed)
-    predictions: list[Prediction] = []
-    for record in test_records:
-        chosen = select(
-            pool,
-            record,
-            sel_cfg,
-            tfidf=tfidf,
-            embeddings=embeddings,
-            provider=provider,
-        )
-        prompt = render_prompt(
-            cfg.template, scheme, chosen, pool, record.text, cfg.ordering
-        )
-        completion = client.complete(profile, prompt)
-        parsed = parse_label(completion.text, scheme)
-        pred = Prediction(
-            record_id=record.record_id,
-            gold=record.label,
-            parsed=parsed,
-            scored_as=score_prediction(parsed, cfg.scoring_policy),
-            content_hash=prompt.content_hash,
-        )
-        if trace is not None:
-            trace.write_prediction(pred, completion.text)
-        predictions.append(pred)
-    return predictions
-
-
 def _run_metadata(
     corpus: Corpus, profile: ModelProfile, cfg: ExperimentConfig, split_desc: str
 ) -> dict[str, object]:
@@ -304,6 +263,144 @@ def _run_metadata(
 
 
 _Partition = tuple[list[RequirementRecord], list[RequirementRecord]]
+Cell = tuple[str, str, int]  # (model, method, shot count)
+
+
+@dataclass(frozen=True)
+class CellRun:
+    report: EvalReport  # over the predictions of every partition
+    per_partition: tuple[list[Prediction], ...]
+
+
+def _rank_all(
+    pool: FewShotPool,
+    test: Sequence[RequirementRecord],
+    cfg: SelectionConfig,
+    provider: EmbeddingProvider | None,
+) -> list[Ranking]:
+    """Rank the pool once for every test record; the space is freed on return."""
+    tfidf, embeddings = fit_spaces(pool, cfg.method, cfg.k, provider)
+    return [rank(pool, record, cfg, tfidf, embeddings, provider) for record in test]
+
+
+def evaluate_cells(
+    corpus: Corpus,
+    partitions: Sequence[_Partition],
+    profiles: Sequence[ModelProfile],
+    methods: Sequence[str],
+    grid: Sequence[int],
+    cfg: ExperimentConfig,
+    client: Client,
+    provider: EmbeddingProvider | None,
+    split_desc: str,
+    trace: TraceWriter | None = None,
+    cell_errors: tuple[type[Exception], ...] = (),
+) -> Iterator[tuple[Cell, CellRun | Exception]]:
+    """Evaluate every (model, method, k) cell, doing shared work once.
+
+    Each (train, test) partition's pool is built from its train records
+    once. Per partition and method, the space is fitted once and each test
+    record ranked once, to the largest k, and every k slices that ranking.
+    Each prompt is rendered once and sent to every model in turn. cfg gives
+    everything but the method and k. Each prediction also goes to trace, if
+    one is given (run and cv pass one for their single cell).
+
+    A cell is yielded, with its report or its first failure, as soon as its
+    k is done on the last partition, so a one-partition sweep holds only one
+    (method, k) group's predictions. An exception in cell_errors fails the
+    cells that share the step that raised it (every cell, a method's k > 0,
+    a (method, k) or one model's cell) and the rest go on; any other
+    exception propagates.
+    """
+    scheme = corpus.scheme
+    by_name = {p.name: p for p in profiles}
+    failed: dict[Cell, Exception] = {}
+    collected: dict[Cell, list[list[Prediction]]] = {
+        (p.name, method, k): [] for method in methods for k in grid for p in profiles
+    }
+
+    def fail(
+        exc: Exception, method: str, ks: Iterable[int], models: Iterable[ModelProfile]
+    ) -> None:
+        for k in ks:
+            for profile in models:
+                failed.setdefault((profile.name, method, k), exc)
+
+    def live(method: str, k: int) -> list[ModelProfile]:
+        return [p for p in profiles if (p.name, method, k) not in failed]
+
+    def finish(cell: Cell) -> CellRun | Exception:
+        per_partition = collected.pop(cell)
+        if cell in failed:
+            return failed[cell]
+        pooled = [pred for predictions in per_partition for pred in predictions]
+        model, method, k = cell
+        meta = _run_metadata(
+            corpus, by_name[model], replace(cfg, method=method, k=k), split_desc
+        )
+        try:
+            return CellRun(compute_report(pooled, scheme, meta), tuple(per_partition))
+        except cell_errors as exc:
+            return exc
+
+    last = len(partitions) - 1
+    for index, (train, test) in enumerate(partitions):
+        for predictions in collected.values():
+            predictions.append([])
+        try:
+            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
+            pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
+        except cell_errors as exc:
+            for method in methods:
+                fail(exc, method, grid, profiles)
+            continue
+        for method in methods:
+            sel_cfg = SelectionConfig(
+                method, max((k for k in grid if live(method, k)), default=0),
+                cfg.selection_seed,
+            )
+            try:
+                rankings = _rank_all(pool, test, sel_cfg, provider)
+            except cell_errors as exc:
+                fail(exc, method, [k for k in grid if k > 0], profiles)
+                rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
+
+            for k in grid:
+                for record, ranking in zip(test, rankings):
+                    models = live(method, k)
+                    if not models:
+                        break
+                    try:
+                        prompt = render_prompt(
+                            cfg.template, scheme, ranking.take(k), pool, record.text,
+                            cfg.ordering,
+                        )
+                    except cell_errors as exc:
+                        fail(exc, method, [k], models)
+                        break
+                    for profile in models:
+                        try:
+                            completion = client.complete(profile, prompt)
+                            parsed = parse_label(completion.text, scheme)
+                            pred = Prediction(
+                                record_id=record.record_id,
+                                gold=record.label,
+                                parsed=parsed,
+                                scored_as=score_prediction(parsed, cfg.scoring_policy),
+                                content_hash=prompt.content_hash,
+                            )
+                        except cell_errors as exc:
+                            fail(exc, method, [k], [profile])
+                            continue
+                        if trace is not None:
+                            trace.write_prediction(pred, completion.text)
+                        collected[(profile.name, method, k)][-1].append(pred)
+                if index == last:
+                    for profile in profiles:
+                        cell = (profile.name, method, k)
+                        yield cell, finish(cell)
+    for cell in list(collected):  # the last partition could not build its pool
+        yield cell, finish(cell)
 
 
 def _split_partition(corpus: Corpus, split: SplitPlan, test_part: int) -> _Partition:
@@ -312,7 +409,17 @@ def _split_partition(corpus: Corpus, split: SplitPlan, test_part: int) -> _Parti
     return train, test
 
 
-def _evaluate_partitions(
+def holdout_partition(corpus: Corpus, split: SplitPlan) -> tuple[_Partition, str]:
+    """The holdout (train, test) partition and its description for reports."""
+    if split.kind != "holdout":
+        raise EvaluationError(f"expected a holdout split, got {split.kind!r}")
+    partition = _split_partition(corpus, split, 1)
+    if not partition[1]:
+        raise EvaluationError("holdout test partition is empty")
+    return partition, f"holdout:{split.param}:{split.seed}"
+
+
+def _evaluate_one(
     corpus: Corpus,
     partitions: Sequence[_Partition],
     profile: ModelProfile,
@@ -321,26 +428,20 @@ def _evaluate_partitions(
     provider: EmbeddingProvider | None,
     trace_path: str | Path | None,
     split_desc: str,
-) -> tuple[EvalReport, list[list[Prediction]]]:
-    """Evaluate each (train, test) partition with a pool built from its train
-    records, into one trace; score the pooled predictions of all partitions."""
+) -> CellRun:
+    """Evaluate cfg's one cell over the partitions, into one trace; errors propagate."""
     meta = _run_metadata(corpus, profile, cfg, split_desc)
     trace = TraceWriter(trace_path, meta) if trace_path is not None else None
-    per_partition: list[list[Prediction]] = []
     try:
-        for train, test in partitions:
-            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-            pool = build_pool(train, corpus.scheme, pool_size, cfg.pool_seed)
-            per_partition.append(
-                evaluate_records(
-                    test, pool, corpus.scheme, profile, cfg, client, provider, trace
-                )
-            )
+        ((_, run),) = evaluate_cells(
+            corpus, partitions, [profile], [cfg.method], [cfg.k], cfg, client,
+            provider, split_desc, trace,
+        )
     finally:
         if trace is not None:
             trace.close()
-    pooled = [pred for predictions in per_partition for pred in predictions]
-    return compute_report(pooled, corpus.scheme, meta), per_partition
+    assert isinstance(run, CellRun)
+    return run
 
 
 def run_holdout(
@@ -353,16 +454,10 @@ def run_holdout(
     trace_path: str | Path | None = None,
 ) -> EvalReport:
     """Evaluate the holdout test partition with a pool built from train only."""
-    if split.kind != "holdout":
-        raise EvaluationError(f"expected a holdout split, got {split.kind!r}")
-    partition = _split_partition(corpus, split, 1)
-    if not partition[1]:
-        raise EvaluationError("holdout test partition is empty")
-    split_desc = f"holdout:{split.param}:{split.seed}"
-    report, _ = _evaluate_partitions(
+    partition, split_desc = holdout_partition(corpus, split)
+    return _evaluate_one(
         corpus, [partition], profile, cfg, client, provider, trace_path, split_desc
-    )
-    return report
+    ).report
 
 
 def run_full(
@@ -376,10 +471,9 @@ def run_full(
     """Evaluate every record; the pool covers the whole corpus and query
     self-exclusion keeps each record out of its own prompt."""
     records = list(corpus.records)
-    report, _ = _evaluate_partitions(
+    return _evaluate_one(
         corpus, [(records, records)], profile, cfg, client, provider, trace_path, "full"
-    )
-    return report
+    ).report
 
 
 @dataclass(frozen=True)
@@ -409,12 +503,12 @@ def run_kfold(
         raise EvaluationError(f"k_folds must be >= 2, got {k_folds}")
     split = make_split(corpus, "kfold", k_folds, split_seed, on_small_class)
     partitions = [_split_partition(corpus, split, fold) for fold in range(k_folds)]
-    aggregate, per_fold = _evaluate_partitions(
+    run = _evaluate_one(
         corpus, partitions, profile, cfg, client, provider, trace_path,
         f"kfold:{k_folds}:{split_seed}",
     )
     fold_reports = tuple(
-        compute_report(predictions, corpus.scheme, {**aggregate.metadata, "fold": fold})
-        for fold, predictions in enumerate(per_fold)
+        compute_report(predictions, corpus.scheme, {**run.report.metadata, "fold": fold})
+        for fold, predictions in enumerate(run.per_partition)
     )
-    return KfoldResult(aggregate=aggregate, per_fold=fold_reports, split=split)
+    return KfoldResult(aggregate=run.report, per_fold=fold_reports, split=split)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import random
 import re
+import sys
 import threading
 import time
 import urllib.error
@@ -64,6 +66,18 @@ class ModelProfile:
         if not self.provider_tag:
             object.__setattr__(self, "provider_tag", self.name)
 
+    @functools.cached_property
+    def request_fingerprint(self) -> str:
+        """Digest of the request fields besides the prompt that shape an answer."""
+        fields = {
+            "kind": self.kind,
+            "base_url": self.base_url,
+            "temperature": self.temperature,
+            "max_output_tokens": self.max_output_tokens,
+        }
+        digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+        return digest.hexdigest()[:16]
+
 
 # Context windows of the models this harness is typically pointed at.
 DEFAULT_PROFILES: dict[str, ModelProfile] = {
@@ -88,6 +102,7 @@ class CompletionRecord:
     attempts: int
     model: str
     created_at: str
+    fingerprint: str  # ModelProfile.request_fingerprint of the request
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,23 @@ def normalize_completion(text: str) -> str:
     return _NON_WORD_RE.sub(" ", text.lower()).strip()
 
 
+@functools.lru_cache(maxsize=16)
+def _form_patterns(scheme: LabelScheme) -> tuple[tuple[str, re.Pattern[str], str], ...]:
+    """(normalized form, whole-word pattern, label id) for each surface form.
+
+    One pattern per form, not one alternation: an alternation returns the
+    leftmost match, which can hide a longer overlapping form further right.
+    """
+    patterns = []
+    for label in scheme.labels:
+        for form in label.surface_forms():
+            norm_form = normalize_completion(form)
+            if norm_form:
+                pattern = re.compile(rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])")
+                patterns.append((norm_form, pattern, label.label_id))
+    return tuple(patterns)
+
+
 def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
     """Total mapping from raw completion text to a ParsedLabel.
 
@@ -116,14 +148,10 @@ def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
     if not norm:
         return ParsedLabel("unparseable")
     matches: list[tuple[int, int, str]] = []
-    for label in scheme.labels:
-        for form in label.surface_forms():
-            norm_form = normalize_completion(form)
-            if not norm_form:
-                continue
-            pattern = rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])"
-            for hit in re.finditer(pattern, norm):
-                matches.append((hit.start(), hit.end(), label.label_id))
+    for norm_form, pattern, label_id in _form_patterns(scheme):
+        if norm_form in norm:
+            for hit in pattern.finditer(norm):
+                matches.append((hit.start(), hit.end(), label_id))
     accepted: list[tuple[int, int, str]] = []
     for start, end, lid in sorted(matches, key=lambda m: (-(m[1] - m[0]), m[0])):
         if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
@@ -144,17 +172,21 @@ def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
 class ResponseCache:
     """Append-only response store; in-memory index over JSONL segment files.
 
-    Completions are keyed by (model, content_hash), embeddings by
+    Completions are keyed by (model, request fingerprint, content_hash), so
+    another endpoint, temperature or output limit is a miss; rows written
+    without a fingerprint are never served. Embeddings are keyed by
     (provider_tag, text). With no directory the cache is memory-only.
     Segments are sharded by the key's leading hash byte and never rewritten,
-    so interrupted runs resume by replaying the files.
+    so interrupted runs resume by replaying the files; torn_lines counts the
+    unreadable lines (torn writes) skipped on load.
     """
 
     def __init__(self, directory: str | Path | None = None):
         self._dir = Path(directory) if directory is not None else None
-        self._completions: dict[tuple[str, str], CompletionRecord] = {}
+        self._completions: dict[tuple[str, str, str], CompletionRecord] = {}
         self._embeddings: dict[tuple[str, str], tuple[float, ...]] = {}
         self._lock = threading.Lock()
+        self.torn_lines = 0
         if self._dir is not None:
             (self._dir / "completions").mkdir(parents=True, exist_ok=True)
             (self._dir / "embeddings").mkdir(parents=True, exist_ok=True)
@@ -167,7 +199,10 @@ class ResponseCache:
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # tolerate a torn final write
+                    self.torn_lines += 1
+                    continue
+                if "fingerprint" not in row:
+                    continue
                 record = CompletionRecord(
                     content_hash=row["content_hash"],
                     text=row["text"],
@@ -175,13 +210,17 @@ class ResponseCache:
                     attempts=row["attempts"],
                     model=row["model"],
                     created_at=row["created_at"],
+                    # one string per endpoint setting, not one per row
+                    fingerprint=sys.intern(row["fingerprint"]),
                 )
-                self._completions.setdefault((record.model, record.content_hash), record)
+                key = (record.model, record.fingerprint, record.content_hash)
+                self._completions.setdefault(key, record)
         for segment in sorted((self._dir / "embeddings").glob("*.jsonl")):
             for line in segment.read_text(encoding="utf-8").splitlines():
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError:
+                    self.torn_lines += 1
                     continue
                 self._embeddings.setdefault(
                     (row["tag"], row["text"]), tuple(row["vector"])
@@ -194,12 +233,14 @@ class ResponseCache:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
-    def get_completion(self, model: str, content_hash: str) -> CompletionRecord | None:
+    def get_completion(
+        self, model: str, fingerprint: str, content_hash: str
+    ) -> CompletionRecord | None:
         with self._lock:
-            return self._completions.get((model, content_hash))
+            return self._completions.get((model, fingerprint, content_hash))
 
     def put_completion(self, record: CompletionRecord) -> None:
-        key = (record.model, record.content_hash)
+        key = (record.model, record.fingerprint, record.content_hash)
         with self._lock:
             if key in self._completions:
                 return
@@ -214,6 +255,7 @@ class ResponseCache:
                     "attempts": record.attempts,
                     "model": record.model,
                     "created_at": record.created_at,
+                    "fingerprint": record.fingerprint,
                 },
             )
 
@@ -381,7 +423,9 @@ class Client:
                 f"prompt estimate {estimate} tokens >= {profile.name} window "
                 f"{profile.context_window}"
             )
-        cached = self.cache.get_completion(profile.name, prompt.content_hash)
+        cached = self.cache.get_completion(
+            profile.name, profile.request_fingerprint, prompt.content_hash
+        )
         if cached is not None:
             return cached
         mock = self._mock_for(profile)
@@ -401,6 +445,7 @@ class Client:
             attempts=attempts,
             model=profile.name,
             created_at=datetime.now(timezone.utc).isoformat(),
+            fingerprint=profile.request_fingerprint,
         )
         self.cache.put_completion(record)
         return record

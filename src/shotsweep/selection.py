@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .corpus import LabelScheme, RequirementRecord
@@ -25,6 +26,7 @@ class SelectionError(Exception):
 class FewShotPool:
     candidates: tuple[RequirementRecord, ...]
     per_class: dict[str, tuple[int, ...]]
+    candidate_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id = {}
@@ -33,13 +35,13 @@ class FewShotPool:
                 raise SelectionError(f"duplicate pool candidate {record.record_id}")
             by_id[record.record_id] = record
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "candidate_ids", tuple(by_id))
 
     def __len__(self) -> int:
         return len(self.candidates)
 
-    @property
-    def candidate_ids(self) -> tuple[int, ...]:
-        return tuple(r.record_id for r in self.candidates)
+    def __contains__(self, record_id: int) -> bool:
+        return record_id in self._by_id  # type: ignore[attr-defined]
 
     def record(self, record_id: int) -> RequirementRecord:
         try:
@@ -157,41 +159,78 @@ def _check_space(pool: FewShotPool, row_ids: tuple[int, ...], what: str) -> None
         )
 
 
-def select(
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """One query's selection order over a pool, to a fixed depth.
+
+    tfidf/embedding keep the nearest `depth` candidates, nearest first and
+    the query's own record left out, as compact id/similarity arrays: the
+    k-shot selection is their first k, so one ranking serves every k up to
+    the depth. random keeps no order; each k is its own seeded draw, since
+    random.sample has no prefix property.
+    """
+
+    pool: FewShotPool
+    query_key: str
+    method: str
+    seed: int
+    excluded_id: int | None
+    depth: int
+    ids: array = field(default_factory=lambda: array("q"))
+    sims: array = field(default_factory=lambda: array("d"))
+
+    def take(self, k: int) -> SelectionResult:
+        """The k-shot selection: min(k, candidates left after exclusion)."""
+        available = len(self.pool) - (1 if self.excluded_id is not None else 0)
+        k_delivered = min(k, available)
+        if k_delivered == 0:
+            return SelectionResult(self.query_key, (), self.method, k, 0)
+        if k_delivered > self.depth:
+            raise SelectionError(
+                f"selection of {k} asked of a ranking of depth {self.depth}"
+            )
+        if self.method == "random":
+            ids = self.pool.candidate_ids
+            if self.excluded_id is not None:
+                ids = tuple(rid for rid in ids if rid != self.excluded_id)
+            rng = derived_rng(self.seed, f"query:{self.query_key}")
+            chosen: tuple[tuple[int, float | None], ...] = tuple(
+                (rid, None) for rid in rng.sample(ids, k_delivered)
+            )
+        else:
+            chosen = tuple(zip(self.ids[:k_delivered], self.sims[:k_delivered]))
+        return SelectionResult(self.query_key, chosen, self.method, k, k_delivered)
+
+
+def rank(
     pool: FewShotPool,
     query: str | RequirementRecord,
     cfg: SelectionConfig,
     tfidf: TfidfModel | None = None,
     embeddings: EmbeddingMatrix | None = None,
     provider: EmbeddingProvider | None = None,
-) -> SelectionResult:
-    """Pick cfg.k examples from the pool for one query.
+) -> Ranking:
+    """Rank the pool for one query, deep enough for any selection up to cfg.k.
 
-    random draws uniformly without replacement with a per-query derived seed;
-    tfidf/embedding rank the pool by cosine similarity. When the query is a
-    pool member and exclusion is on, its own record is never returned.
+    tfidf/embedding rank by cosine similarity (one kNN call); random defers
+    to Ranking.take. When the query is a pool member and exclusion is on,
+    its own record is never ranked.
     """
     query_key = query_key_for(query)
-    query_text = query.text if isinstance(query, RequirementRecord) else query
     excluded_id: int | None = None
     if (
         cfg.exclude_query_record
         and isinstance(query, RequirementRecord)
-        and query.record_id in pool.candidate_ids
+        and query.record_id in pool
     ):
         excluded_id = query.record_id
     available = len(pool) - (1 if excluded_id is not None else 0)
-    k_delivered = min(cfg.k, available)
+    depth = min(cfg.k, available)
+    ranking = Ranking(pool, query_key, cfg.method, cfg.seed, excluded_id, depth)
+    if depth == 0 or cfg.method == "random":
+        return ranking
 
-    if k_delivered == 0:
-        return SelectionResult(query_key, (), cfg.method, cfg.k, 0)
-
-    if cfg.method == "random":
-        ids = [rid for rid in pool.candidate_ids if rid != excluded_id]
-        rng = derived_rng(cfg.seed, f"query:{query_key}")
-        chosen = tuple((rid, None) for rid in rng.sample(ids, k_delivered))
-        return SelectionResult(query_key, chosen, cfg.method, cfg.k, k_delivered)
-
+    query_text = query.text if isinstance(query, RequirementRecord) else query
     if cfg.method == "tfidf":
         if tfidf is None:
             raise SelectionError("tfidf method requires a fitted TfidfModel")
@@ -214,14 +253,31 @@ def select(
         query_vector = list(provider.embed_batch([query_text])[0])
         space = embeddings
 
-    want = k_delivered + (1 if excluded_id is not None else 0)
-    neighbors = knn(space, query_vector, want)
-    chosen = tuple(
-        (n.record_id, n.similarity)
-        for n in neighbors
-        if n.record_id != excluded_id
-    )[:k_delivered]
-    return SelectionResult(query_key, chosen, cfg.method, cfg.k, k_delivered)
+    want = depth + (1 if excluded_id is not None else 0)
+    kept = [n for n in knn(space, query_vector, want) if n.record_id != excluded_id]
+    return replace(
+        ranking,
+        ids=array("q", [n.record_id for n in kept[:depth]]),
+        sims=array("d", [n.similarity for n in kept[:depth]]),
+    )
+
+
+def select(
+    pool: FewShotPool,
+    query: str | RequirementRecord,
+    cfg: SelectionConfig,
+    tfidf: TfidfModel | None = None,
+    embeddings: EmbeddingMatrix | None = None,
+    provider: EmbeddingProvider | None = None,
+) -> SelectionResult:
+    """Pick cfg.k examples from the pool for one query: rank, then slice.
+
+    random draws uniformly without replacement with a per-query derived seed;
+    tfidf/embedding take the cfg.k most cosine-similar candidates. When the
+    query is a pool member and exclusion is on, its own record is never
+    returned.
+    """
+    return rank(pool, query, cfg, tfidf, embeddings, provider).take(cfg.k)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .corpus import Corpus, make_split
 from .evaluation import (
+    Cell,
+    CellRun,
     EvalReport,
     EvaluationError,
     ExperimentConfig,
-    run_full,
-    run_holdout,
+    evaluate_cells,
+    holdout_partition,
 )
 from .gateway import Client, GatewayError, ModelProfile
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, PromptTemplate
@@ -218,21 +220,16 @@ def run_sweep(
 ) -> SweepRun:
     """Run every (model, method, shot_count) cell and assemble curves.
 
-    Cell failures (CELL_ERRORS) are recorded and the sweep continues; any
-    other exception propagates. Completions are cache-backed, so re-running
-    a plan only executes what is missing.
+    The cells share one partition, pool and space per method, and each
+    prompt is rendered once for all models (evaluation.evaluate_cells).
+    Cell failures (CELL_ERRORS) are recorded in plan.cells() order and the
+    sweep continues; any other exception propagates. Completions are
+    cache-backed, so re-running a plan only executes what is missing.
     """
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
-    split = (
-        make_split(corpus, "holdout", plan.split_param, plan.split_seed)
-        if plan.split_kind == "holdout"
-        else None
-    )
-    reports: dict[tuple[str, str, int], EvalReport] = {}
-    failures: list[CellFailure] = []
-    base_cfg = ExperimentConfig(
+    cfg = ExperimentConfig(
         method="random",
         k=0,
         pool_size=plan.pool_size,
@@ -242,18 +239,39 @@ def run_sweep(
         template=template,
         ordering=ordering,
     )
-    for model, method, k in plan.cells():
-        cfg = replace(base_cfg, method=method, k=k)
-        try:
-            if split is not None:
-                report = run_holdout(
-                    corpus, split, profiles[model], cfg, client, provider
-                )
-            else:
-                report = run_full(corpus, profiles[model], cfg, client, provider)
-            reports[(model, method, k)] = report
-        except CELL_ERRORS as exc:
-            failures.append(CellFailure(model, method, k, f"{type(exc).__name__}: {exc}"))
+    outcomes: Iterable[tuple[Cell, CellRun | Exception]]
+    try:
+        if plan.split_kind == "holdout":
+            split = make_split(corpus, "holdout", plan.split_param, plan.split_seed)
+            partition, split_desc = holdout_partition(corpus, split)
+        else:
+            records = list(corpus.records)
+            partition, split_desc = (records, records), "full"
+    except EvaluationError as exc:  # an empty test partition fails every cell
+        outcomes = [(cell, exc) for cell in plan.cells()]
+    else:
+        outcomes = evaluate_cells(
+            corpus,
+            [partition],
+            [profiles[m] for m in dict.fromkeys(plan.models)],
+            tuple(dict.fromkeys(plan.methods)),
+            plan.shot_grid,
+            cfg,
+            client,
+            provider,
+            split_desc,
+            cell_errors=CELL_ERRORS,
+        )
+    results = {
+        cell: outcome.report if isinstance(outcome, CellRun) else outcome
+        for cell, outcome in outcomes
+    }
+    reports = {c: results[c] for c in plan.cells() if isinstance(results[c], EvalReport)}
+    failures = [
+        CellFailure(*cell, f"{type(error).__name__}: {error}")
+        for cell in plan.cells()
+        if isinstance(error := results[cell], Exception)
+    ]
     curves = []
     for model in plan.models:
         for method in plan.methods:

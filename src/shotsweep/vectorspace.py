@@ -221,7 +221,7 @@ def _knn_tfidf(model: TfidfModel, query: dict[int, float], k: int) -> list[Neigh
         weight = query[col]
         for row_idx, row_weight in model.postings.get(col, ()):
             scores[row_idx] = scores.get(row_idx, 0.0) + weight * row_weight
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
     neighbors = [
         Neighbor(model.row_ids[row_idx], _clamp(sim)) for row_idx, sim in ranked
     ]

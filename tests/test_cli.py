@@ -4,9 +4,11 @@ import json
 from pathlib import Path
 
 from shotsweep.cli import (
+    EXIT_BUG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_PARTIAL,
     main,
 )
 
@@ -120,6 +122,37 @@ class TestRun:
         assert (out_dir / "trace.jsonl").exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["dataset_sha256"]
+
+    def run_config(self, tmp_path):
+        return write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=2, pool_size=40,
+            profiles={"mock-gold": {"base_url": "mock://echo-gold"}},
+        )
+
+    def test_harness_bug_exits_with_bug_code(self, tmp_path, capsys, monkeypatch):
+        import shotsweep.cli
+
+        def broken_run_holdout(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(shotsweep.cli, "run_holdout", broken_run_holdout)
+        code = main(["run", "--config", self.run_config(tmp_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUG
+        assert code != EXIT_PARTIAL
+        assert "Traceback" in err and "KeyError: 'bug'" in err
+
+    def test_torn_cache_lines_warned_once(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        (cache / "completions").mkdir(parents=True)
+        (cache / "completions" / "00.jsonl").write_text('{"content_hash": "00\n{"torn')
+        code = main(["run", "--config", self.run_config(tmp_path), "--out",
+                     str(tmp_path / "o"), "--cache-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        assert err.count("warning:") == 1
+        assert "2 torn line(s)" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = write_config(

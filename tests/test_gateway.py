@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import threading
@@ -18,7 +19,7 @@ from shotsweep import (
     ResponseCache,
     parse_label,
 )
-from shotsweep.corpus import PROMISE_12
+from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
 from shotsweep.gateway import (
     ContextOverflowError,
     GatewayEmbeddingProvider,
@@ -117,6 +118,17 @@ class TestParseLabel:
         starts = [start for _, start, _ in parsed.spans]
         assert starts == sorted(starts)
 
+    def test_overlapping_forms_resolve_longest_first(self):
+        scheme = LabelScheme(
+            "overlap",
+            (LabelDef("A", "alpha beta"), LabelDef("B", "beta gamma delta")),
+            "binary",
+        )
+        # a leftmost-first alternation would return A here
+        parsed = parse_label("alpha beta gamma delta", scheme)
+        assert parsed.kind == "label"
+        assert parsed.labels == ("B",)
+
     def test_normalization(self):
         assert normalize_completion("**Non-Functional!**") == "non functional"
         assert normalize_completion("  ") == ""
@@ -159,6 +171,57 @@ class TestCompleteAndCache:
         record = reopened.complete(profile, prompt_for("persisted"))
         assert record.text == "NFR"
         assert backend.calls == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"temperature": 0.7}, {"max_output_tokens": 64}, {"base_url": "mock://other"}],
+    )
+    def test_changed_request_is_a_miss(self, change):
+        backend = ConstantBackend("FR")
+        client = Client(mocks={"test": backend, "other": backend})
+        profile = mock_profile()
+        client.complete(profile, prompt_for("one"))
+        client.complete(dataclasses.replace(profile, **change), prompt_for("one"))
+        assert backend.calls == 2
+
+    def test_other_endpoint_under_same_name_gets_its_own_answer(self, tmp_path):
+        client = Client(
+            cache=ResponseCache(tmp_path),
+            mocks={
+                "constant/Functional": ConstantBackend("Functional"),
+                "constant/Non-Functional": ConstantBackend("Non-Functional"),
+            },
+        )
+        first = mock_profile(backend="constant/Functional")
+        second = mock_profile(backend="constant/Non-Functional")
+        assert client.complete(first, prompt_for()).text == "Functional"
+        assert client.complete(second, prompt_for()).text == "Non-Functional"
+        reopened = Client(cache=ResponseCache(tmp_path))
+        assert reopened.complete(second, prompt_for()).text == "Non-Functional"
+
+    def test_rows_without_fingerprint_are_misses(self, tmp_path):
+        legacy = {
+            "content_hash": "hash-one", "text": "stale", "latency_ms": 1.0,
+            "attempts": 1, "model": "mock-model", "created_at": "2025-01-01T00:00:00",
+        }
+        (tmp_path / "completions").mkdir()
+        (tmp_path / "completions" / "ha.jsonl").write_text(json.dumps(legacy) + "\n")
+        backend = ConstantBackend("FR")
+        client = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
+        assert client.complete(mock_profile(), prompt_for("one")).text == "FR"
+        assert backend.calls == 1
+
+    def test_torn_final_line_counted_and_skipped(self, tmp_path):
+        backend = ConstantBackend("NFR")
+        client = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
+        client.complete(mock_profile(), prompt_for("kept"))
+        segment = next((tmp_path / "completions").glob("*.jsonl"))
+        with segment.open("a", encoding="utf-8") as handle:
+            handle.write('{"content_hash": "hash-torn", "te')
+        reopened = ResponseCache(tmp_path)
+        assert reopened.torn_lines == 1
+        assert len(reopened) == 1
+        assert ResponseCache(tmp_path / "fresh").torn_lines == 0
 
     def test_echo_gold_returns_wired_label(self):
         backend = EchoGoldBackend({"classify this": "Functional"})

@@ -15,7 +15,7 @@ from shotsweep import (
     select,
     selection_report,
 )
-from shotsweep.selection import SelectionError
+from shotsweep.selection import SelectionError, rank
 
 from conftest import make_records
 from oracles import oracle_tfidf_ranking, simulate_round_robin
@@ -238,6 +238,24 @@ class TestSelect:
         ]
         assert len(set(tfidf_runs)) == 1
         assert len(set(embed_runs)) == 1
+
+    def test_deep_ranking_sliced_equals_select_at_each_k(self):
+        pool = make_pool(20)
+        provider = HashEmbeddingProvider(8)
+        spaces = {
+            "random": {},
+            "tfidf": {"tfidf": fit_tfidf(pool.candidates)},
+            "embedding": {
+                "embeddings": build_embedding_matrix(pool.candidates, provider),
+                "provider": provider,
+            },
+        }
+        for method, kwargs in spaces.items():
+            for query in (pool.candidates[4], "alpha beta gamma"):
+                ranking = rank(pool, query, SelectionConfig(method, 25, seed=3), **kwargs)
+                for k in range(26):
+                    expected = select(pool, query, SelectionConfig(method, k, seed=3), **kwargs)
+                    assert ranking.take(k) == expected
 
     def test_no_duplicate_ids(self):
         pool = make_pool(18)

@@ -1,19 +1,28 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from shotsweep import (
+    DEFAULT_TEMPLATE,
     Client,
     EchoGoldBackend,
+    HashEmbeddingProvider,
     ModelProfile,
+    SelectionConfig,
     SweepPlan,
+    build_pool,
     compare_methods,
     detect_overprompting,
     find_optimum,
+    make_split,
+    render_prompt,
     run_sweep,
+    select,
 )
+from shotsweep.evaluation import fit_spaces
 from shotsweep.gateway import CallableBackend, GatewayError
 from shotsweep.sweep import (
     CurvePoint,
@@ -204,6 +213,104 @@ class TestRunSweep:
         plan = SweepPlan(("m1",), ("random",), (0, 5, 10), split_param=0.5)
         with pytest.raises(KeyError, match="harness bug"):
             run_sweep(plan, corpus, mock_profiles(["m1"]), client)
+
+    @pytest.mark.parametrize("split_kind", ["holdout", "full"])
+    def test_sends_what_per_cell_selection_renders(self, split_kind):
+        corpus = balanced_corpus(10)
+        sent = set()
+
+        def respond(profile, prompt):
+            sent.add((profile.name, prompt.content_hash, prompt.example_provenance,
+                      prompt.query_text))
+            return "Functional"
+
+        client = Client(mocks={"rec": CallableBackend(respond)})
+        provider = HashEmbeddingProvider(16)
+        plan = SweepPlan(
+            ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5),
+            split_kind=split_kind, split_param=0.5,
+        )
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client, provider)
+        assert not run.failures
+
+        if split_kind == "holdout":
+            split = make_split(corpus, "holdout", 0.5, 0)
+            train = [r for r in corpus.records if split.assignments[r.record_id] == 0]
+            test = [r for r in corpus.records if split.assignments[r.record_id] == 1]
+        else:
+            train = test = list(corpus.records)
+        pool = build_pool(train, corpus.scheme, len(train), 0)
+        expected = set()
+        for model, method, k in plan.cells():
+            tfidf, embeddings = fit_spaces(pool, method, k, provider)
+            for record in test:
+                chosen = select(
+                    pool, record, SelectionConfig(method, k),
+                    tfidf=tfidf, embeddings=embeddings, provider=provider,
+                )
+                prompt = render_prompt(DEFAULT_TEMPLATE, corpus.scheme, chosen, pool, record.text)
+                expected.add((model, prompt.content_hash, prompt.example_provenance,
+                              record.text))
+        assert sent == expected
+        record_id = {r.text: r.record_id for r in corpus.records}
+        assert all(record_id[text] not in provenance for _, _, provenance, text in sent)
+
+    def test_one_model_failing_leaves_other_models_cell_intact(self):
+        corpus = balanced_corpus(10)
+        gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
+
+        def respond(profile, prompt):
+            if profile.name == "m1" and prompt.shot_count == 5:
+                raise GatewayError("m1 is down at k=5")
+            return gold[prompt.query_text]
+
+        client = Client(mocks={"rec": CallableBackend(respond)})
+        plan = SweepPlan(("m1", "m2"), ("tfidf",), (0, 5), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client)
+        assert [(f.model, f.method, f.shot_count) for f in run.failures] == [
+            ("m1", "tfidf", 5)
+        ]
+        alone_client, _ = echo_gold_client(corpus)
+        alone = run_sweep(
+            replace(plan, models=("m2",)), corpus, mock_profiles(["m2"]), alone_client
+        )
+        assert run.reports[("m2", "tfidf", 5)] == alone.reports[("m2", "tfidf", 5)]
+        assert ("m1", "tfidf", 0) in run.reports
+
+    def test_failures_listed_in_plan_order(self):
+        corpus = balanced_corpus(10)
+
+        def respond(profile, prompt):
+            # m2 fails at k=2, before m1 fails at k=5 in evaluation order
+            if (profile.name, prompt.shot_count) in {("m1", 5), ("m2", 2)}:
+                raise GatewayError("boom")
+            return "Functional"
+
+        client = Client(mocks={"rec": CallableBackend(respond)})
+        plan = SweepPlan(("m1", "m2"), ("random",), (0, 2, 5), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client)
+        assert [(f.model, f.shot_count) for f in run.failures] == [("m1", 5), ("m2", 2)]
+
+    def test_space_failure_fails_only_that_methods_shot_cells(self):
+        corpus = balanced_corpus(10)
+        client, _ = echo_gold_client(corpus)
+        plan = SweepPlan(("m1", "m2"), ("embedding", "tfidf"), (0, 2), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)  # no provider
+        assert [(f.model, f.method, f.shot_count) for f in run.failures] == [
+            ("m1", "embedding", 2), ("m2", "embedding", 2)
+        ]
+        assert all("requires an embedding provider" in f.error for f in run.failures)
+        assert len(run.reports) == 6
+
+    def test_pool_failure_fails_every_cell_in_plan_order(self):
+        corpus = balanced_corpus(10)
+        client, backend = echo_gold_client(corpus)
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5,
+                         pool_size=11)  # 10 train records
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
+        assert [(f.model, f.method, f.shot_count) for f in run.failures] == plan.cells()
+        assert all("exceeds train partition size" in f.error for f in run.failures)
+        assert not run.curves and backend.calls == 0
 
     def test_missing_profile_aborts(self):
         corpus = balanced_corpus(4)
