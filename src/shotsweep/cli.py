@@ -377,20 +377,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     trace_path = out_dir / "trace.jsonl"
     artifacts = {"report": "report.json", "trace": "trace.jsonl"}
-    if split_spec["kind"] == "holdout":
-        split = make_split(
-            corpus, "holdout", float(split_spec.get("fraction", 0.8)),
-            int(split_spec.get("seed", 0)),
-        )
-        atomic_write(out_dir / "split.json", split.to_json())
-        artifacts["split"] = "split.json"
-        report = run_holdout(
-            corpus, split, profiles[cfg["model"]], exp, client, provider, trace_path
-        )
-    else:
-        report = run_full(
-            corpus, profiles[cfg["model"]], exp, client, provider, trace_path
-        )
+    with client:
+        if split_spec["kind"] == "holdout":
+            split = make_split(
+                corpus, "holdout", float(split_spec.get("fraction", 0.8)),
+                int(split_spec.get("seed", 0)),
+            )
+            atomic_write(out_dir / "split.json", split.to_json())
+            artifacts["split"] = "split.json"
+            report = run_holdout(
+                corpus, split, profiles[cfg["model"]], exp, client, provider, trace_path
+            )
+        else:
+            report = run_full(
+                corpus, profiles[cfg["model"]], exp, client, provider, trace_path
+            )
     atomic_write(out_dir / "report.json", report.to_json())
     _write_manifest(out_dir, cfg, artifacts, started)
     payload = {
@@ -455,11 +456,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     started = _now()
     profiles = _build_profiles(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
-    run = run_sweep(
-        plan, corpus, profiles, client, provider,
-        template=_template_from(cfg),
-        ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
-    )
+    with client:
+        run = run_sweep(
+            plan, corpus, profiles, client, provider,
+            template=_template_from(cfg),
+            ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
+        )
     out_dir = Path(cfg["out_dir"])
     data = emit_curve_data(run.curves)
     atomic_write(out_dir / "curves.json", data.json_text)
@@ -544,13 +546,14 @@ def cmd_cv(args: argparse.Namespace) -> int:
     corpus, client, provider = _open_session(cfg, profiles)
     exp = _experiment_config(cfg, cfg["method"], int(cfg["k"]))
     out_dir = Path(cfg["out_dir"])
-    result = run_kfold(
-        corpus, k_folds, profiles[cfg["model"]], exp, client,
-        split_seed=int(cfg.get("split_seed", 0)),
-        provider=provider,
-        trace_path=out_dir / "trace.jsonl",
-        on_small_class=cfg.get("on_small_class", "error"),
-    )
+    with client:
+        result = run_kfold(
+            corpus, k_folds, profiles[cfg["model"]], exp, client,
+            split_seed=int(cfg.get("split_seed", 0)),
+            provider=provider,
+            trace_path=out_dir / "trace.jsonl",
+            on_small_class=cfg.get("on_small_class", "error"),
+        )
     atomic_write(out_dir / "aggregate.json", result.aggregate.to_json())
     atomic_write(out_dir / "split.json", result.split.to_json())
     for i, fold_report in enumerate(result.per_fold):

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan, make_split
-from .gateway import Client, ModelProfile, ParsedLabel, parse_label
-from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate, render_prompt
+from .gateway import Client, CompletionRecord, ModelProfile, ParsedLabel, parse_label
+from .promptkit import (
+    DEFAULT_TEMPLATE,
+    OrderingPolicy,
+    PromptSpec,
+    PromptTemplate,
+    render_prompt,
+)
 from .selection import FewShotPool, Ranking, SelectionConfig, build_pool, rank
 from .vectorspace import (
     EmbeddingMatrix,
@@ -283,6 +290,45 @@ def _rank_all(
     return [rank(pool, record, cfg, tfidf, embeddings, provider) for record in test]
 
 
+def _complete_each(
+    client: Client,
+    executor: ThreadPoolExecutor,
+    profiles: Sequence[ModelProfile],
+    prompt: PromptSpec,
+    cell_errors: tuple[type[Exception], ...],
+) -> list[CompletionRecord | Exception]:
+    """Each profile's completion of prompt, or the cell error it raised, in order.
+
+    Cache hits are looked up on the calling thread. The misses are sent at
+    once, one per profile: the first by the calling thread itself, the rest
+    through executor. All of them finish before any is read, so an
+    exception outside cell_errors propagates with nothing left in flight.
+    """
+    outcomes: list[CompletionRecord | Exception | None] = []
+    for profile in profiles:
+        try:
+            outcomes.append(client.lookup(profile, prompt))
+        except cell_errors as exc:
+            outcomes.append(exc)
+    missed = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not missed:
+        return outcomes  # type: ignore[return-value]  # no None is left
+    first, *rest = missed
+    futures = {i: executor.submit(client.complete, profiles[i], prompt) for i in rest}
+    try:
+        outcomes[first] = client.complete(profiles[first], prompt)
+    except cell_errors as exc:
+        outcomes[first] = exc
+    finally:
+        wait(futures.values())
+    for i, future in futures.items():
+        try:
+            outcomes[i] = future.result()
+        except cell_errors as exc:
+            outcomes[i] = exc
+    return outcomes  # type: ignore[return-value]
+
+
 def evaluate_cells(
     corpus: Corpus,
     partitions: Sequence[_Partition],
@@ -301,7 +347,9 @@ def evaluate_cells(
     Each (train, test) partition's pool is built from its train records
     once. Per partition and method, the space is fitted once and each test
     record ranked once, to the largest k, and every k slices that ranking.
-    Each prompt is rendered once and sent to every model in turn. cfg gives
+    Each prompt is rendered once and sent to every model at once, one
+    request in flight per model; results are parsed (once per distinct
+    completion text), scored and recorded in profiles order. cfg gives
     everything but the method and k. Each prediction also goes to trace, if
     one is given (run and cv pass one for their single cell).
 
@@ -314,6 +362,7 @@ def evaluate_cells(
     """
     scheme = corpus.scheme
     by_name = {p.name: p for p in profiles}
+    parsed_by_text: dict[str, ParsedLabel] = {}
     failed: dict[Cell, Exception] = {}
     collected: dict[Cell, list[list[Prediction]]] = {
         (p.name, method, k): [] for method in methods for k in grid for p in profiles
@@ -344,63 +393,76 @@ def evaluate_cells(
             return exc
 
     last = len(partitions) - 1
-    for index, (train, test) in enumerate(partitions):
-        for predictions in collected.values():
-            predictions.append([])
-        try:
-            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-            pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
-        except cell_errors as exc:
-            for method in methods:
-                fail(exc, method, grid, profiles)
-            continue
-        for method in methods:
-            sel_cfg = SelectionConfig(
-                method, max((k for k in grid if live(method, k)), default=0),
-                cfg.selection_seed,
-            )
+    # the calling thread sends one model's request, a worker each other's
+    executor = ThreadPoolExecutor(max_workers=max(len(profiles) - 1, 1))
+    try:
+        for index, (train, test) in enumerate(partitions):
+            for predictions in collected.values():
+                predictions.append([])
             try:
-                rankings = _rank_all(pool, test, sel_cfg, provider)
+                pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
+                pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
             except cell_errors as exc:
-                fail(exc, method, [k for k in grid if k > 0], profiles)
-                rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
+                for method in methods:
+                    fail(exc, method, grid, profiles)
+                continue
+            for method in methods:
+                sel_cfg = SelectionConfig(
+                    method, max((k for k in grid if live(method, k)), default=0),
+                    cfg.selection_seed,
+                )
+                try:
+                    rankings = _rank_all(pool, test, sel_cfg, provider)
+                except cell_errors as exc:
+                    fail(exc, method, [k for k in grid if k > 0], profiles)
+                    rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
 
-            for k in grid:
-                for record, ranking in zip(test, rankings):
-                    models = live(method, k)
-                    if not models:
-                        break
-                    try:
-                        prompt = render_prompt(
-                            cfg.template, scheme, ranking.take(k), pool, record.text,
-                            cfg.ordering,
-                        )
-                    except cell_errors as exc:
-                        fail(exc, method, [k], models)
-                        break
-                    for profile in models:
+                for k in grid:
+                    for record, ranking in zip(test, rankings):
+                        models = live(method, k)
+                        if not models:
+                            break
                         try:
-                            completion = client.complete(profile, prompt)
-                            parsed = parse_label(completion.text, scheme)
-                            pred = Prediction(
-                                record_id=record.record_id,
-                                gold=record.label,
-                                parsed=parsed,
-                                scored_as=score_prediction(parsed, cfg.scoring_policy),
-                                content_hash=prompt.content_hash,
+                            prompt = render_prompt(
+                                cfg.template, scheme, ranking.take(k), pool, record.text,
+                                cfg.ordering,
                             )
                         except cell_errors as exc:
-                            fail(exc, method, [k], [profile])
-                            continue
-                        if trace is not None:
-                            trace.write_prediction(pred, completion.text)
-                        collected[(profile.name, method, k)][-1].append(pred)
-                if index == last:
-                    for profile in profiles:
-                        cell = (profile.name, method, k)
-                        yield cell, finish(cell)
-    for cell in list(collected):  # the last partition could not build its pool
-        yield cell, finish(cell)
+                            fail(exc, method, [k], models)
+                            break
+                        completions = _complete_each(
+                            client, executor, models, prompt, cell_errors
+                        )
+                        for profile, completion in zip(models, completions):
+                            if isinstance(completion, Exception):
+                                fail(completion, method, [k], [profile])
+                                continue
+                            parsed = parsed_by_text.get(completion.text)
+                            if parsed is None:
+                                parsed = parse_label(completion.text, scheme)
+                                parsed_by_text[completion.text] = parsed
+                            try:
+                                pred = Prediction(
+                                    record_id=record.record_id,
+                                    gold=record.label,
+                                    parsed=parsed,
+                                    scored_as=score_prediction(parsed, cfg.scoring_policy),
+                                    content_hash=prompt.content_hash,
+                                )
+                            except cell_errors as exc:
+                                fail(exc, method, [k], [profile])
+                                continue
+                            if trace is not None:
+                                trace.write_prediction(pred, completion.text)
+                            collected[(profile.name, method, k)][-1].append(pred)
+                    if index == last:
+                        for profile in profiles:
+                            cell = (profile.name, method, k)
+                            yield cell, finish(cell)
+        for cell in list(collected):  # the last partition could not build its pool
+            yield cell, finish(cell)
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def _split_partition(corpus: Corpus, split: SplitPlan, test_part: int) -> _Partition:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
+import http.client
 import json
 import os
 import random
@@ -11,7 +13,7 @@ import re
 import sys
 import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -174,8 +176,9 @@ class ResponseCache:
 
     Completions are keyed by (model, request fingerprint, content_hash), so
     another endpoint, temperature or output limit is a miss; rows written
-    without a fingerprint are never served. Embeddings are keyed by
-    (provider_tag, text). With no directory the cache is memory-only.
+    without a fingerprint are never served. Embeddings are keyed the same
+    way, by (provider_tag, request fingerprint, text). With no directory the
+    cache is memory-only.
     Segments are sharded by the key's leading hash byte and never rewritten,
     so interrupted runs resume by replaying the files; torn_lines counts the
     unreadable lines (torn writes) skipped on load.
@@ -184,7 +187,7 @@ class ResponseCache:
     def __init__(self, directory: str | Path | None = None):
         self._dir = Path(directory) if directory is not None else None
         self._completions: dict[tuple[str, str, str], CompletionRecord] = {}
-        self._embeddings: dict[tuple[str, str], tuple[float, ...]] = {}
+        self._embeddings: dict[tuple[str, str, str], tuple[float, ...]] = {}
         self._lock = threading.Lock()
         self.torn_lines = 0
         if self._dir is not None:
@@ -222,9 +225,10 @@ class ResponseCache:
                 except json.JSONDecodeError:
                     self.torn_lines += 1
                     continue
-                self._embeddings.setdefault(
-                    (row["tag"], row["text"]), tuple(row["vector"])
-                )
+                if "fingerprint" not in row:
+                    continue
+                key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
+                self._embeddings.setdefault(key, tuple(row["vector"]))
 
     def _append(self, bucket: str, shard: str, payload: dict) -> None:
         if self._dir is None:
@@ -259,12 +263,16 @@ class ResponseCache:
                 },
             )
 
-    def get_embedding(self, tag: str, text: str) -> tuple[float, ...] | None:
+    def get_embedding(
+        self, tag: str, fingerprint: str, text: str
+    ) -> tuple[float, ...] | None:
         with self._lock:
-            return self._embeddings.get((tag, text))
+            return self._embeddings.get((tag, fingerprint, text))
 
-    def put_embedding(self, tag: str, text: str, vector: Sequence[float]) -> None:
-        key = (tag, text)
+    def put_embedding(
+        self, tag: str, fingerprint: str, text: str, vector: Sequence[float]
+    ) -> None:
+        key = (tag, fingerprint, text)
         with self._lock:
             if key in self._embeddings:
                 return
@@ -273,7 +281,12 @@ class ResponseCache:
             self._append(
                 "embeddings",
                 shard,
-                {"tag": tag, "text": text, "vector": list(vector)},
+                {
+                    "tag": tag,
+                    "fingerprint": fingerprint,
+                    "text": text,
+                    "vector": list(vector),
+                },
             )
 
     def __len__(self) -> int:
@@ -338,21 +351,139 @@ class _RateLimiter:
             sleeper(wait)
 
 
-def _post_json(url: str, payload: dict, api_key: str | None, timeout: float) -> dict:
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How requests to one (scheme, host) travel: directly or through a proxy."""
+
+    tls: bool  # the socket is wrapped in TLS (after CONNECT, for a tunnel)
+    address: str  # host[:port] the socket connects to
+    tunnel: str | None = None  # origin host[:port] of a CONNECT tunnel (https)
+    absolute_target: bool = False  # http through a proxy names the whole URL
+    proxy_headers: tuple[tuple[str, str], ...] = ()
+
+
+def _resolve_route(scheme: str, netloc: str) -> _Route:
+    """Route by http(s)_proxy and no_proxy, as urllib would."""
+    if scheme not in ("http", "https"):
+        raise GatewayError(f"unsupported URL scheme {scheme!r} in {scheme}://{netloc}")
+    # getproxies() also holds a "no" entry, so look the scheme up; never test
+    # the dict itself for being empty.
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return _Route(tls=scheme == "https", address=netloc)
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers: tuple[tuple[str, str], ...] = ()
+    if parts.username is not None:
+        user = urllib.parse.unquote(parts.username)
+        password = urllib.parse.unquote(parts.password or "")
+        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+        headers = (("Proxy-Authorization", f"Basic {token}"),)
+    address = parts.netloc.rpartition("@")[2]
+    if scheme == "https":
+        return _Route(tls=True, address=address, tunnel=netloc, proxy_headers=headers)
+    return _Route(
+        tls=parts.scheme == "https", address=address, absolute_target=True,
+        proxy_headers=headers,
+    )
+
+
+def _exchange(
+    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict[str, str]
+) -> http.client.HTTPResponse:
+    conn.request("POST", target, body=body, headers=headers)
+    return conn.getresponse()
+
+
+class _ConnectionPool:
+    """Idle HTTP/1.1 connections per (scheme, host), reused request after request.
+
+    A request checks a connection out and back in, and a connection is only
+    made when none is idle, so no more are open than requests were in flight
+    at once. Routes (proxy or direct) are resolved once per (scheme, host).
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
+        self._routes: dict[tuple[str, str], _Route] = {}
+        self._lock = threading.Lock()
+
+    def post(
+        self, url: str, body: bytes, headers: dict[str, str], timeout: float
+    ) -> tuple[int, bytes]:
+        """POST body to url; (status, response body). Socket errors propagate."""
+        parts = urllib.parse.urlsplit(url)
+        key = (parts.scheme, parts.netloc)
+        with self._lock:
+            route = self._routes.get(key)
+            if route is None:
+                route = self._routes[key] = _resolve_route(*key)
+        if route.absolute_target:
+            target = url
+            headers = {**headers, **dict(route.proxy_headers)}
+        else:
+            target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        conn = self._checkout(key, route, timeout)
+        try:
+            # A reused connection the server has since closed fails before
+            # any status line; that is no answer, so send once more afresh.
+            reused = conn.sock is not None
+            try:
+                response = _exchange(conn, target, body, headers)
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                conn.close()
+                response = _exchange(conn, target, body, headers)
+            return response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+
+    def _checkout(
+        self, key: tuple[str, str], route: _Route, timeout: float
+    ) -> http.client.HTTPConnection:
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            cls = http.client.HTTPSConnection if route.tls else http.client.HTTPConnection
+            conn = cls(route.address, timeout=timeout)
+            if route.tunnel is not None:
+                conn.set_tunnel(route.tunnel, headers=dict(route.proxy_headers))
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+def _post_json(
+    pool: _ConnectionPool, url: str, payload: dict, api_key: str | None, timeout: float
+) -> dict:
     body = json.dumps(payload).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
+    headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            raw = response.read()
-    except urllib.error.HTTPError as exc:
-        if exc.code == 429 or exc.code >= 500:
-            raise TransportError(f"HTTP {exc.code} from {url}") from exc
-        raise ProtocolError(f"HTTP {exc.code} from {url}: {exc.read()[:200]!r}") from exc
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        status, raw = pool.post(url, body, headers, timeout)
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"{url} unreachable: {exc}") from exc
+    if status == 429 or status >= 500:
+        raise TransportError(f"HTTP {status} from {url}")
+    if not 200 <= status < 300:
+        raise ProtocolError(f"HTTP {status} from {url}: {raw[:200]!r}")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -363,9 +494,11 @@ def _post_json(url: str, payload: dict, api_key: str | None, timeout: float) -> 
 class Client:
     """Single entry point for completions and embeddings.
 
-    base_url schemes: http(s):// goes over the wire with bounded retries;
+    base_url schemes: http(s):// goes over the wire with bounded retries,
+    on HTTP/1.1 connections kept open between requests until close();
     mock://<name> resolves a registered in-process backend (still cached, so
-    cache-contract tests count real backend calls).
+    cache-contract tests count real backend calls). Safe to call from
+    several threads at once.
     """
 
     cache: ResponseCache = field(default_factory=ResponseCache)
@@ -373,9 +506,20 @@ class Client:
     sleeper: object = time.sleep
     _limiters: dict[str, _RateLimiter] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
+    _pool: _ConnectionPool = field(default_factory=_ConnectionPool)
 
     def register_mock(self, name: str, backend: object) -> None:
         self.mocks[name] = backend
+
+    def close(self) -> None:
+        """Close the idle HTTP connections; a later request opens new ones."""
+        self._pool.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _limiter_for(self, profile: ModelProfile) -> _RateLimiter | None:
         if profile.rate_limit_per_s is None:
@@ -414,7 +558,11 @@ class Client:
                 self.sleeper(delay * (1.0 + random.random() * 0.25))
         raise AssertionError("unreachable")
 
-    def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
+    def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
+        """The cached completion complete() would return, or None on a miss.
+
+        Refuses what complete() refuses, without calling any backend.
+        """
         if profile.kind != "chat":
             raise GatewayError(f"profile {profile.name} is not a chat profile")
         estimate = estimate_tokens(prompt)
@@ -423,9 +571,12 @@ class Client:
                 f"prompt estimate {estimate} tokens >= {profile.name} window "
                 f"{profile.context_window}"
             )
-        cached = self.cache.get_completion(
+        return self.cache.get_completion(
             profile.name, profile.request_fingerprint, prompt.content_hash
         )
+
+    def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
+        cached = self.lookup(profile, prompt)
         if cached is not None:
             return cached
         mock = self._mock_for(profile)
@@ -462,7 +613,8 @@ class Client:
         }
         url = profile.base_url.rstrip("/") + "/chat/completions"
         response = _post_json(
-            url, payload, os.environ.get(profile.api_key_env), profile.timeout_s
+            self._pool, url, payload, os.environ.get(profile.api_key_env),
+            profile.timeout_s,
         )
         try:
             return response["choices"][0]["message"]["content"]
@@ -472,11 +624,12 @@ class Client:
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
             raise GatewayError(f"profile {profile.name} is not an embedding profile")
-        tag = profile.provider_tag
-        missing: list[str] = []
-        for text in texts:
-            if self.cache.get_embedding(tag, text) is None and text not in missing:
-                missing.append(text)
+        key = (profile.provider_tag, profile.request_fingerprint)
+        missing = [
+            text
+            for text in dict.fromkeys(texts)
+            if self.cache.get_embedding(*key, text) is None
+        ]
         if missing:
             mock = self._mock_for(profile)
             if mock is not None:
@@ -502,10 +655,10 @@ class Client:
                     f"expected {profile.embedding_dim}"
                 )
             for text, vector in zip(missing, vectors):
-                self.cache.put_embedding(tag, text, vector)
+                self.cache.put_embedding(*key, text, vector)
         out = []
         for text in texts:
-            vector = self.cache.get_embedding(tag, text)
+            vector = self.cache.get_embedding(*key, text)
             assert vector is not None
             out.append(list(vector))
         return out
@@ -514,7 +667,8 @@ class Client:
         payload = {"model": profile.name, "input": list(texts)}
         url = profile.base_url.rstrip("/") + "/embeddings"
         response = _post_json(
-            url, payload, os.environ.get(profile.api_key_env), profile.timeout_s
+            self._pool, url, payload, os.environ.get(profile.api_key_env),
+            profile.timeout_s,
         )
         try:
             rows = sorted(response["data"], key=lambda item: item["index"])

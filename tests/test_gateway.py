@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import random
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -28,6 +31,8 @@ from shotsweep.gateway import (
     TransportError,
     normalize_completion,
 )
+
+from loopback import ChatEndpoint, ForwardingProxy
 
 
 def prompt_for(text="classify this", content_hash=None):
@@ -293,6 +298,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpTransport:
@@ -324,6 +330,15 @@ class TestHttpTransport:
         with pytest.raises(TransportError):
             client.complete(profile, prompt_for())
 
+    def test_unsupported_scheme_refused_without_retry(self):
+        waits = []
+        client = Client(sleeper=waits.append)
+        profile = ModelProfile(name="m", base_url="ftp://127.0.0.1/v1")
+        with pytest.raises(GatewayError, match="unsupported URL scheme") as err:
+            client.complete(profile, prompt_for())
+        assert not isinstance(err.value, TransportError)
+        assert waits == []
+
     def test_http_embeddings(self, http_server):
         FlakyHandler.fail_first = 0
         client = Client(sleeper=lambda s: None)
@@ -332,6 +347,86 @@ class TestHttpTransport:
         )
         vectors = client.embed_batch(profile, ["a", "b"])
         assert vectors == [[0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.fixture()
+def loopback():
+    """Start loopback servers on demand; every one is stopped at teardown."""
+    servers = []
+
+    def start(cls, **kwargs):
+        server = cls(**kwargs)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture()
+def clean_proxy_env(monkeypatch):
+    for scheme in ("http", "https", "all", "no"):
+        monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+        monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+    return monkeypatch
+
+
+class TestConnectionReuse:
+    def test_sequential_completions_share_one_connection(self, loopback):
+        endpoint = loopback(ChatEndpoint)
+        profile = ModelProfile(name="m", base_url=endpoint.base_url)
+        with Client() as client:
+            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(5)]
+        assert texts == ["FR"] * 5
+        assert endpoint.targets == ["/v1/chat/completions"] * 5
+        assert endpoint.connections == 1
+
+    def test_concurrent_requests_never_share_a_connection(self, loopback):
+        endpoint = loopback(ChatEndpoint)
+        profile = ModelProfile(
+            name="m", base_url=endpoint.base_url, max_attempts=1, timeout_s=5.0
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Client() as client, ThreadPoolExecutor(max_workers=8) as pool:
+                texts = list(pool.map(
+                    lambda i: client.complete(profile, prompt_for(f"q{i}")).text, range(200)
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == ["FR"] * 200
+        assert len(endpoint.targets) == 200
+        assert endpoint.connections <= 8
+
+    def test_dropped_keepalive_resent_without_counting_an_attempt(self, loopback):
+        endpoint = loopback(ChatEndpoint, drop_after_reply=True)
+        waits = []
+        profile = ModelProfile(name="m", base_url=endpoint.base_url)
+        with Client(sleeper=waits.append) as client:
+            records = [client.complete(profile, prompt_for(f"q{i}")) for i in range(4)]
+        assert [r.attempts for r in records] == [1, 1, 1, 1]
+        assert waits == []
+        assert len(endpoint.targets) == 4
+        assert endpoint.connections == 4
+
+    def test_http_proxy_carries_requests(self, loopback, clean_proxy_env):
+        endpoint = loopback(ChatEndpoint, reply="NFR")
+        proxy = loopback(ForwardingProxy)
+        clean_proxy_env.setenv("http_proxy", proxy.url.replace("//", "//user:p%40ss@"))
+        profile = ModelProfile(name="m", base_url=endpoint.base_url)
+        with Client() as client:
+            assert client.complete(profile, prompt_for("via proxy")).text == "NFR"
+        assert proxy.targets == [endpoint.base_url + "/chat/completions"]
+        assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
+        assert endpoint.targets == ["/v1/chat/completions"]
+
+        clean_proxy_env.setenv("no_proxy", "127.0.0.1")
+        with Client() as client:
+            assert client.complete(profile, prompt_for("direct")).text == "NFR"
+        assert len(proxy.targets) == 1
+        assert len(endpoint.targets) == 2
 
 
 class TestEmbedBatch:
@@ -367,6 +462,27 @@ class TestEmbedBatch:
         client.embed_batch(profile, ["abc"])
         client.embed_batch(profile, ["abc"])
         assert CountingHash.calls == 1
+
+    def test_other_endpoint_under_same_name_gets_its_own_vectors(self, tmp_path):
+        client = Client(
+            cache=ResponseCache(tmp_path),
+            mocks={"hash8": HashEmbeddingProvider(8), "hash16": HashEmbeddingProvider(16)},
+        )
+        narrow = ModelProfile(name="emb", kind="embedding", base_url="mock://hash8")
+        wide = dataclasses.replace(narrow, base_url="mock://hash16")
+        assert len(client.embed_batch(narrow, ["text"])[0]) == 8
+        assert len(client.embed_batch(wide, ["text"])[0]) == 16
+        reopened = Client(cache=ResponseCache(tmp_path))
+        assert len(reopened.embed_batch(wide, ["text"])[0]) == 16
+
+    def test_rows_without_fingerprint_are_misses(self, tmp_path):
+        legacy = {"tag": "emb", "text": "text", "vector": [9.0, 9.0]}
+        (tmp_path / "embeddings").mkdir()
+        (tmp_path / "embeddings" / "ab.jsonl").write_text(json.dumps(legacy) + "\n")
+        provider = HashEmbeddingProvider(8)
+        client = Client(cache=ResponseCache(tmp_path), mocks={"hash": provider})
+        profile = ModelProfile(name="emb", kind="embedding", base_url="mock://hash")
+        assert client.embed_batch(profile, ["text"]) == provider.embed_batch(["text"])
 
     def test_deterministic_vectors(self):
         client, profile, provider = self.embed_client(8)

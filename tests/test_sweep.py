@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -18,11 +21,19 @@ from shotsweep import (
     detect_overprompting,
     find_optimum,
     make_split,
+    parse_label,
     render_prompt,
     run_sweep,
     select,
 )
-from shotsweep.evaluation import fit_spaces
+from shotsweep.evaluation import (
+    CellRun,
+    ExperimentConfig,
+    TraceWriter,
+    evaluate_cells,
+    fit_spaces,
+    holdout_partition,
+)
 from shotsweep.gateway import CallableBackend, GatewayError
 from shotsweep.sweep import (
     CurvePoint,
@@ -30,9 +41,11 @@ from shotsweep.sweep import (
     SweepCurve,
     SweepError,
     build_curve,
+    sweep_to_json,
 )
 
 from hillmock import HILL_SCHEDULE, balanced_corpus, hill_setup
+from loopback import ChatEndpoint
 
 
 def points(*pairs):
@@ -387,3 +400,91 @@ class TestBuildCurve:
         )
         assert rebuilt.optimal_shots == curve.optimal_shots
         assert rebuilt.points == curve.points
+
+
+def jitter_reply(model, content_hash):
+    replies = ("Functional", "Non-Functional", "Functional or Non-Functional", "unsure")
+    return replies[hashlib.sha256(f"{model}|{content_hash}".encode()).digest()[0] % 4]
+
+
+def jittered_backend(seed):
+    """Sleeps 0-2 ms at random, then answers by (model, prompt) alone."""
+    rng = random.Random(seed)
+    lock = threading.Lock()
+
+    def respond(profile, prompt):
+        with lock:
+            delay = rng.random() * 0.002
+        time.sleep(delay)
+        return jitter_reply(profile.name, prompt.content_hash)
+
+    return CallableBackend(respond)
+
+
+class TestConcurrentDispatch:
+    def test_models_are_sent_each_prompt_at_once(self):
+        corpus = balanced_corpus(6)
+        gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
+        barrier = threading.Barrier(2, timeout=5)
+
+        def respond(profile, prompt):
+            barrier.wait()  # returns only while the other model's request is in flight
+            return gold[prompt.query_text]
+
+        client = Client(mocks={"rec": CallableBackend(respond)})
+        plan = SweepPlan(("m1", "m2"), ("tfidf",), (0, 2), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client)
+        assert not run.failures
+        assert all(r.weighted_f1 == 1.0 for r in run.reports.values())
+
+    def test_results_do_not_depend_on_response_timing(self, tmp_path):
+        corpus = balanced_corpus(10)
+        provider = HashEmbeddingProvider(16)
+        plan = SweepPlan(
+            ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
+        )
+        partition, split_desc = holdout_partition(corpus, make_split(corpus, "holdout", 0.5, 0))
+        cfg = ExperimentConfig(method="random", k=0)
+
+        def artifacts(models, seed):
+            profiles = mock_profiles(models, "jitter")
+            client = Client(mocks={"jitter": jittered_backend(seed)})
+            run = run_sweep(replace(plan, models=models), corpus, profiles, client, provider)
+            trace_path = tmp_path / f"{'-'.join(models)}-{seed}.jsonl"
+            with TraceWriter(trace_path, {"seed": 0}) as trace:
+                cells = dict(evaluate_cells(
+                    corpus, [partition], list(profiles.values()), plan.methods,
+                    plan.shot_grid, cfg, Client(mocks={"jitter": jittered_backend(seed + 1)}),
+                    provider, split_desc, trace,
+                ))
+            for (model, _, _), outcome in cells.items():
+                assert isinstance(outcome, CellRun)
+                for pred in outcome.per_partition[0]:
+                    reply = jitter_reply(model, pred.content_hash)
+                    assert pred.parsed == parse_label(reply, corpus.scheme)
+            reports = {cell: report.to_json() for cell, report in run.reports.items()}
+            assert reports == {c: outcome.report.to_json() for c, outcome in cells.items()}
+            return sweep_to_json(run), reports, trace_path.read_text()
+
+        first = artifacts(("m1", "m2"), seed=1)
+        assert first == artifacts(("m1", "m2"), seed=2)
+        _, reports, trace = first
+        assert len(reports) == 18 and len(trace.splitlines()) == 1 + 2 * 9 * 10
+        alone = {**artifacts(("m1",), seed=3)[1], **artifacts(("m2",), seed=4)[1]}
+        assert reports == alone
+
+    def test_models_on_one_endpoint_hold_a_connection_each(self):
+        endpoint = ChatEndpoint(reply="Functional")
+        try:
+            corpus = balanced_corpus(6)
+            profiles = {
+                n: ModelProfile(name=n, base_url=endpoint.base_url) for n in ("m1", "m2")
+            }
+            plan = SweepPlan(("m1", "m2"), ("random",), (0, 2), split_param=0.5)
+            with Client() as client:
+                run = run_sweep(plan, corpus, profiles, client)
+        finally:
+            endpoint.stop()
+        assert not run.failures
+        assert len(endpoint.targets) == 2 * 2 * 6
+        assert endpoint.connections <= 2
