@@ -347,7 +347,8 @@ def evaluate_cells(
     Each (train, test) partition's pool is built from its train records
     once. Per partition and method, the space is fitted once and each test
     record ranked once, to the largest k, and every k slices that ranking.
-    Each prompt is rendered once and sent to every model at once, one
+    Each prompt is rendered once (a zero-shot prompt once for every method)
+    and sent to every model at once, one
     request in flight per model; results are parsed (once per distinct
     completion text), scored and recorded in profiles order. cfg gives
     everything but the method and k. Each prediction also goes to trace, if
@@ -399,6 +400,8 @@ def evaluate_cells(
         for index, (train, test) in enumerate(partitions):
             for predictions in collected.values():
                 predictions.append([])
+            # the last partition's pool, rankings and prompts go before the next pool
+            pool = rankings = zero_shot = None
             try:
                 pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
                 pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
@@ -406,6 +409,8 @@ def evaluate_cells(
                 for method in methods:
                     fail(exc, method, grid, profiles)
                 continue
+            # a zero-shot prompt does not depend on the method: render it once
+            zero_shot: dict[int, PromptSpec | Exception] = {}
             for method in methods:
                 sel_cfg = SelectionConfig(
                     method, max((k for k in grid if live(method, k)), default=0),
@@ -418,17 +423,23 @@ def evaluate_cells(
                     rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
 
                 for k in grid:
-                    for record, ranking in zip(test, rankings):
+                    for position, (record, ranking) in enumerate(zip(test, rankings)):
                         models = live(method, k)
                         if not models:
                             break
-                        try:
-                            prompt = render_prompt(
-                                cfg.template, scheme, ranking.take(k), pool, record.text,
-                                cfg.ordering,
-                            )
-                        except cell_errors as exc:
-                            fail(exc, method, [k], models)
+                        prompt = zero_shot.get(position) if k == 0 else None
+                        if prompt is None:
+                            try:
+                                prompt = render_prompt(
+                                    cfg.template, scheme, ranking.take(k), pool,
+                                    record.text, cfg.ordering,
+                                )
+                            except cell_errors as exc:
+                                prompt = exc
+                            if k == 0:
+                                zero_shot[position] = prompt
+                        if isinstance(prompt, Exception):
+                            fail(prompt, method, [k], models)
                             break
                         completions = _complete_each(
                             client, executor, models, prompt, cell_errors

@@ -15,10 +15,11 @@ import threading
 import time
 import urllib.parse
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import IO, Iterator, Protocol, Sequence
 
 from .corpus import LabelScheme
 from .promptkit import PromptSpec, estimate_tokens
@@ -171,6 +172,27 @@ def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
     return ParsedLabel("multi_label", tuple(ordered_labels), spans)
 
 
+_SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")
+
+
+def _new_segment(bucket: Path) -> IO[str]:
+    """Create the bucket's next segment, numbered after every one there, so
+    sorted names follow write order (and follow older hex-named shards)."""
+    numbers = (_SEGMENT_NAME.fullmatch(path.name) for path in bucket.iterdir())
+    number = max((int(m.group(1)) for m in numbers if m), default=0) + 1
+    while True:
+        try:
+            return (bucket / f"seg-{number:08d}.jsonl").open("x", encoding="utf-8")
+        except FileExistsError:  # another cache created it first
+            number += 1
+
+
+def _close_segments(segments: dict[str, IO[str]]) -> None:
+    for handle in segments.values():
+        handle.close()
+    segments.clear()
+
+
 class ResponseCache:
     """Append-only response store; in-memory index over JSONL segment files.
 
@@ -179,9 +201,13 @@ class ResponseCache:
     without a fingerprint are never served. Embeddings are keyed the same
     way, by (provider_tag, request fingerprint, text). With no directory the
     cache is memory-only.
-    Segments are sharded by the key's leading hash byte and never rewritten,
-    so interrupted runs resume by replaying the files; torn_lines counts the
-    unreadable lines (torn writes) skipped on load.
+    Loading reads every segment of a bucket in name order and the first row
+    for a key wins; torn_lines counts the unreadable lines (torn writes)
+    skipped. Segments are never appended to once closed: each cache writes
+    its rows to one new segment per bucket, created on its first write and
+    flushed row by row, so a run that resumes after a torn write never glues
+    a row onto the torn line. close() closes the open segments (a later write
+    starts another); a cache collected unclosed closes them too.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -189,53 +215,61 @@ class ResponseCache:
         self._completions: dict[tuple[str, str, str], CompletionRecord] = {}
         self._embeddings: dict[tuple[str, str, str], tuple[float, ...]] = {}
         self._lock = threading.Lock()
+        self._segments: dict[str, IO[str]] = {}  # bucket -> this cache's segment
+        weakref.finalize(self, _close_segments, self._segments)
         self.torn_lines = 0
         if self._dir is not None:
             (self._dir / "completions").mkdir(parents=True, exist_ok=True)
             (self._dir / "embeddings").mkdir(parents=True, exist_ok=True)
             self._load()
 
-    def _load(self) -> None:
+    def _rows(self, bucket: str) -> Iterator[dict]:
+        """The decodable rows of a bucket's segments, in name order, a line at
+        a time (one segment can hold a whole run); other lines count as torn."""
         assert self._dir is not None
-        for segment in sorted((self._dir / "completions").glob("*.jsonl")):
-            for line in segment.read_text(encoding="utf-8").splitlines():
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    self.torn_lines += 1
-                    continue
-                if "fingerprint" not in row:
-                    continue
-                record = CompletionRecord(
-                    content_hash=row["content_hash"],
-                    text=row["text"],
-                    latency_ms=row["latency_ms"],
-                    attempts=row["attempts"],
-                    model=row["model"],
-                    created_at=row["created_at"],
-                    # one string per endpoint setting, not one per row
-                    fingerprint=sys.intern(row["fingerprint"]),
-                )
-                key = (record.model, record.fingerprint, record.content_hash)
-                self._completions.setdefault(key, record)
-        for segment in sorted((self._dir / "embeddings").glob("*.jsonl")):
-            for line in segment.read_text(encoding="utf-8").splitlines():
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    self.torn_lines += 1
-                    continue
-                if "fingerprint" not in row:
-                    continue
-                key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
-                self._embeddings.setdefault(key, tuple(row["vector"]))
+        for segment in sorted((self._dir / bucket).glob("*.jsonl")):
+            with segment.open(encoding="utf-8") as handle:
+                for line in handle:
+                    try:
+                        yield json.loads(line)
+                    except json.JSONDecodeError:
+                        self.torn_lines += 1
 
-    def _append(self, bucket: str, shard: str, payload: dict) -> None:
+    def _load(self) -> None:
+        for row in self._rows("completions"):
+            if "fingerprint" not in row:
+                continue
+            record = CompletionRecord(
+                content_hash=row["content_hash"],
+                text=row["text"],
+                latency_ms=row["latency_ms"],
+                attempts=row["attempts"],
+                model=row["model"],
+                created_at=row["created_at"],
+                # one string per endpoint setting, not one per row
+                fingerprint=sys.intern(row["fingerprint"]),
+            )
+            key = (record.model, record.fingerprint, record.content_hash)
+            self._completions.setdefault(key, record)
+        for row in self._rows("embeddings"):
+            if "fingerprint" not in row:
+                continue
+            key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
+            self._embeddings.setdefault(key, tuple(row["vector"]))
+
+    def _append(self, bucket: str, payload: dict) -> None:
         if self._dir is None:
             return
-        path = self._dir / bucket / f"{shard}.jsonl"
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        handle = self._segments.get(bucket)
+        if handle is None:
+            handle = self._segments[bucket] = _new_segment(self._dir / bucket)
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        handle.flush()
+
+    def close(self) -> None:
+        """Close this cache's open segments."""
+        with self._lock:
+            _close_segments(self._segments)
 
     def get_completion(
         self, model: str, fingerprint: str, content_hash: str
@@ -251,7 +285,6 @@ class ResponseCache:
             self._completions[key] = record
             self._append(
                 "completions",
-                record.content_hash[:2],
                 {
                     "content_hash": record.content_hash,
                     "text": record.text,
@@ -277,10 +310,8 @@ class ResponseCache:
             if key in self._embeddings:
                 return
             self._embeddings[key] = tuple(vector)
-            shard = hashlib.sha256(text.encode("utf-8")).hexdigest()[:2]
             self._append(
                 "embeddings",
-                shard,
                 {
                     "tag": tag,
                     "fingerprint": fingerprint,
@@ -512,8 +543,10 @@ class Client:
         self.mocks[name] = backend
 
     def close(self) -> None:
-        """Close the idle HTTP connections; a later request opens new ones."""
+        """Close the idle HTTP connections and the cache's open segments; a
+        later request opens new ones."""
         self._pool.close()
+        self.cache.close()
 
     def __enter__(self) -> "Client":
         return self

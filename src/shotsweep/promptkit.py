@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import LabelScheme
@@ -145,18 +146,32 @@ def _order_examples(
     selection: SelectionResult, pool: FewShotPool, ordering: OrderingPolicy
 ) -> list[tuple[int, float | None]]:
     chosen = list(selection.chosen)
-    if ordering.name == "ascending":
-        with_sims = all(sim is not None for _, sim in chosen)
-        return sorted(chosen, key=lambda item: item[1]) if with_sims else chosen
-    if ordering.name == "descending":
-        with_sims = all(sim is not None for _, sim in chosen)
-        return sorted(chosen, key=lambda item: -item[1]) if with_sims else chosen
+    if ordering.name in ("ascending", "descending"):
+        if None in map(itemgetter(1), chosen):
+            return chosen
+        # a reverse sort keeps ties in order, as the ascending one does
+        return sorted(chosen, key=itemgetter(1), reverse=ordering.name == "descending")
     if ordering.name == "pool_order":
-        position = {rid: i for i, rid in enumerate(pool.candidate_ids)}
+        position = pool.positions
         return sorted(chosen, key=lambda item: position[item[0]])
     rng = derived_rng(ordering.seed, f"order:{selection.query_key}")
     rng.shuffle(chosen)
     return chosen
+
+
+def _formatted(
+    template: PromptTemplate, scheme: LabelScheme, pool: FewShotPool
+) -> tuple[str, dict[int, str]]:
+    """The task text, and the example blocks formatted so far by record id,
+    for (pool, template, scheme); held on the pool, so they go with it."""
+    key = (id(template), id(scheme))
+    entry = pool.render_memo.get(key)
+    if entry is None:
+        classes_text = "\n".join(f"- {label.name}" for label in scheme.labels)
+        task = template.task_description_text.format(classes=classes_text)
+        # the entry holds template and scheme, so their ids stay theirs while it lives
+        entry = pool.render_memo[key] = (template, scheme, task, {})
+    return entry[2], entry[3]
 
 
 def render_prompt(
@@ -170,23 +185,24 @@ def render_prompt(
     """Assemble the prompt: system role, task with class list, examples, input.
 
     Zero-shot selections render with the examples block omitted entirely.
+    The task text and each example block are formatted once per (pool,
+    template, scheme).
     """
-    classes_text = "\n".join(f"- {label.name}" for label in scheme.labels)
-    task = template.task_description_text.format(classes=classes_text)
-    ordered = _order_examples(selection, pool, ordering)
-    blocks = []
-    provenance = []
-    for rid, _ in ordered:
-        try:
-            record = pool.record(rid)
-        except SelectionError as exc:
-            raise PromptError(str(exc)) from exc
-        blocks.append(
-            template.example_block_format.format(
-                text=record.text, label=scheme.canonical_name(record.label)
-            )
-        )
-        provenance.append(rid)
+    task, formatted = _formatted(template, scheme, pool)
+    provenance = tuple(map(itemgetter(0), _order_examples(selection, pool, ordering)))
+    try:
+        blocks = [formatted[rid] for rid in provenance]
+    except KeyError:
+        for rid in provenance:
+            if rid not in formatted:
+                try:
+                    record = pool.record(rid)
+                except SelectionError as exc:
+                    raise PromptError(str(exc)) from exc
+                formatted[rid] = template.example_block_format.format(
+                    text=record.text, label=scheme.canonical_name(record.label)
+                )
+        blocks = [formatted[rid] for rid in provenance]
     parts = [task]
     if blocks:
         parts.append(template.examples_header + "\n\n" + "\n\n".join(blocks))
@@ -195,7 +211,7 @@ def render_prompt(
     return PromptSpec(
         system_message=template.system_role_text,
         user_message=user_message,
-        example_provenance=tuple(provenance),
+        example_provenance=provenance,
         shot_count=len(provenance),
         template_version=template.version,
         content_hash=_content_hash(template.system_role_text, user_message),

@@ -14,7 +14,7 @@ from .vectorspace import (
     EmbeddingProvider,
     TfidfModel,
     embed_query_tfidf,
-    knn,
+    nearest,
 )
 
 
@@ -27,25 +27,29 @@ class FewShotPool:
     candidates: tuple[RequirementRecord, ...]
     per_class: dict[str, tuple[int, ...]]
     candidate_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # record id -> index in candidates
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
+    # promptkit's text formatted from this pool, so it lives and dies with it
+    render_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id = {}
-        for record in self.candidates:
-            if record.record_id in by_id:
+        positions = {}
+        for index, record in enumerate(self.candidates):
+            if record.record_id in positions:
                 raise SelectionError(f"duplicate pool candidate {record.record_id}")
-            by_id[record.record_id] = record
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "candidate_ids", tuple(by_id))
+            positions[record.record_id] = index
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "candidate_ids", tuple(positions))
 
     def __len__(self) -> int:
         return len(self.candidates)
 
     def __contains__(self, record_id: int) -> bool:
-        return record_id in self._by_id  # type: ignore[attr-defined]
+        return record_id in self.positions
 
     def record(self, record_id: int) -> RequirementRecord:
         try:
-            return self._by_id[record_id]  # type: ignore[attr-defined]
+            return self.candidates[self.positions[record_id]]
         except KeyError:
             raise SelectionError(f"record {record_id} not in pool") from None
 
@@ -254,12 +258,11 @@ def rank(
         space = embeddings
 
     want = depth + (1 if excluded_id is not None else 0)
-    kept = [n for n in knn(space, query_vector, want) if n.record_id != excluded_id]
-    return replace(
-        ranking,
-        ids=array("q", [n.record_id for n in kept[:depth]]),
-        sims=array("d", [n.similarity for n in kept[:depth]]),
-    )
+    ids, sims = nearest(space, query_vector, want)
+    if excluded_id in ids:
+        drop = ids.index(excluded_id)
+        del ids[drop], sims[drop]
+    return replace(ranking, ids=array("q", ids[:depth]), sims=array("d", sims[:depth]))
 
 
 def select(

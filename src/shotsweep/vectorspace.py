@@ -57,16 +57,27 @@ class TfidfModel:
     idf: tuple[float, ...]
     rows: tuple[dict[int, float], ...]  # L2-normalized, sparse by column id
     row_ids: tuple[int, ...]
-    postings: dict[int, tuple[tuple[int, float], ...]] = field(default_factory=dict)
+    # postings in CSC form: column c's rows are indices[indptr[c]:indptr[c + 1]],
+    # ascending, with their weights at the same positions of data
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        postings: dict[int, list[tuple[int, float]]] = {}
-        for row_idx, row in enumerate(self.rows):
-            for col, weight in row.items():
-                postings.setdefault(col, []).append((row_idx, weight))
-        object.__setattr__(
-            self, "postings", {c: tuple(lst) for c, lst in postings.items()}
+        lengths = [len(row) for row in self.rows]
+        nnz = sum(lengths)
+        cols = np.fromiter((c for row in self.rows for c in row), np.intp, nnz)
+        weights = np.fromiter(
+            (w for row in self.rows for w in row.values()), np.float64, nnz
         )
+        row_of = np.repeat(np.arange(len(self.rows), dtype=np.intp), lengths)
+        # a stable sort by column keeps each column's rows ascending
+        order = np.argsort(cols, kind="stable")
+        indptr = np.zeros(self.vocabulary.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cols, minlength=self.vocabulary.size), out=indptr[1:])
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", row_of[order])
+        object.__setattr__(self, "data", weights[order])
 
     @property
     def n_docs(self) -> int:
@@ -208,41 +219,28 @@ def build_embedding_matrix(
     return EmbeddingMatrix(dim=dim, rows=matrix, row_ids=tuple(r.record_id for r in candidates), provider_tag=tag)
 
 
-def _clamp(similarity: float) -> float:
-    return max(-1.0, min(1.0, similarity))
-
-
-def _knn_tfidf(model: TfidfModel, query: dict[int, float], k: int) -> list[Neighbor]:
+def _tfidf_scores(model: TfidfModel, query: dict[int, float]) -> np.ndarray:
     for col in query:
         if not 0 <= col < model.vocabulary.size:
             raise VectorSpaceError(f"query column {col} outside vocabulary")
-    scores: dict[int, float] = {}
+    # Each row's score is the sum of its terms in ascending column order, the
+    # same IEEE multiplies and adds as a scalar loop; rows a column does not
+    # touch add 0.0, which changes nothing.
+    scores = np.zeros(model.n_docs, dtype=np.float64)
     for col in sorted(query):
-        weight = query[col]
-        for row_idx, row_weight in model.postings.get(col, ()):
-            scores[row_idx] = scores.get(row_idx, 0.0) + weight * row_weight
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    neighbors = [
-        Neighbor(model.row_ids[row_idx], _clamp(sim)) for row_idx, sim in ranked
-    ]
-    if len(neighbors) < k:
-        matched = set(scores)
-        for row_idx in range(model.n_docs):
-            if row_idx not in matched:
-                neighbors.append(Neighbor(model.row_ids[row_idx], 0.0))
-                if len(neighbors) >= k:
-                    break
-    return neighbors[: min(k, model.n_docs)]
+        lo, hi = model.indptr[col], model.indptr[col + 1]
+        scores[model.indices[lo:hi]] += query[col] * model.data[lo:hi]
+    return scores
 
 
-def _knn_embedding(
-    matrix: EmbeddingMatrix, query: Sequence[float], k: int
-) -> list[Neighbor]:
+def _embedding_scores(matrix: EmbeddingMatrix, query: Sequence[float]) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (matrix.dim,):
         raise VectorSpaceError(
             f"query dimension {q.shape} does not match space dimension ({matrix.dim},)"
         )
+    if not all(map(math.isfinite, query)):
+        raise VectorSpaceError("non-finite query embedding entry")
     q_norm = float(np.linalg.norm(q))
     row_norms = np.linalg.norm(matrix.rows, axis=1)
     dots = matrix.rows @ q
@@ -250,11 +248,33 @@ def _knn_embedding(
     if q_norm > 0.0:
         nonzero = row_norms > 0.0
         sims[nonzero] = dots[nonzero] / (row_norms[nonzero] * q_norm)
-    order = sorted(range(matrix.n_docs), key=lambda i: (-sims[i], i))
-    return [
-        Neighbor(matrix.row_ids[i], _clamp(float(sims[i])))
-        for i in order[: min(k, matrix.n_docs)]
-    ]
+    return sims
+
+
+def nearest(
+    space: TfidfModel | EmbeddingMatrix,
+    query_vector: dict[int, float] | Sequence[float],
+    k: int,
+) -> tuple[list[int], list[float]]:
+    """The record ids of the min(k, N) nearest rows by cosine, and their
+    cosines clamped to [-1, 1]: descending, ties in row order.
+
+    Cosine against a zero vector is defined as 0, so degenerate queries fall
+    back to stable row order (TF-IDF scores are never negative, so rows that
+    share no term with the query come last, in row order).
+    """
+    if k < 1:
+        raise VectorSpaceError(f"k must be >= 1, got {k}")
+    if isinstance(space, TfidfModel):
+        if not isinstance(query_vector, dict):
+            raise VectorSpaceError("TF-IDF queries must be sparse {column: weight} maps")
+        scores = _tfidf_scores(space, query_vector)
+    else:
+        scores = _embedding_scores(space, query_vector)
+    # a stable sort of the negated scores is sorted(key=(-score, row))
+    order = np.argsort(-scores, kind="stable")[:k]
+    ids = [space.row_ids[row] for row in order.tolist()]
+    return ids, np.clip(scores[order], -1.0, 1.0).tolist()
 
 
 def knn(
@@ -267,10 +287,4 @@ def knn(
     Cosine against a zero vector is defined as 0, so degenerate queries fall
     back to stable row order.
     """
-    if k < 1:
-        raise VectorSpaceError(f"k must be >= 1, got {k}")
-    if isinstance(space, TfidfModel):
-        if not isinstance(query_vector, dict):
-            raise VectorSpaceError("TF-IDF queries must be sparse {column: weight} maps")
-        return _knn_tfidf(space, query_vector, k)
-    return _knn_embedding(space, query_vector, k)
+    return [Neighbor(rid, sim) for rid, sim in zip(*nearest(space, query_vector, k))]

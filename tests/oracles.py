@@ -6,8 +6,12 @@ counting loops) so they share no code path with src/shotsweep.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 import re
+
+import numpy as np
 
 
 def _oracle_tokens(text: str) -> list[str]:
@@ -77,6 +81,92 @@ def oracle_tfidf_ranking(texts: list[str], query: str) -> list[tuple[int, float]
     sims = [oracle_cosine(row, qv) for row in rows]
     order = sorted(range(len(texts)), key=lambda i: (-sims[i], i))
     return [(i, sims[i]) for i in order]
+
+
+def oracle_knn_tfidf(model, query: dict[int, float], k: int) -> list[tuple[int, float]]:
+    """The scalar TF-IDF kNN that vectorspace.knn replaced, as (record id,
+    similarity) pairs: one dict of scores summed term by term in ascending
+    column order, sorted by (-score, row); rows sharing no term with the
+    query follow at 0.0 in row order. It reads only model.rows, row_ids and
+    the vocabulary size."""
+    for col in query:
+        if not 0 <= col < model.vocabulary.size:
+            raise ValueError(f"query column {col} outside vocabulary")
+    postings: dict[int, list[tuple[int, float]]] = {}
+    for row_idx, row in enumerate(model.rows):
+        for col, weight in row.items():
+            postings.setdefault(col, []).append((row_idx, weight))
+    scores: dict[int, float] = {}
+    for col in sorted(query):
+        weight = query[col]
+        for row_idx, row_weight in postings.get(col, ()):
+            scores[row_idx] = scores.get(row_idx, 0.0) + weight * row_weight
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+    neighbors = [
+        (model.row_ids[row_idx], max(-1.0, min(1.0, sim))) for row_idx, sim in ranked
+    ]
+    if len(neighbors) < k:
+        for row_idx in range(len(model.rows)):
+            if row_idx not in scores:
+                neighbors.append((model.row_ids[row_idx], 0.0))
+                if len(neighbors) >= k:
+                    break
+    return neighbors[: min(k, len(model.rows))]
+
+
+def oracle_knn_embedding(matrix, query: list[float], k: int) -> list[tuple[int, float]]:
+    """The embedding kNN that vectorspace.knn replaced: numpy cosines, then a
+    Python sort by (-similarity, row)."""
+    q = np.asarray(query, dtype=np.float64)
+    q_norm = float(np.linalg.norm(q))
+    row_norms = np.linalg.norm(matrix.rows, axis=1)
+    dots = matrix.rows @ q
+    sims = np.zeros(len(matrix.row_ids), dtype=np.float64)
+    if q_norm > 0.0:
+        nonzero = row_norms > 0.0
+        sims[nonzero] = dots[nonzero] / (row_norms[nonzero] * q_norm)
+    order = sorted(range(len(matrix.row_ids)), key=lambda i: (-sims[i], i))
+    return [
+        (matrix.row_ids[i], max(-1.0, min(1.0, float(sims[i]))))
+        for i in order[: min(k, len(matrix.row_ids))]
+    ]
+
+
+def oracle_render(template, scheme, selection, candidates, query_text, ordering):
+    """Format one prompt from scratch, every block on every call: the
+    (system message, user message, provenance, content hash) render_prompt
+    must give. candidates is the pool's records in pool order."""
+    chosen = list(selection.chosen)
+    with_sims = all(sim is not None for _, sim in chosen)
+    if ordering.name == "ascending" and with_sims:
+        chosen.sort(key=lambda item: item[1])
+    elif ordering.name == "descending" and with_sims:
+        chosen.sort(key=lambda item: -item[1])
+    elif ordering.name == "pool_order":
+        order = [r.record_id for r in candidates]
+        chosen.sort(key=lambda item: order.index(item[0]))
+    elif ordering.name == "shuffle":
+        salt = f"{ordering.seed}:order:{selection.query_key}".encode("utf-8")
+        seed = int.from_bytes(hashlib.sha256(salt).digest()[:8], "big")
+        random.Random(seed).shuffle(chosen)
+    by_id = {r.record_id: r for r in candidates}
+    names = {label.label_id: label.name for label in scheme.labels}
+    classes = "\n".join("- " + label.name for label in scheme.labels)
+    parts = [template.task_description_text.replace("{classes}", classes)]
+    blocks = [
+        template.example_block_format.replace(
+            "{label}", names[by_id[rid].label]
+        ).replace("{text}", by_id[rid].text)
+        for rid, _ in chosen
+    ]
+    if blocks:
+        parts.append(template.examples_header + "\n\n" + "\n\n".join(blocks))
+    parts.append(template.input_block_format.replace("{text}", query_text))
+    user = "\n\n".join(parts)
+    digest = hashlib.sha256(
+        template.system_role_text.encode("utf-8") + b"\x00" + user.encode("utf-8")
+    ).hexdigest()
+    return template.system_role_text, user, tuple(rid for rid, _ in chosen), digest
 
 
 def simulate_round_robin(class_sizes: list[tuple[str, int]], size: int) -> dict[str, int]:

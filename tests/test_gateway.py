@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import json
 import random
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -24,6 +26,7 @@ from shotsweep import (
 )
 from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
 from shotsweep.gateway import (
+    CompletionRecord,
     ContextOverflowError,
     GatewayEmbeddingProvider,
     GatewayError,
@@ -253,6 +256,88 @@ class TestCompleteAndCache:
         profile = mock_profile(kind="embedding")
         with pytest.raises(GatewayError, match="not a chat profile"):
             client.complete(profile, prompt_for())
+
+
+def cached_row(content_hash, text="FR"):
+    return CompletionRecord(
+        content_hash=content_hash, text=text, latency_ms=1.0, attempts=1,
+        model="mock-model", created_at="2025-01-01T00:00:00", fingerprint="f" * 16,
+    )
+
+
+class TestCacheSegments:
+    def test_row_put_after_a_torn_tail_is_served_on_reload(self, tmp_path):
+        first = ResponseCache(tmp_path)
+        first.put_completion(cached_row("ab" + "0" * 62, "kept"))
+        del first  # its run is over
+        (segment,) = (tmp_path / "completions").glob("*.jsonl")
+        with segment.open("a", encoding="utf-8") as handle:
+            handle.write('{"content_hash": "ab11", "te')  # a write torn mid-row
+        resumed = ResponseCache(tmp_path)
+        assert resumed.torn_lines == 1
+        # same leading hash byte as the torn row, so a shard per byte would glue it on
+        resumed.put_completion(cached_row("ab" + "2" * 62, "resumed"))
+        del resumed
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.torn_lines == 1
+        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "2" * 62).text == "resumed"
+        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "0" * 62).text == "kept"
+
+    def test_puts_go_to_one_segment_per_bucket(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        hashes = [f"{i:02x}" + "0" * 62 for i in range(40)]
+        for content_hash in hashes:
+            cache.put_completion(cached_row(content_hash))
+        for text in ("alpha", "beta", "gamma"):
+            cache.put_embedding("hashbag-4-v1", "f" * 16, text, [1.0, 0.0, 0.0, 0.0])
+        cache.close()
+        (segment,) = (tmp_path / "completions").glob("*.jsonl")
+        assert len(segment.read_text(encoding="utf-8").splitlines()) == 40
+        assert len(list((tmp_path / "embeddings").glob("*.jsonl"))) == 1
+        reloaded = ResponseCache(tmp_path)
+        assert len(reloaded) == 43
+        assert all(reloaded.get_completion("mock-model", "f" * 16, h) for h in hashes)
+
+    def test_segments_sort_in_write_order_and_first_row_wins(self, tmp_path):
+        (tmp_path / "completions").mkdir()
+        # a shard named by the older per-hash-byte layout sorts first
+        (tmp_path / "completions" / "ff.jsonl").write_text(
+            json.dumps(dataclasses.asdict(cached_row("9" * 64, "oldest"))) + "\n"
+        )
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put_completion(cached_row("9" * 64, "first"))  # already held by ff.jsonl
+        first.put_completion(cached_row("1" * 64, "first"))
+        second.put_completion(cached_row("1" * 64, "second"))
+        second.put_completion(cached_row("2" * 64, "second"))
+        first.close()
+        second.close()
+        names = sorted(p.name for p in (tmp_path / "completions").glob("*.jsonl"))
+        assert names == ["ff.jsonl", "seg-00000001.jsonl", "seg-00000002.jsonl"]
+        reloaded = ResponseCache(tmp_path)
+        texts = {h[0]: reloaded.get_completion("mock-model", "f" * 16, h).text
+                 for h in ("9" * 64, "1" * 64, "2" * 64)}
+        assert texts == {"9": "oldest", "1": "first", "2": "second"}
+
+    def test_client_close_closes_the_segment(self, tmp_path):
+        client = Client(cache=ResponseCache(tmp_path), mocks={"test": ConstantBackend("FR")})
+        client.complete(mock_profile(), prompt_for("one"))
+        client.close()
+        client.complete(mock_profile(), prompt_for("two"))  # a closed segment stays closed
+        client.close()
+        assert len(list((tmp_path / "completions").glob("*.jsonl"))) == 2
+        assert len(ResponseCache(tmp_path)) == 2
+
+    def test_unclosed_cache_collected_without_a_resource_warning(self, tmp_path, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            cache = ResponseCache(tmp_path)
+            cache.put_completion(cached_row("0" * 64))
+            del cache
+            gc.collect()
+        assert unraisable == []
+        assert len(ResponseCache(tmp_path)) == 1
 
 
 class FlakyHandler(BaseHTTPRequestHandler):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -17,11 +19,17 @@ from shotsweep import (
     select,
     SelectionConfig,
 )
-from shotsweep.corpus import PROMISE_12
-from shotsweep.promptkit import PromptError, load_template, save_template
+from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
+from shotsweep.promptkit import (
+    ORDERING_POLICIES,
+    PromptError,
+    load_template,
+    save_template,
+)
 from shotsweep.selection import SelectionResult
 
 from conftest import make_records
+from oracles import oracle_render
 
 
 def small_pool():
@@ -208,6 +216,97 @@ class TestRenderPrompt:
         selection = SelectionResult("text:q", ((99, 0.5),), "tfidf", 1, 1)
         with pytest.raises(PromptError, match="99"):
             render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q")
+
+
+def memo_corpus():
+    rows = [
+        ("the service shall encrypt all stored data", "FR"),
+        ("the page shall load fast", "NFR"),
+        ("users shall export reports", "FR"),
+        ("uptime shall exceed targets", "NFR"),
+        ("the service shall encrypt all stored data", "NFR"),  # a tie with row 0
+        ("admins shall export the audit log", "FR"),
+        ("reports shall load within a second", "NFR"),
+    ]
+    return build_pool(make_records(rows), BINARY_FRNFR, len(rows), seed=3)
+
+
+OTHER_TEMPLATE = PromptTemplate(
+    system_role_text="You sort requirements.",
+    task_description_text="Pick one of:\n{classes}",
+    example_block_format="<{label}> {text}",
+    input_block_format="Q: {text}",
+    examples_header="Solved:",
+    version="other-v1",
+)
+OTHER_SCHEME = LabelScheme(
+    "frnfr-renamed",
+    (LabelDef("FR", "Feature"), LabelDef("NFR", "Quality")),
+    "binary",
+)
+
+
+def assert_renders_as_oracle(template, scheme, selection, pool, query, ordering):
+    prompt = render_prompt(template, scheme, selection, pool, query, ordering)
+    expected = oracle_render(template, scheme, selection, pool.candidates, query, ordering)
+    got = (
+        prompt.system_message, prompt.user_message, prompt.example_provenance,
+        prompt.content_hash,
+    )
+    assert got == expected
+    assert prompt.shot_count == len(expected[2])
+
+
+class TestRenderMemo:
+    """Blocks formatted once per (pool, template, scheme) render as a plain
+    per-call formatting of the same selection would."""
+
+    @pytest.mark.parametrize("policy", ORDERING_POLICIES)
+    def test_memoised_prompts_equal_plain_formatting(self, policy):
+        pool = memo_corpus()
+        model = fit_tfidf(pool.candidates)
+        ordering = OrderingPolicy(policy, seed=11)
+        queries = ["encrypt stored data", "export reports", "load fast uptime"]
+        for _ in range(2):  # the second pass renders from the memo
+            for query in queries:
+                for method in ("tfidf", "random"):
+                    for k in range(len(pool) + 1):
+                        selection = select(
+                            pool, query, SelectionConfig(method, k, seed=2), tfidf=model
+                        )
+                        assert_renders_as_oracle(
+                            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query, ordering
+                        )
+            tied = SelectionResult("text:t", ((4, 0.5), (0, 0.5), (2, 0.9)), "tfidf", 3, 3)
+            assert_renders_as_oracle(
+                DEFAULT_TEMPLATE, BINARY_FRNFR, tied, pool, "q", ordering
+            )
+
+    def test_other_template_or_scheme_renders_its_own_blocks(self):
+        pool = memo_corpus()
+        selection = SelectionResult("text:q", ((1, 0.2), (5, 0.7), (0, 0.9)), "tfidf", 3, 3)
+        ordering = OrderingPolicy()
+        for template, scheme in [
+            (DEFAULT_TEMPLATE, BINARY_FRNFR),
+            (OTHER_TEMPLATE, BINARY_FRNFR),
+            (DEFAULT_TEMPLATE, OTHER_SCHEME),
+            (OTHER_TEMPLATE, OTHER_SCHEME),
+            (DEFAULT_TEMPLATE, BINARY_FRNFR),
+        ]:
+            assert_renders_as_oracle(template, scheme, selection, pool, "q", ordering)
+        other = render_prompt(OTHER_TEMPLATE, OTHER_SCHEME, selection, pool, "q")
+        assert "<Quality> the page shall load fast" in other.user_message
+        assert "Text:" not in other.user_message
+
+    def test_memo_does_not_keep_the_pool_alive(self):
+        pool = memo_corpus()
+        selection = SelectionResult("text:q", ((1, 0.2), (5, 0.7)), "tfidf", 2, 2)
+        render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q")
+        assert pool.render_memo  # the blocks were kept for the next prompt
+        ref = weakref.ref(pool)
+        del pool
+        gc.collect()
+        assert ref() is None
 
 
 class TestEstimateTokens:

@@ -35,6 +35,7 @@ from shotsweep.evaluation import (
     holdout_partition,
 )
 from shotsweep.gateway import CallableBackend, GatewayError
+from shotsweep.promptkit import PromptError
 from shotsweep.sweep import (
     CurvePoint,
     OverpromptingVerdict,
@@ -324,6 +325,55 @@ class TestRunSweep:
         assert [(f.model, f.method, f.shot_count) for f in run.failures] == plan.cells()
         assert all("exceeds train partition size" in f.error for f in run.failures)
         assert not run.curves and backend.calls == 0
+
+    def test_zero_shot_prompt_rendered_once_for_every_method(self, monkeypatch):
+        corpus = balanced_corpus(10)
+        client, _ = echo_gold_client(corpus)
+        rendered = []
+
+        def counting_render(*args, **kwargs):
+            prompt = render_prompt(*args, **kwargs)
+            rendered.append(prompt)
+            return prompt
+
+        monkeypatch.setattr("shotsweep.evaluation.render_prompt", counting_render)
+        plan = SweepPlan(
+            ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2), split_param=0.5
+        )
+        run = run_sweep(
+            plan, corpus, mock_profiles(["m1", "m2"]), client, HashEmbeddingProvider(16)
+        )
+        assert not run.failures
+        zero_shot = [p for p in rendered if p.shot_count == 0]
+        assert len(zero_shot) == len({p.content_hash for p in zero_shot}) == 10
+        assert len(rendered) - len(zero_shot) == 3 * 10
+        for method in plan.methods:
+            assert run.reports[("m1", method, 0)] == replace(
+                run.reports[("m1", "random", 0)],
+                metadata={**run.reports[("m1", "random", 0)].metadata, "method": method},
+            )
+
+    def test_zero_shot_render_failure_fails_each_methods_zero_shot_cells(self, monkeypatch):
+        corpus = balanced_corpus(10)
+        client, _ = echo_gold_client(corpus)
+        attempts = []
+
+        def render_failing_one_record(template, scheme, selection, pool, query_text, ordering):
+            if not selection.chosen and query_text == "quality constraint number 3":
+                attempts.append(query_text)
+                raise PromptError("no zero-shot prompt for this record")
+            return render_prompt(template, scheme, selection, pool, query_text, ordering)
+
+        monkeypatch.setattr("shotsweep.evaluation.render_prompt", render_failing_one_record)
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
+        assert [(f.model, f.method, f.shot_count) for f in run.failures] == [
+            (m, method, 0) for m in ("m1", "m2") for method in ("random", "tfidf")
+        ]
+        assert all("no zero-shot prompt" in f.error for f in run.failures)
+        assert len(attempts) == 1
+        assert set(run.reports) == {(m, method, 2) for m in ("m1", "m2")
+                                    for method in ("random", "tfidf")}
 
     def test_missing_profile_aborts(self):
         corpus = balanced_corpus(4)

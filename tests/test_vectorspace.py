@@ -14,10 +14,17 @@ from shotsweep import (
     knn,
     tokenize,
 )
-from shotsweep.vectorspace import VectorSpaceError
+from shotsweep.corpus import RequirementRecord
+from shotsweep.vectorspace import EmbeddingMatrix, VectorSpaceError
 
 from conftest import make_records
-from oracles import oracle_cosine, oracle_tfidf_query, oracle_tfidf_ranking
+from oracles import (
+    oracle_cosine,
+    oracle_knn_embedding,
+    oracle_knn_tfidf,
+    oracle_tfidf_query,
+    oracle_tfidf_ranking,
+)
 
 WORDS = [
     "system", "shall", "encrypt", "data", "user", "log", "error", "report",
@@ -177,6 +184,79 @@ class TestKnn:
             knn(model, {}, 0)
 
 
+def _neighbor_pairs(neighbors):
+    pairs = [(n.record_id, n.similarity) for n in neighbors]
+    assert all(type(rid) is int and type(sim) is float for rid, sim in pairs)
+    return pairs
+
+
+class TestKnnExactness:
+    """knn must equal the scalar loops it replaced exactly (==, not a tolerance)."""
+
+    def test_tfidf_equals_scalar_oracle_on_random_corpora(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            n_docs = rng.choice([1, 1, 2, 3, rng.randint(4, 40)])
+            texts = random_corpus(rng, n_docs, max_tokens=rng.choice([2, 6, 12]))
+            for i in range(n_docs):  # forced ties: duplicate documents
+                if rng.random() < 0.3:
+                    texts[i] = texts[rng.randrange(n_docs)]
+                elif rng.random() < 0.05:
+                    texts[i] = "!!"  # no tokens: an empty row
+            ids = rng.sample(range(10_000), n_docs)
+            model = fit_tfidf(
+                [RequirementRecord(rid, t, "X", "test") for rid, t in zip(ids, texts)]
+            )
+            queries = [
+                " ".join(rng.choices(WORDS, k=rng.randint(1, 8))),
+                rng.choice(texts) + " zzzunknown",
+                "zzzunknown qqqnotthere",  # OOV only
+                "",
+            ]
+            for query_text in queries:
+                query = embed_query_tfidf(model, query_text)
+                for k in {1, rng.randint(1, n_docs), n_docs, n_docs + rng.randint(1, 5)}:
+                    got = _neighbor_pairs(knn(model, query, k))
+                    assert got == oracle_knn_tfidf(model, query, k)
+                    if not query:  # every row at 0, in row order
+                        assert got == [(rid, 0.0) for rid in ids[:k]]
+
+    def test_embedding_equals_scalar_oracle_with_duplicate_and_zero_rows(self):
+        rng = random.Random(77)
+        values = [-1.0, -0.5, 0.0, 0.0, 0.5, 1.0]
+        for _ in range(500):
+            n_docs = rng.randint(1, 30)
+            dim = rng.choice([1, 2, 4])
+            rows = [[rng.choice(values) for _ in range(dim)] for _ in range(n_docs)]
+            for i in range(n_docs):
+                if rng.random() < 0.3:
+                    rows[i] = list(rows[rng.randrange(n_docs)])
+                elif rng.random() < 0.2:
+                    rows[i] = [0.0] * dim
+            ids = rng.sample(range(10_000), n_docs)
+            matrix = EmbeddingMatrix(
+                dim=dim, rows=np.array(rows, dtype=np.float64), row_ids=tuple(ids),
+                provider_tag="grid",
+            )
+            position = {rid: i for i, rid in enumerate(ids)}
+            for query in (rng.choice(rows), [rng.choice(values) for _ in range(dim)], [0.0] * dim):
+                for k in {1, rng.randint(1, n_docs), n_docs + 3}:
+                    got = _neighbor_pairs(knn(matrix, query, k))
+                    assert got == oracle_knn_embedding(matrix, query, k)
+                    for (a, sim_a), (b, sim_b) in zip(got, got[1:]):
+                        if sim_a == sim_b:  # ties come in row order
+                            assert position[a] < position[b]
+
+    def test_postings_are_csc_over_the_rows(self):
+        rng = random.Random(4)
+        model = fit_tfidf(make_records([(t, "X") for t in random_corpus(rng, 30)]))
+        assert model.indptr[0] == 0 and model.indptr[-1] == len(model.indices)
+        for col in range(model.vocabulary.size):
+            lo, hi = model.indptr[col], model.indptr[col + 1]
+            expected = [(i, row[col]) for i, row in enumerate(model.rows) if col in row]
+            assert list(zip(model.indices[lo:hi].tolist(), model.data[lo:hi].tolist())) == expected
+
+
 class CountingProvider(HashEmbeddingProvider):
     def __init__(self, dim=8):
         super().__init__(dim)
@@ -239,6 +319,11 @@ class TestEmbeddingMatrix:
         assert [n.record_id for n in got] == expected
         for neighbor in got:
             assert abs(neighbor.similarity - sims[neighbor.record_id]) < 1e-9
+
+    def test_non_finite_query_refused(self):
+        matrix = build_embedding_matrix(make_records([("a b", "X")]), HashEmbeddingProvider(4))
+        with pytest.raises(VectorSpaceError, match="non-finite"):
+            knn(matrix, [float("nan"), 0.0, 0.0, 0.0], 1)
 
     def test_dimension_mismatch_query(self):
         provider = HashEmbeddingProvider(8)
