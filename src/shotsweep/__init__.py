@@ -23,9 +23,7 @@ from .evaluation import (
     ExperimentConfig,
     Prediction,
     compute_report,
-    run_full,
-    run_holdout,
-    run_kfold,
+    evaluate_split,
     score_prediction,
 )
 from .gateway import (
@@ -57,7 +55,6 @@ from .sweep import (
     DEFAULT_GRID,
     SweepCurve,
     SweepPlan,
-    compare_methods,
     detect_overprompting,
     find_optimum,
     run_sweep,

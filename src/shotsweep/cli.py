@@ -15,7 +15,6 @@ from .corpus import (
     BUILTIN_SCHEMES,
     Corpus,
     CorpusError,
-    LabelScheme,
     SplitError,
     load_corpus,
     load_scheme,
@@ -25,10 +24,9 @@ from .evaluation import (
     EvalReport,
     EvaluationError,
     ExperimentConfig,
+    evaluate_split,
     fit_spaces,
-    run_full,
-    run_holdout,
-    run_kfold,
+    fold_reports,
 )
 from .gateway import (
     DEFAULT_PROFILES,
@@ -80,6 +78,14 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _typed(kind: type, value: object, key: str):
+    """value as kind (int or float), or a ConfigError naming its config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -126,12 +132,8 @@ def _data_args(args: argparse.Namespace) -> dict:
     }
 
 
-def _resolve_scheme(name_or_path: str) -> LabelScheme:
-    return load_scheme(name_or_path)
-
-
 def _load_data(cfg: dict) -> Corpus:
-    scheme = _resolve_scheme(cfg["scheme"])
+    scheme = load_scheme(cfg["scheme"])
     return load_corpus(
         cfg["data"],
         scheme,
@@ -186,7 +188,7 @@ def _register_mocks(
         elif name == "unparseable":
             client.register_mock(name, ConstantBackend("I cannot classify this."))
         elif name.startswith("hash"):
-            dim = int(name[len("hash") :] or "64")
+            dim = _typed(int, name[len("hash") :] or "64", f"{profile.name}.base_url")
             client.register_mock(name, HashEmbeddingProvider(dim))
         else:
             raise ConfigError(f"unknown mock backend {name!r}")
@@ -198,7 +200,7 @@ def _build_provider(
     spec = cfg.get("provider", "hash:64")
     if isinstance(spec, str) and spec.startswith("hash"):
         _, _, dim = spec.partition(":")
-        return HashEmbeddingProvider(int(dim or "64"))
+        return HashEmbeddingProvider(_typed(int, dim or "64", "provider"))
     if isinstance(spec, str) and spec.startswith("profile:"):
         name = spec[len("profile:") :]
         if name not in profiles:
@@ -215,8 +217,8 @@ def _open_session(
     cache = ResponseCache(cfg.get("cache_dir"))
     if cache.torn_lines:
         print(
-            f"warning: skipped {cache.torn_lines} torn line(s) in cache "
-            f"{cfg['cache_dir']}",
+            f"warning: skipped {cache.torn_lines} torn line(s) in cache segment(s) "
+            + ", ".join(map(str, cache.torn_segments)),
             file=sys.stderr,
         )
     client = Client(cache=cache)
@@ -224,12 +226,18 @@ def _open_session(
     return corpus, client, _build_provider(cfg, client, profiles)
 
 
-def _write_manifest(
-    out_dir: Path, cfg: dict, artifacts: dict[str, str], started: str
+def _write_artifacts(
+    out_dir: Path, cfg: dict, started: str, artifacts: dict[str, tuple[str, str | None]]
 ) -> None:
+    """Write each {name: (path relative to out_dir, text)} artifact, then the
+    manifest listing them all; a None text is a file already written (the trace)."""
+    for rel, text in artifacts.values():
+        if text is not None:
+            atomic_write(out_dir / rel, text)
     manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
     manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
-    manifest = make_manifest(manifest_cfg, artifacts, __version__, started, _now())
+    listed = {name: rel for name, (rel, _) in artifacts.items()}
+    manifest = make_manifest(manifest_cfg, listed, __version__, started, _now())
     atomic_write(out_dir / "manifest.json", manifest.to_json())
 
 
@@ -246,13 +254,13 @@ def _template_from(cfg: dict):
     return load_template(name)
 
 
-def _experiment_config(cfg: dict, method: str, k: int) -> ExperimentConfig:
+def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
-        method=method,
-        k=k,
+        method=cfg["method"],
+        k=_typed(int, cfg["k"], "k"),
         pool_size=cfg.get("pool_size"),
-        pool_seed=int(cfg.get("pool_seed", 0)),
-        selection_seed=int(cfg.get("selection_seed", 0)),
+        pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
+        selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
         scoring_policy=cfg.get("scoring_policy", "strict"),
         template=_template_from(cfg),
         ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
@@ -344,13 +352,18 @@ _RUN_KEYS = {
 }
 
 
-def _run_split_desc(cfg: dict) -> dict:
+def _split_spec(cfg: dict) -> tuple[str, float, int]:
+    """The split's kind (holdout or full), holdout fraction and seed."""
     split = cfg.get("split") or {"kind": "holdout", "fraction": 0.8, "seed": 0}
     if not isinstance(split, dict) or "kind" not in split:
         raise ConfigError("split must be an object with a 'kind'")
     if split["kind"] not in ("holdout", "full"):
         raise ConfigError(f"run split kind must be holdout or full, got {split['kind']!r}")
-    return split
+    return (
+        split["kind"],
+        _typed(float, split.get("fraction", 0.8), "split.fraction"),
+        _typed(int, split.get("seed", 0), "split.seed"),
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -368,32 +381,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         {"data", "scheme", "model", "method", "k", "out_dir"},
     )
     started = _now()
-    split_spec = _run_split_desc(cfg)
+    split_kind, fraction, split_seed = _split_spec(cfg)
     profiles = _build_profiles(cfg, cfg["model"])
     if args.dry_run:
         return _print_dry_run(args, cfg)
+    exp = _experiment_config(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
-    exp = _experiment_config(cfg, cfg["method"], int(cfg["k"]))
     out_dir = Path(cfg["out_dir"])
-    trace_path = out_dir / "trace.jsonl"
-    artifacts = {"report": "report.json", "trace": "trace.jsonl"}
+    split = None
     with client:
-        if split_spec["kind"] == "holdout":
-            split = make_split(
-                corpus, "holdout", float(split_spec.get("fraction", 0.8)),
-                int(split_spec.get("seed", 0)),
-            )
-            atomic_write(out_dir / "split.json", split.to_json())
-            artifacts["split"] = "split.json"
-            report = run_holdout(
-                corpus, split, profiles[cfg["model"]], exp, client, provider, trace_path
-            )
-        else:
-            report = run_full(
-                corpus, profiles[cfg["model"]], exp, client, provider, trace_path
-            )
-    atomic_write(out_dir / "report.json", report.to_json())
-    _write_manifest(out_dir, cfg, artifacts, started)
+        if split_kind == "holdout":
+            split = make_split(corpus, "holdout", fraction, split_seed)
+        report = evaluate_split(
+            corpus, split, profiles[cfg["model"]], exp, client, provider,
+            out_dir / "trace.jsonl",
+        ).report
+    artifacts = {"report": ("report.json", report.to_json()), "trace": ("trace.jsonl", None)}
+    if split is not None:
+        artifacts["split"] = ("split.json", split.to_json())
+    _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "weighted_f1": report.weighted_f1,
         "macro_f1": report.macro_f1,
@@ -430,19 +436,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _SWEEP_KEYS,
         {"data", "scheme", "models", "out_dir"},
     )
-    split_spec = _run_split_desc(cfg)
+    split_kind, fraction, split_seed = _split_spec(cfg)
     plan = SweepPlan(
         models=tuple(cfg["models"]),
         methods=tuple(cfg["methods"]),
-        shot_grid=tuple(int(k) for k in cfg["grid"]),
-        split_kind=split_spec["kind"],
-        split_param=float(split_spec.get("fraction", 0.8)),
-        split_seed=int(split_spec.get("seed", 0)),
+        shot_grid=tuple(_typed(int, k, "grid") for k in cfg["grid"]),
+        split_kind=split_kind,
+        split_param=fraction,
+        split_seed=split_seed,
         pool_size=cfg.get("pool_size"),
-        pool_seed=int(cfg.get("pool_seed", 0)),
-        selection_seed=int(cfg.get("selection_seed", 0)),
+        pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
+        selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
         scoring_policy=cfg["scoring_policy"],
-        overprompting_threshold=float(cfg["overprompting_threshold"]),
+        overprompting_threshold=_typed(
+            float, cfg["overprompting_threshold"], "overprompting_threshold"
+        ),
     )
     if args.dry_run:
         cells = plan.cells()
@@ -464,19 +472,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     out_dir = Path(cfg["out_dir"])
     data = emit_curve_data(run.curves)
-    atomic_write(out_dir / "curves.json", data.json_text)
-    atomic_write(out_dir / "curves.csv", data.csv_text)
-    atomic_write(out_dir / "sweep.json", sweep_to_json(run))
     artifacts = {
-        "curves_json": "curves.json",
-        "curves_csv": "curves.csv",
-        "sweep": "sweep.json",
+        "curves_json": ("curves.json", data.json_text),
+        "curves_csv": ("curves.csv", data.csv_text),
+        "sweep": ("sweep.json", sweep_to_json(run)),
     }
     for (model, method, k), report in sorted(run.reports.items()):
-        rel = f"cells/{model}__{method}__k{k}.json"
-        atomic_write(out_dir / rel, report.to_json())
-        artifacts[f"cell:{model}:{method}:{k}"] = rel
-    _write_manifest(out_dir, cfg, artifacts, started)
+        artifacts[f"cell:{model}:{method}:{k}"] = (
+            f"cells/{model}__{method}__k{k}.json", report.to_json()
+        )
+    _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "n_cells": plan.n_cells,
         "n_completed": len(run.reports),
@@ -502,16 +507,24 @@ _CV_KEYS = {
 }
 
 
+def _key(payload: object, key: str, source: object) -> object:
+    """payload[key], or a ConfigError naming the key that source lacks."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ConfigError(f"{source}: expected a JSON object with a {key!r} key")
+    return payload[key]
+
+
 def _shots_from_manifest(path: str, model: str, method: str) -> int:
     manifest_path = Path(path)
-    base = manifest_path.parent
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        curves_rel = manifest["artifacts"]["curves_json"]
-        curves = json.loads((base / curves_rel).read_text(encoding="utf-8"))
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        curves_path = manifest_path.parent / _key(
+            _key(manifest, "artifacts", path), "curves_json", path
+        )
+        curves = json.loads(curves_path.read_text(encoding="utf-8"))
+    except (OSError, TypeError, json.JSONDecodeError) as exc:  # TypeError: a non-str path
         raise ConfigError(f"cannot read sweep manifest {path}: {exc}") from exc
-    for series in curves["series"]:
+    for series in _key(curves, "series", curves_path):
         if series["model"] == model and series["method"] == method:
             return int(series["optimal_shots"])
     raise ConfigError(f"no curve for ({model}, {method}) in {path}")
@@ -536,52 +549,49 @@ def cmd_cv(args: argparse.Namespace) -> int:
         cfg["k"] = _shots_from_manifest(args.shots_from, cfg["model"], cfg["method"])
     if cfg.get("k") is None:
         raise ConfigError("cv needs a shot count: --shots N or --shots-from MANIFEST")
-    k_folds = int(cfg["k_folds"])
+    k_folds = _typed(int, cfg["k_folds"], "k_folds")
     if k_folds < 2:
         raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
+    split_seed = _typed(int, cfg.get("split_seed", 0), "split_seed")
     started = _now()
     profiles = _build_profiles(cfg, cfg["model"])
     if args.dry_run:
         return _print_dry_run(args, cfg)
+    exp = _experiment_config(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
-    exp = _experiment_config(cfg, cfg["method"], int(cfg["k"]))
     out_dir = Path(cfg["out_dir"])
     with client:
-        result = run_kfold(
-            corpus, k_folds, profiles[cfg["model"]], exp, client,
-            split_seed=int(cfg.get("split_seed", 0)),
-            provider=provider,
-            trace_path=out_dir / "trace.jsonl",
-            on_small_class=cfg.get("on_small_class", "error"),
+        split = make_split(
+            corpus, "kfold", k_folds, split_seed, cfg.get("on_small_class", "error")
         )
-    atomic_write(out_dir / "aggregate.json", result.aggregate.to_json())
-    atomic_write(out_dir / "split.json", result.split.to_json())
-    for i, fold_report in enumerate(result.per_fold):
-        atomic_write(out_dir / f"folds/fold{i:02d}.json", fold_report.to_json())
+        run = evaluate_split(
+            corpus, split, profiles[cfg["model"]], exp, client, provider,
+            out_dir / "trace.jsonl",
+        )
+    report = run.report
     layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
-    table = emit_table([result.aggregate], layout)
-    atomic_write(out_dir / "table.txt", table.text)
-    atomic_write(out_dir / "table.csv", table.csv_text)
+    table = emit_table([report], layout)
     artifacts = {
-        "aggregate": "aggregate.json",
-        "split": "split.json",
-        "table_txt": "table.txt",
-        "table_csv": "table.csv",
-        "trace": "trace.jsonl",
-        **{f"fold:{i}": f"folds/fold{i:02d}.json" for i in range(k_folds)},
+        "aggregate": ("aggregate.json", report.to_json()),
+        "split": ("split.json", split.to_json()),
+        "table_txt": ("table.txt", table.text),
+        "table_csv": ("table.csv", table.csv_text),
+        "trace": ("trace.jsonl", None),
     }
-    _write_manifest(out_dir, cfg, artifacts, started)
+    for i, fold_report in enumerate(fold_reports(run, corpus.scheme)):
+        artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report.to_json())
+    _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
-        "weighted_f1": result.aggregate.weighted_f1,
-        "macro_f1": result.aggregate.macro_f1,
+        "weighted_f1": report.weighted_f1,
+        "macro_f1": report.macro_f1,
         "folds": k_folds,
         "out_dir": str(out_dir),
     }
     _print(
         args,
         payload,
-        f"{k_folds}-fold aggregate: weighted F1 {result.aggregate.weighted_f1:.4f}  "
-        f"macro F1 {result.aggregate.macro_f1:.4f} -> {out_dir}",
+        f"{k_folds}-fold aggregate: weighted F1 {report.weighted_f1:.4f}  "
+        f"macro F1 {report.macro_f1:.4f} -> {out_dir}",
     )
     return EXIT_OK
 
@@ -605,7 +615,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    scheme = _resolve_scheme(args.scheme)
+    scheme = load_scheme(args.scheme)
     report = replay(args.trace, scheme, args.policy)
     if args.out:
         atomic_write(args.out, report.to_json())

@@ -261,16 +261,6 @@ class SplitPlan:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        payload = json.loads(text)
-        return cls(
-            kind=payload["kind"],
-            param=payload["param"],
-            seed=payload["seed"],
-            assignments={int(k): int(v) for k, v in payload["assignments"].items()},
-        )
-
 
 def _records_by_class(corpus: Corpus) -> dict[str, list[RequirementRecord]]:
     grouped: dict[str, list[RequirementRecord]] = {

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan, make_split
+from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan
 from .gateway import Client, CompletionRecord, ModelProfile, ParsedLabel, parse_label
 from .promptkit import (
     DEFAULT_TEMPLATE,
@@ -476,112 +477,59 @@ def evaluate_cells(
         executor.shutdown(cancel_futures=True)
 
 
-def _split_partition(corpus: Corpus, split: SplitPlan, test_part: int) -> _Partition:
-    train = [r for r in corpus.records if split.assignments[r.record_id] != test_part]
-    test = [r for r in corpus.records if split.assignments[r.record_id] == test_part]
-    return train, test
+def partitions(
+    corpus: Corpus, split: SplitPlan | None
+) -> tuple[list[_Partition], str]:
+    """The (train, test) partitions split evaluates, and its description.
+
+    holdout tests partition 1 and kfold each fold in turn, each against a
+    pool over the rest. None is the full corpus: every record is tested
+    against a pool over all of them, and query self-exclusion keeps each
+    record out of its own prompt.
+    """
+    records = list(corpus.records)
+    if split is None:
+        return [(records, records)], "full"
+    tested = [1] if split.kind == "holdout" else range(int(split.param))
+    parts = []
+    for part in tested:
+        train = [r for r in records if split.assignments[r.record_id] != part]
+        test = [r for r in records if split.assignments[r.record_id] == part]
+        if not test:
+            raise EvaluationError(f"{split.kind} test partition is empty")
+        parts.append((train, test))
+    return parts, f"{split.kind}:{split.param}:{split.seed}"
 
 
-def holdout_partition(corpus: Corpus, split: SplitPlan) -> tuple[_Partition, str]:
-    """The holdout (train, test) partition and its description for reports."""
-    if split.kind != "holdout":
-        raise EvaluationError(f"expected a holdout split, got {split.kind!r}")
-    partition = _split_partition(corpus, split, 1)
-    if not partition[1]:
-        raise EvaluationError("holdout test partition is empty")
-    return partition, f"holdout:{split.param}:{split.seed}"
-
-
-def _evaluate_one(
+def evaluate_split(
     corpus: Corpus,
-    partitions: Sequence[_Partition],
+    split: SplitPlan | None,
     profile: ModelProfile,
     cfg: ExperimentConfig,
     client: Client,
-    provider: EmbeddingProvider | None,
-    trace_path: str | Path | None,
-    split_desc: str,
+    provider: EmbeddingProvider | None = None,
+    trace_path: str | Path | None = None,
 ) -> CellRun:
-    """Evaluate cfg's one cell over the partitions, into one trace; errors propagate."""
+    """Evaluate cfg's one cell over split's partitions, into one trace.
+
+    The report pools every partition's predictions (micro aggregation);
+    fold_reports gives one report per partition. Every error propagates.
+    """
+    parts, split_desc = partitions(corpus, split)
     meta = _run_metadata(corpus, profile, cfg, split_desc)
-    trace = TraceWriter(trace_path, meta) if trace_path is not None else None
-    try:
+    opened = TraceWriter(trace_path, meta) if trace_path is not None else nullcontext()
+    with opened as trace:
         ((_, run),) = evaluate_cells(
-            corpus, partitions, [profile], [cfg.method], [cfg.k], cfg, client,
+            corpus, parts, [profile], [cfg.method], [cfg.k], cfg, client,
             provider, split_desc, trace,
         )
-    finally:
-        if trace is not None:
-            trace.close()
     assert isinstance(run, CellRun)
     return run
 
 
-def run_holdout(
-    corpus: Corpus,
-    split: SplitPlan,
-    profile: ModelProfile,
-    cfg: ExperimentConfig,
-    client: Client,
-    provider: EmbeddingProvider | None = None,
-    trace_path: str | Path | None = None,
-) -> EvalReport:
-    """Evaluate the holdout test partition with a pool built from train only."""
-    partition, split_desc = holdout_partition(corpus, split)
-    return _evaluate_one(
-        corpus, [partition], profile, cfg, client, provider, trace_path, split_desc
-    ).report
-
-
-def run_full(
-    corpus: Corpus,
-    profile: ModelProfile,
-    cfg: ExperimentConfig,
-    client: Client,
-    provider: EmbeddingProvider | None = None,
-    trace_path: str | Path | None = None,
-) -> EvalReport:
-    """Evaluate every record; the pool covers the whole corpus and query
-    self-exclusion keeps each record out of its own prompt."""
-    records = list(corpus.records)
-    return _evaluate_one(
-        corpus, [(records, records)], profile, cfg, client, provider, trace_path, "full"
-    ).report
-
-
-@dataclass(frozen=True)
-class KfoldResult:
-    aggregate: EvalReport
-    per_fold: tuple[EvalReport, ...]
-    split: SplitPlan
-
-
-def run_kfold(
-    corpus: Corpus,
-    k_folds: int,
-    profile: ModelProfile,
-    cfg: ExperimentConfig,
-    client: Client,
-    split_seed: int = 0,
-    provider: EmbeddingProvider | None = None,
-    trace_path: str | Path | None = None,
-    on_small_class: str = "error",
-) -> KfoldResult:
-    """Cross-validate: each fold is test once, pool rebuilt from the rest.
-
-    The aggregate report pools every fold's predictions (micro aggregation);
-    per-fold reports are kept so mean-of-folds can be recomputed downstream.
-    """
-    if k_folds < 2:
-        raise EvaluationError(f"k_folds must be >= 2, got {k_folds}")
-    split = make_split(corpus, "kfold", k_folds, split_seed, on_small_class)
-    partitions = [_split_partition(corpus, split, fold) for fold in range(k_folds)]
-    run = _evaluate_one(
-        corpus, partitions, profile, cfg, client, provider, trace_path,
-        f"kfold:{k_folds}:{split_seed}",
-    )
-    fold_reports = tuple(
-        compute_report(predictions, corpus.scheme, {**run.report.metadata, "fold": fold})
+def fold_reports(run: CellRun, scheme: LabelScheme) -> list[EvalReport]:
+    """One report per partition of run, its metadata tagged with the fold."""
+    return [
+        compute_report(predictions, scheme, {**run.report.metadata, "fold": fold})
         for fold, predictions in enumerate(run.per_partition)
-    )
-    return KfoldResult(aggregate=run.report, per_fold=fold_reports, split=split)
+    ]

@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterator, Protocol, Sequence
+from typing import IO, Iterator, Sequence
 
 from .corpus import LabelScheme
 from .promptkit import PromptSpec, estimate_tokens
@@ -203,11 +203,12 @@ class ResponseCache:
     cache is memory-only.
     Loading reads every segment of a bucket in name order and the first row
     for a key wins; torn_lines counts the unreadable lines (torn writes)
-    skipped. Segments are never appended to once closed: each cache writes
-    its rows to one new segment per bucket, created on its first write and
-    flushed row by row, so a run that resumes after a torn write never glues
-    a row onto the torn line. close() closes the open segments (a later write
-    starts another); a cache collected unclosed closes them too.
+    skipped, and torn_segments lists the segments that hold them. Segments
+    are never appended to once closed: each cache writes its rows to one new
+    segment per bucket, created on its first write and flushed row by row,
+    so a run that resumes after a torn write never glues a row onto the torn
+    line. close() closes the open segments (a later write starts another);
+    a cache collected unclosed closes them too.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -218,6 +219,7 @@ class ResponseCache:
         self._segments: dict[str, IO[str]] = {}  # bucket -> this cache's segment
         weakref.finalize(self, _close_segments, self._segments)
         self.torn_lines = 0
+        self.torn_segments: list[Path] = []  # the segments holding torn lines
         if self._dir is not None:
             (self._dir / "completions").mkdir(parents=True, exist_ok=True)
             (self._dir / "embeddings").mkdir(parents=True, exist_ok=True)
@@ -234,6 +236,8 @@ class ResponseCache:
                         yield json.loads(line)
                     except json.JSONDecodeError:
                         self.torn_lines += 1
+                        if segment not in self.torn_segments:
+                            self.torn_segments.append(segment)
 
     def _load(self) -> None:
         for row in self._rows("completions"):
@@ -323,10 +327,6 @@ class ResponseCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._completions) + len(self._embeddings)
-
-
-class ChatBackend(Protocol):
-    def respond(self, profile: ModelProfile, prompt: PromptSpec) -> str: ...
 
 
 class CallableBackend:

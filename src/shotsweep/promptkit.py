@@ -115,14 +115,6 @@ def load_template(path: str | Path) -> PromptTemplate:
     return PromptTemplate(**kwargs)
 
 
-def save_template(template: PromptTemplate, path: str | Path) -> None:
-    parts = []
-    for section, attr in _TEMPLATE_SECTIONS.items():
-        parts.append(f"[{section}]")
-        parts.append(getattr(template, attr))
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
-
-
 @dataclass(frozen=True)
 class PromptSpec:
     system_message: str

@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -60,27 +60,7 @@ class RunManifest:
     finished_at: str
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "digest": self.digest,
-            "artifacts": self.artifacts,
-            "tool_version": self.tool_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        payload = json.loads(text)
-        return cls(
-            config=payload["config"],
-            digest=payload["digest"],
-            artifacts=payload["artifacts"],
-            tool_version=payload["tool_version"],
-            started_at=payload["started_at"],
-            finished_at=payload["finished_at"],
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def make_manifest(

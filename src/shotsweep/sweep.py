@@ -14,7 +14,7 @@ from .evaluation import (
     EvaluationError,
     ExperimentConfig,
     evaluate_cells,
-    holdout_partition,
+    partitions,
 )
 from .gateway import Client, GatewayError, ModelProfile
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, PromptTemplate
@@ -240,19 +240,17 @@ def run_sweep(
         ordering=ordering,
     )
     outcomes: Iterable[tuple[Cell, CellRun | Exception]]
+    split = None
+    if plan.split_kind == "holdout":
+        split = make_split(corpus, "holdout", plan.split_param, plan.split_seed)
     try:
-        if plan.split_kind == "holdout":
-            split = make_split(corpus, "holdout", plan.split_param, plan.split_seed)
-            partition, split_desc = holdout_partition(corpus, split)
-        else:
-            records = list(corpus.records)
-            partition, split_desc = (records, records), "full"
+        parts, split_desc = partitions(corpus, split)
     except EvaluationError as exc:  # an empty test partition fails every cell
         outcomes = [(cell, exc) for cell in plan.cells()]
     else:
         outcomes = evaluate_cells(
             corpus,
-            [partition],
+            parts,
             [profiles[m] for m in dict.fromkeys(plan.models)],
             tuple(dict.fromkeys(plan.methods)),
             plan.shot_grid,
@@ -285,71 +283,6 @@ def run_sweep(
                     build_curve(model, method, by_k, plan.overprompting_threshold)
                 )
     return SweepRun(tuple(curves), reports, tuple(failures))
-
-
-@dataclass(frozen=True)
-class RankEntry:
-    rank: int
-    method: str
-    peak_weighted_f1: float
-    optimal_shots: int
-
-
-@dataclass(frozen=True)
-class MethodRanking:
-    model: str
-    entries: tuple[RankEntry, ...]
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "entries": [
-                {
-                    "rank": e.rank,
-                    "method": e.method,
-                    "peak_weighted_f1": e.peak_weighted_f1,
-                    "optimal_shots": e.optimal_shots,
-                }
-                for e in self.entries
-            ],
-            "notes": list(self.notes),
-        }
-
-
-def compare_methods(
-    curves: Sequence[SweepCurve],
-    expected_methods: Sequence[str] | None = None,
-) -> MethodRanking:
-    """Rank one model's selection methods by peak weighted F1.
-
-    Ties keep the declared (input) method order and are noted; expected
-    methods with no curve are noted as absent.
-    """
-    if len(curves) < 2:
-        raise SweepError("method comparison needs at least 2 curves")
-    models = {c.model for c in curves}
-    if len(models) != 1:
-        raise SweepError(f"curves span multiple models: {sorted(models)}")
-    model = curves[0].model
-    declared = {c.method: i for i, c in enumerate(curves)}
-    ranked = sorted(curves, key=lambda c: (-c.peak_weighted_f1, declared[c.method]))
-    entries = tuple(
-        RankEntry(i + 1, c.method, c.peak_weighted_f1, c.optimal_shots)
-        for i, c in enumerate(ranked)
-    )
-    notes = []
-    by_peak: dict[float, list[str]] = {}
-    for curve in ranked:
-        by_peak.setdefault(curve.peak_weighted_f1, []).append(curve.method)
-    for peak, methods in by_peak.items():
-        if len(methods) > 1:
-            notes.append(f"tie at peak {peak}: {', '.join(methods)}")
-    if expected_methods:
-        for method in expected_methods:
-            if method not in declared:
-                notes.append(f"no curve for method {method}")
-    return MethodRanking(model, entries, tuple(notes))
 
 
 def sweep_to_json(run: SweepRun) -> str:

@@ -29,14 +29,12 @@ from shotsweep import (
     build_pool,
     compute_report,
     embed_query_tfidf,
+    evaluate_split,
     fit_tfidf,
     knn,
     load_corpus,
     make_split,
     render_prompt,
-    run_full,
-    run_holdout,
-    run_kfold,
     run_sweep,
     score_prediction,
     select,
@@ -226,17 +224,20 @@ def test_criterion_5_offline_end_to_end(promise_corpus):
     for method in ("random", "embedding", "tfidf"):
         for k in (0, 5, 20):
             cfg = ExperimentConfig(method=method, k=k, pool_size=200)
-            holdout = run_holdout(corpus, split, profile, cfg, client, provider)
+            holdout = evaluate_split(corpus, split, profile, cfg, client, provider).report
             assert holdout.weighted_f1 == 1.0, (method, k, "holdout")
-            folded = run_kfold(corpus, 10, profile, cfg, client, provider=provider)
-            assert folded.aggregate.weighted_f1 == 1.0, (method, k, "kfold")
-            assert folded.aggregate.n_predictions == 625
+            folded = evaluate_split(
+                corpus, make_split(corpus, "kfold", 10, 0), profile, cfg, client,
+                provider=provider,
+            )
+            assert folded.report.weighted_f1 == 1.0, (method, k, "kfold")
+            assert folded.report.n_predictions == 625
 
     constant_client = Client(mocks={"constant": ConstantBackend("NFR")})
     constant_profile = ModelProfile(name="const", base_url="mock://constant")
-    report = run_full(
-        corpus, constant_profile, ExperimentConfig("random", 0), constant_client
-    )
+    report = evaluate_split(
+        corpus, None, constant_profile, ExperimentConfig("random", 0), constant_client
+    ).report
     assert abs(report.per_class["NFR"].precision - 0.592) < 0.001
     assert report.per_class["NFR"].recall == 1.0
     _pass(5, "offline end-to-end", budget.check())
@@ -390,9 +391,11 @@ def test_criterion_9_optional_live_api(tmp_path, promise_corpus):
     )
     client = Client(cache=ResponseCache(tmp_path / "live-cache"))
     cfg = ExperimentConfig(method="tfidf", k=10)
-    result = run_kfold(promise_corpus, 10, profile, cfg, client)
-    assert result.aggregate.n_predictions == 625
-    table = emit_table([result.aggregate], "binary")
+    result = evaluate_split(
+        promise_corpus, make_split(promise_corpus, "kfold", 10, 0), profile, cfg, client
+    )
+    assert result.report.n_predictions == 625
+    table = emit_table([result.report], "binary")
     assert "Overall F1" in table.text
-    assert result.aggregate.weighted_f1 >= 0.85
+    assert result.report.weighted_f1 >= 0.85
     _pass(9, "optional live API", 0.0)

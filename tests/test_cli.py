@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from shotsweep.cli import (
     EXIT_BUG,
     EXIT_CONFIG,
@@ -133,10 +135,10 @@ class TestRun:
     def test_harness_bug_exits_with_bug_code(self, tmp_path, capsys, monkeypatch):
         import shotsweep.cli
 
-        def broken_run_holdout(*args, **kwargs):
+        def broken_evaluate_split(*args, **kwargs):
             raise KeyError("bug")
 
-        monkeypatch.setattr(shotsweep.cli, "run_holdout", broken_run_holdout)
+        monkeypatch.setattr(shotsweep.cli, "evaluate_split", broken_evaluate_split)
         code = main(["run", "--config", self.run_config(tmp_path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_BUG
@@ -153,6 +155,22 @@ class TestRun:
         assert code == EXIT_OK
         assert err.count("warning:") == 1
         assert "2 torn line(s)" in err
+
+    def test_torn_line_warning_names_its_segments(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        (cache / "completions").mkdir(parents=True)
+        (cache / "completions" / "00.jsonl").write_text('{"torn\n')
+        (cache / "completions" / "01.jsonl").write_text("")
+        (cache / "embeddings").mkdir()
+        (cache / "embeddings" / "seg-1.jsonl").write_text('{"torn')
+        code = main(["run", "--config", self.run_config(tmp_path), "--out",
+                     str(tmp_path / "o"), "--cache-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        warning = next(line for line in err.splitlines() if line.startswith("warning:"))
+        assert str(cache / "completions" / "00.jsonl") in warning
+        assert str(cache / "embeddings" / "seg-1.jsonl") in warning
+        assert "01.jsonl" not in warning
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -187,6 +205,119 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "context_windw" in err
+
+
+def listed_and_on_disk(out_dir: Path) -> tuple[list[str], list[str]]:
+    """The manifest's artifact paths and the files under out_dir but the manifest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    listed = sorted(manifest["artifacts"].values())
+    on_disk = sorted(
+        p.relative_to(out_dir).as_posix()
+        for p in out_dir.rglob("*")
+        if p.is_file() and p.name != "manifest.json"
+    )
+    return listed, on_disk
+
+
+GOLD_PROFILES = {"mock-gold": {"base_url": "mock://echo-gold"}}
+
+
+class TestManifestArtifacts:
+    @pytest.mark.parametrize("split", [{"kind": "holdout", "fraction": 0.8}, {"kind": "full"}])
+    def test_run(self, tmp_path, capsys, split):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="tfidf", k=2, pool_size=40, split=split, profiles=GOLD_PROFILES,
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out_dir)]) == EXIT_OK
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+        assert ("split.json" in listed) == (split["kind"] == "holdout")
+
+    def test_cv(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k_folds=3, pool_size=40, profiles=GOLD_PROFILES,
+        )
+        out_dir = tmp_path / "out"
+        code = main(["cv", "--config", config, "--shots", "2", "--out", str(out_dir)])
+        assert code == EXIT_OK
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+        assert "folds/fold02.json" in listed and "trace.jsonl" in listed
+
+    def test_sweep(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", models=["mock-gold"],
+            methods=["random", "tfidf"], grid=[0, 2], pool_size=40,
+            profiles=GOLD_PROFILES,
+        )
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out_dir)]) == EXIT_OK
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+        assert len(listed) == 3 + 4  # curves.json, curves.csv, sweep.json, 4 cells
+
+
+def shots_from(tmp_path, manifest, curves=None) -> list[str]:
+    if curves is not None:
+        (tmp_path / "curves.json").write_text(json.dumps(curves))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return ["--shots-from", str(path)]
+
+
+class TestConfigErrors:
+    """A bad config value exits with the config code and names its key; it is
+    never reported as a bug in shotsweep."""
+
+    @pytest.mark.parametrize(
+        "command, extra, manifest, needle",
+        [
+            ("run", {"provider": "hash:abc"}, None, "provider"),
+            (
+                "run",
+                {"profiles": {**GOLD_PROFILES, "emb": {"base_url": "mock://hashx"}}},
+                None,
+                "base_url",
+            ),
+            ("run", {"pool_seed": "x"}, None, "pool_seed"),
+            ("run", {"split": {"kind": "holdout", "fraction": "a"}}, None, "fraction"),
+            ("run", {"k": "five"}, None, "k: expected int"),
+            (
+                "cv",
+                {},
+                ({"artifacts": {"curves_json": "curves.json"}}, {"curves": []}),
+                "'series'",
+            ),
+            ("cv", {}, (["not", "a", "manifest"], None), "'artifacts'"),
+            ("cv", {}, ({"artifacts": {"curves_json": 5}}, None), "sweep manifest"),
+        ],
+        ids=[
+            "provider", "mock-dim", "pool-seed", "fraction", "k", "no-series", "list",
+            "curves-path",
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, extra,
+                                         manifest, needle):
+        payload = dict(
+            data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold", method="random",
+            k=1, pool_size=20, profiles=GOLD_PROFILES,
+        )
+        if command == "cv":
+            payload["k_folds"] = 2
+            del payload["k"]
+        payload.update(extra)
+        argv = [command, "--config", write_config(tmp_path, **payload),
+                "--out", str(tmp_path / "out")]
+        if manifest is not None:
+            argv += shots_from(tmp_path, *manifest)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error" in err and needle in err
+        assert "internal error" not in err
 
 
 class TestSweep:
@@ -320,7 +451,6 @@ class TestCv:
 
     def test_split_is_made_once(self, tmp_path, capsys, monkeypatch):
         import shotsweep.cli
-        import shotsweep.evaluation
         from shotsweep.corpus import make_split
 
         calls = []
@@ -330,7 +460,6 @@ class TestCv:
             return make_split(*args, **kwargs)
 
         monkeypatch.setattr(shotsweep.cli, "make_split", counting_make_split, raising=False)
-        monkeypatch.setattr(shotsweep.evaluation, "make_split", counting_make_split)
         config = self.cv_config(tmp_path, k_folds=5, pool_size=40)
         out_dir = tmp_path / "cv"
         code = main(["cv", "--config", config, "--shots", "2", "--out", str(out_dir)])

@@ -14,18 +14,18 @@ from shotsweep import (
     LabelScheme,
     ModelProfile,
     compute_report,
+    evaluate_split,
     make_split,
-    run_full,
-    run_holdout,
-    run_kfold,
     score_prediction,
 )
-from shotsweep.corpus import Corpus
+from shotsweep.corpus import Corpus, SplitError, SplitPlan
 from shotsweep.evaluation import (
     INVALID_COLUMN,
     EvaluationError,
     ExperimentConfig,
     Prediction,
+    fold_reports,
+    partitions,
 )
 from shotsweep.gateway import GatewayError, ParsedLabel
 
@@ -213,6 +213,51 @@ def profile_for(backend="echo-gold"):
     return ModelProfile(name=f"mock-{backend}", base_url=f"mock://{backend}")
 
 
+class TestPartitions:
+    def test_holdout_tests_exactly_partition_one(self):
+        corpus = small_corpus(10)
+        split = make_split(corpus, "holdout", 0.75, seed=3)
+        parts, _ = partitions(corpus, split)
+        assert len(parts) == 1
+        train, test = parts[0]
+        assert [r.record_id for r in test] == [
+            r.record_id for r in corpus.records if split.assignments[r.record_id] == 1
+        ]
+        assert [r.record_id for r in train] == [
+            r.record_id for r in corpus.records if split.assignments[r.record_id] == 0
+        ]
+
+    def test_kfold_tests_cover_every_record_once(self):
+        corpus = small_corpus(10)
+        split = make_split(corpus, "kfold", 4, seed=1)
+        parts, _ = partitions(corpus, split)
+        assert len(parts) == 4
+        tested = sorted(r.record_id for _, test in parts for r in test)
+        assert tested == sorted(r.record_id for r in corpus.records)
+        for fold, (train, test) in enumerate(parts):
+            assert {split.assignments[r.record_id] for r in test} == {fold}
+            assert len(train) + len(test) == len(corpus)
+            assert fold not in {split.assignments[r.record_id] for r in train}
+
+    def test_full_tests_every_record_against_all(self):
+        corpus = small_corpus(3)
+        parts, split_desc = partitions(corpus, None)
+        records = list(corpus.records)
+        assert parts == [(records, records)]
+        assert split_desc == "full"
+
+    def test_descriptions(self):
+        corpus = small_corpus(10)
+        assert partitions(corpus, make_split(corpus, "holdout", 0.8, 7))[1] == "holdout:0.8:7"
+        assert partitions(corpus, make_split(corpus, "kfold", 5, 2))[1] == "kfold:5:2"
+
+    def test_empty_holdout_test_partition_raises(self):
+        corpus = small_corpus(3)
+        split = SplitPlan("holdout", 0.8, 0, {r.record_id: 0 for r in corpus.records})
+        with pytest.raises(EvaluationError, match="test partition is empty"):
+            partitions(corpus, split)
+
+
 class TestRunHoldout:
     @pytest.mark.parametrize("method", ["random", "tfidf", "embedding"])
     @pytest.mark.parametrize("k", [0, 3])
@@ -221,9 +266,9 @@ class TestRunHoldout:
         split = make_split(corpus, "holdout", 0.75, seed=0)
         client, _ = gold_client(corpus)
         cfg = ExperimentConfig(method=method, k=k)
-        report = run_holdout(
+        report = evaluate_split(
             corpus, split, profile_for(), cfg, client, HashEmbeddingProvider(8)
-        )
+        ).report
         assert report.weighted_f1 == 1.0
         assert report.n_predictions == 4
 
@@ -233,7 +278,7 @@ class TestRunHoldout:
         client = Client(mocks={"constant": ConstantBackend("Non-Functional")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         cfg = ExperimentConfig(method="random", k=2)
-        report = run_holdout(corpus, split, profile, cfg, client)
+        report = evaluate_split(corpus, split, profile, cfg, client).report
         assert report.per_class["NFR"].recall == 1.0
         assert abs(report.per_class["NFR"].precision - 0.5) < 1e-9
         assert report.per_class["FR"].f1 == 0.0
@@ -261,19 +306,14 @@ class TestRunHoldout:
         cfg = ExperimentConfig(method="random", k=1)
         trace_path = tmp_path / "trace.jsonl"
         with pytest.raises(GatewayError):
-            run_holdout(corpus, split, profile, cfg, client, trace_path=trace_path)
+            evaluate_split(corpus, split, profile, cfg, client, trace_path=trace_path)
         lines = trace_path.read_text().splitlines()
         assert len(lines) == 2  # meta + the one prediction that completed
         backend.fail_on = -1  # heal; cached first completion is not re-charged
-        report = run_holdout(corpus, split, profile, cfg, client, trace_path=trace_path)
+        report = evaluate_split(
+            corpus, split, profile, cfg, client, trace_path=trace_path
+        ).report
         assert report.weighted_f1 == 1.0
-
-    def test_wrong_split_kind_rejected(self):
-        corpus = small_corpus(4)
-        split = make_split(corpus, "kfold", 2, seed=0)
-        client, _ = gold_client(corpus)
-        with pytest.raises(EvaluationError, match="holdout"):
-            run_holdout(corpus, split, profile_for(), ExperimentConfig("random", 1), client)
 
 
 class TestRunFull:
@@ -281,7 +321,7 @@ class TestRunFull:
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         cfg = ExperimentConfig(method="random", k=0)
-        report = run_full(promise_binary, profile, cfg, client)
+        report = evaluate_split(promise_binary, None, profile, cfg, client).report
         assert report.n_predictions == 625
         assert report.per_class["NFR"].recall == 1.0
         assert abs(report.per_class["NFR"].precision - 370 / 625) < 1e-9
@@ -302,7 +342,7 @@ class TestRunFull:
         client = Client(mocks={"checker": backend})
         profile = ModelProfile(name="checker", base_url="mock://checker")
         cfg = ExperimentConfig(method="tfidf", k=5)
-        run_full(corpus, profile, cfg, client)
+        evaluate_split(corpus, None, profile, cfg, client)
         assert backend.calls == len(corpus)
 
 
@@ -310,44 +350,56 @@ class TestRunKfold:
     def test_echo_gold_all_folds_perfect(self):
         corpus = small_corpus(10)
         client, _ = gold_client(corpus)
-        result = run_kfold(
-            corpus, 5, profile_for(), ExperimentConfig("tfidf", 3), client
+        result = evaluate_split(
+            corpus, make_split(corpus, "kfold", 5, 0), profile_for(),
+            ExperimentConfig("tfidf", 3), client,
         )
-        assert result.aggregate.weighted_f1 == 1.0
-        assert len(result.per_fold) == 5
-        for fold_report in result.per_fold:
+        assert result.report.weighted_f1 == 1.0
+        assert len(fold_reports(result, corpus.scheme)) == 5
+        for fold_report in fold_reports(result, corpus.scheme):
             assert fold_report.weighted_f1 == 1.0
 
     def test_each_record_scored_exactly_once(self):
         corpus = small_corpus(10)
         client, _ = gold_client(corpus)
-        result = run_kfold(
-            corpus, 4, profile_for(), ExperimentConfig("random", 2), client
+        result = evaluate_split(
+            corpus, make_split(corpus, "kfold", 4, 0), profile_for(),
+            ExperimentConfig("random", 2), client,
         )
-        assert result.aggregate.n_predictions == len(corpus)
-        total = sum(r.n_predictions for r in result.per_fold)
+        assert result.report.n_predictions == len(corpus)
+        total = sum(r.n_predictions for r in fold_reports(result, corpus.scheme))
         assert total == len(corpus)
 
     def test_aggregate_confusion_is_sum_of_folds(self):
         corpus = small_corpus(9)
         client = Client(mocks={"constant": ConstantBackend("Functional")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        result = run_kfold(corpus, 3, profile, ExperimentConfig("random", 1), client)
+        result = evaluate_split(
+            corpus, make_split(corpus, "kfold", 3, 0), profile,
+            ExperimentConfig("random", 1), client,
+        )
+        per_fold = fold_reports(result, corpus.scheme)
         for gold in corpus.scheme.label_ids:
             for col in (*corpus.scheme.label_ids, INVALID_COLUMN):
-                fold_sum = sum(r.confusion[gold][col] for r in result.per_fold)
-                assert result.aggregate.confusion[gold][col] == fold_sum
+                fold_sum = sum(r.confusion[gold][col] for r in per_fold)
+                assert result.report.confusion[gold][col] == fold_sum
 
     def test_constant_label_matches_single_pass_arithmetic(self):
         corpus = small_corpus(10)
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        result = run_kfold(corpus, 5, profile, ExperimentConfig("random", 1), client)
-        assert result.aggregate.per_class["NFR"].recall == 1.0
-        assert abs(result.aggregate.per_class["NFR"].precision - 0.5) < 1e-9
+        result = evaluate_split(
+            corpus, make_split(corpus, "kfold", 5, 0), profile,
+            ExperimentConfig("random", 1), client,
+        )
+        assert result.report.per_class["NFR"].recall == 1.0
+        assert abs(result.report.per_class["NFR"].precision - 0.5) < 1e-9
 
     def test_fold_count_validated(self):
         corpus = small_corpus(4)
         client, _ = gold_client(corpus)
-        with pytest.raises(EvaluationError):
-            run_kfold(corpus, 1, profile_for(), ExperimentConfig("random", 1), client)
+        with pytest.raises(SplitError):  # make_split validates the fold count
+            evaluate_split(
+                corpus, make_split(corpus, "kfold", 1, 0), profile_for(),
+                ExperimentConfig("random", 1), client,
+            )

@@ -24,7 +24,6 @@ from shotsweep.promptkit import (
     ORDERING_POLICIES,
     PromptError,
     load_template,
-    save_template,
 )
 from shotsweep.selection import SelectionResult
 
@@ -342,7 +341,27 @@ class TestBigPrompt:
 class TestTemplateFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "template.txt"
-        save_template(DEFAULT_TEMPLATE, path)
+        path.write_text(
+            "[system]\n"
+            "You are a software requirements analyst.\n"
+            "[task]\n"
+            "Classify the software requirement given as input into exactly one of "
+            "the following categories:\n"
+            "{classes}\n"
+            "\n"
+            "Answer with exactly one category name from the list and nothing else.\n"
+            "[examples_header]\n"
+            "Examples:\n"
+            "[example]\n"
+            "Text: {text}\n"
+            "Category: {label}\n"
+            "[input]\n"
+            "Input: {text}\n"
+            "Category:\n"
+            "[version]\n"
+            "analyst-v1\n",
+            encoding="utf-8",
+        )
         again = load_template(path)
         assert again == DEFAULT_TEMPLATE
 

@@ -11,9 +11,8 @@ from shotsweep import (
     EchoGoldBackend,
     ModelProfile,
     compute_report,
+    evaluate_split,
     make_split,
-    run_full,
-    run_holdout,
 )
 from shotsweep.corpus import PROMISE_12
 from shotsweep.evaluation import ExperimentConfig, Prediction
@@ -51,16 +50,21 @@ class TestManifest:
         assert config_digest({"a": 1}) != config_digest({"a": 2})
 
     def test_manifest_roundtrip(self, tmp_path):
-        from shotsweep.reporting import RunManifest
-
         manifest = make_manifest(
             {"k": 5}, {"report": "r.json"}, "0.1.0", "t0", "t1"
         )
         path = tmp_path / "manifest.json"
         atomic_write(path, manifest.to_json())
-        again = RunManifest.from_json(path.read_text())
-        assert again == manifest
-        assert again.digest == config_digest({"k": 5})
+        again = json.loads(path.read_text())
+        assert again == {
+            "config": manifest.config,
+            "digest": manifest.digest,
+            "artifacts": manifest.artifacts,
+            "tool_version": manifest.tool_version,
+            "started_at": manifest.started_at,
+            "finished_at": manifest.finished_at,
+        }
+        assert again["digest"] == config_digest({"k": 5})
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -85,7 +89,9 @@ class TestEmitTable:
     def test_constant_nfr_on_promise(self, promise_binary):
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        report = run_full(promise_binary, profile, ExperimentConfig("random", 0), client)
+        report = evaluate_split(
+            promise_binary, None, profile, ExperimentConfig("random", 0), client
+        ).report
         table = emit_table([report], "binary")
         row = table.text.splitlines()[2]
         assert "0.59" in row  # NFR precision 370/625
@@ -105,7 +111,9 @@ class TestEmitTable:
     def test_csv_roundtrip_recomputes_weighted_f1(self, promise_binary):
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        report = run_full(promise_binary, profile, ExperimentConfig("random", 0), client)
+        report = evaluate_split(
+            promise_binary, None, profile, ExperimentConfig("random", 0), client
+        ).report
         table = emit_table([report], "binary")
         import csv
         import io
@@ -193,10 +201,10 @@ class TestReplay:
         profile = ModelProfile(name="b", base_url="mock://b")
         split = make_split(corpus, "holdout", 0.5, seed=0)
         trace = tmp_path / "trace.jsonl"
-        report = run_holdout(
+        report = evaluate_split(
             corpus, split, profile, ExperimentConfig("random", 1), client,
             trace_path=trace,
-        )
+        ).report
         return corpus, trace, report
 
     def test_replay_reproduces_original_report(self, tmp_path):

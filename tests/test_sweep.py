@@ -17,7 +17,6 @@ from shotsweep import (
     SelectionConfig,
     SweepPlan,
     build_pool,
-    compare_methods,
     detect_overprompting,
     find_optimum,
     make_split,
@@ -32,14 +31,12 @@ from shotsweep.evaluation import (
     TraceWriter,
     evaluate_cells,
     fit_spaces,
-    holdout_partition,
+    partitions,
 )
 from shotsweep.gateway import CallableBackend, GatewayError
 from shotsweep.promptkit import PromptError
 from shotsweep.sweep import (
     CurvePoint,
-    OverpromptingVerdict,
-    SweepCurve,
     SweepError,
     build_curve,
     sweep_to_json,
@@ -394,49 +391,6 @@ class TestRunSweep:
         assert not rerun.failures
 
 
-class TestCompareMethods:
-    def curve(self, method, peak, optimal=10, model="m"):
-        return SweepCurve(
-            model=model,
-            method=method,
-            points=(CurvePoint(optimal, peak, peak, 0),),
-            optimal_shots=optimal,
-            peak_weighted_f1=peak,
-            overprompting=OverpromptingVerdict(False, optimal, 0.0, 0.02),
-        )
-
-    def test_ranking_by_peak(self):
-        ranking = compare_methods(
-            [self.curve("random", 0.85), self.curve("tfidf", 0.95)]
-        )
-        assert [e.method for e in ranking.entries] == ["tfidf", "random"]
-        assert ranking.entries[0].rank == 1
-
-    def test_identical_curves_tie_noted_in_declared_order(self):
-        ranking = compare_methods(
-            [self.curve("random", 0.9), self.curve("tfidf", 0.9)]
-        )
-        assert [e.method for e in ranking.entries] == ["random", "tfidf"]
-        assert any("tie" in note for note in ranking.notes)
-
-    def test_missing_method_recorded(self):
-        ranking = compare_methods(
-            [self.curve("random", 0.8), self.curve("tfidf", 0.9)],
-            expected_methods=("random", "embedding", "tfidf"),
-        )
-        assert any("embedding" in note for note in ranking.notes)
-
-    def test_mixed_models_rejected(self):
-        with pytest.raises(SweepError, match="multiple models"):
-            compare_methods(
-                [self.curve("random", 0.8, model="a"), self.curve("tfidf", 0.9, model="b")]
-            )
-
-    def test_needs_two_curves(self):
-        with pytest.raises(SweepError):
-            compare_methods([self.curve("random", 0.8)])
-
-
 class TestBuildCurve:
     def test_annotations_consistent(self):
         corpus = balanced_corpus(6)
@@ -493,7 +447,7 @@ class TestConcurrentDispatch:
         plan = SweepPlan(
             ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
         )
-        partition, split_desc = holdout_partition(corpus, make_split(corpus, "holdout", 0.5, 0))
+        parts, split_desc = partitions(corpus, make_split(corpus, "holdout", 0.5, 0))
         cfg = ExperimentConfig(method="random", k=0)
 
         def artifacts(models, seed):
@@ -503,7 +457,7 @@ class TestConcurrentDispatch:
             trace_path = tmp_path / f"{'-'.join(models)}-{seed}.jsonl"
             with TraceWriter(trace_path, {"seed": 0}) as trace:
                 cells = dict(evaluate_cells(
-                    corpus, [partition], list(profiles.values()), plan.methods,
+                    corpus, parts, list(profiles.values()), plan.methods,
                     plan.shot_grid, cfg, Client(mocks={"jitter": jittered_backend(seed + 1)}),
                     provider, split_desc, trace,
                 ))
