@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Build a comparable artifact set of a shotsweep checkout.
+
+    python scripts/artifact_set.py SRC OUT
+
+SRC is the root of a shotsweep checkout; its `src/` is imported and its
+`data/promise_nfr.csv` is the corpus. Into OUT (created, must not exist) go,
+all from one response cache:
+
+- sweep/   the README sweep config, plus a `mock://constant/Functional` model
+- run/     `run` tfidf k=5, pool 200, holdout split
+- cv/      10-fold `cv` at the sweep's optimum (`--shots-from`)
+- replay.json          `replay` of run/trace.jsonl under first_match
+- report.txt, .csv     `report` over run/report.json and cv/aggregate.json
+- cache_rows.jsonl     the cache's rows, sorted, without `created_at` and
+                       `latency_ms` (the fields that vary between runs)
+
+Every manifest.json loses its `started_at` and `finished_at`, so two
+checkouts that write the same artifacts give an empty `diff -r` of their
+OUT directories. The commands run with the corpus copied into a scratch
+directory and relative paths, so no path of SRC or OUT reaches an artifact.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SWEEP = {
+    "data": "promise_nfr.csv",
+    "scheme": "frnfr",
+    "models": ["mock-gold", "mock-constant"],
+    "methods": ["random", "embedding", "tfidf"],
+    "grid": [0, 5, 10, 20, 40, 80, 120, 160],
+    "pool_size": 200,
+    "split": {"kind": "holdout", "fraction": 0.8, "seed": 0},
+    "profiles": {
+        "mock-gold": {"base_url": "mock://echo-gold"},
+        "mock-constant": {"base_url": "mock://constant/Functional"},
+    },
+}
+RUN = {
+    "data": "promise_nfr.csv",
+    "scheme": "frnfr",
+    "model": "mock-gold",
+    "method": "tfidf",
+    "k": 5,
+    "pool_size": 200,
+    "split": {"kind": "holdout", "fraction": 0.8, "seed": 0},
+    "profiles": {"mock-gold": {"base_url": "mock://echo-gold"}},
+}
+CV = {
+    "data": "promise_nfr.csv",
+    "scheme": "frnfr",
+    "model": "mock-gold",
+    "method": "tfidf",
+    "k_folds": 10,
+    "pool_size": 200,
+    "profiles": {"mock-gold": {"base_url": "mock://echo-gold"}},
+}
+VARYING_ROW_FIELDS = ("created_at", "latency_ms")
+
+
+def build(src: Path, out: Path) -> None:
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src / "src")}
+    with tempfile.TemporaryDirectory() as work:
+        work_dir = Path(work)
+        shutil.copyfile(src / "data" / "promise_nfr.csv", work_dir / "promise_nfr.csv")
+        for name, config in (("sweep", SWEEP), ("run", RUN), ("cv", CV)):
+            (work_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+
+        def shotsweep(*argv: str) -> None:
+            subprocess.run(
+                [sys.executable, "-m", "shotsweep.cli", *argv],
+                cwd=work_dir, env=env, check=True, stdout=subprocess.DEVNULL,
+            )
+
+        cache = ["--cache-dir", "cache"]
+        shotsweep("sweep", "--config", "sweep.json", "--out", str(out / "sweep"), *cache)
+        shotsweep("run", "--config", "run.json", "--out", str(out / "run"), *cache)
+        shotsweep(
+            "cv", "--config", "cv.json", "--shots-from", str(out / "sweep" / "manifest.json"),
+            "--out", str(out / "cv"), *cache,
+        )
+        shotsweep(
+            "replay", "--trace", str(out / "run" / "trace.jsonl"), "--scheme", "frnfr",
+            "--policy", "first_match", "--out", str(out / "replay.json"),
+        )
+        shotsweep(
+            "report", "--reports", str(out / "run" / "report.json"),
+            str(out / "cv" / "aggregate.json"), "--layout", "binary",
+            "--out-base", str(out / "report"),
+        )
+        rows = []
+        for segment in sorted((work_dir / "cache").rglob("*.jsonl")):
+            for line in segment.read_text(encoding="utf-8").splitlines():
+                row = json.loads(line)
+                for field in VARYING_ROW_FIELDS:
+                    row.pop(field, None)
+                rows.append(f"{segment.parent.name}\t{json.dumps(row, sort_keys=True)}\n")
+        (out / "cache_rows.jsonl").write_text("".join(sorted(rows)), encoding="utf-8")
+
+    for manifest in out.rglob("manifest.json"):
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload.pop("started_at")
+        payload.pop("finished_at")
+        manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if out.exists():
+        print(f"{out} exists; give a new directory", file=sys.stderr)
+        return 2
+    build(src, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

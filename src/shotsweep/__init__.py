@@ -49,7 +49,6 @@ from .selection import (
     SelectionResult,
     build_pool,
     select,
-    selection_report,
 )
 from .sweep import (
     DEFAULT_GRID,

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import sys
 import traceback
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .corpus import (
     make_split,
 )
 from .evaluation import (
-    EvalReport,
     EvaluationError,
     ExperimentConfig,
     evaluate_split,
@@ -44,21 +44,23 @@ from .gateway import (
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, load_template
 from .reporting import (
     ReportingError,
+    RunManifest,
+    artifact_json,
     atomic_write,
-    emit_curve_data,
+    curves_csv,
     emit_table,
     file_digest,
-    make_manifest,
+    read_report,
     replay,
+    split_payload,
 )
-from .selection import SelectionConfig, SelectionError, build_pool, select, selection_report
+from .selection import SelectionConfig, SelectionError, build_pool, select
 from .sweep import (
     DEFAULT_GRID,
     DEFAULT_OVERPROMPTING_THRESHOLD,
     SweepError,
     SweepPlan,
     run_sweep,
-    sweep_to_json,
 )
 from .vectorspace import EmbeddingProvider, HashEmbeddingProvider, VectorSpaceError
 
@@ -84,6 +86,17 @@ def _typed(kind: type, value: object, key: str):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+
+
+def _pool_size(cfg: dict) -> int | None:
+    size = cfg.get("pool_size")
+    return None if size is None else _typed(int, size, "pool_size")
+
+
+def _list(cfg: dict, key: str) -> list:
+    if not isinstance(cfg[key], list):
+        raise ConfigError(f"{key}: expected a list, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -227,18 +240,21 @@ def _open_session(
 
 
 def _write_artifacts(
-    out_dir: Path, cfg: dict, started: str, artifacts: dict[str, tuple[str, str | None]]
+    out_dir: Path, cfg: dict, started: str, artifacts: dict[str, tuple[str, object]]
 ) -> None:
-    """Write each {name: (path relative to out_dir, text)} artifact, then the
-    manifest listing them all; a None text is a file already written (the trace)."""
-    for rel, text in artifacts.values():
-        if text is not None:
+    """Write each {name: (path relative to out_dir, content)} artifact, then the
+    manifest listing them all. A str content is written as it is, None is a
+    file already written (the trace), and anything else goes through
+    artifact_json."""
+    for rel, content in artifacts.values():
+        if content is not None:
+            text = content if isinstance(content, str) else artifact_json(content)
             atomic_write(out_dir / rel, text)
     manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
     manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
     listed = {name: rel for name, (rel, _) in artifacts.items()}
-    manifest = make_manifest(manifest_cfg, listed, __version__, started, _now())
-    atomic_write(out_dir / "manifest.json", manifest.to_json())
+    manifest = RunManifest(manifest_cfg, listed, __version__, started, _now())
+    atomic_write(out_dir / "manifest.json", artifact_json(manifest))
 
 
 def _print_dry_run(args: argparse.Namespace, cfg: dict) -> int:
@@ -258,7 +274,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         method=cfg["method"],
         k=_typed(int, cfg["k"], "k"),
-        pool_size=cfg.get("pool_size"),
+        pool_size=_pool_size(cfg),
         pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
         selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
         scoring_policy=cfg.get("scoring_policy", "strict"),
@@ -320,7 +336,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     result = select(
         pool, args.query, sel_cfg, tfidf=tfidf, embeddings=embeddings, provider=provider
     )
-    summary = selection_report([result], pool)
     chosen = [
         {
             "record_id": rid,
@@ -335,7 +350,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "k_requested": result.k_requested,
         "k_delivered": result.k_delivered,
         "chosen": chosen,
-        "class_counts": summary.class_counts,
+        "class_counts": Counter(item["label"] for item in chosen),
     }
     text_lines = [f"{result.method} selection, k={result.k_delivered}:"]
     for item in chosen:
@@ -396,9 +411,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             corpus, split, profiles[cfg["model"]], exp, client, provider,
             out_dir / "trace.jsonl",
         ).report
-    artifacts = {"report": ("report.json", report.to_json()), "trace": ("trace.jsonl", None)}
+    artifacts = {"report": ("report.json", report), "trace": ("trace.jsonl", None)}
     if split is not None:
-        artifacts["split"] = ("split.json", split.to_json())
+        artifacts["split"] = ("split.json", split_payload(split))
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "weighted_f1": report.weighted_f1,
@@ -438,13 +453,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     split_kind, fraction, split_seed = _split_spec(cfg)
     plan = SweepPlan(
-        models=tuple(cfg["models"]),
-        methods=tuple(cfg["methods"]),
-        shot_grid=tuple(_typed(int, k, "grid") for k in cfg["grid"]),
+        models=tuple(_list(cfg, "models")),
+        methods=tuple(_list(cfg, "methods")),
+        shot_grid=tuple(_typed(int, k, "grid") for k in _list(cfg, "grid")),
         split_kind=split_kind,
         split_param=fraction,
         split_seed=split_seed,
-        pool_size=cfg.get("pool_size"),
+        pool_size=_pool_size(cfg),
         pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
         selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
         scoring_policy=cfg["scoring_policy"],
@@ -471,15 +486,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
         )
     out_dir = Path(cfg["out_dir"])
-    data = emit_curve_data(run.curves)
     artifacts = {
-        "curves_json": ("curves.json", data.json_text),
-        "curves_csv": ("curves.csv", data.csv_text),
-        "sweep": ("sweep.json", sweep_to_json(run)),
+        "curves_json": ("curves.json", {"series": run.curves}),
+        "curves_csv": ("curves.csv", curves_csv(run.curves)),
+        "sweep": ("sweep.json", {"curves": run.curves, "failures": run.failures}),
     }
     for (model, method, k), report in sorted(run.reports.items()):
         artifacts[f"cell:{model}:{method}:{k}"] = (
-            f"cells/{model}__{method}__k{k}.json", report.to_json()
+            f"cells/{model}__{method}__k{k}.json", report
         )
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
@@ -525,8 +539,11 @@ def _shots_from_manifest(path: str, model: str, method: str) -> int:
     except (OSError, TypeError, json.JSONDecodeError) as exc:  # TypeError: a non-str path
         raise ConfigError(f"cannot read sweep manifest {path}: {exc}") from exc
     for series in _key(curves, "series", curves_path):
-        if series["model"] == model and series["method"] == method:
-            return int(series["optimal_shots"])
+        name, meth, shots = (
+            _key(series, key, curves_path) for key in ("model", "method", "optimal_shots")
+        )
+        if (name, meth) == (model, method):
+            return _typed(int, shots, f"{curves_path}: optimal_shots")
     raise ConfigError(f"no curve for ({model}, {method}) in {path}")
 
 
@@ -572,14 +589,14 @@ def cmd_cv(args: argparse.Namespace) -> int:
     layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
     table = emit_table([report], layout)
     artifacts = {
-        "aggregate": ("aggregate.json", report.to_json()),
-        "split": ("split.json", split.to_json()),
+        "aggregate": ("aggregate.json", report),
+        "split": ("split.json", split_payload(split)),
         "table_txt": ("table.txt", table.text),
         "table_csv": ("table.csv", table.csv_text),
         "trace": ("trace.jsonl", None),
     }
     for i, fold_report in enumerate(fold_reports(run, corpus.scheme)):
-        artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report.to_json())
+        artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report)
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "weighted_f1": report.weighted_f1,
@@ -597,12 +614,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = []
-    for path in args.reports:
-        file = Path(path)
-        if not file.exists():
-            raise ReportingError(f"no such report: {file}")
-        reports.append(EvalReport.from_dict(json.loads(file.read_text(encoding="utf-8"))))
+    reports = [read_report(path) for path in args.reports]
     table = emit_table(reports, args.layout)
     if args.out_base:
         atomic_write(args.out_base + ".txt", table.text)
@@ -618,7 +630,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     scheme = load_scheme(args.scheme)
     report = replay(args.trace, scheme, args.policy)
     if args.out:
-        atomic_write(args.out, report.to_json())
+        atomic_write(args.out, artifact_json(report))
     payload = {
         "weighted_f1": report.weighted_f1,
         "macro_f1": report.macro_f1,

@@ -252,15 +252,6 @@ class SplitPlan:
     seed: int
     assignments: dict[int, int]
 
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "param": self.param,
-            "seed": self.seed,
-            "assignments": {str(rid): part for rid, part in sorted(self.assignments.items())},
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
 
 def _records_by_class(corpus: Corpus) -> dict[str, list[RequirementRecord]]:
     grouped: dict[str, list[RequirementRecord]] = {

@@ -79,47 +79,6 @@ class EvalReport:
     def n_invalid(self) -> int:
         return sum(row[INVALID_COLUMN] for row in self.confusion.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                lid: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for lid, m in self.per_class.items()
-            },
-            "weighted_f1": self.weighted_f1,
-            "macro_f1": self.macro_f1,
-            "confusion": self.confusion,
-            "n_predictions": self.n_predictions,
-            "n_unparseable": self.n_unparseable,
-            "n_multilabel": self.n_multilabel,
-            "metadata": self.metadata,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(
-            per_class={
-                lid: ClassMetrics(m["precision"], m["recall"], m["f1"], m["support"])
-                for lid, m in payload["per_class"].items()
-            },
-            weighted_f1=payload["weighted_f1"],
-            macro_f1=payload["macro_f1"],
-            confusion={
-                gold: dict(row) for gold, row in payload["confusion"].items()
-            },
-            n_predictions=payload["n_predictions"],
-            n_unparseable=payload["n_unparseable"],
-            n_multilabel=payload["n_multilabel"],
-            metadata=payload.get("metadata", {}),
-        )
-
 
 def compute_report(
     predictions: Sequence[Prediction],

@@ -16,7 +16,7 @@ import time
 import urllib.parse
 import urllib.request
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -243,16 +243,9 @@ class ResponseCache:
         for row in self._rows("completions"):
             if "fingerprint" not in row:
                 continue
-            record = CompletionRecord(
-                content_hash=row["content_hash"],
-                text=row["text"],
-                latency_ms=row["latency_ms"],
-                attempts=row["attempts"],
-                model=row["model"],
-                created_at=row["created_at"],
-                # one string per endpoint setting, not one per row
-                fingerprint=sys.intern(row["fingerprint"]),
-            )
+            # one string per endpoint setting, not one per row
+            row["fingerprint"] = sys.intern(row["fingerprint"])
+            record = CompletionRecord(**row)
             key = (record.model, record.fingerprint, record.content_hash)
             self._completions.setdefault(key, record)
         for row in self._rows("embeddings"):
@@ -287,18 +280,8 @@ class ResponseCache:
             if key in self._completions:
                 return
             self._completions[key] = record
-            self._append(
-                "completions",
-                {
-                    "content_hash": record.content_hash,
-                    "text": record.text,
-                    "latency_ms": record.latency_ms,
-                    "attempts": record.attempts,
-                    "model": record.model,
-                    "created_at": record.created_at,
-                    "fingerprint": record.fingerprint,
-                },
-            )
+            # getattr, not vars(record): vars would give every cached record a dict
+            self._append("completions", {f.name: getattr(record, f.name) for f in fields(record)})
 
     def get_embedding(
         self, tag: str, fingerprint: str, text: str

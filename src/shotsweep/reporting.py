@@ -1,4 +1,4 @@
-"""Run manifests, paper-shaped tables, plot-ready curve data, trace replay."""
+"""Artifact JSON, run manifests, paper-shaped tables, curve CSV, trace replay."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import LabelScheme
+from .corpus import LabelScheme, SplitPlan
 from .evaluation import (
+    ClassMetrics,
     EvalReport,
     Prediction,
     compute_report,
@@ -40,6 +41,41 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def _fields(obj: object) -> dict:
+    if is_dataclass(obj):
+        return vars(obj)  # json.dumps converts the values; no deep copy
+    raise TypeError(f"{type(obj).__name__} is not an artifact")
+
+
+def artifact_json(obj: object) -> str:
+    """The JSON text of an artifact or of a payload holding dataclasses.
+
+    A dataclass instance is written as its fields, so a field added to one
+    appears in every artifact that holds it. Keys are sorted and indented,
+    so the same object always gives the same bytes.
+    """
+    return json.dumps(obj, default=_fields, sort_keys=True, indent=2) + "\n"
+
+
+def split_payload(split: SplitPlan) -> dict:
+    """split.json's payload: record ids as str keys, so they sort as strings
+    ("0", "1", "10", ...), not as numbers."""
+    return {**vars(split), "assignments": {str(r): p for r, p in split.assignments.items()}}
+
+
+def read_report(path: str | Path) -> EvalReport:
+    """An EvalReport read back from its artifact_json file."""
+    file = Path(path)
+    if not file.exists():
+        raise ReportingError(f"no such report: {file}")
+    try:
+        payload = json.loads(file.read_text(encoding="utf-8"))
+        per_class = {lid: ClassMetrics(**m) for lid, m in payload.pop("per_class").items()}
+        return EvalReport(per_class=per_class, **payload)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ReportingError(f"{file}: not a report ({type(exc).__name__}: {exc})") from exc
+
+
 def config_digest(config: dict) -> str:
     """Digest of the semantic config; key order never matters."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -53,31 +89,14 @@ def file_digest(path: str | Path) -> str:
 @dataclass(frozen=True)
 class RunManifest:
     config: dict
-    digest: str
     artifacts: dict[str, str]
     tool_version: str
     started_at: str
     finished_at: str
+    digest: str = field(init=False)  # config_digest(config)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-
-def make_manifest(
-    config: dict,
-    artifacts: dict[str, str],
-    tool_version: str,
-    started_at: str,
-    finished_at: str,
-) -> RunManifest:
-    return RunManifest(
-        config=config,
-        digest=config_digest(config),
-        artifacts=dict(artifacts),
-        tool_version=tool_version,
-        started_at=started_at,
-        finished_at=finished_at,
-    )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", config_digest(self.config))
 
 
 @dataclass(frozen=True)
@@ -177,16 +196,8 @@ def _csv_quote(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class CurveData:
-    json_text: str
-    csv_text: str
-
-
-def emit_curve_data(curves: Sequence[SweepCurve]) -> CurveData:
-    """One series per (model, method) with peak/over-prompting annotations."""
-    payload = {"series": [curve.to_dict() for curve in curves]}
-    json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def curves_csv(curves: Sequence[SweepCurve]) -> str:
+    """One row per curve point; curves.json is artifact_json({"series": curves})."""
     lines = ["model,method,shot_count,weighted_f1,macro_f1,n_invalid"]
     for curve in curves:
         for point in curve.points:
@@ -202,7 +213,7 @@ def emit_curve_data(curves: Sequence[SweepCurve]) -> CurveData:
                     ]
                 )
             )
-    return CurveData(json_text=json_text, csv_text="\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -228,25 +239,18 @@ def read_trace(path: str | Path) -> tuple[dict, list[TraceRow]]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportingError(f"{path}: line {line_no}: corrupt row ({exc})") from exc
-            kind = payload.get("kind")
+            if not isinstance(payload, dict):
+                raise ReportingError(f"{path}: line {line_no}: not a JSON object")
+            kind = payload.pop("kind", None)
             if kind == "meta":
                 if meta is not None:
                     raise ReportingError(f"{path}: line {line_no}: duplicate meta row")
-                meta = {k: v for k, v in payload.items() if k != "kind"}
+                meta = payload
             elif kind == "prediction":
                 try:
-                    rows.append(
-                        TraceRow(
-                            record_id=payload["record_id"],
-                            gold=payload["gold"],
-                            completion=payload["completion"],
-                            content_hash=payload["content_hash"],
-                        )
-                    )
-                except KeyError as exc:
-                    raise ReportingError(
-                        f"{path}: line {line_no}: missing field {exc}"
-                    ) from exc
+                    rows.append(TraceRow(**payload))
+                except TypeError as exc:  # a missing or unknown field
+                    raise ReportingError(f"{path}: line {line_no}: {exc}") from exc
             else:
                 raise ReportingError(f"{path}: line {line_no}: unknown row kind {kind!r}")
     if meta is None:

@@ -137,16 +137,6 @@ class SelectionResult:
     def chosen_ids(self) -> tuple[int, ...]:
         return tuple(rid for rid, _ in self.chosen)
 
-    def to_dict(self) -> dict:
-        """JSONL-friendly form for offline selection audits."""
-        return {
-            "query_key": self.query_key,
-            "chosen": [[rid, sim] for rid, sim in self.chosen],
-            "method": self.method,
-            "k_requested": self.k_requested,
-            "k_delivered": self.k_delivered,
-        }
-
 
 def query_key_for(query: str | RequirementRecord) -> str:
     if isinstance(query, RequirementRecord):
@@ -281,46 +271,3 @@ def select(
     returned.
     """
     return rank(pool, query, cfg, tfidf, embeddings, provider).take(cfg.k)
-
-
-@dataclass(frozen=True)
-class SelectionSummary:
-    n_queries: int
-    similarity_mean: float | None
-    similarity_min: float | None
-    similarity_max: float | None
-    class_counts: dict[str, int] = field(default_factory=dict)
-    duplication_rate: float = 0.0
-
-
-def selection_report(
-    results: Sequence[SelectionResult], pool: FewShotPool
-) -> SelectionSummary:
-    """Audit a batch of selections: similarity stats, class mix, duplication.
-
-    duplication_rate is the fraction of queries whose chosen list also shows
-    up verbatim for at least one other query.
-    """
-    if not results:
-        return SelectionSummary(0, None, None, None, {}, 0.0)
-    sims = [
-        sim for result in results for _, sim in result.chosen if sim is not None
-    ]
-    class_counts: dict[str, int] = {}
-    for result in results:
-        for rid in result.chosen_ids:
-            label = pool.record(rid).label
-            class_counts[label] = class_counts.get(label, 0) + 1
-    signatures = [result.chosen_ids for result in results]
-    tally: dict[tuple[int, ...], int] = {}
-    for sig in signatures:
-        tally[sig] = tally.get(sig, 0) + 1
-    duplicated = sum(1 for sig in signatures if tally[sig] > 1)
-    return SelectionSummary(
-        n_queries=len(results),
-        similarity_mean=sum(sims) / len(sims) if sims else None,
-        similarity_min=min(sims) if sims else None,
-        similarity_max=max(sims) if sims else None,
-        class_counts=class_counts,
-        duplication_rate=duplicated / len(results),
-    )

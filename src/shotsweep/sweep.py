@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,14 +97,6 @@ class OverpromptingVerdict:
     max_post_peak_decline: float
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "flagged": self.flagged,
-            "peak_at": self.peak_at,
-            "max_post_peak_decline": self.max_post_peak_decline,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True)
 class SweepCurve:
@@ -115,24 +106,6 @@ class SweepCurve:
     optimal_shots: int
     peak_weighted_f1: float
     overprompting: OverpromptingVerdict
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "method": self.method,
-            "points": [
-                {
-                    "shot_count": p.shot_count,
-                    "weighted_f1": p.weighted_f1,
-                    "macro_f1": p.macro_f1,
-                    "n_invalid": p.n_invalid,
-                }
-                for p in self.points
-            ],
-            "optimal_shots": self.optimal_shots,
-            "peak_weighted_f1": self.peak_weighted_f1,
-            "overprompting": self.overprompting.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -283,19 +256,3 @@ def run_sweep(
                     build_curve(model, method, by_k, plan.overprompting_threshold)
                 )
     return SweepRun(tuple(curves), reports, tuple(failures))
-
-
-def sweep_to_json(run: SweepRun) -> str:
-    payload = {
-        "curves": [c.to_dict() for c in run.curves],
-        "failures": [
-            {
-                "model": f.model,
-                "method": f.method,
-                "shot_count": f.shot_count,
-                "error": f.error,
-            }
-            for f in run.failures
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -326,7 +326,7 @@ def test_criterion_7_reproducibility(tmp_path):
     resumed = run_sweep(plan, corpus, profiles, client2)
     assert not resumed.failures
     assert resumed_backend.calls == 0
-    assert [c.to_dict() for c in resumed.curves] == [c.to_dict() for c in first.curves]
+    assert resumed.curves == first.curves
     _pass(7, "reproducibility", budget.check())
 
 

@@ -260,6 +260,9 @@ class TestManifestArtifacts:
         assert len(listed) == 3 + 4  # curves.json, curves.csv, sweep.json, 4 cells
 
 
+CURVES = {"artifacts": {"curves_json": "curves.json"}}
+
+
 def shots_from(tmp_path, manifest, curves=None) -> list[str]:
     if curves is not None:
         (tmp_path / "curves.json").write_text(json.dumps(curves))
@@ -293,10 +296,31 @@ class TestConfigErrors:
             ),
             ("cv", {}, (["not", "a", "manifest"], None), "'artifacts'"),
             ("cv", {}, ({"artifacts": {"curves_json": 5}}, None), "sweep manifest"),
+            ("cv", {}, (CURVES, {"series": [{"method": "random", "optimal_shots": 1}]}),
+             "'model'"),
+            ("cv", {}, (CURVES, {"series": [{"model": "mock-gold", "optimal_shots": 1}]}),
+             "'method'"),
+            ("cv", {}, (CURVES, {"series": [{"model": "mock-gold", "method": "random"}]}),
+             "'optimal_shots'"),
+            (
+                "cv",
+                {},
+                (CURVES, {"series": [
+                    {"model": "mock-gold", "method": "random", "optimal_shots": "x"}
+                ]}),
+                "optimal_shots: expected int",
+            ),
+            ("run", {"pool_size": "x"}, None, "pool_size: expected int"),
+            ("cv", {"pool_size": "x"}, None, "pool_size: expected int"),
+            ("sweep", {"pool_size": "x"}, None, "pool_size: expected int"),
+            ("sweep", {"grid": 5}, None, "grid: expected a list"),
+            ("sweep", {"models": "mock-gold"}, None, "models: expected a list"),
         ],
         ids=[
             "provider", "mock-dim", "pool-seed", "fraction", "k", "no-series", "list",
-            "curves-path",
+            "curves-path", "series-model", "series-method", "series-shots",
+            "series-shots-type", "run-pool-size", "cv-pool-size", "sweep-pool-size",
+            "sweep-grid", "sweep-models",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, extra,
@@ -307,6 +331,9 @@ class TestConfigErrors:
         )
         if command == "cv":
             payload["k_folds"] = 2
+        if command == "sweep":
+            payload.update(models=[payload.pop("model")], methods=[payload.pop("method")],
+                           grid=[0, 1])
             del payload["k"]
         payload.update(extra)
         argv = [command, "--config", write_config(tmp_path, **payload),
@@ -399,6 +426,50 @@ class TestSweep:
         code = main(["run", "--config", config, "--out", str(out_dir), "--dry-run"])
         assert code == EXIT_OK
         assert not out_dir.exists()
+
+    def test_artifact_key_sets(self, tmp_path, capsys):
+        """The JSON keys are the dataclass fields; renaming a field changes the
+        format, so the key sets are pinned here."""
+        config = self.sweep_config(
+            tmp_path,
+            models=["mock-gold", "mock-tiny"],
+            profiles={
+                "mock-gold": {"base_url": "mock://echo-gold"},
+                "mock-tiny": {"base_url": "mock://echo-gold", "context_window": 50},
+            },
+        )
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--config", config, "--out", str(out_dir),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == EXIT_PARTIAL
+        report = json.loads((out_dir / "cells" / "mock-gold__tfidf__k2.json").read_text())
+        assert set(report) == {
+            "per_class", "weighted_f1", "macro_f1", "confusion", "n_predictions",
+            "n_unparseable", "n_multilabel", "metadata",
+        }
+        assert set(report["per_class"]["FR"]) == {"precision", "recall", "f1", "support"}
+        series = json.loads((out_dir / "curves.json").read_text())["series"]
+        assert [s["model"] for s in series] == ["mock-gold", "mock-gold"]
+        assert set(series[0]) == {
+            "model", "method", "points", "optimal_shots", "peak_weighted_f1",
+            "overprompting",
+        }
+        assert set(series[0]["points"][0]) == {
+            "shot_count", "weighted_f1", "macro_f1", "n_invalid",
+        }
+        assert set(series[0]["overprompting"]) == {
+            "flagged", "peak_at", "max_post_peak_decline", "threshold",
+        }
+        sweep = json.loads((out_dir / "sweep.json").read_text())
+        assert set(sweep) == {"curves", "failures"} and sweep["curves"] == series
+        assert len(sweep["failures"]) == 4
+        assert set(sweep["failures"][0]) == {"model", "method", "shot_count", "error"}
+        (segment,) = (tmp_path / "cache" / "completions").glob("*.jsonl")
+        row = json.loads(segment.read_text().splitlines()[0])
+        assert set(row) == {
+            "content_hash", "text", "latency_ms", "attempts", "model", "created_at",
+            "fingerprint",
+        }
 
     def test_double_run_byte_identical_modulo_timestamps(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path)
@@ -549,6 +620,33 @@ class TestReportReplay:
         assert code == EXIT_OK
         assert payload["weighted_f1"] == 1.0
         assert payload["scoring_policy"] == "first_match"
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("{not json", "not a report"),
+            ("[1, 2]", "not a report"),
+            ('{"weighted_f1": 1.0}', "per_class"),
+            ('{"per_class": {}, "weighted_f1": 1.0}', "macro_f1"),
+            ('{"per_class": {}, "bogus": 1}', "bogus"),
+        ],
+        ids=["not-json", "not-object", "no-per-class", "missing-field", "unknown-field"],
+    )
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["report", "--reports", str(path), "--layout", "binary"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert str(path) in err and needle in err
+
+    def test_replay_non_object_line_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"kind": "meta"}\n[1]\n')
+        code = main(["replay", "--trace", str(path), "--scheme", "frnfr"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert "line 2" in err
 
     def test_replay_missing_trace_is_data_error(self, tmp_path, capsys):
         code = main(

@@ -19,6 +19,7 @@ from shotsweep import (
     make_split,
 )
 from shotsweep.corpus import Corpus, RequirementRecord
+from shotsweep.reporting import artifact_json, split_payload
 
 from conftest import make_records
 
@@ -243,13 +244,13 @@ class TestKfold:
     def test_determinism_byte_identical(self, promise_binary):
         one = make_split(promise_binary, "kfold", 10, seed=42)
         two = make_split(promise_binary, "kfold", 10, seed=42)
-        assert one.to_json() == two.to_json()
+        assert artifact_json(split_payload(one)) == artifact_json(split_payload(two))
         different = make_split(promise_binary, "kfold", 10, seed=43)
         assert different.assignments != one.assignments
 
     def test_plan_json_roundtrip(self, promise_binary):
         plan = make_split(promise_binary, "holdout", 0.8, seed=5)
-        payload = json.loads(plan.to_json())
+        payload = json.loads(artifact_json(split_payload(plan)))
         again = SplitPlan(
             kind=payload["kind"],
             param=payload["param"],

@@ -184,15 +184,14 @@ class TestComputeReport:
         with pytest.raises(EvaluationError, match="gold"):
             compute_report([prediction("ZZ", "FR")], BINARY_FRNFR)
 
-    def test_report_json_roundtrip(self):
-        from shotsweep.evaluation import EvalReport
+    def test_report_json_roundtrip(self, tmp_path):
+        from shotsweep.reporting import artifact_json, read_report
 
         preds = [prediction("FR", "FR", rid=0), prediction("NFR", "FR", rid=1)]
         report = compute_report(preds, BINARY_FRNFR, {"model": "m"})
-        import json
-
-        again = EvalReport.from_dict(json.loads(report.to_json()))
-        assert again == report
+        path = tmp_path / "report.json"
+        path.write_text(artifact_json(report))
+        assert read_report(path) == report
 
 
 def small_corpus(n_per_class=8):

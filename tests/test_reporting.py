@@ -19,12 +19,13 @@ from shotsweep.evaluation import ExperimentConfig, Prediction
 from shotsweep.gateway import ParsedLabel
 from shotsweep.reporting import (
     ReportingError,
+    RunManifest,
+    artifact_json,
     atomic_write,
     config_digest,
-    emit_curve_data,
+    curves_csv,
     emit_table,
     file_digest,
-    make_manifest,
     replay,
 )
 from shotsweep.sweep import CurvePoint, OverpromptingVerdict, SweepCurve
@@ -50,11 +51,11 @@ class TestManifest:
         assert config_digest({"a": 1}) != config_digest({"a": 2})
 
     def test_manifest_roundtrip(self, tmp_path):
-        manifest = make_manifest(
+        manifest = RunManifest(
             {"k": 5}, {"report": "r.json"}, "0.1.0", "t0", "t1"
         )
         path = tmp_path / "manifest.json"
-        atomic_write(path, manifest.to_json())
+        atomic_write(path, artifact_json(manifest))
         again = json.loads(path.read_text())
         assert again == {
             "config": manifest.config,
@@ -65,6 +66,10 @@ class TestManifest:
             "finished_at": manifest.finished_at,
         }
         assert again["digest"] == config_digest({"k": 5})
+
+    def test_artifact_json_refuses_other_objects(self):
+        with pytest.raises(TypeError, match="object is not an artifact"):
+            artifact_json({"x": object()})
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -161,18 +166,16 @@ class TestEmitCurveData:
         )
 
     def test_empty_is_valid(self):
-        data = emit_curve_data([])
-        assert json.loads(data.json_text) == {"series": []}
-        assert data.csv_text.splitlines() == [
+        assert json.loads(artifact_json({"series": []})) == {"series": []}
+        assert curves_csv([]).splitlines() == [
             "model,method,shot_count,weighted_f1,macro_f1,n_invalid"
         ]
 
     def test_two_point_series(self):
-        data = emit_curve_data([self.curve()])
-        rows = data.csv_text.strip().splitlines()
+        rows = curves_csv([self.curve()]).strip().splitlines()
         assert len(rows) == 3
         assert rows[1] == "m,tfidf,0,0.5,0.4,1"
-        payload = json.loads(data.json_text)
+        payload = json.loads(artifact_json({"series": [self.curve()]}))
         series = payload["series"][0]
         assert series["optimal_shots"] == 5
         assert series["overprompting"]["flagged"] is False
@@ -181,8 +184,7 @@ class TestEmitCurveData:
         from shotsweep import find_optimum
 
         curve = self.curve()
-        data = emit_curve_data([curve])
-        series = json.loads(data.json_text)["series"][0]
+        series = json.loads(artifact_json({"series": [curve]}))["series"][0]
         points = [
             CurvePoint(p["shot_count"], p["weighted_f1"], p["macro_f1"], p["n_invalid"])
             for p in series["points"]

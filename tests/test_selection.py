@@ -13,7 +13,6 @@ from shotsweep import (
     build_pool,
     fit_tfidf,
     select,
-    selection_report,
 )
 from shotsweep.selection import SelectionError, rank
 
@@ -269,60 +268,3 @@ class TestSelect:
                     **kwargs,
                 )
                 assert len(set(result.chosen_ids)) == len(result.chosen_ids)
-
-
-class TestSelectionReport:
-    def test_identical_queries_full_duplication(self):
-        pool = make_pool(10)
-        model = fit_tfidf(pool.candidates)
-        results = [
-            select(pool, "alpha beta", SelectionConfig("tfidf", 3), tfidf=model)
-            for _ in range(5)
-        ]
-        summary = selection_report(results, pool)
-        assert summary.duplication_rate == 1.0
-        assert summary.n_queries == 5
-
-    def test_class_counts_match_direct_frequency(self):
-        pool = make_pool(20)
-        cfg = SelectionConfig("random", 6, seed=3)
-        results = [select(pool, pool.candidates[i], cfg) for i in range(10)]
-        summary = selection_report(results, pool)
-        direct = {}
-        for result in results:
-            for rid in result.chosen_ids:
-                label = pool.record(rid).label
-                direct[label] = direct.get(label, 0) + 1
-        assert summary.class_counts == direct
-        assert sum(direct.values()) == 60
-
-    def test_empty_results(self):
-        pool = make_pool(4)
-        summary = selection_report([], pool)
-        assert summary.n_queries == 0
-        assert summary.class_counts == {}
-        assert summary.similarity_mean is None
-        assert summary.duplication_rate == 0.0
-
-    def test_result_jsonl_export(self):
-        import json
-
-        pool = make_pool(8)
-        result = select(pool, pool.candidates[0], SelectionConfig("random", 3, seed=1))
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["method"] == "random"
-        assert payload["k_delivered"] == 3
-        assert [rid for rid, _ in payload["chosen"]] == list(result.chosen_ids)
-
-    def test_similarity_stats(self):
-        pool = make_pool(10)
-        model = fit_tfidf(pool.candidates)
-        results = [
-            select(pool, record, SelectionConfig("tfidf", 4), tfidf=model)
-            for record in pool.candidates[:5]
-        ]
-        summary = selection_report(results, pool)
-        sims = [s for r in results for _, s in r.chosen]
-        assert summary.similarity_min == min(sims)
-        assert summary.similarity_max == max(sims)
-        assert abs(summary.similarity_mean - sum(sims) / len(sims)) < 1e-12

@@ -35,11 +35,11 @@ from shotsweep.evaluation import (
 )
 from shotsweep.gateway import CallableBackend, GatewayError
 from shotsweep.promptkit import PromptError
+from shotsweep.reporting import artifact_json
 from shotsweep.sweep import (
     CurvePoint,
     SweepError,
     build_curve,
-    sweep_to_json,
 )
 
 from hillmock import HILL_SCHEDULE, balanced_corpus, hill_setup
@@ -466,9 +466,10 @@ class TestConcurrentDispatch:
                 for pred in outcome.per_partition[0]:
                     reply = jitter_reply(model, pred.content_hash)
                     assert pred.parsed == parse_label(reply, corpus.scheme)
-            reports = {cell: report.to_json() for cell, report in run.reports.items()}
-            assert reports == {c: outcome.report.to_json() for c, outcome in cells.items()}
-            return sweep_to_json(run), reports, trace_path.read_text()
+            reports = {cell: artifact_json(report) for cell, report in run.reports.items()}
+            assert reports == {c: artifact_json(outcome.report) for c, outcome in cells.items()}
+            sweep_json = artifact_json({"curves": run.curves, "failures": run.failures})
+            return sweep_json, reports, trace_path.read_text()
 
         first = artifacts(("m1", "m2"), seed=1)
         assert first == artifacts(("m1", "m2"), seed=2)
