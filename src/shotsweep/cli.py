@@ -81,8 +81,13 @@ def _now() -> str:
 
 
 def _typed(kind: type, value: object, key: str):
-    """value as kind (int or float), or a ConfigError naming its config key."""
+    """value as kind (int or float), or a ConfigError naming its config key.
+    A bool is refused, and so is a number with a fractional part as an int."""
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
@@ -538,7 +543,10 @@ def _shots_from_manifest(path: str, model: str, method: str) -> int:
         curves = json.loads(curves_path.read_text(encoding="utf-8"))
     except (OSError, TypeError, json.JSONDecodeError) as exc:  # TypeError: a non-str path
         raise ConfigError(f"cannot read sweep manifest {path}: {exc}") from exc
-    for series in _key(curves, "series", curves_path):
+    all_series = _key(curves, "series", curves_path)
+    if not isinstance(all_series, list):
+        raise ConfigError(f"{curves_path}: 'series' must be a list, got {all_series!r}")
+    for series in all_series:
         name, meth, shots = (
             _key(series, key, curves_path) for key in ("model", "method", "optimal_shots")
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
-import http.client
 import json
 import os
 import random
@@ -14,10 +13,10 @@ import sys
 import threading
 import time
 import urllib.parse
-import urllib.request
 import weakref
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -365,7 +364,8 @@ class _RateLimiter:
             sleeper(wait)
 
 
-_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+_MAX_LINE, _MAX_HEADERS = 65536, 100  # bytes per reply line, headers per reply: as http.client
+_STATUS_LINE = re.compile(rb"(HTTP/\S+) +([0-9]{3})(?: .*)?\r?\n?")
 
 
 @dataclass(frozen=True)
@@ -381,6 +381,7 @@ class _Route:
 
 def _resolve_route(scheme: str, netloc: str) -> _Route:
     """Route by http(s)_proxy and no_proxy, as urllib would."""
+    import urllib.request  # for its proxy tables only, so loaded by the first request
     if scheme not in ("http", "https"):
         raise GatewayError(f"unsupported URL scheme {scheme!r} in {scheme}://{netloc}")
     # getproxies() also holds a "no" entry, so look the scheme up; never test
@@ -404,11 +405,92 @@ def _resolve_route(scheme: str, netloc: str) -> _Route:
     )
 
 
-def _exchange(
-    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict[str, str]
-) -> http.client.HTTPResponse:
-    conn.request("POST", target, body=body, headers=headers)
-    return conn.getresponse()
+def _line(rfile: IO[bytes]) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _exact(rfile: IO[bytes], size: int) -> bytes:
+    data = rfile.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise ValueError(f"reply body truncated: {len(data)} of {size} bytes")
+    return data
+
+
+def _read_head(rfile: IO[bytes]) -> tuple[bytes, int, dict[bytes, bytes]]:
+    """HTTP version, status and lowercased headers of the next reply past any 1xx."""
+    while True:
+        line = _line(rfile)
+        if not line:
+            raise ConnectionResetError("connection closed before a status line")
+        if (status := _STATUS_LINE.fullmatch(line)) is None:
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        # header lines up to a blank line, or to EOF as http.client reads them
+        lines = list(islice(iter(lambda: _line(rfile).rstrip(b"\r\n"), b""), _MAX_HEADERS + 1))
+        if len(lines) > _MAX_HEADERS:
+            raise ValueError(f"more than {_MAX_HEADERS} reply headers")
+        if not status[2].startswith(b"1"):
+            pairs = (line.partition(b":") for line in lines)
+            return status[1], int(status[2]), {n.strip().lower(): v.strip() for n, _, v in pairs}
+
+
+def _read_reply(rfile: IO[bytes]) -> tuple[int, bytes, bool]:
+    """(status, body, whether the connection can carry another request)."""
+    version, status, headers = _read_head(rfile)
+    keep_alive = version == b"HTTP/1.1" and b"close" not in headers.get(b"connection", b"").lower()
+    if status in (204, 304):
+        return status, b"", keep_alive
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while size := int(_line(rfile).split(b";")[0], 16):
+            chunks.append(_exact(rfile, size))
+            _line(rfile)  # the CRLF that ends the chunk
+        while _line(rfile) not in (b"\r\n", b"\n", b""):  # trailer fields
+            pass
+        return status, b"".join(chunks), keep_alive
+    if b"content-length" in headers:
+        return status, _exact(rfile, int(headers[b"content-length"])), keep_alive
+    return status, rfile.read(), False  # the body ends where the connection does
+
+
+class _Connection:
+    """A pooled socket and a buffered reader over it."""
+
+    def __init__(self, sock):
+        self.sock, self.rfile = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _connect(route: _Route, timeout: float) -> _Connection:
+    """A socket to route.address, through a CONNECT tunnel and TLS if the route says."""
+    import socket
+    address = urllib.parse.urlsplit(f"//{route.address}")
+    origin = urllib.parse.urlsplit(f"//{route.tunnel or route.address}")  # the TLS peer
+    port = address.port or (443 if route.tls else 80)
+    sock = socket.create_connection((address.hostname, port), timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as http.client does
+        if route.tunnel is not None:
+            authority = route.tunnel if origin.port else f"{route.tunnel}:443"
+            fields = "".join(f"{name}: {value}\r\n" for name, value in route.proxy_headers)
+            sock.sendall(f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n{fields}\r\n"
+                         .encode("latin-1"))
+            with sock.makefile("rb") as rfile:  # nothing follows a 200 until TLS starts
+                _, status, _ = _read_head(rfile)
+            if status != 200:
+                raise OSError(f"proxy refused the tunnel to {authority}: HTTP {status}")
+        if route.tls:
+            import ssl
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=origin.hostname)
+    except BaseException:
+        sock.close()
+        raise
+    return _Connection(sock)
 
 
 class _ConnectionPool:
@@ -417,63 +499,61 @@ class _ConnectionPool:
     A request checks a connection out and back in, and a connection is only
     made when none is idle, so no more are open than requests were in flight
     at once. Routes (proxy or direct) are resolved once per (scheme, host).
+    A request is one write; a connection its reply ends is closed instead.
     """
 
     def __init__(self) -> None:
-        self._idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
+        self._idle: dict[tuple[str, str], list[_Connection]] = {}
         self._routes: dict[tuple[str, str], _Route] = {}
         self._lock = threading.Lock()
 
     def post(
         self, url: str, body: bytes, headers: dict[str, str], timeout: float
     ) -> tuple[int, bytes]:
-        """POST body to url; (status, response body). Socket errors propagate."""
+        """POST body to url; (status, body). OSError, or ValueError for a bad reply."""
         parts = urllib.parse.urlsplit(url)
         key = (parts.scheme, parts.netloc)
         with self._lock:
             route = self._routes.get(key)
             if route is None:
                 route = self._routes[key] = _resolve_route(*key)
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
         if route.absolute_target:
             target = url
             headers = {**headers, **dict(route.proxy_headers)}
         else:
             target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        conn = self._checkout(key, route, timeout)
-        try:
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        request = (
+            f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            f"Accept-Encoding: identity\r\n{fields}Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        if conn is not None:
             # A reused connection the server has since closed fails before
             # any status line; that is no answer, so send once more afresh.
-            reused = conn.sock is not None
             try:
-                response = _exchange(conn, target, body, headers)
-            except _STALE_CONNECTION:
-                if not reused:
-                    raise
-                conn.close()
-                response = _exchange(conn, target, body, headers)
-            return response.status, response.read()
-        except BaseException:
-            conn.close()
-            raise
-        finally:
-            with self._lock:
-                self._idle.setdefault(key, []).append(conn)
+                return self._exchange(key, conn, request, timeout)
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+        return self._exchange(key, _connect(route, timeout), request, timeout)
 
-    def _checkout(
-        self, key: tuple[str, str], route: _Route, timeout: float
-    ) -> http.client.HTTPConnection:
-        with self._lock:
-            idle = self._idle.get(key)
-            conn = idle.pop() if idle else None
-        if conn is None:
-            cls = http.client.HTTPSConnection if route.tls else http.client.HTTPConnection
-            conn = cls(route.address, timeout=timeout)
-            if route.tunnel is not None:
-                conn.set_tunnel(route.tunnel, headers=dict(route.proxy_headers))
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        return conn
+    def _exchange(
+        self, key: tuple[str, str], conn: _Connection, request: bytes, timeout: float
+    ) -> tuple[int, bytes]:
+        keep_alive = False
+        try:
+            if conn.sock.gettimeout() != timeout:  # settimeout releases the GIL
+                conn.sock.settimeout(timeout)
+            conn.sock.sendall(request)
+            status, body, keep_alive = _read_reply(conn.rfile)
+            return status, body
+        finally:
+            if keep_alive:
+                with self._lock:
+                    self._idle.setdefault(key, []).append(conn)
+            else:
+                conn.close()
 
     def close(self) -> None:
         with self._lock:
@@ -492,7 +572,7 @@ def _post_json(
         headers["Authorization"] = f"Bearer {api_key}"
     try:
         status, raw = pool.post(url, body, headers, timeout)
-    except (OSError, http.client.HTTPException) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a malformed or truncated reply
         raise TransportError(f"{url} unreachable: {exc}") from exc
     if status == 429 or status >= 500:
         raise TransportError(f"HTTP {status} from {url}")

@@ -346,6 +346,52 @@ class TestConfigErrors:
         assert "config error" in err and needle in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "command, extra, manifest, needle",
+        [
+            ("run", {"k": 2.7}, None, "k: expected int, got 2.7"),
+            ("run", {"k": True}, None, "k: expected int, got True"),
+            ("run", {"pool_size": 20.5}, None, "pool_size: expected int"),
+            ("run", {"pool_seed": True}, None, "pool_seed: expected int"),
+            ("run", {"selection_seed": 0.5}, None, "selection_seed: expected int"),
+            ("run", {"split": {"kind": "holdout", "seed": 1.5}}, None, "split.seed: expected int"),
+            ("cv", {"k": 1.5}, None, "k: expected int"),
+            ("cv", {"k_folds": 2.5}, None, "k_folds: expected int"),
+            ("cv", {"split_seed": False}, None, "split_seed: expected int"),
+            ("sweep", {"grid": [0, 1.5]}, None, "grid: expected int"),
+            ("sweep", {"grid": [0, True]}, None, "grid: expected int"),
+            ("sweep", {"selection_seed": 0.5}, None, "selection_seed: expected int"),
+            ("cv", {}, (CURVES, {"series": [
+                {"model": "mock-gold", "method": "random", "optimal_shots": 2.7}
+            ]}), "optimal_shots: expected int, got 2.7"),
+            ("cv", {}, (CURVES, {"series": [
+                {"model": "mock-gold", "method": "random", "optimal_shots": True}
+            ]}), "optimal_shots: expected int, got True"),
+            ("cv", {}, (CURVES, {"series": 5}), "curves.json: 'series' must be a list"),
+            ("cv", {}, (CURVES, {"series": [5]}), "curves.json: expected a JSON object"),
+        ],
+        ids=[
+            "run-k-fraction", "run-k-bool", "run-pool-size", "run-pool-seed",
+            "run-selection-seed", "run-split-seed", "cv-k", "cv-k-folds", "cv-split-seed",
+            "sweep-grid-fraction", "sweep-grid-bool", "sweep-selection-seed",
+            "series-shots-fraction", "series-shots-bool", "series-not-a-list",
+            "series-entry-not-an-object",
+        ],
+    )
+    def test_fraction_bool_or_malformed_series_is_a_config_error(
+        self, tmp_path, capsys, command, extra, manifest, needle
+    ):
+        self.test_bad_value_is_a_config_error(tmp_path, capsys, command, extra, manifest, needle)
+
+    def test_integral_float_is_an_int(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=2.0, pool_size=20.0, profiles=GOLD_PROFILES,
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out_dir)]) == EXIT_OK
+        assert json.loads((out_dir / "report.json").read_text())["metadata"]["k"] == 2
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):

@@ -4,7 +4,10 @@ import base64
 import dataclasses
 import gc
 import json
+import os
 import random
+import socket
+import subprocess
 import sys
 import threading
 import warnings
@@ -35,7 +38,8 @@ from shotsweep.gateway import (
     normalize_completion,
 )
 
-from loopback import ChatEndpoint, ForwardingProxy
+from conftest import REPO_ROOT
+from loopback import TLS_CERT, ChatEndpoint, ForwardingProxy
 
 
 def prompt_for(text="classify this", content_hash=None):
@@ -512,6 +516,146 @@ class TestConnectionReuse:
             assert client.complete(profile, prompt_for("direct")).text == "NFR"
         assert len(proxy.targets) == 1
         assert len(endpoint.targets) == 2
+
+
+@pytest.fixture()
+def client_writes(monkeypatch):
+    """The size of each socket write the test's own thread makes."""
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counting_sendall(sock, data, *args):
+        if threading.current_thread() is threading.main_thread():
+            writes.append(len(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    return writes
+
+
+class TestReplyFraming:
+    def complete_all(self, endpoint, n=3, **profile_fields):
+        waits = []
+        profile = ModelProfile(
+            name="m", base_url=endpoint.base_url, backoff_base_s=0.0, timeout_s=5.0,
+            **profile_fields,
+        )
+        with Client(sleeper=waits.append) as client:
+            records = [client.complete(profile, prompt_for(f"q{i}")) for i in range(n)]
+        return records, waits
+
+    @pytest.mark.parametrize("framing", ["chunked", "continue", "100-headers"])
+    def test_reply_decoded_and_connection_kept(self, loopback, framing):
+        reply = "Non-Functional, judging by the wording of the requirement"
+        endpoint = loopback(ChatEndpoint, reply=reply, framing=framing)
+        records, _ = self.complete_all(endpoint)
+        assert [r.text for r in records] == [reply] * 3
+        assert endpoint.connections == 1
+
+    @pytest.mark.parametrize("framing", ["close", "http10", "eof"])
+    def test_reply_that_ends_the_connection_is_not_reused(self, loopback, client_writes, framing):
+        endpoint = loopback(ChatEndpoint, framing=framing)
+        records, waits = self.complete_all(endpoint)
+        assert [(r.text, r.attempts) for r in records] == [("FR", 1)] * 3
+        assert waits == []
+        assert len(client_writes) == 3  # nothing was sent on a closed connection
+        assert endpoint.connections == 3
+
+    def test_short_body_is_a_transport_error_retried_as_an_attempt(self, loopback):
+        endpoint = loopback(ChatEndpoint, framing=["short", "length"])
+        (record,), waits = self.complete_all(endpoint, n=1, max_attempts=2)
+        assert (record.text, record.attempts) == ("FR", 2)
+        assert len(waits) == 1
+        endpoint.framings = ["short"]
+        with pytest.raises(TransportError) as err:
+            self.complete_all(endpoint, n=1, max_attempts=1)
+        assert "truncated" in err.value.attempts[0]
+
+    @pytest.mark.parametrize(
+        "framing, reason",
+        [("long-header", "longer than 65536 bytes"), ("many-headers", "more than 100")],
+    )
+    def test_oversized_reply_head_is_a_transport_error(self, loopback, framing, reason):
+        endpoint = loopback(ChatEndpoint, framing=framing)
+        with pytest.raises(TransportError) as err:
+            self.complete_all(endpoint, n=1, max_attempts=1)
+        assert reason in err.value.attempts[0]
+
+    def test_request_is_one_write_with_host_length_agent_and_key(
+        self, loopback, client_writes, monkeypatch
+    ):
+        endpoint = loopback(ChatEndpoint)
+        monkeypatch.setenv("SHOTSWEEP_TEST_KEY", "sk-test")
+        profile = ModelProfile(
+            name="m", base_url=endpoint.base_url, api_key_env="SHOTSWEEP_TEST_KEY"
+        )
+        prompt = prompt_for("a long requirement " * 300)  # far over http.client's 2,000 bytes
+        with Client() as client:
+            client.complete(profile, prompt)
+            monkeypatch.delenv("SHOTSWEEP_TEST_KEY")
+            client.complete(profile, prompt_for("short"))
+        (first, first_body), (second, _) = endpoint.received
+        assert len(client_writes) == 2 and client_writes[0] > len(first_body) > 5000
+        assert first["Host"] == f"127.0.0.1:{endpoint.server_port}"
+        assert first["Content-Length"] == str(len(first_body))
+        assert first["User-Agent"] == second["User-Agent"] == "shotsweep"
+        assert first["Authorization"] == "Bearer sk-test"
+        assert "Authorization" not in second
+        assert json.loads(first_body)["messages"][1]["content"] == prompt.user_message
+
+
+@pytest.fixture()
+def trusted_cert(monkeypatch):
+    """Trust the loopback servers' self-signed certificate."""
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    return monkeypatch
+
+
+class TestTls:
+    def test_https_completion(self, loopback, trusted_cert):
+        endpoint = loopback(ChatEndpoint, reply="NFR", tls=True)
+        profile = ModelProfile(name="m", base_url=endpoint.base_url)
+        with Client() as client:
+            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(3)]
+        assert texts == ["NFR"] * 3
+        assert endpoint.connections == 1
+
+    def test_https_through_connect_tunnel(self, loopback, trusted_cert, clean_proxy_env):
+        endpoint = loopback(ChatEndpoint, reply="NFR", tls=True)
+        proxy = loopback(ForwardingProxy)
+        clean_proxy_env.setenv("https_proxy", proxy.url.replace("//", "//user:p%40ss@"))
+        profile = ModelProfile(name="m", base_url=endpoint.base_url)
+        with Client() as client:
+            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(2)]
+        assert texts == ["NFR"] * 2
+        assert proxy.targets == [f"127.0.0.1:{endpoint.server_port}"]  # one CONNECT
+        assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
+        assert endpoint.targets == ["/v1/chat/completions"] * 2
+        assert endpoint.connections == 1
+
+    def test_untrusted_certificate_is_a_transport_error(self, loopback, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        endpoint = loopback(ChatEndpoint, tls=True)
+        profile = ModelProfile(name="m", base_url=endpoint.base_url, max_attempts=1)
+        with Client() as client, pytest.raises(TransportError) as err:
+            client.complete(profile, prompt_for())
+        assert "CERTIFICATE_VERIFY_FAILED" in err.value.attempts[0]
+        assert endpoint.targets == []
+
+
+def test_cli_import_loads_no_network_stack():
+    """A warm replay never sends a request, so importing the CLI must not
+    load the network stack."""
+    code = (
+        "import sys, shotsweep.cli\n"
+        "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl', 'email')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestEmbedBatch:
