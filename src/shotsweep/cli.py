@@ -22,6 +22,7 @@ from .corpus import (
     make_split,
 )
 from .evaluation import (
+    SCORING_POLICIES,
     EvaluationError,
     ExperimentConfig,
     evaluate_split,
@@ -40,6 +41,7 @@ from .gateway import (
     ProtocolError,
     ResponseCache,
     TransportError,
+    mock_name,
 )
 from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, load_template
 from .reporting import (
@@ -54,7 +56,7 @@ from .reporting import (
     replay,
     split_payload,
 )
-from .selection import SelectionConfig, SelectionError, build_pool, select
+from .selection import METHODS, SelectionConfig, SelectionError, build_pool, select
 from .sweep import (
     DEFAULT_GRID,
     DEFAULT_OVERPROMPTING_THRESHOLD,
@@ -93,9 +95,9 @@ def _typed(kind: type, value: object, key: str):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
 
 
-def _pool_size(cfg: dict) -> int | None:
-    size = cfg.get("pool_size")
-    return None if size is None else _typed(int, size, "pool_size")
+def _optional_int(cfg: dict, key: str) -> int | None:
+    value = cfg.get(key)
+    return None if value is None else _typed(int, value, key)
 
 
 def _list(cfg: dict, key: str) -> list:
@@ -132,7 +134,7 @@ def _merge_config(
     unknown = set(file_cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
+    merged = {"scoring_policy": "strict", **defaults}
     merged.update(file_cfg)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     missing = [k for k in required if merged.get(k) is None]
@@ -189,10 +191,8 @@ def _register_mocks(
     client: Client, profiles: dict[str, ModelProfile], corpus: Corpus | None
 ) -> None:
     for profile in profiles.values():
-        if not profile.base_url.startswith("mock://"):
-            continue
-        name = profile.base_url[len("mock://") :].strip("/")
-        if name in client.mocks:
+        name = mock_name(profile.base_url)
+        if name is None or name in client.mocks:
             continue
         if name == "echo-gold":
             if corpus is None:
@@ -276,20 +276,21 @@ def _template_from(cfg: dict):
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
+    """The settings run, cv and sweep evaluate under; a sweep sets no method or k."""
     return ExperimentConfig(
-        method=cfg["method"],
-        k=_typed(int, cfg["k"], "k"),
-        pool_size=_pool_size(cfg),
+        method=cfg.get("method"),
+        k=_optional_int(cfg, "k"),
+        pool_size=_optional_int(cfg, "pool_size"),
         pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
         selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
-        scoring_policy=cfg.get("scoring_policy", "strict"),
+        scoring_policy=cfg["scoring_policy"],
         template=_template_from(cfg),
         ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
     )
 
 
 def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -365,11 +366,13 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_RUN_KEYS = {
-    "data", "scheme", "text_col", "label_col", "model", "method", "k",
-    "split", "pool_size", "pool_seed", "selection_seed", "scoring_policy",
-    "template", "ordering", "provider", "profiles", "cache_dir", "out_dir",
+# The config keys run, sweep and cv all read: data, shared settings, session.
+_SHARED_KEYS = {
+    "data", "scheme", "text_col", "label_col", "pool_size", "pool_seed",
+    "selection_seed", "scoring_policy", "template", "ordering", "provider",
+    "profiles", "cache_dir", "out_dir",
 }
+_RUN_KEYS = _SHARED_KEYS | {"model", "method", "k", "split"}
 
 
 def _split_spec(cfg: dict) -> tuple[str, float, int]:
@@ -395,7 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     cfg = _merge_config(
         args,
-        {"scoring_policy": "strict"},
+        {},
         overrides,
         _RUN_KEYS,
         {"data", "scheme", "model", "method", "k", "out_dir"},
@@ -403,9 +406,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     started = _now()
     split_kind, fraction, split_seed = _split_spec(cfg)
     profiles = _build_profiles(cfg, cfg["model"])
+    exp = _experiment_config(cfg)
     if args.dry_run:
         return _print_dry_run(args, cfg)
-    exp = _experiment_config(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
     out_dir = Path(cfg["out_dir"])
     split = None
@@ -435,21 +438,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_KEYS = {
-    "data", "scheme", "text_col", "label_col", "models", "methods", "grid",
-    "split", "pool_size", "pool_seed", "selection_seed", "scoring_policy",
-    "template", "ordering", "provider", "profiles", "cache_dir", "out_dir",
-    "overprompting_threshold",
-}
+_SWEEP_KEYS = _SHARED_KEYS | {"models", "methods", "grid", "split", "overprompting_threshold"}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_config(
         args,
         {
-            "methods": ["random", "embedding", "tfidf"],
+            "methods": list(METHODS),
             "grid": list(DEFAULT_GRID),
-            "scoring_policy": "strict",
             "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD,
         },
         {},
@@ -464,17 +461,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         split_kind=split_kind,
         split_param=fraction,
         split_seed=split_seed,
-        pool_size=_pool_size(cfg),
-        pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
-        selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
-        scoring_policy=cfg["scoring_policy"],
         overprompting_threshold=_typed(
             float, cfg["overprompting_threshold"], "overprompting_threshold"
         ),
     )
+    exp = _experiment_config(cfg)
     if args.dry_run:
         cells = plan.cells()
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({"n_cells": plan.n_cells, "cells": [list(c) for c in cells]}))
         else:
             for model, method, k in cells:
@@ -485,11 +479,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     profiles = _build_profiles(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
     with client:
-        run = run_sweep(
-            plan, corpus, profiles, client, provider,
-            template=_template_from(cfg),
-            ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
-        )
+        run = run_sweep(plan, corpus, profiles, client, provider, exp)
     out_dir = Path(cfg["out_dir"])
     artifacts = {
         "curves_json": ("curves.json", {"series": run.curves}),
@@ -518,12 +508,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
-_CV_KEYS = {
-    "data", "scheme", "text_col", "label_col", "model", "method", "k",
-    "k_folds", "split_seed", "pool_size", "pool_seed", "selection_seed",
-    "scoring_policy", "template", "ordering", "provider", "profiles",
-    "cache_dir", "out_dir", "on_small_class",
-}
+_CV_KEYS = _SHARED_KEYS | {"model", "method", "k", "k_folds", "split_seed", "on_small_class"}
 
 
 def _key(payload: object, key: str, source: object) -> object:
@@ -565,7 +550,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     }
     cfg = _merge_config(
         args,
-        {"scoring_policy": "strict", "k_folds": 10},
+        {"k_folds": 10},
         overrides,
         _CV_KEYS,
         {"data", "scheme", "model", "method", "out_dir"},
@@ -580,9 +565,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
     split_seed = _typed(int, cfg.get("split_seed", 0), "split_seed")
     started = _now()
     profiles = _build_profiles(cfg, cfg["model"])
+    exp = _experiment_config(cfg)
     if args.dry_run:
         return _print_dry_run(args, cfg)
-    exp = _experiment_config(cfg)
     corpus, client, provider = _open_session(cfg, profiles)
     out_dir = Path(cfg["out_dir"])
     with client:
@@ -627,7 +612,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.out_base:
         atomic_write(args.out_base + ".txt", table.text)
         atomic_write(args.out_base + ".csv", table.csv_text)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"rows": len(reports)}))
     else:
         print(table.text, end="")
@@ -672,56 +657,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"shotsweep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)  # every command takes it
+    json_flag.add_argument("--json", action="store_true")
+    configured = argparse.ArgumentParser(add_help=False)  # run, sweep and cv take these
+    configured.add_argument("--config", default=None, help="JSON config")
+    configured.add_argument("--out", default=None, help="artifact directory")
+    configured.add_argument("--cache-dir", default=None)
+    configured.add_argument(
+        "--dry-run", action="store_true", help="validate the config and print what would run"
+    )
 
-    p = sub.add_parser("ingest", help="load a corpus and print its class distribution")
+    def command(name: str, fn, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*parents, json_flag])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("ingest", cmd_ingest, "load a corpus and print its class distribution")
     _add_data_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("pool", help="build a stratified few-shot pool and show counts")
+    p = command("pool", cmd_pool, "build a stratified few-shot pool and show counts")
     _add_data_args(p)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_pool)
 
-    p = sub.add_parser("select", help="select examples for one query")
+    p = command("select", cmd_select, "select examples for one query")
     _add_data_args(p)
-    p.add_argument("--method", choices=("random", "embedding", "tfidf"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pool-size", type=int, default=None)
     p.add_argument("--pool-seed", type=int, default=0)
     p.add_argument("--hash-dim", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("run", help="single evaluation run (holdout or full corpus)")
-    p.add_argument("--config", default=None, help="JSON run config")
+    p = command("run", cmd_run, "single evaluation run (holdout or full corpus)", configured)
     _add_data_args(p, required=False)
     p.add_argument("--model", default=None)
-    p.add_argument("--method", choices=("random", "embedding", "tfidf"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("sweep", help="run a (models x methods x shot grid) sweep")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--dry-run", action="store_true", help="print the cell matrix only")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sweep)
+    command("sweep", cmd_sweep, "run a (models x methods x shot grid) sweep", configured)
 
-    p = sub.add_parser("cv", help="k-fold cross-validation at a fixed shot count")
-    p.add_argument("--config", default=None)
+    p = command("cv", cmd_cv, "k-fold cross-validation at a fixed shot count", configured)
     _add_data_args(p, required=False)
     p.add_argument("--model", default=None)
-    p.add_argument("--method", choices=("random", "embedding", "tfidf"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument(
         "--shots-from",
@@ -729,26 +709,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep manifest; use that sweep's optimal shot count for this model/method",
     )
     p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_cv)
 
-    p = sub.add_parser("report", help="format stored reports as tables")
+    p = command("report", cmd_report, "format stored reports as tables")
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--layout", choices=("binary", "multiclass"), required=True)
     p.add_argument("--out-base", default=None, help="write <base>.txt and <base>.csv")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("replay", help="re-score a trace without calling any model")
+    p = command("replay", cmd_replay, "re-score a trace without calling any model")
     p.add_argument("--trace", required=True)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--policy", choices=("strict", "first_match"), default=None)
+    p.add_argument("--policy", choices=SCORING_POLICIES, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_replay)
 
     return parser
 

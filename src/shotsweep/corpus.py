@@ -178,7 +178,7 @@ def load_scheme(source: str | Path) -> LabelScheme:
         )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CorpusError(f"scheme file {path}: invalid JSON ({exc})") from exc
     try:
         labels = tuple(
@@ -188,6 +188,8 @@ def load_scheme(source: str | Path) -> LabelScheme:
         return LabelScheme(payload["name"], labels, payload["task_kind"])
     except KeyError as exc:
         raise CorpusError(f"scheme file {path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a list, string or number out of place
+        raise CorpusError(f"scheme file {path}: malformed scheme ({exc})") from exc
 
 
 def load_corpus(

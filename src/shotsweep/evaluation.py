@@ -148,14 +148,30 @@ def compute_report(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str
-    k: int
+    """The settings run, cv and sweep evaluate under; a sweep's cells set method and k."""
+
+    method: str | None = None
+    k: int | None = None
     pool_size: int | None = None
     pool_seed: int = 0
     selection_seed: int = 0
     scoring_policy: str = "strict"
     template: PromptTemplate = DEFAULT_TEMPLATE
     ordering: OrderingPolicy = OrderingPolicy()
+
+    def __post_init__(self) -> None:
+        if self.scoring_policy not in SCORING_POLICIES:
+            raise EvaluationError(f"unknown scoring policy {self.scoring_policy!r}")
+
+
+@dataclass(frozen=True)
+class TraceRow:
+    """One prediction row of a trace, as TraceWriter writes it and replay reads it."""
+
+    record_id: int
+    gold: str
+    completion: str
+    content_hash: str
 
 
 class TraceWriter:
@@ -171,16 +187,8 @@ class TraceWriter:
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
         self._handle.flush()
 
-    def write_prediction(self, pred: Prediction, completion_text: str) -> None:
-        self._write(
-            {
-                "kind": "prediction",
-                "record_id": pred.record_id,
-                "gold": pred.gold,
-                "completion": completion_text,
-                "content_hash": pred.content_hash,
-            }
-        )
+    def write_prediction(self, row: TraceRow) -> None:
+        self._write({"kind": "prediction", **vars(row)})
 
     def close(self) -> None:
         self._handle.close()
@@ -412,19 +420,18 @@ def evaluate_cells(
                             if parsed is None:
                                 parsed = parse_label(completion.text, scheme)
                                 parsed_by_text[completion.text] = parsed
-                            try:
-                                pred = Prediction(
-                                    record_id=record.record_id,
-                                    gold=record.label,
-                                    parsed=parsed,
-                                    scored_as=score_prediction(parsed, cfg.scoring_policy),
-                                    content_hash=prompt.content_hash,
-                                )
-                            except cell_errors as exc:
-                                fail(exc, method, [k], [profile])
-                                continue
+                            pred = Prediction(
+                                record_id=record.record_id,
+                                gold=record.label,
+                                parsed=parsed,
+                                scored_as=score_prediction(parsed, cfg.scoring_policy),
+                                content_hash=prompt.content_hash,
+                            )
                             if trace is not None:
-                                trace.write_prediction(pred, completion.text)
+                                trace.write_prediction(TraceRow(
+                                    record.record_id, record.label, completion.text,
+                                    prompt.content_hash,
+                                ))
                             collected[(profile.name, method, k)][-1].append(pred)
                     if index == last:
                         for profile in profiles:

@@ -81,6 +81,13 @@ class ModelProfile:
         return digest.hexdigest()[:16]
 
 
+def mock_name(base_url: str) -> str | None:
+    """The backend name of a mock://<name> base URL; None for any other URL."""
+    if not base_url.startswith("mock://"):
+        return None
+    return base_url[len("mock://") :].strip("/")
+
+
 # Context windows of the models this harness is typically pointed at.
 DEFAULT_PROFILES: dict[str, ModelProfile] = {
     p.name: p
@@ -627,23 +634,19 @@ class Client:
                 self._limiters[profile.name] = limiter
             return limiter
 
-    def _mock_for(self, profile: ModelProfile) -> object | None:
-        if not profile.base_url.startswith("mock://"):
-            return None
-        name = profile.base_url[len("mock://") :].strip("/")
-        backend = self.mocks.get(name)
-        if backend is None:
+    def _with_retries(self, profile: ModelProfile, on_mock, on_http) -> tuple[object, int]:
+        """on_mock(backend) for a mock:// profile's registered backend, else
+        on_http(), retried on TransportError; and the attempt that returned."""
+        name = mock_name(profile.base_url)
+        if name is not None and name not in self.mocks:
             raise GatewayError(f"no mock backend registered as {name!r}")
-        return backend
-
-    def _with_retries(self, profile: ModelProfile, call) -> tuple[object, int]:
         trace: list[str] = []
         for attempt in range(1, profile.max_attempts + 1):
             limiter = self._limiter_for(profile)
             if limiter is not None:
                 limiter.acquire(self.sleeper)
             try:
-                return call(), attempt
+                return (on_http() if name is None else on_mock(self.mocks[name])), attempt
             except TransportError as exc:
                 trace.append(f"attempt {attempt}: {exc}")
                 if attempt == profile.max_attempts:
@@ -675,16 +678,12 @@ class Client:
         cached = self.lookup(profile, prompt)
         if cached is not None:
             return cached
-        mock = self._mock_for(profile)
         started = time.monotonic()
-        if mock is not None:
-            text, attempts = self._with_retries(
-                profile, lambda: mock.respond(profile, prompt)
-            )
-        else:
-            text, attempts = self._with_retries(
-                profile, lambda: self._http_chat(profile, prompt)
-            )
+        text, attempts = self._with_retries(
+            profile,
+            lambda mock: mock.respond(profile, prompt),
+            lambda: self._http_chat(profile, prompt),
+        )
         record = CompletionRecord(
             content_hash=prompt.content_hash,
             text=str(text),
@@ -727,15 +726,11 @@ class Client:
             if self.cache.get_embedding(*key, text) is None
         ]
         if missing:
-            mock = self._mock_for(profile)
-            if mock is not None:
-                vectors, _ = self._with_retries(
-                    profile, lambda: mock.embed_batch(missing)
-                )
-            else:
-                vectors, _ = self._with_retries(
-                    profile, lambda: self._http_embed(profile, missing)
-                )
+            vectors, _ = self._with_retries(
+                profile,
+                lambda mock: mock.embed_batch(missing),
+                lambda: self._http_embed(profile, missing),
+            )
             if len(vectors) != len(missing):
                 raise ProtocolError(
                     f"{profile.name}: {len(vectors)} vectors for {len(missing)} texts"

@@ -92,9 +92,13 @@ _TEMPLATE_SECTIONS = {
 
 def load_template(path: str | Path) -> PromptTemplate:
     """Read a template from a plain-text file with [section] markers."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PromptError(f"template {path}: cannot read a UTF-8 file ({exc})") from exc
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         marker = line.strip()
         if marker.startswith("[") and marker.endswith("]"):
             current = marker[1:-1]

@@ -15,6 +15,7 @@ from .evaluation import (
     ClassMetrics,
     EvalReport,
     Prediction,
+    TraceRow,
     compute_report,
     score_prediction,
 )
@@ -214,14 +215,6 @@ def curves_csv(curves: Sequence[SweepCurve]) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    record_id: int
-    gold: str
-    completion: str
-    content_hash: str
 
 
 def read_trace(path: str | Path) -> tuple[dict, list[TraceRow]]:

@@ -18,6 +18,9 @@ from .vectorspace import (
 )
 
 
+METHODS = ("random", "embedding", "tfidf")
+
+
 class SelectionError(Exception):
     pass
 
@@ -113,13 +116,12 @@ def build_pool(
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    method: str  # "random" | "embedding" | "tfidf"
+    method: str  # one of METHODS
     k: int
     seed: int = 0
-    exclude_query_record: bool = True
 
     def __post_init__(self) -> None:
-        if self.method not in ("random", "embedding", "tfidf"):
+        if self.method not in METHODS:
             raise SelectionError(f"unknown selection method {self.method!r}")
         if self.k < 0:
             raise SelectionError(f"shot count must be >= 0, got {self.k}")
@@ -207,16 +209,12 @@ def rank(
     """Rank the pool for one query, deep enough for any selection up to cfg.k.
 
     tfidf/embedding rank by cosine similarity (one kNN call); random defers
-    to Ranking.take. When the query is a pool member and exclusion is on,
-    its own record is never ranked.
+    to Ranking.take. A record query that is a pool member never ranks its
+    own record; a text query excludes nothing.
     """
     query_key = query_key_for(query)
     excluded_id: int | None = None
-    if (
-        cfg.exclude_query_record
-        and isinstance(query, RequirementRecord)
-        and query.record_id in pool
-    ):
+    if isinstance(query, RequirementRecord) and query.record_id in pool:
         excluded_id = query.record_id
     available = len(pool) - (1 if excluded_id is not None else 0)
     depth = min(cfg.k, available)
@@ -266,8 +264,7 @@ def select(
     """Pick cfg.k examples from the pool for one query: rank, then slice.
 
     random draws uniformly without replacement with a per-query derived seed;
-    tfidf/embedding take the cfg.k most cosine-similar candidates. When the
-    query is a pool member and exclusion is on, its own record is never
-    returned.
+    tfidf/embedding take the cfg.k most cosine-similar candidates. A record
+    query that is a pool member never gets its own record back.
     """
     return rank(pool, query, cfg, tfidf, embeddings, provider).take(cfg.k)

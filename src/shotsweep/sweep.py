@@ -16,8 +16,8 @@ from .evaluation import (
     partitions,
 )
 from .gateway import Client, GatewayError, ModelProfile
-from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, PromptTemplate
-from .selection import SelectionError
+from .promptkit import PromptError
+from .selection import METHODS, SelectionError
 from .vectorspace import EmbeddingProvider, VectorSpaceError
 
 DEFAULT_GRID = (0, 5, 10, 20, 40, 80, 120, 160)
@@ -46,10 +46,6 @@ class SweepPlan:
     split_kind: str = "holdout"  # "holdout" | "full"
     split_param: float = 0.8
     split_seed: int = 0
-    pool_size: int | None = None
-    pool_seed: int = 0
-    selection_seed: int = 0
-    scoring_policy: str = "strict"
     overprompting_threshold: float = DEFAULT_OVERPROMPTING_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -58,8 +54,11 @@ class SweepPlan:
         if not self.methods:
             raise SweepError("sweep needs at least one method")
         for method in self.methods:
-            if method not in ("random", "embedding", "tfidf"):
+            if method not in METHODS:
                 raise SweepError(f"unknown method {method!r}")
+        for kind, names in (("model", self.models), ("method", self.methods)):
+            if any(names.count(name) > 1 for name in names):  # names need not hash
+                raise SweepError(f"repeated {kind} in {list(names)}")
         if not self.shot_grid:
             raise SweepError("empty shot grid")
         if any(k < 0 for k in self.shot_grid):
@@ -172,14 +171,13 @@ def build_curve(
     )
     if not points:
         raise SweepError(f"no completed cells for ({model}, {method})")
-    optimal = find_optimum(points)
-    peak = next(p.weighted_f1 for p in points if p.shot_count == optimal)
     verdict = (
         detect_overprompting(points, threshold)
         if len(points) >= 2
-        else OverpromptingVerdict(False, optimal, 0.0, threshold)
+        else OverpromptingVerdict(False, points[0].shot_count, 0.0, threshold)
     )
-    return SweepCurve(model, method, points, optimal, peak, verdict)
+    peak = next(p.weighted_f1 for p in points if p.shot_count == verdict.peak_at)
+    return SweepCurve(model, method, points, verdict.peak_at, peak, verdict)
 
 
 def run_sweep(
@@ -188,13 +186,13 @@ def run_sweep(
     profiles: dict[str, ModelProfile],
     client: Client,
     provider: EmbeddingProvider | None = None,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    ordering: OrderingPolicy = OrderingPolicy(),
+    cfg: ExperimentConfig = ExperimentConfig(),
 ) -> SweepRun:
-    """Run every (model, method, shot_count) cell and assemble curves.
+    """Run every (model, method, shot_count) cell under cfg and assemble curves.
 
-    The cells share one partition, pool and space per method, and each
-    prompt is rendered once for all models (evaluation.evaluate_cells).
+    Each cell sets its own method and k; cfg gives the rest. The cells share
+    one partition, pool and space per method, and each prompt is rendered
+    once for all models (evaluation.evaluate_cells).
     Cell failures (CELL_ERRORS) are recorded in plan.cells() order and the
     sweep continues; any other exception propagates. Completions are
     cache-backed, so re-running a plan only executes what is missing.
@@ -202,16 +200,6 @@ def run_sweep(
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
-    cfg = ExperimentConfig(
-        method="random",
-        k=0,
-        pool_size=plan.pool_size,
-        pool_seed=plan.pool_seed,
-        selection_seed=plan.selection_seed,
-        scoring_policy=plan.scoring_policy,
-        template=template,
-        ordering=ordering,
-    )
     outcomes: Iterable[tuple[Cell, CellRun | Exception]]
     split = None
     if plan.split_kind == "holdout":
@@ -224,8 +212,8 @@ def run_sweep(
         outcomes = evaluate_cells(
             corpus,
             parts,
-            [profiles[m] for m in dict.fromkeys(plan.models)],
-            tuple(dict.fromkeys(plan.methods)),
+            [profiles[m] for m in plan.models],
+            plan.methods,
             plan.shot_grid,
             cfg,
             client,

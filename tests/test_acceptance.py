@@ -312,18 +312,18 @@ def test_criterion_7_reproducibility(tmp_path):
     gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
     plan = SweepPlan(
         ("mock-gold",), ("random", "tfidf"), (0, 5),
-        split_param=0.8, split_seed=0, pool_size=100,
+        split_param=0.8, split_seed=0,
     )
     profiles = {"mock-gold": ModelProfile(name="mock-gold", base_url="mock://echo-gold")}
     cache_dir = tmp_path / "cache"
     first_backend = EchoGoldBackend(gold)
     client1 = Client(cache=ResponseCache(cache_dir), mocks={"echo-gold": first_backend})
-    first = run_sweep(plan, corpus, profiles, client1)
+    first = run_sweep(plan, corpus, profiles, client1, cfg=ExperimentConfig(pool_size=100))
     assert not first.failures
     assert first_backend.calls > 0
     resumed_backend = EchoGoldBackend(gold)
     client2 = Client(cache=ResponseCache(cache_dir), mocks={"echo-gold": resumed_backend})
-    resumed = run_sweep(plan, corpus, profiles, client2)
+    resumed = run_sweep(plan, corpus, profiles, client2, cfg=ExperimentConfig(pool_size=100))
     assert not resumed.failures
     assert resumed_backend.calls == 0
     assert resumed.curves == first.curves

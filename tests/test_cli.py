@@ -64,6 +64,20 @@ class TestIngest:
         code = main(["ingest", "--data", str(PROMISE_CSV), "--scheme", "wat"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [b"[]", b'{"name": "s", "task_kind": "binary", "labels": ["FR", "NFR"]}',
+         b'{"name": "\xff"}'],
+        ids=["list", "string-labels", "not-utf8"],
+    )
+    def test_malformed_scheme_file_exits_data_code(self, tmp_path, capsys, scheme):
+        path = tmp_path / "scheme.json"
+        path.write_bytes(scheme)
+        code = main(["ingest", "--data", str(PROMISE_CSV), "--scheme", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert "data error" in err and str(path) in err
+
 
 class TestPoolSelect:
     def test_pool_counts(self, capsys):
@@ -383,6 +397,44 @@ class TestConfigErrors:
     ):
         self.test_bad_value_is_a_config_error(tmp_path, capsys, command, extra, manifest, needle)
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--dry-run"], ["sweep"], ["run"], ["cv", "--shots", "1"]],
+        ids=["sweep-dry-run", "sweep", "run", "cv"],
+    )
+    def test_unknown_scoring_policy_sends_no_request(self, tmp_path, capsys, argv):
+        payload = dict(
+            data=str(PROMISE_CSV), scheme="frnfr", pool_size=20, profiles=GOLD_PROFILES,
+            scoring_policy="strickt",
+        )
+        if argv[0] == "sweep":
+            payload.update(models=["mock-gold"], methods=["random"], grid=[0, 1])
+        else:
+            payload.update(model="mock-gold", method="random", k=1)
+        cache_dir = tmp_path / "cache"
+        code = main([*argv, "--config", write_config(tmp_path, **payload),
+                     "--out", str(tmp_path / "out"), "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "unknown scoring policy 'strickt'" in err
+        assert not list(cache_dir.rglob("*.jsonl"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, b"[system]\n\xff\xfe\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_template_is_a_config_error(self, tmp_path, capsys, content):
+        template = tmp_path / "template.txt"
+        if content is not None:
+            template.write_bytes(content)
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=1, pool_size=20, profiles=GOLD_PROFILES,
+            template=str(template),
+        )
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error" in err and str(template) in err
+
     def test_integral_float_is_an_int(self, tmp_path, capsys):
         config = write_config(
             tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
@@ -457,6 +509,21 @@ class TestSweep:
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL
         assert "FAILED" in out
+
+    @pytest.mark.parametrize(
+        "key, repeated",
+        [("models", ["mock-gold", "mock-gold"]), ("methods", ["tfidf", "random", "tfidf"])],
+        ids=["models", "methods"],
+    )
+    def test_repeated_model_or_method_is_a_config_error(self, tmp_path, capsys, key,
+                                                        repeated):
+        config = self.sweep_config(tmp_path, **{key: repeated})
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", config, "--out", str(out_dir), "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG, captured.out
+        assert f"repeated {key[:-1]}" in captured.err
+        assert not out_dir.exists()
 
     def test_run_dry_run_validates_without_artifacts(self, tmp_path, capsys):
         config = write_config(

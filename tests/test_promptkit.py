@@ -328,7 +328,7 @@ class TestBigPrompt:
         pool = build_pool(records, BINARY_FRNFR, 400, seed=0)
         model = fit_tfidf(pool.candidates)
         query = records[0].text
-        cfg = SelectionConfig("tfidf", 160, exclude_query_record=False)
+        cfg = SelectionConfig("tfidf", 160)
         selection = select(pool, query, cfg, tfidf=model)
         prompt = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query)
         assert prompt.shot_count == 160

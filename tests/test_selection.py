@@ -119,8 +119,8 @@ class TestSelect:
         pool = make_pool()
         model = fit_tfidf(pool.candidates)
         target = pool.candidates[3]
-        cfg = SelectionConfig("tfidf", 1, exclude_query_record=False)
-        result = select(pool, target, cfg, tfidf=model)
+        cfg = SelectionConfig("tfidf", 1)
+        result = select(pool, target.text, cfg, tfidf=model)
         assert result.chosen[0][0] == target.record_id
         assert abs(result.chosen[0][1] - 1.0) < 1e-9
 

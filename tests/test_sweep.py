@@ -316,9 +316,9 @@ class TestRunSweep:
     def test_pool_failure_fails_every_cell_in_plan_order(self):
         corpus = balanced_corpus(10)
         client, backend = echo_gold_client(corpus)
-        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5,
-                         pool_size=11)  # 10 train records
-        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client,
+                        cfg=ExperimentConfig(pool_size=11))  # 10 train records
         assert [(f.model, f.method, f.shot_count) for f in run.failures] == plan.cells()
         assert all("exceeds train partition size" in f.error for f in run.failures)
         assert not run.curves and backend.calls == 0
