@@ -8,6 +8,9 @@ SRC is the root of a shotsweep checkout; its `src/` is imported and its
 all from one response cache:
 
 - sweep/   the README sweep config, plus a `mock://constant/Functional` model
+- sweep-http/  the same sweep with both models sent over HTTP/1.1 to a
+           loopback chat endpoint started by this script, whose reply is a
+           pure function of (model, user message)
 - run/     `run` tfidf k=5, pool 200, holdout split
 - cv/      10-fold `cv` at the sweep's optimum (`--shots-from`)
 - replay.json          `replay` of run/trace.jsonl under first_match
@@ -23,12 +26,15 @@ directory and relative paths, so no path of SRC or OUT reaches an artifact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 SWEEP = {
@@ -64,15 +70,53 @@ CV = {
     "profiles": {"mock-gold": {"base_url": "mock://echo-gold"}},
 }
 VARYING_ROW_FIELDS = ("created_at", "latency_ms")
+# The endpoint's URL is part of each HTTP cache row's fingerprint and of the
+# manifest, so every checkout must see the same one.
+HTTP_PORT = 18741
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """An OpenAI-style chat endpoint: the sha256 of (model, user message)
+    picks the reply, so every checkout gets the same answer to a prompt."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+
+    def do_POST(self) -> None:
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        user = next(m["content"] for m in request["messages"] if m["role"] == "user")
+        digest = hashlib.sha256(f"{request['model']}\n{user}".encode("utf-8")).digest()
+        reply = ("Functional", "Non-Functional")[digest[0] % 2]
+        body = json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args: object) -> None:
+        pass
+
+
+class _ChatServer(ThreadingHTTPServer):
+    daemon_threads = True
 
 
 def build(src: Path, out: Path) -> None:
     out.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(src / "src")}
+    # loopback requests go straight to the endpoint, never through a proxy
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "no_proxy": "127.0.0.1",
+           "NO_PROXY": "127.0.0.1"}
+    server = _ChatServer(("127.0.0.1", HTTP_PORT), _ChatHandler)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    base_url = f"http://127.0.0.1:{HTTP_PORT}/v1"
+    sweep_http = {**SWEEP, "profiles": {m: {"base_url": base_url} for m in SWEEP["models"]}}
     with tempfile.TemporaryDirectory() as work:
         work_dir = Path(work)
         shutil.copyfile(src / "data" / "promise_nfr.csv", work_dir / "promise_nfr.csv")
-        for name, config in (("sweep", SWEEP), ("run", RUN), ("cv", CV)):
+        configs = (("sweep", SWEEP), ("sweep-http", sweep_http), ("run", RUN), ("cv", CV))
+        for name, config in configs:
             (work_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 
         def shotsweep(*argv: str) -> None:
@@ -83,6 +127,14 @@ def build(src: Path, out: Path) -> None:
 
         cache = ["--cache-dir", "cache"]
         shotsweep("sweep", "--config", "sweep.json", "--out", str(out / "sweep"), *cache)
+        try:
+            shotsweep(
+                "sweep", "--config", "sweep-http.json", "--out", str(out / "sweep-http"), *cache
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            serving.join()
         shotsweep("run", "--config", "run.json", "--out", str(out / "run"), *cache)
         shotsweep(
             "cv", "--config", "cv.json", "--shots-from", str(out / "sweep" / "manifest.json"),

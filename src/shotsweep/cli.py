@@ -114,6 +114,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"no such config file: {file}")
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{file}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{file}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -270,6 +272,8 @@ def _print_dry_run(args: argparse.Namespace, cfg: dict) -> int:
 
 def _template_from(cfg: dict):
     name = cfg.get("template", "default")
+    if not isinstance(name, str):
+        raise ConfigError(f"template: expected a path or \"default\", got {name!r}")
     if name == "default":
         return DEFAULT_TEMPLATE
     return load_template(name)

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan
-from .gateway import Client, CompletionRecord, ModelProfile, ParsedLabel, parse_label
+from .gateway import (
+    Client,
+    CompletionRecord,
+    ModelProfile,
+    ParsedLabel,
+    PendingCompletion,
+    parse_label,
+)
 from .promptkit import (
     DEFAULT_TEMPLATE,
     OrderingPolicy,
@@ -18,7 +24,7 @@ from .promptkit import (
     PromptTemplate,
     render_prompt,
 )
-from .selection import FewShotPool, Ranking, SelectionConfig, build_pool, rank
+from .selection import METHODS, FewShotPool, Ranking, SelectionConfig, build_pool, rank
 from .vectorspace import (
     EmbeddingMatrix,
     EmbeddingProvider,
@@ -160,6 +166,8 @@ class ExperimentConfig:
     ordering: OrderingPolicy = OrderingPolicy()
 
     def __post_init__(self) -> None:
+        if self.method is not None and self.method not in METHODS:
+            raise EvaluationError(f"unknown selection method {self.method!r}")
         if self.scoring_policy not in SCORING_POLICIES:
             raise EvaluationError(f"unknown scoring policy {self.scoring_policy!r}")
 
@@ -260,41 +268,34 @@ def _rank_all(
 
 def _complete_each(
     client: Client,
-    executor: ThreadPoolExecutor,
     profiles: Sequence[ModelProfile],
     prompt: PromptSpec,
     cell_errors: tuple[type[Exception], ...],
 ) -> list[CompletionRecord | Exception]:
     """Each profile's completion of prompt, or the cell error it raised, in order.
 
-    Cache hits are looked up on the calling thread. The misses are sent at
-    once, one per profile: the first by the calling thread itself, the rest
-    through executor. All of them finish before any is read, so an
-    exception outside cell_errors propagates with nothing left in flight.
+    All on the calling thread: every profile's request is sent first (a
+    cache hit sends none), then the replies are read in profiles order, and
+    only then is a first attempt that failed in transport retried. An
+    exception outside cell_errors closes the connections whose replies are
+    unread and propagates.
     """
-    outcomes: list[CompletionRecord | Exception | None] = []
-    for profile in profiles:
-        try:
-            outcomes.append(client.lookup(profile, prompt))
-        except cell_errors as exc:
-            outcomes.append(exc)
-    missed = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not missed:
-        return outcomes  # type: ignore[return-value]  # no None is left
-    first, *rest = missed
-    futures = {i: executor.submit(client.complete, profiles[i], prompt) for i in rest}
+    pending: list[PendingCompletion] = []
     try:
-        outcomes[first] = client.complete(profiles[first], prompt)
-    except cell_errors as exc:
-        outcomes[first] = exc
+        for profile in profiles:
+            pending.append(client.start(profile, prompt))
+        for completion in pending:
+            completion.read()
+        outcomes: list[CompletionRecord | Exception] = []
+        for completion in pending:
+            try:
+                outcomes.append(completion.finish())
+            except cell_errors as exc:
+                outcomes.append(exc)
+        return outcomes
     finally:
-        wait(futures.values())
-    for i, future in futures.items():
-        try:
-            outcomes[i] = future.result()
-        except cell_errors as exc:
-            outcomes[i] = exc
-    return outcomes  # type: ignore[return-value]
+        for completion in pending:
+            completion.close()
 
 
 def evaluate_cells(
@@ -316,9 +317,10 @@ def evaluate_cells(
     once. Per partition and method, the space is fitted once and each test
     record ranked once, to the largest k, and every k slices that ranking.
     Each prompt is rendered once (a zero-shot prompt once for every method)
-    and sent to every model at once, one
-    request in flight per model; results are parsed (once per distinct
-    completion text), scored and recorded in profiles order. cfg gives
+    and sent to every model before any reply is read, one request in flight
+    per model, all from the calling thread (no other thread is started);
+    results are parsed (once per distinct completion text), scored and
+    recorded in profiles order. cfg gives
     everything but the method and k. Each prediction also goes to trace, if
     one is given (run and cv pass one for their single cell).
 
@@ -362,85 +364,78 @@ def evaluate_cells(
             return exc
 
     last = len(partitions) - 1
-    # the calling thread sends one model's request, a worker each other's
-    executor = ThreadPoolExecutor(max_workers=max(len(profiles) - 1, 1))
-    try:
-        for index, (train, test) in enumerate(partitions):
-            for predictions in collected.values():
-                predictions.append([])
-            # the last partition's pool, rankings and prompts go before the next pool
-            pool = rankings = zero_shot = None
-            try:
-                pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-                pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
-            except cell_errors as exc:
-                for method in methods:
-                    fail(exc, method, grid, profiles)
-                continue
-            # a zero-shot prompt does not depend on the method: render it once
-            zero_shot: dict[int, PromptSpec | Exception] = {}
+    for index, (train, test) in enumerate(partitions):
+        for predictions in collected.values():
+            predictions.append([])
+        # the last partition's pool, rankings and prompts go before the next pool
+        pool = rankings = zero_shot = None
+        try:
+            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
+            pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
+        except cell_errors as exc:
             for method in methods:
-                sel_cfg = SelectionConfig(
-                    method, max((k for k in grid if live(method, k)), default=0),
-                    cfg.selection_seed,
-                )
-                try:
-                    rankings = _rank_all(pool, test, sel_cfg, provider)
-                except cell_errors as exc:
-                    fail(exc, method, [k for k in grid if k > 0], profiles)
-                    rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
+                fail(exc, method, grid, profiles)
+            continue
+        # a zero-shot prompt does not depend on the method: render it once
+        zero_shot: dict[int, PromptSpec | Exception] = {}
+        for method in methods:
+            sel_cfg = SelectionConfig(
+                method, max((k for k in grid if live(method, k)), default=0),
+                cfg.selection_seed,
+            )
+            try:
+                rankings = _rank_all(pool, test, sel_cfg, provider)
+            except cell_errors as exc:
+                fail(exc, method, [k for k in grid if k > 0], profiles)
+                rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
 
-                for k in grid:
-                    for position, (record, ranking) in enumerate(zip(test, rankings)):
-                        models = live(method, k)
-                        if not models:
-                            break
-                        prompt = zero_shot.get(position) if k == 0 else None
-                        if prompt is None:
-                            try:
-                                prompt = render_prompt(
-                                    cfg.template, scheme, ranking.take(k), pool,
-                                    record.text, cfg.ordering,
-                                )
-                            except cell_errors as exc:
-                                prompt = exc
-                            if k == 0:
-                                zero_shot[position] = prompt
-                        if isinstance(prompt, Exception):
-                            fail(prompt, method, [k], models)
-                            break
-                        completions = _complete_each(
-                            client, executor, models, prompt, cell_errors
-                        )
-                        for profile, completion in zip(models, completions):
-                            if isinstance(completion, Exception):
-                                fail(completion, method, [k], [profile])
-                                continue
-                            parsed = parsed_by_text.get(completion.text)
-                            if parsed is None:
-                                parsed = parse_label(completion.text, scheme)
-                                parsed_by_text[completion.text] = parsed
-                            pred = Prediction(
-                                record_id=record.record_id,
-                                gold=record.label,
-                                parsed=parsed,
-                                scored_as=score_prediction(parsed, cfg.scoring_policy),
-                                content_hash=prompt.content_hash,
+            for k in grid:
+                for position, (record, ranking) in enumerate(zip(test, rankings)):
+                    models = live(method, k)
+                    if not models:
+                        break
+                    prompt = zero_shot.get(position) if k == 0 else None
+                    if prompt is None:
+                        try:
+                            prompt = render_prompt(
+                                cfg.template, scheme, ranking.take(k), pool,
+                                record.text, cfg.ordering,
                             )
-                            if trace is not None:
-                                trace.write_prediction(TraceRow(
-                                    record.record_id, record.label, completion.text,
-                                    prompt.content_hash,
-                                ))
-                            collected[(profile.name, method, k)][-1].append(pred)
-                    if index == last:
-                        for profile in profiles:
-                            cell = (profile.name, method, k)
-                            yield cell, finish(cell)
-        for cell in list(collected):  # the last partition could not build its pool
-            yield cell, finish(cell)
-    finally:
-        executor.shutdown(cancel_futures=True)
+                        except cell_errors as exc:
+                            prompt = exc
+                        if k == 0:
+                            zero_shot[position] = prompt
+                    if isinstance(prompt, Exception):
+                        fail(prompt, method, [k], models)
+                        break
+                    completions = _complete_each(client, models, prompt, cell_errors)
+                    for profile, completion in zip(models, completions):
+                        if isinstance(completion, Exception):
+                            fail(completion, method, [k], [profile])
+                            continue
+                        parsed = parsed_by_text.get(completion.text)
+                        if parsed is None:
+                            parsed = parse_label(completion.text, scheme)
+                            parsed_by_text[completion.text] = parsed
+                        pred = Prediction(
+                            record_id=record.record_id,
+                            gold=record.label,
+                            parsed=parsed,
+                            scored_as=score_prediction(parsed, cfg.scoring_policy),
+                            content_hash=prompt.content_hash,
+                        )
+                        if trace is not None:
+                            trace.write_prediction(TraceRow(
+                                record.record_id, record.label, completion.text,
+                                prompt.content_hash,
+                            ))
+                        collected[(profile.name, method, k)][-1].append(pred)
+                if index == last:
+                    for profile in profiles:
+                        cell = (profile.name, method, k)
+                        yield cell, finish(cell)
+    for cell in list(collected):  # the last partition could not build its pool
+        yield cell, finish(cell)
 
 
 def partitions(

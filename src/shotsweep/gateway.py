@@ -500,13 +500,40 @@ def _connect(route: _Route, timeout: float) -> _Connection:
     return _Connection(sock)
 
 
+def _write(conn: _Connection, request: bytes, timeout: float) -> _Connection:
+    """Send request on conn in one write; conn is closed if that fails."""
+    try:
+        if conn.sock.gettimeout() != timeout:  # settimeout releases the GIL
+            conn.sock.settimeout(timeout)
+        conn.sock.sendall(request)
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+@dataclass
+class _Sent:
+    """A request written to a checked-out connection, its reply not yet read."""
+
+    url: str
+    key: tuple[str, str]  # (scheme, host) of url
+    route: _Route
+    request: bytes
+    timeout: float
+    conn: _Connection | None  # None once read, or if a reused one failed the write
+    reused: bool
+
+
 class _ConnectionPool:
     """Idle HTTP/1.1 connections per (scheme, host), reused request after request.
 
-    A request checks a connection out and back in, and a connection is only
-    made when none is idle, so no more are open than requests were in flight
-    at once. Routes (proxy or direct) are resolved once per (scheme, host).
-    A request is one write; a connection its reply ends is closed instead.
+    send() checks a connection out and writes a request on it; receive()
+    reads the reply and checks the connection back in. A connection is only
+    made when none is idle, so no more are open than requests were in
+    flight at once. Routes (proxy or direct) are resolved once per (scheme,
+    host). A request is one write; a connection its reply ends is closed
+    instead, and so is one whose reply is never read (discard()).
     """
 
     def __init__(self) -> None:
@@ -514,10 +541,8 @@ class _ConnectionPool:
         self._routes: dict[tuple[str, str], _Route] = {}
         self._lock = threading.Lock()
 
-    def post(
-        self, url: str, body: bytes, headers: dict[str, str], timeout: float
-    ) -> tuple[int, bytes]:
-        """POST body to url; (status, body). OSError, or ValueError for a bad reply."""
+    def send(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> _Sent:
+        """POST body to url; receive() reads the reply. Raises OSError."""
         parts = urllib.parse.urlsplit(url)
         key = (parts.scheme, parts.netloc)
         with self._lock:
@@ -536,23 +561,38 @@ class _ConnectionPool:
             f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
             f"Accept-Encoding: identity\r\n{fields}Content-Length: {len(body)}\r\n\r\n"
         ).encode("latin-1") + body
-        if conn is not None:
-            # A reused connection the server has since closed fails before
-            # any status line; that is no answer, so send once more afresh.
-            try:
-                return self._exchange(key, conn, request, timeout)
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        return self._exchange(key, _connect(route, timeout), request, timeout)
+        if conn is None:
+            conn = _write(_connect(route, timeout), request, timeout)
+            return _Sent(url, key, route, request, timeout, conn, reused=False)
+        try:
+            _write(conn, request, timeout)
+        except (ConnectionResetError, BrokenPipeError):
+            conn = None  # closed by _write; receive() sends afresh
+        return _Sent(url, key, route, request, timeout, conn, reused=True)
 
-    def _exchange(
-        self, key: tuple[str, str], conn: _Connection, request: bytes, timeout: float
-    ) -> tuple[int, bytes]:
+    def receive(self, sent: _Sent) -> tuple[int, bytes]:
+        """The reply to sent: (status, body). OSError, or ValueError for a bad reply."""
+        conn, sent.conn = sent.conn, None
+        if conn is not None:
+            try:
+                return self._read(sent.key, conn)
+            except (ConnectionResetError, BrokenPipeError):
+                if not sent.reused:
+                    raise
+        # A reused connection the server has since closed fails before any
+        # status line; that is no answer, so send once more afresh.
+        conn = _write(_connect(sent.route, sent.timeout), sent.request, sent.timeout)
+        return self._read(sent.key, conn)
+
+    def discard(self, sent: _Sent) -> None:
+        """Close sent's connection if its reply has not been read."""
+        if sent.conn is not None:
+            sent.conn.close()
+            sent.conn = None
+
+    def _read(self, key: tuple[str, str], conn: _Connection) -> tuple[int, bytes]:
         keep_alive = False
         try:
-            if conn.sock.gettimeout() != timeout:  # settimeout releases the GIL
-                conn.sock.settimeout(timeout)
-            conn.sock.sendall(request)
             status, body, keep_alive = _read_reply(conn.rfile)
             return status, body
         finally:
@@ -570,15 +610,24 @@ class _ConnectionPool:
                 conn.close()
 
 
-def _post_json(
+def _send_json(
     pool: _ConnectionPool, url: str, payload: dict, api_key: str | None, timeout: float
-) -> dict:
+) -> _Sent:
+    """POST payload to url as JSON; _reply_json reads the reply."""
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     try:
-        status, raw = pool.post(url, body, headers, timeout)
+        return pool.send(url, body, headers, timeout)
+    except OSError as exc:
+        raise TransportError(f"{url} unreachable: {exc}") from exc
+
+
+def _reply_json(pool: _ConnectionPool, sent: _Sent) -> dict:
+    url = sent.url
+    try:
+        status, raw = pool.receive(sent)
     except (OSError, ValueError) as exc:  # ValueError: a malformed or truncated reply
         raise TransportError(f"{url} unreachable: {exc}") from exc
     if status == 429 or status >= 500:
@@ -591,6 +640,140 @@ def _post_json(
         raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
 
 
+def _post_json(
+    pool: _ConnectionPool, url: str, payload: dict, api_key: str | None, timeout: float
+) -> dict:
+    return _reply_json(pool, _send_json(pool, url, payload, api_key, timeout))
+
+
+def _chat_text(response: dict) -> str:
+    try:
+        return response["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed chat response: {response}") from exc
+
+
+def _vectors(response: dict) -> list[list[float]]:
+    try:
+        rows = sorted(response["data"], key=lambda item: item["index"])
+        return [list(map(float, row["embedding"])) for row in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed embeddings response: {response}") from exc
+
+
+class _Attempts:
+    """One request to a profile's endpoint, tried up to profile.max_attempts
+    times on the calling thread.
+
+    Each attempt waits for the profile's rate limiter, then send() starts it
+    and read(handle) takes its answer. A GatewayError from either is kept
+    for result(), which retries a TransportError after a backoff and raises
+    any other; any other exception propagates at once.
+    """
+
+    def __init__(self, client: "Client", profile: ModelProfile, send, read):
+        self._client, self._profile, self._send, self._read = client, profile, send, read
+        self.attempt = 0
+        self.latency_ms = 0.0  # from the answered attempt's send to the read of its answer
+        self._failures: list[str] = []
+        self._start()
+
+    def _start(self) -> None:
+        self.attempt += 1
+        limiter = self._client._limiter_for(self._profile)
+        if limiter is not None:
+            limiter.acquire(self._client.sleeper)
+        self._handle = self._value = self._error = None
+        self._unread = True
+        self._sent_at = time.monotonic()
+        try:
+            self._handle = self._send()
+        except GatewayError as exc:
+            self._error, self._unread = exc, False
+
+    def read(self) -> None:
+        """Take the answer of the attempt in flight, if not taken yet."""
+        if not self._unread:
+            return
+        self._unread = False
+        handle, self._handle = self._handle, None
+        try:
+            self._value = self._read(handle)
+        except GatewayError as exc:
+            self._error = exc
+        self.latency_ms = (time.monotonic() - self._sent_at) * 1000.0
+
+    def result(self) -> object:
+        self.read()
+        while isinstance(self._error, TransportError):
+            self._failures.append(f"attempt {self.attempt}: {self._error}")
+            if self.attempt == self._profile.max_attempts:
+                raise TransportError(
+                    f"{self._profile.name}: gave up after {self.attempt} attempts",
+                    self._failures,
+                ) from self._error
+            delay = self._profile.backoff_base_s * (2 ** (self.attempt - 1))
+            self._client.sleeper(delay * (1.0 + random.random() * 0.25))
+            self._start()
+            self.read()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def close(self) -> None:
+        """Close the connection of an answer never read."""
+        if isinstance(self._handle, _Sent):
+            self._client._pool.discard(self._handle)
+
+
+class PendingCompletion:
+    """A completion Client.start began: a cache hit, a refused prompt, or a
+    request in flight.
+
+    read() reads the reply of the request in flight. finish() reads it too
+    if read() has not, retries a transport failure, caches and returns the
+    record, or raises the GatewayError. close() closes the connection of a
+    reply never read.
+    """
+
+    def __init__(self, client: "Client", profile: ModelProfile, prompt: PromptSpec):
+        self._client, self._profile, self._prompt = client, profile, prompt
+        self._attempts: _Attempts | None = None
+        self._error: GatewayError | None = None
+        try:
+            self._record = client.lookup(profile, prompt)
+            if self._record is None:
+                self._attempts = client._chat_attempts(profile, prompt)
+        except GatewayError as exc:
+            self._error = exc
+
+    def read(self) -> None:
+        if self._attempts is not None:
+            self._attempts.read()
+
+    def finish(self) -> CompletionRecord:
+        if self._error is not None:
+            raise self._error
+        if self._record is None:
+            assert self._attempts is not None
+            text = self._attempts.result()
+            self._record = CompletionRecord(
+                content_hash=self._prompt.content_hash,
+                text=str(text),
+                latency_ms=self._attempts.latency_ms,
+                attempts=self._attempts.attempt,
+                model=self._profile.name,
+                created_at=datetime.now(timezone.utc).isoformat(),
+                fingerprint=self._profile.request_fingerprint,
+            )
+            self._client.cache.put_completion(self._record)
+        return self._record
+
+    def close(self) -> None:
+        if self._attempts is not None:
+            self._attempts.close()
+
+
 @dataclass
 class Client:
     """Single entry point for completions and embeddings.
@@ -598,8 +781,12 @@ class Client:
     base_url schemes: http(s):// goes over the wire with bounded retries,
     on HTTP/1.1 connections kept open between requests until close();
     mock://<name> resolves a registered in-process backend (still cached, so
-    cache-contract tests count real backend calls). Safe to call from
-    several threads at once.
+    cache-contract tests count real backend calls).
+
+    start() sends a completion's request and returns at once, so one thread
+    can have a request in flight to each of several models; complete() is
+    start() finished at once. Retries, their backoff and the rate limiter
+    all run on the calling thread. Safe to call from several threads at once.
     """
 
     cache: ResponseCache = field(default_factory=ResponseCache)
@@ -634,28 +821,14 @@ class Client:
                 self._limiters[profile.name] = limiter
             return limiter
 
-    def _with_retries(self, profile: ModelProfile, on_mock, on_http) -> tuple[object, int]:
-        """on_mock(backend) for a mock:// profile's registered backend, else
-        on_http(), retried on TransportError; and the attempt that returned."""
+    def _backend(self, profile: ModelProfile) -> object | None:
+        """The registered backend of a mock:// profile; None for an HTTP one."""
         name = mock_name(profile.base_url)
-        if name is not None and name not in self.mocks:
+        if name is None:
+            return None
+        if name not in self.mocks:
             raise GatewayError(f"no mock backend registered as {name!r}")
-        trace: list[str] = []
-        for attempt in range(1, profile.max_attempts + 1):
-            limiter = self._limiter_for(profile)
-            if limiter is not None:
-                limiter.acquire(self.sleeper)
-            try:
-                return (on_http() if name is None else on_mock(self.mocks[name])), attempt
-            except TransportError as exc:
-                trace.append(f"attempt {attempt}: {exc}")
-                if attempt == profile.max_attempts:
-                    raise TransportError(
-                        f"{profile.name}: gave up after {attempt} attempts", trace
-                    ) from exc
-                delay = profile.backoff_base_s * (2 ** (attempt - 1))
-                self.sleeper(delay * (1.0 + random.random() * 0.25))
-        raise AssertionError("unreachable")
+        return self.mocks[name]
 
     def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
         """The cached completion complete() would return, or None on a miss.
@@ -674,29 +847,22 @@ class Client:
             profile.name, profile.request_fingerprint, prompt.content_hash
         )
 
-    def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
-        cached = self.lookup(profile, prompt)
-        if cached is not None:
-            return cached
-        started = time.monotonic()
-        text, attempts = self._with_retries(
-            profile,
-            lambda mock: mock.respond(profile, prompt),
-            lambda: self._http_chat(profile, prompt),
-        )
-        record = CompletionRecord(
-            content_hash=prompt.content_hash,
-            text=str(text),
-            latency_ms=(time.monotonic() - started) * 1000.0,
-            attempts=attempts,
-            model=profile.name,
-            created_at=datetime.now(timezone.utc).isoformat(),
-            fingerprint=profile.request_fingerprint,
-        )
-        self.cache.put_completion(record)
-        return record
+    def start(self, profile: ModelProfile, prompt: PromptSpec) -> PendingCompletion:
+        """Begin prompt's completion and return before its reply is read.
 
-    def _http_chat(self, profile: ModelProfile, prompt: PromptSpec) -> str:
+        A cache hit sends nothing. A miss waits for the profile's rate
+        limiter and sends its request (a mock's is answered when read). A
+        GatewayError, such as a refused prompt, is raised by finish().
+        """
+        return PendingCompletion(self, profile, prompt)
+
+    def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
+        return self.start(profile, prompt).finish()
+
+    def _chat_attempts(self, profile: ModelProfile, prompt: PromptSpec) -> _Attempts:
+        backend = self._backend(profile)
+        if backend is not None:
+            return _Attempts(self, profile, lambda: None, lambda _: backend.respond(profile, prompt))
         payload = {
             "model": profile.name,
             "messages": [
@@ -707,14 +873,12 @@ class Client:
             "max_tokens": profile.max_output_tokens,
         }
         url = profile.base_url.rstrip("/") + "/chat/completions"
-        response = _post_json(
-            self._pool, url, payload, os.environ.get(profile.api_key_env),
-            profile.timeout_s,
+        api_key = os.environ.get(profile.api_key_env)
+        return _Attempts(
+            self, profile,
+            lambda: _send_json(self._pool, url, payload, api_key, profile.timeout_s),
+            lambda sent: _chat_text(_reply_json(self._pool, sent)),
         )
-        try:
-            return response["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed chat response: {response}") from exc
 
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
@@ -726,11 +890,7 @@ class Client:
             if self.cache.get_embedding(*key, text) is None
         ]
         if missing:
-            vectors, _ = self._with_retries(
-                profile,
-                lambda mock: mock.embed_batch(missing),
-                lambda: self._http_embed(profile, missing),
-            )
+            vectors = self._embed_attempts(profile, missing).result()
             if len(vectors) != len(missing):
                 raise ProtocolError(
                     f"{profile.name}: {len(vectors)} vectors for {len(missing)} texts"
@@ -754,18 +914,17 @@ class Client:
             out.append(list(vector))
         return out
 
-    def _http_embed(self, profile: ModelProfile, texts: list[str]) -> list[list[float]]:
-        payload = {"model": profile.name, "input": list(texts)}
+    def _embed_attempts(self, profile: ModelProfile, texts: list[str]) -> _Attempts:
+        backend = self._backend(profile)
+        if backend is not None:
+            return _Attempts(self, profile, lambda: None, lambda _: backend.embed_batch(texts))
+        payload = {"model": profile.name, "input": texts}
         url = profile.base_url.rstrip("/") + "/embeddings"
-        response = _post_json(
-            self._pool, url, payload, os.environ.get(profile.api_key_env),
-            profile.timeout_s,
-        )
-        try:
-            rows = sorted(response["data"], key=lambda item: item["index"])
-            return [list(map(float, row["embedding"])) for row in rows]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed embeddings response: {response}") from exc
+        api_key = os.environ.get(profile.api_key_env)
+        # a batch is sent and read in one step: nothing else is in flight beside it
+        return _Attempts(self, profile, lambda: None, lambda _: _vectors(
+            _post_json(self._pool, url, payload, api_key, profile.timeout_s)
+        ))
 
 
 class GatewayEmbeddingProvider:

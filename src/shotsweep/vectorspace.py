@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
+# One matrix-vector product per query gains nothing from an idle BLAS worker thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .corpus import RequirementRecord

@@ -419,6 +419,45 @@ class TestConfigErrors:
         assert not list(cache_dir.rglob("*.jsonl"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "--dry-run"], ["cv", "--shots", "1"], ["cv", "--shots", "1", "--dry-run"]],
+        ids=["run", "run-dry-run", "cv", "cv-dry-run"],
+    )
+    def test_unknown_method_sends_no_request(self, tmp_path, capsys, argv):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="nearest", k=1, pool_size=20, profiles=GOLD_PROFILES,
+        )
+        cache_dir = tmp_path / "cache"
+        code = main([*argv, "--config", config, "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "unknown selection method 'nearest'" in err
+        assert not list(cache_dir.rglob("*.jsonl"))
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"k": "\xff"}')
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error" in err and str(config) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--dry-run"]], ids=["run", "run-dry-run"])
+    def test_template_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, argv):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=1, pool_size=20, profiles=GOLD_PROFILES, template=5,
+        )
+        code = main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error: template: expected a path" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [None, b"[system]\n\xff\xfe\n"],
                              ids=["missing", "not-utf8"])
     def test_unreadable_template_is_a_config_error(self, tmp_path, capsys, content):

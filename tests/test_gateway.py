@@ -658,6 +658,30 @@ def test_cli_import_loads_no_network_stack():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
+def test_cli_import_starts_no_thread(preset):
+    """Importing the CLI, numpy included, leaves the process on one thread:
+    OpenBLAS gets one thread unless the caller set its own count first."""
+    code = (
+        "import os, sys, shotsweep.cli\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'],"
+        " 'concurrent.futures' in sys.modules)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    threads, blas_threads, pool_loaded = result.stdout.split()
+    assert blas_threads == (preset or "1")
+    assert pool_loaded == "False"
+    if preset is None:
+        assert threads == "1"
+
+
 class TestEmbedBatch:
     def embed_client(self, dim=8):
         provider = HashEmbeddingProvider(dim)

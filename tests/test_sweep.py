@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import threading
 import time
@@ -14,6 +15,7 @@ from shotsweep import (
     EchoGoldBackend,
     HashEmbeddingProvider,
     ModelProfile,
+    PromptSpec,
     SelectionConfig,
     SweepPlan,
     build_pool,
@@ -33,10 +35,12 @@ from shotsweep.evaluation import (
     fit_spaces,
     partitions,
 )
-from shotsweep.gateway import CallableBackend, GatewayError
+from shotsweep import gateway
+from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
 from shotsweep.reporting import artifact_json
 from shotsweep.sweep import (
+    CELL_ERRORS,
     CurvePoint,
     SweepError,
     build_curve,
@@ -425,21 +429,174 @@ def jittered_backend(seed):
     return CallableBackend(respond)
 
 
+def chat_reply(text):
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+class BarrierEndpoint(ChatEndpoint):
+    """Answers each query with its gold label, but only while another
+    request is being answered too."""
+
+    def __init__(self, gold):
+        super().__init__()
+        self.gold = gold
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def respond(self, target, headers, body):
+        user_message = json.loads(body)["messages"][1]["content"]
+        query = user_message.rpartition("Input: ")[2].removesuffix("\nCategory:")
+        self.barrier.wait()  # returns only while the other model's request is in flight
+        return 200, chat_reply(self.gold[query])
+
+
+class ScriptedEndpoint(ChatEndpoint):
+    """Answers every model "Functional" and logs ("request"|"reply", model)
+    in order; a model in fail_first gets a 503 for its first request, and a
+    model in slow waits 0.2 s before each reply."""
+
+    def __init__(self, fail_first=(), slow=()):
+        super().__init__()
+        self.fail_first, self.slow = set(fail_first), set(slow)
+        self.events = []
+
+    def respond(self, target, headers, body):
+        model = json.loads(body)["model"]
+        with self.lock:
+            self.events.append(("request", model))
+            first = self.events.count(("request", model)) == 1
+        if model in self.slow:
+            time.sleep(0.2)
+        with self.lock:
+            self.events.append(("reply", model))
+        if first and model in self.fail_first:
+            return 503, b"{}"
+        return 200, chat_reply("Functional")
+
+
+def http_profiles(endpoint, names, **fields):
+    return {n: ModelProfile(name=n, base_url=endpoint.base_url, **fields) for n in names}
+
+
+def dispatch(corpus, profiles, client, n_prompts):
+    """Run the sweep engine over the first n_prompts records as zero-shot
+    queries, one prompt each, to every profile."""
+    records = list(corpus.records)
+    parts = [(records[n_prompts:], records[:n_prompts])]
+    return dict(evaluate_cells(
+        corpus, parts, list(profiles.values()), ["random"], [0], ExperimentConfig(),
+        client, None, "first-records", cell_errors=CELL_ERRORS,
+    ))
+
+
 class TestConcurrentDispatch:
     def test_models_are_sent_each_prompt_at_once(self):
         corpus = balanced_corpus(6)
         gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
-        barrier = threading.Barrier(2, timeout=5)
-
-        def respond(profile, prompt):
-            barrier.wait()  # returns only while the other model's request is in flight
-            return gold[prompt.query_text]
-
-        client = Client(mocks={"rec": CallableBackend(respond)})
-        plan = SweepPlan(("m1", "m2"), ("tfidf",), (0, 2), split_param=0.5)
-        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client)
+        endpoint = BarrierEndpoint(gold)
+        try:
+            # one attempt: a dispatcher that reads a reply before the next send fails fast
+            profiles = http_profiles(endpoint, ("m1", "m2"), max_attempts=1)
+            plan = SweepPlan(("m1", "m2"), ("tfidf",), (0, 2), split_param=0.5)
+            with Client() as client:
+                run = run_sweep(plan, corpus, profiles, client)
+        finally:
+            endpoint.stop()
         assert not run.failures
         assert all(r.weighted_f1 == 1.0 for r in run.reports.values())
+
+    def test_every_backend_call_runs_on_the_calling_thread(self):
+        corpus = balanced_corpus(6)
+        callers = []
+
+        def respond(profile, prompt):
+            callers.append(threading.get_ident())
+            return "Functional"
+
+        threads_before = threading.active_count()
+        client = Client(mocks={"rec": CallableBackend(respond)})
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"], "rec"), client)
+        assert not run.failures
+        assert len(callers) == 2 * 3 * 6  # a k=0 prompt is answered once for both methods
+        assert set(callers) == {threading.get_ident()}
+        assert threading.active_count() == threads_before
+
+    def test_transport_failure_retried_after_other_models_reply_is_read(self, tmp_path):
+        corpus = balanced_corpus(3)
+        endpoint = ScriptedEndpoint(fail_first={"m1"}, slow={"m2"})
+        try:
+            profiles = http_profiles(endpoint, ("m1", "m2"))
+            with Client(cache=ResponseCache(tmp_path), sleeper=lambda s: None) as client:
+                cells = dispatch(corpus, profiles, client, 1)
+        finally:
+            endpoint.stop()
+        assert all(isinstance(outcome, CellRun) for outcome in cells.values())
+        events = endpoint.events
+        retry = len(events) - 1 - events[::-1].index(("request", "m1"))
+        assert events.count(("request", "m1")) == 2
+        assert events.index(("reply", "m2")) < retry
+        rows = [
+            json.loads(line)
+            for segment in (tmp_path / "completions").glob("*.jsonl")
+            for line in segment.read_text().splitlines()
+        ]
+        assert {row["model"]: row["attempts"] for row in rows} == {"m1": 2, "m2": 1}
+
+    def test_rate_limited_models_wait_the_longer_wait_not_the_sum(self):
+        corpus = balanced_corpus(3)
+        endpoint = ChatEndpoint(reply="Functional")
+        sleeps = []
+
+        def sleeper(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+        try:
+            profiles = {
+                "m1": ModelProfile(name="m1", base_url=endpoint.base_url, rate_limit_per_s=10),
+                "m2": ModelProfile(name="m2", base_url=endpoint.base_url, rate_limit_per_s=5),
+            }
+            with Client(sleeper=sleeper) as client:
+                cells = dispatch(corpus, profiles, client, 2)  # the first prompt waits for none
+        finally:
+            endpoint.stop()
+        assert all(isinstance(outcome, CellRun) for outcome in cells.values())
+        # the second prompt waits up to 0.1 s for m1, then what is left of m2's 0.2 s
+        assert 0.1 < sum(sleeps) < 0.2
+
+    def test_harness_bug_while_sending_closes_the_unread_connection(self, monkeypatch):
+        corpus = balanced_corpus(3)
+        endpoint = ChatEndpoint(reply="Functional")
+        send, connect = _ConnectionPool.send, gateway._connect
+        sends, connects = [], []
+
+        def send_or_fail(pool, *args):
+            sends.append(args[0])
+            if len(sends) == 2:
+                raise KeyError("bug while sending the second model's request")
+            return send(pool, *args)
+
+        def counted_connect(*args):
+            connects.append(args[0])
+            return connect(*args)
+
+        monkeypatch.setattr(_ConnectionPool, "send", send_or_fail)
+        monkeypatch.setattr(gateway, "_connect", counted_connect)
+        try:
+            profiles = http_profiles(endpoint, ("m1", "m2"))
+            with Client() as client:
+                with pytest.raises(KeyError):
+                    dispatch(corpus, profiles, client, 1)
+                assert len(connects) == 1
+                # m1's reply was never read: its connection was closed, not made idle
+                record = client.complete(profiles["m1"], PromptSpec(
+                    "system", "Input: another query\nCategory:", (), 0, "v", "hash-2",
+                    "another query",
+                ))
+        finally:
+            endpoint.stop()
+        assert record.text == "Functional" and record.attempts == 1
+        assert len(connects) == 2
 
     def test_results_do_not_depend_on_response_timing(self, tmp_path):
         corpus = balanced_corpus(10)
