@@ -182,7 +182,7 @@ def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfi
                 if base
                 else ModelProfile(**{"name": name, **fields})
             )
-        except TypeError as exc:
+        except (TypeError, GatewayError) as exc:  # an unknown field, or a bad value
             raise ConfigError(f"profile {name!r}: {exc}") from exc
     if model is not None and model not in profiles:
         raise ConfigError(f"model {model!r} has no profile")

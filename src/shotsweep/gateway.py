@@ -10,7 +10,6 @@ import os
 import random
 import re
 import sys
-import threading
 import time
 import urllib.parse
 import weakref
@@ -65,6 +64,16 @@ class ModelProfile:
             raise GatewayError(f"unknown endpoint kind {self.kind!r}")
         if self.context_window <= 0:
             raise GatewayError("context_window must be positive")
+        if isinstance(self.max_attempts, bool) or not isinstance(self.max_attempts, int):
+            raise GatewayError(f"max_attempts must be an int, got {self.max_attempts!r}")
+        if self.max_attempts < 1:
+            raise GatewayError("max_attempts must be at least 1")
+        if self.rate_limit_per_s is not None and not self.rate_limit_per_s > 0:
+            raise GatewayError("rate_limit_per_s must be null or above 0")
+        if not self.timeout_s > 0:
+            raise GatewayError("timeout_s must be above 0")
+        if not self.backoff_base_s >= 0:
+            raise GatewayError("backoff_base_s must be at least 0")
         if not self.provider_tag:
             object.__setattr__(self, "provider_tag", self.name)
 
@@ -221,7 +230,6 @@ class ResponseCache:
         self._dir = Path(directory) if directory is not None else None
         self._completions: dict[tuple[str, str, str], CompletionRecord] = {}
         self._embeddings: dict[tuple[str, str, str], tuple[float, ...]] = {}
-        self._lock = threading.Lock()
         self._segments: dict[str, IO[str]] = {}  # bucket -> this cache's segment
         weakref.finalize(self, _close_segments, self._segments)
         self.torn_lines = 0
@@ -271,51 +279,45 @@ class ResponseCache:
 
     def close(self) -> None:
         """Close this cache's open segments."""
-        with self._lock:
-            _close_segments(self._segments)
+        _close_segments(self._segments)
 
     def get_completion(
         self, model: str, fingerprint: str, content_hash: str
     ) -> CompletionRecord | None:
-        with self._lock:
-            return self._completions.get((model, fingerprint, content_hash))
+        return self._completions.get((model, fingerprint, content_hash))
 
     def put_completion(self, record: CompletionRecord) -> None:
         key = (record.model, record.fingerprint, record.content_hash)
-        with self._lock:
-            if key in self._completions:
-                return
-            self._completions[key] = record
-            # getattr, not vars(record): vars would give every cached record a dict
-            self._append("completions", {f.name: getattr(record, f.name) for f in fields(record)})
+        if key in self._completions:
+            return
+        self._completions[key] = record
+        # getattr, not vars(record): vars would give every cached record a dict
+        self._append("completions", {f.name: getattr(record, f.name) for f in fields(record)})
 
     def get_embedding(
         self, tag: str, fingerprint: str, text: str
     ) -> tuple[float, ...] | None:
-        with self._lock:
-            return self._embeddings.get((tag, fingerprint, text))
+        return self._embeddings.get((tag, fingerprint, text))
 
     def put_embedding(
         self, tag: str, fingerprint: str, text: str, vector: Sequence[float]
     ) -> None:
         key = (tag, fingerprint, text)
-        with self._lock:
-            if key in self._embeddings:
-                return
-            self._embeddings[key] = tuple(vector)
-            self._append(
-                "embeddings",
-                {
-                    "tag": tag,
-                    "fingerprint": fingerprint,
-                    "text": text,
-                    "vector": list(vector),
-                },
-            )
+        if key in self._embeddings:
+            return
+        self._embeddings[key] = tuple(vector)
+        self._append(
+            "embeddings",
+            {
+                "tag": tag,
+                "fingerprint": fingerprint,
+                "text": text,
+                "vector": list(vector),
+            },
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._completions) + len(self._embeddings)
+        return len(self._completions) + len(self._embeddings)
 
 
 class CallableBackend:
@@ -324,11 +326,9 @@ class CallableBackend:
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
-        self._lock = threading.Lock()
 
     def respond(self, profile: ModelProfile, prompt: PromptSpec) -> str:
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         return self.fn(profile, prompt)
 
 
@@ -354,21 +354,6 @@ class ConstantBackend(CallableBackend):
 
     def __init__(self, text: str):
         super().__init__(lambda profile, prompt: text)
-
-
-class _RateLimiter:
-    def __init__(self, per_second: float):
-        self._interval = 1.0 / per_second
-        self._next_at = 0.0
-        self._lock = threading.Lock()
-
-    def acquire(self, sleeper) -> None:
-        with self._lock:
-            now = time.monotonic()
-            wait = self._next_at - now
-            self._next_at = max(now, self._next_at) + self._interval
-        if wait > 0:
-            sleeper(wait)
 
 
 _MAX_LINE, _MAX_HEADERS = 65536, 100  # bytes per reply line, headers per reply: as http.client
@@ -539,18 +524,16 @@ class _ConnectionPool:
     def __init__(self) -> None:
         self._idle: dict[tuple[str, str], list[_Connection]] = {}
         self._routes: dict[tuple[str, str], _Route] = {}
-        self._lock = threading.Lock()
 
     def send(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> _Sent:
         """POST body to url; receive() reads the reply. Raises OSError."""
         parts = urllib.parse.urlsplit(url)
         key = (parts.scheme, parts.netloc)
-        with self._lock:
-            route = self._routes.get(key)
-            if route is None:
-                route = self._routes[key] = _resolve_route(*key)
-            idle = self._idle.get(key)
-            conn = idle.pop() if idle else None
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = _resolve_route(*key)
+        idle = self._idle.get(key)
+        conn = idle.pop() if idle else None
         if route.absolute_target:
             target = url
             headers = {**headers, **dict(route.proxy_headers)}
@@ -597,14 +580,12 @@ class _ConnectionPool:
             return status, body
         finally:
             if keep_alive:
-                with self._lock:
-                    self._idle.setdefault(key, []).append(conn)
+                self._idle.setdefault(key, []).append(conn)
             else:
                 conn.close()
 
     def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, {}
+        idle, self._idle = self._idle, {}
         for conns in idle.values():
             for conn in conns:
                 conn.close()
@@ -640,12 +621,6 @@ def _reply_json(pool: _ConnectionPool, sent: _Sent) -> dict:
         raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
 
 
-def _post_json(
-    pool: _ConnectionPool, url: str, payload: dict, api_key: str | None, timeout: float
-) -> dict:
-    return _reply_json(pool, _send_json(pool, url, payload, api_key, timeout))
-
-
 def _chat_text(response: dict) -> str:
     try:
         return response["choices"][0]["message"]["content"]
@@ -661,28 +636,42 @@ def _vectors(response: dict) -> list[list[float]]:
         raise ProtocolError(f"malformed embeddings response: {response}") from exc
 
 
-class _Attempts:
-    """One request to a profile's endpoint, tried up to profile.max_attempts
-    times on the calling thread.
+class PendingCompletion:
+    """A completion from Client.start, or a batch of uncached texts from
+    Client.embed_batch: a cache hit, a refused prompt, or a request in flight,
+    tried up to profile.max_attempts times on the calling thread.
 
-    Each attempt waits for the profile's rate limiter, then send() starts it
-    and read(handle) takes its answer. A GatewayError from either is kept
-    for result(), which retries a TransportError after a backoff and raises
-    any other; any other exception propagates at once.
+    On a cache miss, request() gives the send and read steps of an attempt.
+    Each attempt waits for the profile's rate limit; send() starts it and
+    read(handle) takes its answer. A GatewayError met on the way is kept.
+    read() takes the answer in flight; result() reads it too, retries a
+    TransportError after a backoff, and returns the answer or raises the
+    GatewayError (any other exception propagates at once). finish() is a
+    completion's result() as a cached CompletionRecord. close() closes the
+    connection of a reply never read.
     """
 
-    def __init__(self, client: "Client", profile: ModelProfile, send, read):
-        self._client, self._profile, self._send, self._read = client, profile, send, read
+    def __init__(self, client: "Client", profile: ModelProfile, request,
+                 prompt: PromptSpec | None = None):
+        self._client, self._profile, self._prompt = client, profile, prompt
         self.attempt = 0
         self.latency_ms = 0.0  # from the answered attempt's send to the read of its answer
         self._failures: list[str] = []
-        self._start()
+        self._record: CompletionRecord | None = None
+        self._handle = self._value = self._error = None
+        self._unread = False
+        try:
+            if prompt is not None:
+                self._record = client.lookup(profile, prompt)
+            if self._record is None:
+                self._send, self._read = request()
+                self._start()
+        except GatewayError as exc:
+            self._error = exc
 
     def _start(self) -> None:
         self.attempt += 1
-        limiter = self._client._limiter_for(self._profile)
-        if limiter is not None:
-            limiter.acquire(self._client.sleeper)
+        self._client._wait_turn(self._profile)
         self._handle = self._value = self._error = None
         self._unread = True
         self._sent_at = time.monotonic()
@@ -720,48 +709,14 @@ class _Attempts:
             raise self._error
         return self._value
 
-    def close(self) -> None:
-        """Close the connection of an answer never read."""
-        if isinstance(self._handle, _Sent):
-            self._client._pool.discard(self._handle)
-
-
-class PendingCompletion:
-    """A completion Client.start began: a cache hit, a refused prompt, or a
-    request in flight.
-
-    read() reads the reply of the request in flight. finish() reads it too
-    if read() has not, retries a transport failure, caches and returns the
-    record, or raises the GatewayError. close() closes the connection of a
-    reply never read.
-    """
-
-    def __init__(self, client: "Client", profile: ModelProfile, prompt: PromptSpec):
-        self._client, self._profile, self._prompt = client, profile, prompt
-        self._attempts: _Attempts | None = None
-        self._error: GatewayError | None = None
-        try:
-            self._record = client.lookup(profile, prompt)
-            if self._record is None:
-                self._attempts = client._chat_attempts(profile, prompt)
-        except GatewayError as exc:
-            self._error = exc
-
-    def read(self) -> None:
-        if self._attempts is not None:
-            self._attempts.read()
-
     def finish(self) -> CompletionRecord:
-        if self._error is not None:
-            raise self._error
         if self._record is None:
-            assert self._attempts is not None
-            text = self._attempts.result()
+            text = self.result()
             self._record = CompletionRecord(
                 content_hash=self._prompt.content_hash,
                 text=str(text),
-                latency_ms=self._attempts.latency_ms,
-                attempts=self._attempts.attempt,
+                latency_ms=self.latency_ms,
+                attempts=self.attempt,
                 model=self._profile.name,
                 created_at=datetime.now(timezone.utc).isoformat(),
                 fingerprint=self._profile.request_fingerprint,
@@ -770,8 +725,8 @@ class PendingCompletion:
         return self._record
 
     def close(self) -> None:
-        if self._attempts is not None:
-            self._attempts.close()
+        if isinstance(self._handle, _Sent):
+            self._client._pool.discard(self._handle)
 
 
 @dataclass
@@ -785,15 +740,16 @@ class Client:
 
     start() sends a completion's request and returns at once, so one thread
     can have a request in flight to each of several models; complete() is
-    start() finished at once. Retries, their backoff and the rate limiter
-    all run on the calling thread. Safe to call from several threads at once.
+    start() finished at once. Retries, their backoff and the rate limit all
+    run on the calling thread. A Client belongs to one thread: nothing in
+    it is locked, so a caller that wants clients in parallel opens one
+    Client per thread.
     """
 
     cache: ResponseCache = field(default_factory=ResponseCache)
     mocks: dict[str, object] = field(default_factory=dict)
     sleeper: object = time.sleep
-    _limiters: dict[str, _RateLimiter] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    _next_send_at: dict[str, float] = field(default_factory=dict)  # by profile name
     _pool: _ConnectionPool = field(default_factory=_ConnectionPool)
 
     def register_mock(self, name: str, backend: object) -> None:
@@ -811,24 +767,35 @@ class Client:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _limiter_for(self, profile: ModelProfile) -> _RateLimiter | None:
+    def _wait_turn(self, profile: ModelProfile) -> None:
+        """Sleep until a rate-limited profile may send. Its sends are spaced
+        1/rate_limit_per_s apart in absolute time, so two limited models
+        wait the longer of their waits, not the sum."""
         if profile.rate_limit_per_s is None:
-            return None
-        with self._lock:
-            limiter = self._limiters.get(profile.name)
-            if limiter is None:
-                limiter = _RateLimiter(profile.rate_limit_per_s)
-                self._limiters[profile.name] = limiter
-            return limiter
+            return
+        now = time.monotonic()
+        next_at = self._next_send_at.get(profile.name, 0.0)
+        self._next_send_at[profile.name] = max(now, next_at) + 1.0 / profile.rate_limit_per_s
+        if next_at > now:
+            self.sleeper(next_at - now)
 
-    def _backend(self, profile: ModelProfile) -> object | None:
-        """The registered backend of a mock:// profile; None for an HTTP one."""
+    def _request(self, profile: ModelProfile, path: str, payload: dict, parse, ask_mock):
+        """The send and read steps of one attempt at profile's endpoint. A
+        mock:// backend is asked by ask_mock(backend) when read; an HTTP
+        endpoint is sent payload as JSON at base_url + path, and its reply
+        goes through parse."""
         name = mock_name(profile.base_url)
-        if name is None:
-            return None
-        if name not in self.mocks:
-            raise GatewayError(f"no mock backend registered as {name!r}")
-        return self.mocks[name]
+        if name is not None:
+            if name not in self.mocks:
+                raise GatewayError(f"no mock backend registered as {name!r}")
+            backend = self.mocks[name]
+            return (lambda: None), (lambda _: ask_mock(backend))
+        url = profile.base_url.rstrip("/") + path
+        api_key = os.environ.get(profile.api_key_env)
+        return (
+            lambda: _send_json(self._pool, url, payload, api_key, profile.timeout_s),
+            lambda sent: parse(_reply_json(self._pool, sent)),
+        )
 
     def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
         """The cached completion complete() would return, or None on a miss.
@@ -851,18 +818,17 @@ class Client:
         """Begin prompt's completion and return before its reply is read.
 
         A cache hit sends nothing. A miss waits for the profile's rate
-        limiter and sends its request (a mock's is answered when read). A
+        limit and sends its request (a mock's is answered when read). A
         GatewayError, such as a refused prompt, is raised by finish().
         """
-        return PendingCompletion(self, profile, prompt)
+        return PendingCompletion(
+            self, profile, lambda: self._chat_request(profile, prompt), prompt
+        )
 
     def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
         return self.start(profile, prompt).finish()
 
-    def _chat_attempts(self, profile: ModelProfile, prompt: PromptSpec) -> _Attempts:
-        backend = self._backend(profile)
-        if backend is not None:
-            return _Attempts(self, profile, lambda: None, lambda _: backend.respond(profile, prompt))
+    def _chat_request(self, profile: ModelProfile, prompt: PromptSpec):
         payload = {
             "model": profile.name,
             "messages": [
@@ -872,12 +838,9 @@ class Client:
             "temperature": profile.temperature,
             "max_tokens": profile.max_output_tokens,
         }
-        url = profile.base_url.rstrip("/") + "/chat/completions"
-        api_key = os.environ.get(profile.api_key_env)
-        return _Attempts(
-            self, profile,
-            lambda: _send_json(self._pool, url, payload, api_key, profile.timeout_s),
-            lambda sent: _chat_text(_reply_json(self._pool, sent)),
+        return self._request(
+            profile, "/chat/completions", payload, _chat_text,
+            lambda backend: backend.respond(profile, prompt),
         )
 
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
@@ -890,7 +853,11 @@ class Client:
             if self.cache.get_embedding(*key, text) is None
         ]
         if missing:
-            vectors = self._embed_attempts(profile, missing).result()
+            payload = {"model": profile.name, "input": missing}
+            vectors = PendingCompletion(self, profile, lambda: self._request(
+                profile, "/embeddings", payload, _vectors,
+                lambda backend: backend.embed_batch(missing),
+            )).result()
             if len(vectors) != len(missing):
                 raise ProtocolError(
                     f"{profile.name}: {len(vectors)} vectors for {len(missing)} texts"
@@ -913,18 +880,6 @@ class Client:
             assert vector is not None
             out.append(list(vector))
         return out
-
-    def _embed_attempts(self, profile: ModelProfile, texts: list[str]) -> _Attempts:
-        backend = self._backend(profile)
-        if backend is not None:
-            return _Attempts(self, profile, lambda: None, lambda _: backend.embed_batch(texts))
-        payload = {"model": profile.name, "input": texts}
-        url = profile.base_url.rstrip("/") + "/embeddings"
-        api_key = os.environ.get(profile.api_key_env)
-        # a batch is sent and read in one step: nothing else is in flight beside it
-        return _Attempts(self, profile, lambda: None, lambda _: _vectors(
-            _post_json(self._pool, url, payload, api_key, profile.timeout_s)
-        ))
 
 
 class GatewayEmbeddingProvider:

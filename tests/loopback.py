@@ -1,7 +1,7 @@
-"""Loopback HTTP/1.1 servers for transport tests: a chat endpoint that counts
-the connections and requests it serves and can frame its replies in several
-ways (and serve them over TLS), and a forwarding proxy that also tunnels
-CONNECT requests."""
+"""Loopback HTTP/1.1 servers for transport tests: a chat (and embeddings)
+endpoint that counts the connections and requests it serves and can frame
+its replies in several ways (and serve them over TLS), and a forwarding
+proxy that also tunnels CONNECT requests."""
 
 from __future__ import annotations
 
@@ -162,8 +162,9 @@ class _Loopback(ThreadingHTTPServer):
 
 
 class ChatEndpoint(_Loopback):
-    """Answers every chat completion with `reply`, framed as `framing` says
-    (a FRAMINGS key, or a list of them, one per request)."""
+    """Answers every chat completion with `reply`, and the i-th text of an
+    embeddings batch with [i, 1.0], framed as `framing` says (a FRAMINGS
+    key, or a list of them, one per request)."""
 
     def __init__(self, reply: str = "FR", drop_after_reply: bool = False,
                  framing: str | list[str] = "length", tls: bool = False):
@@ -176,6 +177,10 @@ class ChatEndpoint(_Loopback):
         return f"{scheme}://127.0.0.1:{self.server_port}/v1"
 
     def respond(self, target, headers, body):
+        if target.endswith("/embeddings"):
+            texts = json.loads(body)["input"]
+            data = [{"index": i, "embedding": [float(i), 1.0]} for i in range(len(texts))]
+            return 200, json.dumps({"data": data}).encode()
         return 200, json.dumps({"choices": [{"message": {"content": self.reply}}]}).encode()
 
 

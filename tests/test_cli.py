@@ -398,6 +398,31 @@ class TestConfigErrors:
         self.test_bad_value_is_a_config_error(tmp_path, capsys, command, extra, manifest, needle)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_attempts", 0), ("max_attempts", "3"), ("rate_limit_per_s", 0),
+            ("timeout_s", -1), ("backoff_base_s", -1), ("kind", "video"),
+            ("context_window", 0),
+        ],
+        ids=["attempts-zero", "attempts-string", "rate-limit", "timeout", "backoff", "kind",
+             "context-window"],
+    )
+    def test_bad_profile_value_sends_no_request(self, tmp_path, capsys, field, value):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=1, pool_size=20,
+            profiles={"mock-gold": {**GOLD_PROFILES["mock-gold"], field: value}},
+        )
+        cache_dir = tmp_path / "cache"
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error: profile 'mock-gold':" in err and field in err
+        assert not list(cache_dir.rglob("*.jsonl"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv", [["sweep", "--dry-run"], ["sweep"], ["run"], ["cv", "--shots", "1"]],
         ids=["sweep-dry-run", "sweep", "run", "cv"],
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import base64
 import dataclasses
 import gc
@@ -11,7 +12,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -27,6 +27,7 @@ from shotsweep import (
     ResponseCache,
     parse_label,
 )
+from shotsweep import gateway
 from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
 from shotsweep.gateway import (
     CompletionRecord,
@@ -346,6 +347,7 @@ class TestCacheSegments:
 
 class FlakyHandler(BaseHTTPRequestHandler):
     fail_first = 2
+    fail_status = 429
     seen = 0
     payload: dict = {}
 
@@ -355,7 +357,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
         type(self).payload = body
         type(self).seen += 1
         if type(self).seen <= type(self).fail_first:
-            self.send_response(429)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if self.path.endswith("/chat/completions"):
@@ -382,6 +384,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
 def http_server():
     FlakyHandler.seen = 0
     FlakyHandler.fail_first = 2
+    FlakyHandler.fail_status = 429
     server = HTTPServer(("127.0.0.1", 0), FlakyHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -437,6 +440,18 @@ class TestHttpTransport:
         vectors = client.embed_batch(profile, ["a", "b"])
         assert vectors == [[0.0, 1.0], [1.0, 1.0]]
 
+    def test_http_embeddings_retried_after_503(self, http_server):
+        FlakyHandler.fail_first, FlakyHandler.fail_status = 1, 503
+        waits = []
+        client = Client(sleeper=waits.append)
+        profile = ModelProfile(
+            name="embedder", kind="embedding", base_url=http_server, backoff_base_s=0.5
+        )
+        vectors = client.embed_batch(profile, ["a", "b"])
+        assert vectors == [[0.0, 1.0], [1.0, 1.0]]
+        assert FlakyHandler.seen == 2
+        assert len(waits) == 1 and 0.5 <= waits[0] <= 0.625  # the first backoff, jittered
+
 
 @pytest.fixture()
 def loopback():
@@ -471,23 +486,26 @@ class TestConnectionReuse:
         assert endpoint.targets == ["/v1/chat/completions"] * 5
         assert endpoint.connections == 1
 
-    def test_concurrent_requests_never_share_a_connection(self, loopback):
+    def test_chat_and_embeddings_share_one_connection(self, loopback, monkeypatch):
         endpoint = loopback(ChatEndpoint)
-        profile = ModelProfile(
-            name="m", base_url=endpoint.base_url, max_attempts=1, timeout_s=5.0
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with Client() as client, ThreadPoolExecutor(max_workers=8) as pool:
-                texts = list(pool.map(
-                    lambda i: client.complete(profile, prompt_for(f"q{i}")).text, range(200)
-                ))
-        finally:
-            sys.setswitchinterval(interval)
-        assert texts == ["FR"] * 200
-        assert len(endpoint.targets) == 200
-        assert endpoint.connections <= 8
+        connect, made = gateway._connect, []
+
+        def recorded_connect(*args):
+            made.append(connect(*args))
+            return made[-1]
+
+        monkeypatch.setattr(gateway, "_connect", recorded_connect)
+        chat = ModelProfile(name="m", base_url=endpoint.base_url)
+        embedder = ModelProfile(name="e", kind="embedding", base_url=endpoint.base_url)
+        with Client() as client:
+            assert client.complete(chat, prompt_for("q1")).text == "FR"
+            assert client.embed_batch(embedder, ["a", "b"]) == [[0.0, 1.0], [1.0, 1.0]]
+            assert client.complete(chat, prompt_for("q2")).text == "FR"
+        assert endpoint.targets == [
+            "/v1/chat/completions", "/v1/embeddings", "/v1/chat/completions"
+        ]
+        assert endpoint.connections == 1
+        assert [conn.sock.fileno() for conn in made] == [-1]  # closed by Client.close()
 
     def test_dropped_keepalive_resent_without_counting_an_attempt(self, loopback):
         endpoint = loopback(ChatEndpoint, drop_after_reply=True)
@@ -682,6 +700,23 @@ def test_cli_import_starts_no_thread(preset):
         assert threads == "1"
 
 
+def test_no_module_imports_threading():
+    """A Client belongs to one thread, and shotsweep starts none. The stdlib
+    always loads threading, so sys.modules cannot show this: read the source."""
+    modules = sorted((REPO_ROOT / "src" / "shotsweep").glob("*.py"))
+    imports = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module))
+    assert len(modules) > 5 and imports
+    banned = [(name, module) for name, module in imports
+              if module.split(".")[0] in ("threading", "concurrent")]
+    assert banned == []
+
+
 class TestEmbedBatch:
     def embed_client(self, dim=8):
         provider = HashEmbeddingProvider(dim)
@@ -784,20 +819,6 @@ class TestRateLimiter:
         assert waits == []
 
 
-class TestConcurrency:
-    def test_parallel_completions_single_backend_call_per_prompt(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        backend = ConstantBackend("FR")
-        client = Client(mocks={"test": backend})
-        profile = mock_profile()
-        prompts = [prompt_for(f"text {i % 5}") for i in range(50)]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            records = list(pool.map(lambda p: client.complete(profile, p), prompts))
-        assert len(records) == 50
-        assert backend.calls == 5  # one upstream call per distinct prompt
-
-
 class TestProfiles:
     def test_default_profiles_have_positive_windows(self):
         from shotsweep.gateway import DEFAULT_PROFILES
@@ -810,3 +831,16 @@ class TestProfiles:
     def test_bad_kind_rejected(self):
         with pytest.raises(GatewayError):
             ModelProfile(name="x", kind="video")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("context_window", 0), ("max_attempts", 0), ("max_attempts", "3"),
+            ("max_attempts", True), ("max_attempts", 2.0), ("rate_limit_per_s", 0),
+            ("rate_limit_per_s", -1.0), ("timeout_s", -1), ("timeout_s", 0),
+            ("timeout_s", float("nan")), ("backoff_base_s", -1),
+        ],
+    )
+    def test_bad_number_rejected(self, field, value):
+        with pytest.raises(GatewayError, match=field):
+            ModelProfile(name="x", **{field: value})
