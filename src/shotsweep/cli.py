@@ -82,28 +82,60 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _typed(kind: type, value: object, key: str):
-    """value as kind (int or float), or a ConfigError naming its config key.
-    A bool is refused, and so is a number with a fractional part as an int."""
-    try:
-        if isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()
-        ):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+def _typed(kind, value: object, key: str):
+    """value as a _KEYS type, or a ConfigError naming its config key. [T] is a
+    list of T, and a tuple any one of its types. Only an int or float is converted
+    (from a number or numeric string), never from a bool, nor an int from a fraction."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        return [_typed(kind[0], item, key) for item in value]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for option in kinds:
+        if isinstance(value, bool):
+            break
+        if isinstance(value, option):
+            return value
+        fractional = isinstance(value, float) and not value.is_integer()
+        if option is float or (option is int and not fractional):
+            try:
+                return option(value)
+            except (TypeError, ValueError):
+                pass
+    names = " or ".join(option.__name__ for option in kinds)
+    raise ConfigError(f"{key}: expected {names}, got {value!r}")
 
 
-def _optional_int(cfg: dict, key: str) -> int | None:
-    value = cfg.get(key)
-    return None if value is None else _typed(int, value, key)
-
-
-def _list(cfg: dict, key: str) -> list:
-    if not isinstance(cfg[key], list):
-        raise ConfigError(f"{key}: expected a list, got {cfg[key]!r}")
-    return cfg[key]
+# Each config key of run, sweep and cv: its type (see _typed) and the commands
+# that read it. Each flag of those commands has its config key as its dest.
+_ALL = ("run", "sweep", "cv")
+_KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
+    "data": (str, _ALL),
+    "scheme": (str, _ALL),
+    "text_col": (str, _ALL),
+    "label_col": (str, _ALL),
+    "pool_size": (int, _ALL),
+    "pool_seed": (int, _ALL),
+    "selection_seed": (int, _ALL),
+    "scoring_policy": (str, _ALL),
+    "template": (str, _ALL),
+    "ordering": (str, _ALL),
+    "provider": (str, _ALL),
+    "profiles": ((dict, str), _ALL),  # an object, or the path of one
+    "cache_dir": (str, _ALL),
+    "out_dir": (str, _ALL),
+    "model": (str, ("run", "cv")),
+    "method": (str, ("run", "cv")),
+    "k": (int, ("run", "cv")),
+    "split": (dict, ("run", "sweep")),
+    "models": ([str], ("sweep",)),
+    "methods": ([str], ("sweep",)),
+    "grid": ([int], ("sweep",)),
+    "overprompting_threshold": (float, ("sweep",)),
+    "k_folds": (int, ("cv",)),
+    "split_seed": (int, ("cv",)),
+    "on_small_class": (str, ("cv",)),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -123,35 +155,21 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _merge_config(
-    args: argparse.Namespace,
-    defaults: dict,
-    overrides: dict,
-    allowed: set[str],
-    required: set[str],
-) -> dict:
-    """defaults < --config file < flags; --out and --cache-dir are flags too."""
+def _merge_config(args: argparse.Namespace, defaults: dict, required: set[str]) -> dict:
+    """defaults < --config file < flags, each value checked once against _KEYS.
+    A null is the same as leaving the key out."""
     file_cfg = _load_config_file(args.config)
-    overrides = {"out_dir": args.out, "cache_dir": args.cache_dir, **overrides}
-    unknown = set(file_cfg) - allowed
+    keys = {key for key, (_, commands) in _KEYS.items() if args.command in commands}
+    unknown = set(file_cfg) - keys
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     merged = {"scoring_policy": "strict", **defaults}
-    merged.update(file_cfg)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [k for k in required if merged.get(k) is None]
+    for source in (file_cfg, vars(args)):
+        merged.update({k: v for k, v in source.items() if k in keys and v is not None})
+    missing = required - set(merged)
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(sorted(missing))}")
-    return merged
-
-
-def _data_args(args: argparse.Namespace) -> dict:
-    return {
-        "data": args.data,
-        "scheme": args.scheme,
-        "text_col": args.text_col,
-        "label_col": args.label_col,
-    }
+    return {key: _typed(_KEYS[key][0], value, key) for key, value in merged.items()}
 
 
 def _load_data(cfg: dict) -> Corpus:
@@ -170,8 +188,6 @@ def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfi
     spec = cfg.get("profiles") or {}
     if isinstance(spec, str):
         spec = _load_config_file(spec)
-    if not isinstance(spec, dict):
-        raise ConfigError("profiles must be an object of {name: fields}")
     for name, fields in spec.items():
         if not isinstance(fields, dict):
             raise ConfigError(f"profile {name!r}: fields must be an object")
@@ -218,10 +234,10 @@ def _build_provider(
     cfg: dict, client: Client, profiles: dict[str, ModelProfile]
 ) -> EmbeddingProvider:
     spec = cfg.get("provider", "hash:64")
-    if isinstance(spec, str) and spec.startswith("hash"):
+    if spec.startswith("hash"):
         _, _, dim = spec.partition(":")
         return HashEmbeddingProvider(_typed(int, dim or "64", "provider"))
-    if isinstance(spec, str) and spec.startswith("profile:"):
+    if spec.startswith("profile:"):
         name = spec[len("profile:") :]
         if name not in profiles:
             raise ConfigError(f"provider profile {name!r} not found")
@@ -270,25 +286,13 @@ def _print_dry_run(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _template_from(cfg: dict):
-    name = cfg.get("template", "default")
-    if not isinstance(name, str):
-        raise ConfigError(f"template: expected a path or \"default\", got {name!r}")
-    if name == "default":
-        return DEFAULT_TEMPLATE
-    return load_template(name)
-
-
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     """The settings run, cv and sweep evaluate under; a sweep sets no method or k."""
+    fields = ("method", "k", "pool_size", "pool_seed", "selection_seed", "scoring_policy")
+    template = cfg.get("template", "default")
     return ExperimentConfig(
-        method=cfg.get("method"),
-        k=_optional_int(cfg, "k"),
-        pool_size=_optional_int(cfg, "pool_size"),
-        pool_seed=_typed(int, cfg.get("pool_seed", 0), "pool_seed"),
-        selection_seed=_typed(int, cfg.get("selection_seed", 0), "selection_seed"),
-        scoring_policy=cfg["scoring_policy"],
-        template=_template_from(cfg),
+        **{field: cfg[field] for field in fields if field in cfg},
+        template=DEFAULT_TEMPLATE if template == "default" else load_template(template),
         ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
     )
 
@@ -309,7 +313,7 @@ def _class_distribution_text(corpus: Corpus) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = _load_data(_data_args(args))
+    corpus = _load_data(vars(args))
     payload = {
         "records": len(corpus),
         "scheme": corpus.scheme.name,
@@ -320,7 +324,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_pool(args: argparse.Namespace) -> int:
-    corpus = _load_data(_data_args(args))
+    corpus = _load_data(vars(args))
     pool = build_pool(list(corpus.records), corpus.scheme, args.size, args.seed)
     counts = {lid: len(ids) for lid, ids in pool.per_class.items()}
     payload = {"size": len(pool), "seed": args.seed, "per_class": counts}
@@ -333,7 +337,7 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    corpus = _load_data(_data_args(args))
+    corpus = _load_data(vars(args))
     pool = build_pool(
         list(corpus.records),
         corpus.scheme,
@@ -370,19 +374,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The config keys run, sweep and cv all read: data, shared settings, session.
-_SHARED_KEYS = {
-    "data", "scheme", "text_col", "label_col", "pool_size", "pool_seed",
-    "selection_seed", "scoring_policy", "template", "ordering", "provider",
-    "profiles", "cache_dir", "out_dir",
-}
-_RUN_KEYS = _SHARED_KEYS | {"model", "method", "k", "split"}
-
-
 def _split_spec(cfg: dict) -> tuple[str, float, int]:
     """The split's kind (holdout or full), holdout fraction and seed."""
     split = cfg.get("split") or {"kind": "holdout", "fraction": 0.8, "seed": 0}
-    if not isinstance(split, dict) or "kind" not in split:
+    if "kind" not in split:
         raise ConfigError("split must be an object with a 'kind'")
     if split["kind"] not in ("holdout", "full"):
         raise ConfigError(f"run split kind must be holdout or full, got {split['kind']!r}")
@@ -394,19 +389,7 @@ def _split_spec(cfg: dict) -> tuple[str, float, int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        **_data_args(args),
-        "model": args.model,
-        "method": args.method,
-        "k": args.k,
-    }
-    cfg = _merge_config(
-        args,
-        {},
-        overrides,
-        _RUN_KEYS,
-        {"data", "scheme", "model", "method", "k", "out_dir"},
-    )
+    cfg = _merge_config(args, {}, {"data", "scheme", "model", "method", "k", "out_dir"})
     started = _now()
     split_kind, fraction, split_seed = _split_spec(cfg)
     profiles = _build_profiles(cfg, cfg["model"])
@@ -442,32 +425,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_KEYS = _SHARED_KEYS | {"models", "methods", "grid", "split", "overprompting_threshold"}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "methods": list(METHODS),
-            "grid": list(DEFAULT_GRID),
-            "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD,
-        },
-        {},
-        _SWEEP_KEYS,
-        {"data", "scheme", "models", "out_dir"},
-    )
+    defaults = {"methods": list(METHODS), "grid": list(DEFAULT_GRID),
+                "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD}
+    cfg = _merge_config(args, defaults, {"data", "scheme", "models", "out_dir"})
     split_kind, fraction, split_seed = _split_spec(cfg)
     plan = SweepPlan(
-        models=tuple(_list(cfg, "models")),
-        methods=tuple(_list(cfg, "methods")),
-        shot_grid=tuple(_typed(int, k, "grid") for k in _list(cfg, "grid")),
+        models=tuple(cfg["models"]),
+        methods=tuple(cfg["methods"]),
+        shot_grid=tuple(cfg["grid"]),
         split_kind=split_kind,
         split_param=fraction,
         split_seed=split_seed,
-        overprompting_threshold=_typed(
-            float, cfg["overprompting_threshold"], "overprompting_threshold"
-        ),
+        overprompting_threshold=cfg["overprompting_threshold"],
     )
     exp = _experiment_config(cfg)
     if args.dry_run:
@@ -512,9 +482,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
-_CV_KEYS = _SHARED_KEYS | {"model", "method", "k", "k_folds", "split_seed", "on_small_class"}
-
-
 def _key(payload: object, key: str, source: object) -> object:
     """payload[key], or a ConfigError naming the key that source lacks."""
     if not isinstance(payload, dict) or key not in payload:
@@ -545,28 +512,14 @@ def _shots_from_manifest(path: str, model: str, method: str) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    overrides = {
-        **_data_args(args),
-        "model": args.model,
-        "method": args.method,
-        "k": args.shots,
-        "k_folds": args.folds,
-    }
-    cfg = _merge_config(
-        args,
-        {"k_folds": 10},
-        overrides,
-        _CV_KEYS,
-        {"data", "scheme", "model", "method", "out_dir"},
-    )
+    cfg = _merge_config(args, {"k_folds": 10}, {"data", "scheme", "model", "method", "out_dir"})
     if args.shots_from is not None:
         cfg["k"] = _shots_from_manifest(args.shots_from, cfg["model"], cfg["method"])
     if cfg.get("k") is None:
         raise ConfigError("cv needs a shot count: --shots N or --shots-from MANIFEST")
-    k_folds = _typed(int, cfg["k_folds"], "k_folds")
+    k_folds = cfg["k_folds"]
     if k_folds < 2:
         raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
-    split_seed = _typed(int, cfg.get("split_seed", 0), "split_seed")
     started = _now()
     profiles = _build_profiles(cfg, cfg["model"])
     exp = _experiment_config(cfg)
@@ -575,9 +528,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     corpus, client, provider = _open_session(cfg, profiles)
     out_dir = Path(cfg["out_dir"])
     with client:
-        split = make_split(
-            corpus, "kfold", k_folds, split_seed, cfg.get("on_small_class", "error")
-        )
+        split = make_split(corpus, "kfold", k_folds, cfg.get("split_seed", 0),
+                           cfg.get("on_small_class", "error"))
         run = evaluate_split(
             corpus, split, profiles[cfg["model"]], exp, client, provider,
             out_dir / "trace.jsonl",
@@ -665,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true")
     configured = argparse.ArgumentParser(add_help=False)  # run, sweep and cv take these
     configured.add_argument("--config", default=None, help="JSON config")
-    configured.add_argument("--out", default=None, help="artifact directory")
+    configured.add_argument("--out", dest="out_dir", metavar="OUT", help="artifact directory")
     configured.add_argument("--cache-dir", default=None)
     configured.add_argument(
         "--dry-run", action="store_true", help="validate the config and print what would run"
@@ -706,13 +658,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p, required=False)
     p.add_argument("--model", default=None)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", dest="k", metavar="SHOTS", type=int)
     p.add_argument(
         "--shots-from",
         default=None,
         help="sweep manifest; use that sweep's optimal shot count for this model/method",
     )
-    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--folds", dest="k_folds", metavar="FOLDS", type=int)
 
     p = command("report", cmd_report, "format stored reports as tables")
     p.add_argument("--reports", nargs="+", required=True)

@@ -60,6 +60,9 @@ class ModelProfile:
     api_key_env: str = "OPENAI_API_KEY"
 
     def __post_init__(self) -> None:
+        for field in ("name", "kind", "base_url", "provider_tag", "api_key_env"):
+            if not isinstance(value := getattr(self, field), str):
+                raise GatewayError(f"{field} must be a string, got {value!r}")
         if self.kind not in ("chat", "embedding"):
             raise GatewayError(f"unknown endpoint kind {self.kind!r}")
         if self.context_window <= 0:

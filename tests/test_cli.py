@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -201,6 +202,22 @@ class TestRun:
         code = main(["run", "--config", config])
         assert code == EXIT_CONFIG
 
+    def test_null_is_the_same_as_leaving_the_key_out(self, tmp_path, capsys):
+        nulls = dict.fromkeys([
+            "pool_size", "pool_seed", "selection_seed", "scoring_policy", "template",
+            "ordering", "provider", "split", "cache_dir", "text_col",
+        ])
+        printed = []
+        for name, extra in (("plain.json", {}), ("nulls.json", nulls)):
+            config = write_config(
+                tmp_path, name, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+                method="random", k=1, profiles=GOLD_PROFILES, **extra,
+            )
+            argv = ["run", "--config", config, "--out", str(tmp_path / "o"), "--dry-run"]
+            assert main(argv) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_profile_override_keeps_builtin_fields(self):
         from shotsweep.cli import _build_profiles
 
@@ -209,6 +226,28 @@ class TestRun:
         assert profile.base_url == "http://localhost:8000/v1"
         assert profile.context_window == 16384
         assert profile.provider_tag == "gpt-3.5-turbo"
+
+    def test_profile_provider_matches_hash_provider(self, tmp_path, capsys):
+        payload = dict(
+            data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold", method="embedding",
+            k=3, pool_size=200, profiles={
+                **GOLD_PROFILES, "emb": {"kind": "embedding", "base_url": "mock://hash64"}
+            },
+        )
+        via_profile = write_config(tmp_path, "profile.json", provider="profile:emb", **payload)
+        via_hash = write_config(tmp_path, "hash.json", provider="hash:64", **payload)
+        cache = tmp_path / "cache"
+        for out in ("profile", "again"):
+            argv = ["run", "--config", via_profile, "--out", str(tmp_path / out),
+                    "--cache-dir", str(cache)]
+            assert main(argv) == EXIT_OK
+            if out == "profile":
+                (segment,) = (cache / "embeddings").glob("*.jsonl")
+                assert len(segment.read_text().splitlines()) == 325  # 200 pool + 125 test
+        assert list((cache / "embeddings").glob("*.jsonl")) == [segment]  # all hits
+        assert main(["run", "--config", via_hash, "--out", str(tmp_path / "hash")]) == EXIT_OK
+        trace = (tmp_path / "profile" / "trace.jsonl").read_bytes()
+        assert trace == (tmp_path / "hash" / "trace.jsonl").read_bytes()
 
     def test_unknown_profile_field_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -329,12 +368,14 @@ class TestConfigErrors:
             ("sweep", {"pool_size": "x"}, None, "pool_size: expected int"),
             ("sweep", {"grid": 5}, None, "grid: expected a list"),
             ("sweep", {"models": "mock-gold"}, None, "models: expected a list"),
+            ("run", {"provider": "profile:nope"}, None, "provider profile 'nope' not found"),
+            ("run", {"provider": "bert"}, None, "unknown provider spec 'bert'"),
         ],
         ids=[
             "provider", "mock-dim", "pool-seed", "fraction", "k", "no-series", "list",
             "curves-path", "series-model", "series-method", "series-shots",
             "series-shots-type", "run-pool-size", "cv-pool-size", "sweep-pool-size",
-            "sweep-grid", "sweep-models",
+            "sweep-grid", "sweep-models", "provider-profile-missing", "provider-unknown",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, extra,
@@ -402,10 +443,10 @@ class TestConfigErrors:
         [
             ("max_attempts", 0), ("max_attempts", "3"), ("rate_limit_per_s", 0),
             ("timeout_s", -1), ("backoff_base_s", -1), ("kind", "video"),
-            ("context_window", 0),
+            ("context_window", 0), ("base_url", 5),
         ],
         ids=["attempts-zero", "attempts-string", "rate-limit", "timeout", "backoff", "kind",
-             "context-window"],
+             "context-window", "base-url"],
     )
     def test_bad_profile_value_sends_no_request(self, tmp_path, capsys, field, value):
         config = write_config(
@@ -421,6 +462,38 @@ class TestConfigErrors:
         assert "config error: profile 'mock-gold':" in err and field in err
         assert not list(cache_dir.rglob("*.jsonl"))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("run", "data", 5), ("run", "scheme", 5), ("run", "text_col", 5),
+            ("run", "out_dir", 5), ("run", "cache_dir", 5), ("run", "model", ["mock-gold"]),
+            ("sweep", "models", [["a"]]), ("sweep", "methods", ["random", 5]),
+            ("cv", "on_small_class", 5),
+        ],
+        ids=["data", "scheme", "text-col", "out-dir", "cache-dir", "model", "models",
+             "methods", "on-small-class"],
+    )
+    def test_wrongly_typed_value_sends_no_request(self, tmp_path, capsys, monkeypatch,
+                                                   command, key, value):
+        payload = dict(
+            data=str(PROMISE_CSV), scheme="frnfr", pool_size=20, profiles=GOLD_PROFILES,
+            out_dir=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"),
+        )
+        if command == "sweep":
+            payload.update(models=["mock-gold"], methods=["random"], grid=[0, 1])
+        else:
+            payload.update(model="mock-gold", method="random", k=1)
+        if command == "cv":
+            payload["k_folds"] = 2
+        payload[key] = value
+        config = write_config(tmp_path, **payload)
+        monkeypatch.chdir(tmp_path)  # a path of 5 would land here
+        code = main([command, "--config", config])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: {key}: expected" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no out, no cache
 
     @pytest.mark.parametrize(
         "argv", [["sweep", "--dry-run"], ["sweep"], ["run"], ["cv", "--shots", "1"]],
@@ -480,7 +553,7 @@ class TestConfigErrors:
         code = main([*argv, "--config", config, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert "config error: template: expected a path" in err
+        assert "config error: template: expected str" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", [None, b"[system]\n\xff\xfe\n"],
@@ -507,6 +580,20 @@ class TestConfigErrors:
         out_dir = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out_dir)]) == EXIT_OK
         assert json.loads((out_dir / "report.json").read_text())["metadata"]["k"] == 2
+        k = json.loads((out_dir / "manifest.json").read_text())["config"]["k"]
+        assert k == 2 and type(k) is int
+
+    def test_every_run_sweep_cv_flag_is_a_config_key_its_command_reads(self):
+        from shotsweep.cli import _KEYS, build_parser
+
+        control = {"config", "json", "dry_run", "shots_from"}
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for command in ("run", "sweep", "cv"):
+            for action in commands.choices[command]._actions:
+                if isinstance(action, argparse._HelpAction) or action.dest in control:
+                    continue
+                assert command in _KEYS.get(action.dest, (None, ()))[1], (command, action.dest)
 
 
 class TestSweep:
@@ -573,6 +660,18 @@ class TestSweep:
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL
         assert "FAILED" in out
+
+    def test_empty_test_partition_fails_every_cell(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("text,label\nThe system shall log users in.,F\n"
+                        "The system shall respond within 1 s.,PE\n", encoding="utf-8")
+        config = self.sweep_config(tmp_path, data=str(data),
+                                   split={"kind": "holdout", "fraction": 0.8, "seed": 0})
+        code = main(["sweep", "--config", config, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == EXIT_PARTIAL
+        assert "sweep: 0/4 cells completed, 4 failed" in out
+        assert out.count("EvaluationError: holdout test partition is empty") == 4
 
     @pytest.mark.parametrize(
         "key, repeated",

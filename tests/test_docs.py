@@ -21,8 +21,9 @@ def test_readme_library_use_example_runs(monkeypatch, capsys):
 
 def test_readme_configs_use_accepted_keys(tmp_path, capsys, monkeypatch):
     """Every top-level key of the README's config blocks is a run, sweep or cv
-    key, and the README sweep config passes `sweep --dry-run` as written."""
-    from shotsweep.cli import _CV_KEYS, _RUN_KEYS, _SWEEP_KEYS, EXIT_OK, main
+    key whose value has the key's type, and the README sweep config passes
+    `sweep --dry-run` as written."""
+    from shotsweep.cli import _KEYS, EXIT_OK, _typed, main
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     walkthrough = readme.split("## CLI walkthrough", 1)[1]
@@ -30,7 +31,9 @@ def test_readme_configs_use_accepted_keys(tmp_path, capsys, monkeypatch):
     configs = [json.loads(block) for block in blocks]
     assert len(configs) >= 2
     for config in configs:
-        assert set(config) <= _RUN_KEYS | _SWEEP_KEYS | _CV_KEYS, config
+        assert set(config) <= set(_KEYS), config
+        for key, value in config.items():
+            _typed(_KEYS[key][0], value, key)
     (sweep,) = [block for block, config in zip(blocks, configs) if "models" in config]
     path = tmp_path / "sweep.json"
     path.write_text(sweep, encoding="utf-8")

@@ -793,6 +793,34 @@ class TestEmbedBatch:
         with pytest.raises(ProtocolError, match="dimension"):
             client.embed_batch(profile, ["a"])
 
+    @pytest.mark.parametrize(
+        "vectors, needle",
+        [([[0.0, 1.0]], "1 vectors for 2 texts"),
+         ([[0.0, 1.0], [1.0]], r"mixed embedding dimensions in one batch: \[1, 2\]")],
+        ids=["one-too-few", "mixed-lengths"],
+    )
+    def test_malformed_batch_is_a_protocol_error_and_caches_nothing(self, vectors, needle):
+        class Scripted:
+            provider_tag = "scripted"
+
+            def embed_batch(self, texts):
+                return vectors
+
+        client = Client(mocks={"scripted": Scripted()})
+        profile = ModelProfile(name="scripted", kind="embedding", base_url="mock://scripted")
+        with pytest.raises(ProtocolError, match=needle):
+            client.embed_batch(profile, ["a", "b"])
+        key = (profile.provider_tag, profile.request_fingerprint)
+        assert client.cache.get_embedding(*key, "a") is None
+
+    def test_chat_profile_refused(self):
+        client, _, _ = self.embed_client()
+        chat = ModelProfile(name="chat", base_url="mock://hash")
+        with pytest.raises(GatewayError, match="not an embedding profile"):
+            client.embed_batch(chat, ["a"])
+        with pytest.raises(GatewayError, match="not an embedding profile"):
+            GatewayEmbeddingProvider(client, chat)
+
     def test_gateway_provider_bridges_to_vectorspace(self):
         client, profile, provider = self.embed_client(8)
         bridge = GatewayEmbeddingProvider(client, profile)
@@ -844,3 +872,10 @@ class TestProfiles:
     def test_bad_number_rejected(self, field, value):
         with pytest.raises(GatewayError, match=field):
             ModelProfile(name="x", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["name", "kind", "base_url", "provider_tag", "api_key_env"]
+    )
+    def test_non_string_field_rejected(self, field):
+        with pytest.raises(GatewayError, match=f"{field} must be a string, got 5"):
+            ModelProfile(**{"name": "x", field: 5})

@@ -327,6 +327,17 @@ class TestRunSweep:
         assert all("exceeds train partition size" in f.error for f in run.failures)
         assert not run.curves and backend.calls == 0
 
+    def test_empty_test_partition_fails_every_cell_in_plan_order(self):
+        corpus = balanced_corpus(1)  # one FR and one NFR record: 0.8 trains on both
+        client, backend = echo_gold_client(corpus)
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 1), split_param=0.8)
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
+        assert [(f.model, f.method, f.shot_count) for f in run.failures] == plan.cells()
+        assert {f.error for f in run.failures} == {
+            "EvaluationError: holdout test partition is empty"
+        }
+        assert not run.curves and not run.reports and backend.calls == 0
+
     def test_zero_shot_prompt_rendered_once_for_every_method(self, monkeypatch):
         corpus = balanced_corpus(10)
         client, _ = echo_gold_client(corpus)
