@@ -14,6 +14,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     BUILTIN_SCHEMES,
+    SMALL_CLASS_POLICIES,
     Corpus,
     CorpusError,
     SplitError,
@@ -26,7 +27,6 @@ from .evaluation import (
     EvaluationError,
     ExperimentConfig,
     evaluate_split,
-    fit_spaces,
     fold_reports,
 )
 from .gateway import (
@@ -345,11 +345,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         args.pool_seed,
     )
     sel_cfg = SelectionConfig(args.method, args.k, args.seed)
-    provider = HashEmbeddingProvider(args.hash_dim)
-    tfidf, embeddings = fit_spaces(pool, args.method, args.k, provider)
-    result = select(
-        pool, args.query, sel_cfg, tfidf=tfidf, embeddings=embeddings, provider=provider
-    )
+    result = select(pool, args.query, sel_cfg, HashEmbeddingProvider(args.hash_dim))
     chosen = [
         {
             "record_id": rid,
@@ -381,6 +377,10 @@ def _split_spec(cfg: dict) -> tuple[str, float, int]:
         raise ConfigError("split must be an object with a 'kind'")
     if split["kind"] not in ("holdout", "full"):
         raise ConfigError(f"run split kind must be holdout or full, got {split['kind']!r}")
+    allowed = ("kind", "seed", "fraction") if split["kind"] == "holdout" else ("kind", "seed")
+    unknown = sorted(set(split) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {split['kind']} split key(s): {', '.join(unknown)}")
     return (
         split["kind"],
         _typed(float, split.get("fraction", 0.8), "split.fraction"),
@@ -520,6 +520,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
     k_folds = cfg["k_folds"]
     if k_folds < 2:
         raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
+    on_small_class = cfg.get("on_small_class", "error")
+    if on_small_class not in SMALL_CLASS_POLICIES:
+        raise ConfigError(f"on_small_class must be error or allow, got {on_small_class!r}")
     started = _now()
     profiles = _build_profiles(cfg, cfg["model"])
     exp = _experiment_config(cfg)
@@ -528,8 +531,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     corpus, client, provider = _open_session(cfg, profiles)
     out_dir = Path(cfg["out_dir"])
     with client:
-        split = make_split(corpus, "kfold", k_folds, cfg.get("split_seed", 0),
-                           cfg.get("on_small_class", "error"))
+        split = make_split(corpus, "kfold", k_folds, cfg.get("split_seed", 0), on_small_class)
         run = evaluate_split(
             corpus, split, profiles[cfg["model"]], exp, client, provider,
             out_dir / "trace.jsonl",

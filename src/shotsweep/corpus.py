@@ -264,6 +264,9 @@ def _records_by_class(corpus: Corpus) -> dict[str, list[RequirementRecord]]:
     return grouped
 
 
+SMALL_CLASS_POLICIES = ("error", "allow")
+
+
 def make_split(
     corpus: Corpus,
     kind: str,
@@ -277,6 +280,8 @@ def make_split(
     kfold: param is the fold count; partitions are fold indices. Classes
     smaller than k are an error unless on_small_class="allow".
     """
+    if on_small_class not in SMALL_CLASS_POLICIES:
+        raise SplitError(f"on_small_class must be error or allow, got {on_small_class!r}")
     if not corpus.records:
         raise SplitError("cannot split an empty corpus")
     grouped = _records_by_class(corpus)

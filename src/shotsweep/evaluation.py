@@ -24,14 +24,8 @@ from .promptkit import (
     PromptTemplate,
     render_prompt,
 )
-from .selection import METHODS, FewShotPool, Ranking, SelectionConfig, build_pool, rank
-from .vectorspace import (
-    EmbeddingMatrix,
-    EmbeddingProvider,
-    TfidfModel,
-    build_embedding_matrix,
-    fit_tfidf,
-)
+from .selection import METHODS, SelectionConfig, build_pool, rank
+from .vectorspace import EmbeddingProvider
 
 INVALID_COLUMN = "__invalid__"
 
@@ -208,24 +202,6 @@ class TraceWriter:
         self.close()
 
 
-def fit_spaces(
-    pool: FewShotPool,
-    method: str,
-    k: int,
-    provider: EmbeddingProvider | None,
-) -> tuple[TfidfModel | None, EmbeddingMatrix | None]:
-    """Fit the vector space a selection method ranks the pool in, if any."""
-    if k == 0 or not len(pool):
-        return None, None
-    if method == "tfidf":
-        return fit_tfidf(pool.candidates), None
-    if method == "embedding":
-        if provider is None:
-            raise EvaluationError("embedding method requires an embedding provider")
-        return None, build_embedding_matrix(pool.candidates, provider)
-    return None, None
-
-
 def _run_metadata(
     corpus: Corpus, profile: ModelProfile, cfg: ExperimentConfig, split_desc: str
 ) -> dict[str, object]:
@@ -253,17 +229,6 @@ Cell = tuple[str, str, int]  # (model, method, shot count)
 class CellRun:
     report: EvalReport  # over the predictions of every partition
     per_partition: tuple[list[Prediction], ...]
-
-
-def _rank_all(
-    pool: FewShotPool,
-    test: Sequence[RequirementRecord],
-    cfg: SelectionConfig,
-    provider: EmbeddingProvider | None,
-) -> list[Ranking]:
-    """Rank the pool once for every test record; the space is freed on return."""
-    tfidf, embeddings = fit_spaces(pool, cfg.method, cfg.k, provider)
-    return [rank(pool, record, cfg, tfidf, embeddings, provider) for record in test]
 
 
 def _complete_each(
@@ -384,10 +349,10 @@ def evaluate_cells(
                 cfg.selection_seed,
             )
             try:
-                rankings = _rank_all(pool, test, sel_cfg, provider)
+                rankings = rank(pool, test, sel_cfg, provider)
             except cell_errors as exc:
                 fail(exc, method, [k for k in grid if k > 0], profiles)
-                rankings = [rank(pool, r, replace(sel_cfg, k=0)) for r in test]
+                rankings = rank(pool, test, replace(sel_cfg, k=0))
 
             for k in grid:
                 for position, (record, ranking) in enumerate(zip(test, rankings)):

@@ -893,7 +893,6 @@ class GatewayEmbeddingProvider:
             raise GatewayError(f"profile {profile.name} is not an embedding profile")
         self.client = client
         self.profile = profile
-        self.provider_tag = profile.provider_tag
         self.dim = profile.embedding_dim or 0
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:

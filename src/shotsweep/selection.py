@@ -13,7 +13,9 @@ from .vectorspace import (
     EmbeddingMatrix,
     EmbeddingProvider,
     TfidfModel,
+    build_embedding_matrix,
     embed_query_tfidf,
+    fit_tfidf,
     nearest,
 )
 
@@ -147,14 +149,6 @@ def query_key_for(query: str | RequirementRecord) -> str:
     return f"text:{digest}"
 
 
-def _check_space(pool: FewShotPool, row_ids: tuple[int, ...], what: str) -> None:
-    if row_ids != pool.candidate_ids:
-        raise SelectionError(
-            f"{what} space was not fitted over this pool "
-            f"(row_ids differ from pool candidates)"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """One query's selection order over a pool, to a fixed depth.
@@ -200,65 +194,54 @@ class Ranking:
 
 def rank(
     pool: FewShotPool,
-    query: str | RequirementRecord,
+    queries: Sequence[str | RequirementRecord],
     cfg: SelectionConfig,
-    tfidf: TfidfModel | None = None,
-    embeddings: EmbeddingMatrix | None = None,
     provider: EmbeddingProvider | None = None,
-) -> Ranking:
-    """Rank the pool for one query, deep enough for any selection up to cfg.k.
+) -> list[Ranking]:
+    """Rank the pool for each query, deep enough for any selection up to cfg.k.
 
-    tfidf/embedding rank by cosine similarity (one kNN call); random defers
-    to Ranking.take. A record query that is a pool member never ranks its
-    own record; a text query excludes nothing.
+    tfidf/embedding fit their space over the pool once (not for k == 0 or an
+    empty pool) and rank each query by cosine similarity, embedding each
+    query with its own provider call; random defers to Ranking.take. A
+    record query that is a pool member never ranks its own record; a text
+    query excludes nothing.
     """
-    query_key = query_key_for(query)
-    excluded_id: int | None = None
-    if isinstance(query, RequirementRecord) and query.record_id in pool:
-        excluded_id = query.record_id
-    available = len(pool) - (1 if excluded_id is not None else 0)
-    depth = min(cfg.k, available)
-    ranking = Ranking(pool, query_key, cfg.method, cfg.seed, excluded_id, depth)
-    if depth == 0 or cfg.method == "random":
-        return ranking
-
-    query_text = query.text if isinstance(query, RequirementRecord) else query
-    if cfg.method == "tfidf":
-        if tfidf is None:
-            raise SelectionError("tfidf method requires a fitted TfidfModel")
-        _check_space(pool, tfidf.row_ids, "TF-IDF")
-        query_vector: dict[int, float] | list[float] = embed_query_tfidf(
-            tfidf, query_text
+    space: TfidfModel | EmbeddingMatrix | None = None
+    if cfg.k and len(pool) and cfg.method == "tfidf":
+        space = fit_tfidf(pool.candidates)
+    elif cfg.k and len(pool) and cfg.method == "embedding":
+        if provider is None:
+            raise SelectionError("embedding method requires an embedding provider")
+        space = build_embedding_matrix(pool.candidates, provider)
+    rankings = []
+    for query in queries:
+        member = isinstance(query, RequirementRecord) and query.record_id in pool
+        excluded_id = query.record_id if member else None
+        depth = min(cfg.k, len(pool) - member)
+        ranking = Ranking(
+            pool, query_key_for(query), cfg.method, cfg.seed, excluded_id, depth
         )
-        space: TfidfModel | EmbeddingMatrix = tfidf
-    else:
-        if embeddings is None or provider is None:
-            raise SelectionError(
-                "embedding method requires an EmbeddingMatrix and a provider"
+        if depth and space is not None:
+            text = query.text if isinstance(query, RequirementRecord) else query
+            if isinstance(space, TfidfModel):
+                vector: dict[int, float] | list[float] = embed_query_tfidf(space, text)
+            else:
+                vector = list(provider.embed_batch([text])[0])
+            ids, sims = nearest(space, vector, depth + member)
+            if excluded_id in ids:
+                drop = ids.index(excluded_id)
+                del ids[drop], sims[drop]
+            ranking = replace(
+                ranking, ids=array("q", ids[:depth]), sims=array("d", sims[:depth])
             )
-        _check_space(pool, embeddings.row_ids, "embedding")
-        if provider.provider_tag != embeddings.provider_tag:
-            raise SelectionError(
-                f"provider {provider.provider_tag!r} does not match matrix "
-                f"{embeddings.provider_tag!r}"
-            )
-        query_vector = list(provider.embed_batch([query_text])[0])
-        space = embeddings
-
-    want = depth + (1 if excluded_id is not None else 0)
-    ids, sims = nearest(space, query_vector, want)
-    if excluded_id in ids:
-        drop = ids.index(excluded_id)
-        del ids[drop], sims[drop]
-    return replace(ranking, ids=array("q", ids[:depth]), sims=array("d", sims[:depth]))
+        rankings.append(ranking)
+    return rankings
 
 
 def select(
     pool: FewShotPool,
     query: str | RequirementRecord,
     cfg: SelectionConfig,
-    tfidf: TfidfModel | None = None,
-    embeddings: EmbeddingMatrix | None = None,
     provider: EmbeddingProvider | None = None,
 ) -> SelectionResult:
     """Pick cfg.k examples from the pool for one query: rank, then slice.
@@ -267,4 +250,4 @@ def select(
     tfidf/embedding take the cfg.k most cosine-similar candidates. A record
     query that is a pool member never gets its own record back.
     """
-    return rank(pool, query, cfg, tfidf, embeddings, provider).take(cfg.k)
+    return rank(pool, [query], cfg, provider)[0].take(cfg.k)

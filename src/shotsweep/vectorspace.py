@@ -125,7 +125,6 @@ def embed_query_tfidf(model: TfidfModel, text: str) -> dict[int, float]:
 
 
 class EmbeddingProvider(Protocol):
-    provider_tag: str
     dim: int
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]: ...
@@ -142,7 +141,6 @@ class HashEmbeddingProvider:
         if dim < 1:
             raise VectorSpaceError("embedding dim must be >= 1")
         self.dim = dim
-        self.provider_tag = f"hashbag-{dim}-v1"
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
         return [self._embed(t) for t in texts]
@@ -165,7 +163,6 @@ class EmbeddingMatrix:
     dim: int
     rows: np.ndarray  # N x D, float64
     row_ids: tuple[int, ...]
-    provider_tag: str
 
     @property
     def n_docs(self) -> int:
@@ -185,7 +182,6 @@ def build_embedding_matrix(
     """
     if not candidates:
         raise VectorSpaceError("cannot build an embedding matrix over no candidates")
-    tag = provider.provider_tag
     pending = list(dict.fromkeys(record.text for record in candidates))
     vectors: dict[str, Sequence[float]] = {}
     for batch_no, start in enumerate(range(0, len(pending), _EMBED_BATCH_SIZE)):
@@ -219,7 +215,7 @@ def build_embedding_matrix(
                 f"record {record.record_id}: non-finite embedding entry"
             )
         matrix[i] = vector
-    return EmbeddingMatrix(dim=dim, rows=matrix, row_ids=tuple(r.record_id for r in candidates), provider_tag=tag)
+    return EmbeddingMatrix(dim, matrix, tuple(r.record_id for r in candidates))
 
 
 def _tfidf_scores(model: TfidfModel, query: dict[int, float]) -> np.ndarray:

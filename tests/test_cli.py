@@ -15,7 +15,10 @@ from shotsweep.cli import (
     main,
 )
 
+from shotsweep import HashEmbeddingProvider, build_embedding_matrix, build_pool
+
 from conftest import PROMISE_CSV
+from oracles import oracle_knn_embedding
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -105,6 +108,22 @@ class TestPoolSelect:
         assert payload["k_delivered"] == 3
         sims = [c["similarity"] for c in payload["chosen"]]
         assert sims == sorted(sims, reverse=True)
+
+    def test_select_embedding_matches_oracle(self, capsys, promise_binary):
+        query = "The system shall encrypt all stored data."
+        code = main(
+            ["select", "--data", str(PROMISE_CSV), "--scheme", "frnfr",
+             "--method", "embedding", "--k", "3", "--hash-dim", "16",
+             "--query", query, "--json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        pool = build_pool(list(promise_binary.records), promise_binary.scheme,
+                          len(promise_binary), 0)
+        provider = HashEmbeddingProvider(16)
+        matrix = build_embedding_matrix(pool.candidates, provider)
+        expected = oracle_knn_embedding(matrix, provider.embed_batch([query])[0], 3)
+        assert [(c["record_id"], c["similarity"]) for c in payload["chosen"]] == expected
 
     def test_select_random_zero_shot(self, capsys):
         code = main(
@@ -514,6 +533,42 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert "unknown scoring policy 'strickt'" in err
+        assert not list(cache_dir.rglob("*.jsonl"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["", "dry-run"])
+    @pytest.mark.parametrize(
+        "argv, extra, needle",
+        [
+            (["run"], {"split": {"kind": "holdout", "fracton": 0.5}},
+             "unknown holdout split key(s): fracton"),
+            (["sweep"], {"split": {"kind": "holdout", "fracton": 0.5}},
+             "unknown holdout split key(s): fracton"),
+            (["run"], {"split": {"kind": "full", "fraction": 0.5}},
+             "unknown full split key(s): fraction"),
+            (["sweep"], {"split": {"kind": "full", "fraction": 0.5}},
+             "unknown full split key(s): fraction"),
+            (["cv", "--shots", "1"], {"on_small_class": "sometimes"},
+             "on_small_class must be error or allow, got 'sometimes'"),
+        ],
+        ids=["run-split-typo", "sweep-split-typo", "run-full-fraction",
+             "sweep-full-fraction", "cv-on-small-class"],
+    )
+    def test_bad_split_key_or_small_class_policy_sends_no_request(
+        self, tmp_path, capsys, argv, extra, needle, dry_run
+    ):
+        payload = dict(data=str(PROMISE_CSV), scheme="frnfr", pool_size=20,
+                       profiles=GOLD_PROFILES, **extra)
+        if argv[0] == "sweep":
+            payload.update(models=["mock-gold"], methods=["random"], grid=[0, 1])
+        else:
+            payload.update(model="mock-gold", method="random", k=1)
+        cache_dir = tmp_path / "cache"
+        code = main([*argv, *dry_run, "--config", write_config(tmp_path, **payload),
+                     "--out", str(tmp_path / "out"), "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: {needle}" in err
         assert not list(cache_dir.rglob("*.jsonl"))
         assert not (tmp_path / "out").exists()
 

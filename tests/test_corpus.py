@@ -241,6 +241,13 @@ class TestKfold:
         plan = make_split(corpus, "kfold", 5, seed=0, on_small_class="allow")
         assert len(plan.assignments) == 21
 
+    @pytest.mark.parametrize("kind, param", [("kfold", 5), ("kfold", 2), ("holdout", 0.8)])
+    def test_unknown_small_class_policy_rejected(self, kind, param):
+        rows = [("only one,", "FR")] + [(f"n {i}", "NFR") for i in range(20)]
+        corpus = Corpus(tuple(make_records(rows)), BINARY_FRNFR)
+        with pytest.raises(SplitError, match="on_small_class must be error or allow"):
+            make_split(corpus, kind, param, seed=0, on_small_class="sometimes")
+
     def test_determinism_byte_identical(self, promise_binary):
         one = make_split(promise_binary, "kfold", 10, seed=42)
         two = make_split(promise_binary, "kfold", 10, seed=42)

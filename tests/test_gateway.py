@@ -723,7 +723,7 @@ class TestEmbedBatch:
         client = Client(mocks={"hash": provider})
         profile = ModelProfile(
             name="hash-embedder", kind="embedding", base_url="mock://hash",
-            provider_tag=provider.provider_tag,
+            provider_tag="hashbag-8-v1",
         )
         return client, profile, provider
 
@@ -745,7 +745,7 @@ class TestEmbedBatch:
         client = Client(mocks={"hash": provider})
         profile = ModelProfile(
             name="hash-embedder", kind="embedding", base_url="mock://hash",
-            provider_tag=provider.provider_tag,
+            provider_tag="hashbag-8-v1",
         )
         client.embed_batch(profile, ["abc"])
         client.embed_batch(profile, ["abc"])

@@ -14,7 +14,6 @@ from shotsweep import (
     PromptTemplate,
     build_pool,
     estimate_tokens,
-    fit_tfidf,
     render_prompt,
     select,
     SelectionConfig,
@@ -146,8 +145,7 @@ class TestRenderPrompt:
 
     def test_identical_inputs_identical_hash(self):
         pool = small_pool()
-        model = fit_tfidf(pool.candidates)
-        sel = select(pool, "encrypt data", SelectionConfig("tfidf", 2), tfidf=model)
+        sel = select(pool, "encrypt data", SelectionConfig("tfidf", 2))
         one = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, sel, pool, "encrypt data")
         two = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, sel, pool, "encrypt data")
         assert one == two
@@ -263,16 +261,13 @@ class TestRenderMemo:
     @pytest.mark.parametrize("policy", ORDERING_POLICIES)
     def test_memoised_prompts_equal_plain_formatting(self, policy):
         pool = memo_corpus()
-        model = fit_tfidf(pool.candidates)
         ordering = OrderingPolicy(policy, seed=11)
         queries = ["encrypt stored data", "export reports", "load fast uptime"]
         for _ in range(2):  # the second pass renders from the memo
             for query in queries:
                 for method in ("tfidf", "random"):
                     for k in range(len(pool) + 1):
-                        selection = select(
-                            pool, query, SelectionConfig(method, k, seed=2), tfidf=model
-                        )
+                        selection = select(pool, query, SelectionConfig(method, k, seed=2))
                         assert_renders_as_oracle(
                             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query, ordering
                         )
@@ -326,10 +321,9 @@ class TestBigPrompt:
     def test_160_shot_prompt_fits_a_128k_window(self, promise_binary):
         records = list(promise_binary.records)
         pool = build_pool(records, BINARY_FRNFR, 400, seed=0)
-        model = fit_tfidf(pool.candidates)
         query = records[0].text
         cfg = SelectionConfig("tfidf", 160)
-        selection = select(pool, query, cfg, tfidf=model)
+        selection = select(pool, query, cfg)
         prompt = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query)
         assert prompt.shot_count == 160
         chars = len(prompt.system_message) + len(prompt.user_message)

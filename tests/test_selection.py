@@ -9,11 +9,11 @@ from shotsweep import (
     LabelDef,
     LabelScheme,
     SelectionConfig,
-    build_embedding_matrix,
     build_pool,
     fit_tfidf,
     select,
 )
+from shotsweep import selection
 from shotsweep.selection import SelectionError, rank
 
 from conftest import make_records
@@ -117,18 +117,16 @@ class TestSelect:
 
     def test_tfidf_exact_match_without_exclusion(self):
         pool = make_pool()
-        model = fit_tfidf(pool.candidates)
         target = pool.candidates[3]
         cfg = SelectionConfig("tfidf", 1)
-        result = select(pool, target.text, cfg, tfidf=model)
+        result = select(pool, target.text, cfg)
         assert result.chosen[0][0] == target.record_id
         assert abs(result.chosen[0][1] - 1.0) < 1e-9
 
     def test_tfidf_top10_matches_bruteforce(self):
         pool = make_pool(30)
-        model = fit_tfidf(pool.candidates)
         query = "alpha beta item"
-        result = select(pool, query, SelectionConfig("tfidf", 10), tfidf=model)
+        result = select(pool, query, SelectionConfig("tfidf", 10))
         texts = [r.text for r in pool.candidates]
         expected = oracle_tfidf_ranking(texts, query)[:10]
         expected_ids = [pool.candidates[i].record_id for i, _ in expected]
@@ -136,11 +134,8 @@ class TestSelect:
 
     def test_exclusion_removes_query_record(self):
         pool = make_pool(12)
-        model = fit_tfidf(pool.candidates)
         for record in pool.candidates:
-            result = select(
-                pool, record, SelectionConfig("tfidf", len(pool)), tfidf=model
-            )
+            result = select(pool, record, SelectionConfig("tfidf", len(pool)))
             assert record.record_id not in result.chosen_ids
             assert result.k_delivered == len(pool) - 1
 
@@ -163,76 +158,35 @@ class TestSelect:
 
     def test_similarities_non_increasing(self):
         pool = make_pool(25)
-        model = fit_tfidf(pool.candidates)
         provider = HashEmbeddingProvider(16)
-        matrix = build_embedding_matrix(pool.candidates, provider)
-        for method, kwargs in (
-            ("tfidf", {"tfidf": model}),
-            ("embedding", {"embeddings": matrix, "provider": provider}),
-        ):
-            result = select(
-                pool, "alpha beta gamma", SelectionConfig(method, 10), **kwargs
-            )
+        for method in ("tfidf", "embedding"):
+            result = select(pool, "alpha beta gamma", SelectionConfig(method, 10), provider)
             sims = [sim for _, sim in result.chosen]
             assert all(s is not None for s in sims)
             assert all(a >= b for a, b in zip(sims, sims[1:]))
 
     def test_cardinality_identical_across_methods(self):
         pool = make_pool(15)
-        model = fit_tfidf(pool.candidates)
         provider = HashEmbeddingProvider(8)
-        matrix = build_embedding_matrix(pool.candidates, provider)
         for k in (0, 3, 15, 40):
             sizes = {
                 len(select(pool, "beta gamma", SelectionConfig("random", k)).chosen),
-                len(select(pool, "beta gamma", SelectionConfig("tfidf", k), tfidf=model).chosen),
+                len(select(pool, "beta gamma", SelectionConfig("tfidf", k)).chosen),
                 len(
                     select(
-                        pool,
-                        "beta gamma",
-                        SelectionConfig("embedding", k),
-                        embeddings=matrix,
-                        provider=provider,
+                        pool, "beta gamma", SelectionConfig("embedding", k), provider
                     ).chosen
                 ),
             }
             assert len(sizes) == 1
 
-    def test_space_pool_mismatch_rejected(self):
-        pool = make_pool(10, seed=1)
-        other = make_pool(10, seed=2)
-        model = fit_tfidf(other.candidates)
-        with pytest.raises(SelectionError, match="not fitted over this pool"):
-            select(pool, "alpha", SelectionConfig("tfidf", 2), tfidf=model)
-
-    def test_embedding_requires_matching_provider_tag(self):
-        pool = make_pool(6)
-        provider = HashEmbeddingProvider(8)
-        matrix = build_embedding_matrix(pool.candidates, provider)
-        with pytest.raises(SelectionError, match="does not match"):
-            select(
-                pool,
-                "alpha",
-                SelectionConfig("embedding", 2),
-                embeddings=matrix,
-                provider=HashEmbeddingProvider(16),
-            )
-
     def test_vector_methods_deterministic(self):
         pool = make_pool(14)
-        model = fit_tfidf(pool.candidates)
         provider = HashEmbeddingProvider(8)
-        matrix = build_embedding_matrix(pool.candidates, provider)
         query = pool.candidates[2]
-        tfidf_runs = [
-            select(pool, query, SelectionConfig("tfidf", 5), tfidf=model)
-            for _ in range(3)
-        ]
+        tfidf_runs = [select(pool, query, SelectionConfig("tfidf", 5)) for _ in range(3)]
         embed_runs = [
-            select(
-                pool, query, SelectionConfig("embedding", 5),
-                embeddings=matrix, provider=provider,
-            )
+            select(pool, query, SelectionConfig("embedding", 5), provider)
             for _ in range(3)
         ]
         assert len(set(tfidf_runs)) == 1
@@ -241,30 +195,80 @@ class TestSelect:
     def test_deep_ranking_sliced_equals_select_at_each_k(self):
         pool = make_pool(20)
         provider = HashEmbeddingProvider(8)
-        spaces = {
-            "random": {},
-            "tfidf": {"tfidf": fit_tfidf(pool.candidates)},
-            "embedding": {
-                "embeddings": build_embedding_matrix(pool.candidates, provider),
-                "provider": provider,
-            },
-        }
-        for method, kwargs in spaces.items():
-            for query in (pool.candidates[4], "alpha beta gamma"):
-                ranking = rank(pool, query, SelectionConfig(method, 25, seed=3), **kwargs)
+        queries = [pool.candidates[4], "alpha beta gamma", pool.candidates[0], "zeta"]
+        for method in ("random", "tfidf", "embedding"):
+            rankings = rank(pool, queries, SelectionConfig(method, 25, seed=3), provider)
+            assert len(rankings) == len(queries)
+            for query, ranking in zip(queries, rankings):
                 for k in range(26):
-                    expected = select(pool, query, SelectionConfig(method, k, seed=3), **kwargs)
+                    expected = select(pool, query, SelectionConfig(method, k, seed=3), provider)
                     assert ranking.take(k) == expected
 
     def test_no_duplicate_ids(self):
         pool = make_pool(18)
-        model = fit_tfidf(pool.candidates)
         for seed in range(10):
-            for method, kwargs in (("random", {}), ("tfidf", {"tfidf": model})):
+            for method in ("random", "tfidf"):
                 result = select(
-                    pool,
-                    pool.candidates[seed],
-                    SelectionConfig(method, 12, seed=seed),
-                    **kwargs,
+                    pool, pool.candidates[seed], SelectionConfig(method, 12, seed=seed)
                 )
                 assert len(set(result.chosen_ids)) == len(result.chosen_ids)
+
+
+class CountingProvider(HashEmbeddingProvider):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(len(texts))
+        return super().embed_batch(texts)
+
+
+class TestRankFitsOncePerPool:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        fitted = []
+
+        def counting_fit(candidates):
+            fitted.append(len(candidates))
+            return fit_tfidf(candidates)
+
+        monkeypatch.setattr(selection, "fit_tfidf", counting_fit)
+        return fitted
+
+    def queries(self, pool):
+        return [*pool.candidates[:6], "alpha beta", "gamma delta item"]
+
+    def test_tfidf_fits_once_for_every_query(self, fits):
+        pool = make_pool(40)
+        rankings = rank(pool, self.queries(pool), SelectionConfig("tfidf", 5))
+        assert fits == [len(pool)]
+        assert all(len(ranking.ids) == 5 for ranking in rankings)
+
+    def test_embedding_encodes_pool_once_then_each_query(self, fits):
+        pool = make_pool(70)
+        provider = CountingProvider(8)
+        queries = self.queries(pool)
+        rank(pool, queries, SelectionConfig("embedding", 5), provider)
+        assert provider.batches == [32, 32, 6] + [1] * len(queries)
+        assert fits == []
+
+    def test_random_zero_shot_and_empty_pool_fit_nothing(self, fits):
+        pool = make_pool(40)
+        empty = build_pool([], scheme_for(2), 0, seed=0)
+        provider = CountingProvider(8)
+        for target, method, k in (
+            (pool, "random", 5),
+            (pool, "tfidf", 0),
+            (pool, "embedding", 0),
+            (empty, "tfidf", 5),
+            (empty, "embedding", 5),
+        ):
+            rankings = rank(target, self.queries(pool), SelectionConfig(method, k), provider)
+            assert len(rankings) == len(self.queries(pool))
+        assert fits == []
+        assert provider.batches == []
+
+    def test_embedding_without_provider_is_a_selection_error(self):
+        with pytest.raises(SelectionError, match="requires an embedding provider"):
+            rank(make_pool(6), ["alpha"], SelectionConfig("embedding", 2))

@@ -32,7 +32,6 @@ from shotsweep.evaluation import (
     ExperimentConfig,
     TraceWriter,
     evaluate_cells,
-    fit_spaces,
     partitions,
 )
 from shotsweep import gateway
@@ -257,12 +256,8 @@ class TestRunSweep:
         pool = build_pool(train, corpus.scheme, len(train), 0)
         expected = set()
         for model, method, k in plan.cells():
-            tfidf, embeddings = fit_spaces(pool, method, k, provider)
             for record in test:
-                chosen = select(
-                    pool, record, SelectionConfig(method, k),
-                    tfidf=tfidf, embeddings=embeddings, provider=provider,
-                )
+                chosen = select(pool, record, SelectionConfig(method, k), provider)
                 prompt = render_prompt(DEFAULT_TEMPLATE, corpus.scheme, chosen, pool, record.text)
                 expected.add((model, prompt.content_hash, prompt.example_provenance,
                               record.text))

@@ -236,7 +236,6 @@ class TestKnnExactness:
             ids = rng.sample(range(10_000), n_docs)
             matrix = EmbeddingMatrix(
                 dim=dim, rows=np.array(rows, dtype=np.float64), row_ids=tuple(ids),
-                provider_tag="grid",
             )
             position = {rid: i for i, rid in enumerate(ids)}
             for query in (rng.choice(rows), [rng.choice(values) for _ in range(dim)], [0.0] * dim):
