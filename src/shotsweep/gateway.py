@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Sequence
 
 from .corpus import LabelScheme
 from .promptkit import PromptSpec, estimate_tokens
@@ -220,13 +220,13 @@ class ResponseCache:
     way, by (provider_tag, request fingerprint, text). With no directory the
     cache is memory-only.
     Loading reads every segment of a bucket in name order and the first row
-    for a key wins; torn_lines counts the unreadable lines (torn writes)
-    skipped, and torn_segments lists the segments that hold them. Segments
-    are never appended to once closed: each cache writes its rows to one new
-    segment per bucket, created on its first write and flushed row by row,
-    so a run that resumes after a torn write never glues a row onto the torn
-    line. close() closes the open segments (a later write starts another);
-    a cache collected unclosed closes them too.
+    for a key wins; torn_lines counts the lines skipped as unreadable (torn
+    writes, rows this version cannot read), and torn_segments lists the
+    segments that hold them. Segments are never appended to once closed: each
+    cache writes its rows to one new segment per bucket, created on its first
+    write and flushed row by row, so a run that resumes after a torn write
+    never glues a row onto the torn line. close() closes the open segments (a
+    later write starts another); a cache collected unclosed closes them too.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -240,36 +240,38 @@ class ResponseCache:
         if self._dir is not None:
             (self._dir / "completions").mkdir(parents=True, exist_ok=True)
             (self._dir / "embeddings").mkdir(parents=True, exist_ok=True)
-            self._load()
+            self._load_bucket("completions", self._add_completion)
+            self._load_bucket("embeddings", self._add_embedding)
 
-    def _rows(self, bucket: str) -> Iterator[dict]:
-        """The decodable rows of a bucket's segments, in name order, a line at
-        a time (one segment can hold a whole run); other lines count as torn."""
+    def _load_bucket(self, bucket: str, add: Callable[[dict], None]) -> None:
+        """Pass each row of a bucket's segments to add, in name order, a line at
+        a time (one segment can hold a whole run). A line that is not JSON, or a
+        row add cannot take (not an object, a field missing or unknown), is torn."""
         assert self._dir is not None
         for segment in sorted((self._dir / bucket).glob("*.jsonl")):
             with segment.open(encoding="utf-8") as handle:
                 for line in handle:
                     try:
-                        yield json.loads(line)
-                    except json.JSONDecodeError:
+                        add(json.loads(line))
+                    except (AttributeError, KeyError, TypeError, ValueError):
                         self.torn_lines += 1
                         if segment not in self.torn_segments:
                             self.torn_segments.append(segment)
 
-    def _load(self) -> None:
-        for row in self._rows("completions"):
-            if "fingerprint" not in row:
-                continue
-            # one string per endpoint setting, not one per row
-            row["fingerprint"] = sys.intern(row["fingerprint"])
-            record = CompletionRecord(**row)
-            key = (record.model, record.fingerprint, record.content_hash)
-            self._completions.setdefault(key, record)
-        for row in self._rows("embeddings"):
-            if "fingerprint" not in row:
-                continue
-            key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
-            self._embeddings.setdefault(key, tuple(row["vector"]))
+    def _add_completion(self, row: dict) -> None:
+        if row.get("fingerprint") is None:
+            return
+        # one string per endpoint setting, not one per row
+        row["fingerprint"] = sys.intern(row["fingerprint"])
+        record = CompletionRecord(**row)
+        key = (record.model, record.fingerprint, record.content_hash)
+        self._completions.setdefault(key, record)
+
+    def _add_embedding(self, row: dict) -> None:
+        if row.get("fingerprint") is None:
+            return
+        key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
+        self._embeddings.setdefault(key, tuple(row["vector"]))
 
     def _append(self, bucket: str, payload: dict) -> None:
         if self._dir is None:

@@ -9,9 +9,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-# One matrix-vector product per query gains nothing from an idle BLAS worker thread.
+# Runs before numpy loads, which is only in the functions that build or score a
+# space: one matrix-vector product per query gains nothing from an idle BLAS thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np
 
 from .corpus import RequirementRecord
 
@@ -67,6 +67,7 @@ class TfidfModel:
     data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
         lengths = [len(row) for row in self.rows]
         nnz = sum(lengths)
         cols = np.fromiter((c for row in self.rows for c in row), np.intp, nnz)
@@ -200,6 +201,7 @@ def build_embedding_matrix(
             )
         vectors.update(zip(batch, encoded))
 
+    import numpy as np
     first = vectors[candidates[0].text]
     dim = provider.dim if getattr(provider, "dim", 0) else len(first)
     matrix = np.zeros((len(candidates), dim), dtype=np.float64)
@@ -219,6 +221,7 @@ def build_embedding_matrix(
 
 
 def _tfidf_scores(model: TfidfModel, query: dict[int, float]) -> np.ndarray:
+    import numpy as np
     for col in query:
         if not 0 <= col < model.vocabulary.size:
             raise VectorSpaceError(f"query column {col} outside vocabulary")
@@ -233,6 +236,7 @@ def _tfidf_scores(model: TfidfModel, query: dict[int, float]) -> np.ndarray:
 
 
 def _embedding_scores(matrix: EmbeddingMatrix, query: Sequence[float]) -> np.ndarray:
+    import numpy as np
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (matrix.dim,):
         raise VectorSpaceError(
@@ -262,6 +266,7 @@ def nearest(
     back to stable row order (TF-IDF scores are never negative, so rows that
     share no term with the query come last, in row order).
     """
+    import numpy as np
     if k < 1:
         raise VectorSpaceError(f"k must be >= 1, got {k}")
     if isinstance(space, TfidfModel):

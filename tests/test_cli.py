@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from shotsweep.cli import (
 
 from shotsweep import HashEmbeddingProvider, build_embedding_matrix, build_pool
 
-from conftest import PROMISE_CSV
+from conftest import PROMISE_CSV, REPO_ROOT
 from oracles import oracle_knn_embedding
 
 
@@ -205,6 +208,20 @@ class TestRun:
         assert str(cache / "completions" / "00.jsonl") in warning
         assert str(cache / "embeddings" / "seg-1.jsonl") in warning
         assert "01.jsonl" not in warning
+
+    def test_cache_row_from_a_newer_version_is_warned_not_a_bug(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        (cache / "completions").mkdir(parents=True)
+        row = {"content_hash": "00", "text": "FR", "latency_ms": 1.0, "attempts": 1,
+               "model": "mock-gold", "created_at": "t", "fingerprint": "f", "extra": 1}
+        (cache / "completions" / "00.jsonl").write_text(json.dumps(row) + "\n5\n")
+        code = main(["run", "--config", self.run_config(tmp_path), "--out",
+                     str(tmp_path / "o"), "--cache-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        warning = next(line for line in err.splitlines() if line.startswith("warning:"))
+        assert "2 torn line(s)" in warning
+        assert str(cache / "completions" / "00.jsonl") in warning
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -984,3 +1001,55 @@ class TestReportReplay:
             ["replay", "--trace", str(tmp_path / "nope.jsonl"), "--scheme", "frnfr"]
         )
         assert code == EXIT_DATA
+
+
+_NUMPY_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from shotsweep.cli import main\n"
+    "seen = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(argv)\n"
+    "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+    "print(json.dumps(seen))\n"
+)
+
+
+def numpy_loaded_after(commands: list[list[str]]) -> list[list]:
+    """[command, exit code, numpy loaded yet] after each command, run in turn
+    in one fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_numpy_loads_with_the_first_fitted_space(tmp_path):
+    """Commands that fit no TF-IDF or embedding space never import numpy."""
+    data = ["--data", str(PROMISE_CSV), "--scheme", "frnfr"]
+    profiles = {"mock-gold": {"base_url": "mock://echo-gold"}}
+    run = write_config(
+        tmp_path, "run.json", data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+        method="random", k=2, pool_size=40, profiles=profiles,
+    )
+    sweep = write_config(
+        tmp_path, "sweep.json", data=str(PROMISE_CSV), scheme="frnfr",
+        models=["mock-gold"], methods=["random", "embedding", "tfidf"], grid=[0, 2],
+        profiles=profiles,
+    )
+    out = tmp_path / "o"
+    commands = [
+        ["ingest", *data],
+        ["pool", *data, "--size", "10"],
+        ["select", *data, "--method", "random", "--k", "2", "--query", "The system shall"],
+        ["run", "--config", run, "--out", str(out)],
+        ["sweep", "--config", sweep, "--out", str(tmp_path / "s"), "--dry-run"],
+        ["report", "--reports", str(out / "report.json"), "--layout", "binary"],
+        ["replay", "--trace", str(out / "trace.jsonl"), "--scheme", "frnfr"],
+    ]
+    assert numpy_loaded_after(commands) == [[argv[0], EXIT_OK, False] for argv in commands]
+    for method in ("tfidf", "embedding"):
+        select = ["select", *data, "--method", method, "--k", "2", "--query", "The system shall"]
+        assert numpy_loaded_after([select]) == [["select", EXIT_OK, True]]

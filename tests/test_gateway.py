@@ -219,8 +219,14 @@ class TestCompleteAndCache:
         }
         (tmp_path / "completions").mkdir()
         (tmp_path / "completions" / "ha.jsonl").write_text(json.dumps(legacy) + "\n")
+        (tmp_path / "embeddings").mkdir()
+        (tmp_path / "embeddings" / "ha.jsonl").write_text(
+            json.dumps({"tag": "t", "text": "a", "vector": [1.0]}) + "\n"
+        )
+        cache = ResponseCache(tmp_path)
+        assert (len(cache), cache.torn_lines) == (0, 0)  # skipped, not torn
         backend = ConstantBackend("FR")
-        client = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
+        client = Client(cache=cache, mocks={"test": backend})
         assert client.complete(mock_profile(), prompt_for("one")).text == "FR"
         assert backend.calls == 1
 
@@ -287,6 +293,27 @@ class TestCacheSegments:
         assert reloaded.torn_lines == 1
         assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "2" * 62).text == "resumed"
         assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "0" * 62).text == "kept"
+
+    @pytest.mark.parametrize("bucket, line", [
+        ("completions", json.dumps({**dataclasses.asdict(cached_row("ab" * 32)), "extra": 1})),
+        ("completions", json.dumps({**dataclasses.asdict(cached_row("ab" * 32)), "model": ["m"]})),
+        ("completions", "5"),
+        ("completions", "[1, 2]"),
+        ("completions", '"a string"'),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "vector": [1.0]})),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t"})),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t", "vector": 5})),
+        ("embeddings", "5"),
+    ], ids=["unknown-field", "unhashable-model", "int", "list", "string",
+            "no-tag", "no-vector", "vector-int", "embedding-int"])
+    def test_json_line_that_is_not_a_row_counts_as_torn(self, tmp_path, bucket, line):
+        (tmp_path / bucket).mkdir()
+        segment = tmp_path / bucket / "00.jsonl"
+        kept = json.dumps(dataclasses.asdict(cached_row("cd" * 32, "kept")))
+        segment.write_text(line + "\n" + (kept + "\n" if bucket == "completions" else ""))
+        loaded = ResponseCache(tmp_path)
+        assert (loaded.torn_lines, loaded.torn_segments) == (1, [segment])
+        assert len(loaded) == (1 if bucket == "completions" else 0)  # the row after it loads
 
     def test_puts_go_to_one_segment_per_bucket(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -679,12 +706,20 @@ def test_cli_import_loads_no_network_stack():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
 def test_cli_import_starts_no_thread(preset):
-    """Importing the CLI, numpy included, leaves the process on one thread:
-    OpenBLAS gets one thread unless the caller set its own count first."""
+    """Importing the CLI, then fitting a space and querying it, which loads
+    numpy, leaves the process on one thread: OpenBLAS gets one thread unless
+    the caller set its own count first."""
     code = (
         "import os, sys, shotsweep.cli\n"
+        "from shotsweep.corpus import RequirementRecord\n"
+        "from shotsweep.vectorspace import HashEmbeddingProvider, build_embedding_matrix,"
+        " embed_query_tfidf, fit_tfidf, nearest\n"
+        "pool = [RequirementRecord(i, t, 'FR', 'd') for i, t in enumerate(('a b', 'b c'))]\n"
+        "space = fit_tfidf(pool)\n"
+        "nearest(space, embed_query_tfidf(space, 'b'), 1)\n"
+        "build_embedding_matrix(pool, HashEmbeddingProvider(8))\n"
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'],"
-        " 'concurrent.futures' in sys.modules)"
+        " 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -693,28 +728,52 @@ def test_cli_import_starts_no_thread(preset):
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    threads, blas_threads, pool_loaded = result.stdout.split()
+    threads, blas_threads, numpy_loaded, pool_loaded = result.stdout.split()
     assert blas_threads == (preset or "1")
+    assert numpy_loaded == "True"
     assert pool_loaded == "False"
     if preset is None:
         assert threads == "1"
 
 
-def test_no_module_imports_threading():
-    """A Client belongs to one thread, and shotsweep starts none. The stdlib
-    always loads threading, so sys.modules cannot show this: read the source."""
+def source_imports(at_import_time: bool = False) -> list[tuple[str, str]]:
+    """(file name, module) for each absolute import in src/shotsweep; with
+    at_import_time, only those outside function bodies, which run when the
+    module is imported."""
+
+    def nodes(node):
+        for child in ast.iter_child_nodes(node):
+            if not (at_import_time and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                yield child
+                yield from nodes(child)
+
     modules = sorted((REPO_ROOT / "src" / "shotsweep").glob("*.py"))
     imports = []
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in nodes(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imports += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imports.append((path.name, node.module))
     assert len(modules) > 5 and imports
-    banned = [(name, module) for name, module in imports
+    return imports
+
+
+def test_no_module_imports_threading():
+    """A Client belongs to one thread, and shotsweep starts none. The stdlib
+    always loads threading, so sys.modules cannot show this: read the source."""
+    banned = [(name, module) for name, module in source_imports()
               if module.split(".")[0] in ("threading", "concurrent")]
     assert banned == []
+
+
+def test_numpy_is_imported_only_where_a_space_is_built_or_scored():
+    """numpy loads with the first fitted space, not when shotsweep is imported."""
+    def numpy_in(imports):
+        return {name for name, module in imports if module.split(".")[0] == "numpy"}
+
+    assert numpy_in(source_imports()) == {"vectorspace.py"}
+    assert numpy_in(source_imports(at_import_time=True)) == set()
 
 
 class TestEmbedBatch:
