@@ -23,7 +23,6 @@ from .evaluation import (
     ExperimentConfig,
     Prediction,
     compute_report,
-    evaluate_split,
     score_prediction,
 )
 from .gateway import (

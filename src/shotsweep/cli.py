@@ -14,21 +14,13 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     BUILTIN_SCHEMES,
-    SMALL_CLASS_POLICIES,
     Corpus,
     CorpusError,
     SplitError,
     load_corpus,
     load_scheme,
-    make_split,
 )
-from .evaluation import (
-    SCORING_POLICIES,
-    EvaluationError,
-    ExperimentConfig,
-    evaluate_split,
-    fold_reports,
-)
+from .evaluation import SCORING_POLICIES, EvaluationError, ExperimentConfig, fold_reports
 from .gateway import (
     DEFAULT_PROFILES,
     Client,
@@ -62,6 +54,7 @@ from .sweep import (
     DEFAULT_OVERPROMPTING_THRESHOLD,
     SweepError,
     SweepPlan,
+    SweepRun,
     run_sweep,
 )
 from .vectorspace import EmbeddingProvider, HashEmbeddingProvider, VectorSpaceError
@@ -280,10 +273,40 @@ def _write_artifacts(
     atomic_write(out_dir / "manifest.json", artifact_json(manifest))
 
 
-def _print_dry_run(args: argparse.Namespace, cfg: dict) -> int:
-    shown = {k: v for k, v in cfg.items() if k != "profiles"}
-    _print(args, shown, "\n".join(f"{k}: {v}" for k, v in sorted(shown.items())))
-    return EXIT_OK
+def _run_plan(args: argparse.Namespace, cfg: dict, **fields) -> tuple[Corpus, SweepRun] | None:
+    """Run the SweepPlan of fields over cfg's corpus and cache; on a dry run,
+    print what would run and return None.
+
+    run and cv are one-cell plans of cfg's model, method and k: their dry run
+    prints cfg, their predictions go to out_dir's trace.jsonl, and their
+    cell's failure is raised, not kept. The settings are parsed before the
+    plan, so an unknown method is reported as ExperimentConfig reports it.
+    """
+    exp = _experiment_config(cfg)
+    one_cell = args.command != "sweep"
+    if one_cell:
+        fields.update(models=(cfg["model"],), methods=(cfg["method"],), shot_grid=(cfg["k"],))
+    plan = SweepPlan(**fields)
+    profiles = _build_profiles(cfg, cfg["model"] if one_cell else None)
+    if args.dry_run:
+        if one_cell:
+            shown = {k: v for k, v in cfg.items() if k != "profiles"}
+            lines = [f"{k}: {v}" for k, v in sorted(shown.items())]
+        else:
+            shown = {"n_cells": plan.n_cells, "cells": [list(cell) for cell in plan.cells()]}
+            lines = [f"{m}  {meth}  k={k}" for m, meth, k in plan.cells()]
+            lines.append(f"{plan.n_cells} cells")
+        _print(args, shown, "\n".join(lines))
+        return None
+    corpus, client, provider = _open_session(cfg, profiles)
+    trace_path = Path(cfg["out_dir"]) / "trace.jsonl" if one_cell else None
+    with client:
+        run = run_sweep(plan, corpus, profiles, client, provider, exp, trace_path)
+    if one_cell:
+        (outcome,) = run.outcomes.values()
+        if isinstance(outcome, Exception):
+            raise outcome
+    return corpus, run
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -370,45 +393,42 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_spec(cfg: dict) -> tuple[str, float, int]:
-    """The split's kind (holdout or full), holdout fraction and seed."""
+def _split_spec(cfg: dict) -> dict:
+    """SweepPlan's split fields from the split object of run or sweep: its kind
+    (holdout, kfold or full), the holdout fraction or fold count, and the seed."""
     split = cfg.get("split") or {"kind": "holdout", "fraction": 0.8, "seed": 0}
     if "kind" not in split:
         raise ConfigError("split must be an object with a 'kind'")
-    if split["kind"] not in ("holdout", "full"):
-        raise ConfigError(f"run split kind must be holdout or full, got {split['kind']!r}")
-    allowed = ("kind", "seed", "fraction") if split["kind"] == "holdout" else ("kind", "seed")
-    unknown = sorted(set(split) - set(allowed))
+    kind = split["kind"]
+    if kind not in ("holdout", "kfold", "full"):
+        raise ConfigError(f"split kind must be holdout, kfold or full, got {kind!r}")
+    param_key = {"holdout": "fraction", "kfold": "folds"}.get(kind)
+    unknown = sorted(set(split) - {"kind", "seed", param_key})
     if unknown:
-        raise ConfigError(f"unknown {split['kind']} split key(s): {', '.join(unknown)}")
-    return (
-        split["kind"],
-        _typed(float, split.get("fraction", 0.8), "split.fraction"),
-        _typed(int, split.get("seed", 0), "split.seed"),
-    )
+        raise ConfigError(f"unknown {kind} split key(s): {', '.join(unknown)}")
+    return {
+        "split_kind": kind,
+        "split_param": (
+            _typed(int, split.get("folds", 10), "split.folds")
+            if kind == "kfold"
+            else _typed(float, split.get("fraction", 0.8), "split.fraction")
+        ),
+        "split_seed": _typed(int, split.get("seed", 0), "split.seed"),
+    }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, {}, {"data", "scheme", "model", "method", "k", "out_dir"})
     started = _now()
-    split_kind, fraction, split_seed = _split_spec(cfg)
-    profiles = _build_profiles(cfg, cfg["model"])
-    exp = _experiment_config(cfg)
-    if args.dry_run:
-        return _print_dry_run(args, cfg)
-    corpus, client, provider = _open_session(cfg, profiles)
+    session = _run_plan(args, cfg, **_split_spec(cfg))
+    if session is None:
+        return EXIT_OK
+    _, run = session
+    (report,) = run.reports.values()
     out_dir = Path(cfg["out_dir"])
-    split = None
-    with client:
-        if split_kind == "holdout":
-            split = make_split(corpus, "holdout", fraction, split_seed)
-        report = evaluate_split(
-            corpus, split, profiles[cfg["model"]], exp, client, provider,
-            out_dir / "trace.jsonl",
-        ).report
     artifacts = {"report": ("report.json", report), "trace": ("trace.jsonl", None)}
-    if split is not None:
-        artifacts["split"] = ("split.json", split_payload(split))
+    if run.split is not None:
+        artifacts["split"] = ("split.json", split_payload(run.split))
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "weighted_f1": report.weighted_f1,
@@ -429,31 +449,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     defaults = {"methods": list(METHODS), "grid": list(DEFAULT_GRID),
                 "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD}
     cfg = _merge_config(args, defaults, {"data", "scheme", "models", "out_dir"})
-    split_kind, fraction, split_seed = _split_spec(cfg)
-    plan = SweepPlan(
-        models=tuple(cfg["models"]),
-        methods=tuple(cfg["methods"]),
-        shot_grid=tuple(cfg["grid"]),
-        split_kind=split_kind,
-        split_param=fraction,
-        split_seed=split_seed,
-        overprompting_threshold=cfg["overprompting_threshold"],
-    )
-    exp = _experiment_config(cfg)
-    if args.dry_run:
-        cells = plan.cells()
-        if args.json:
-            print(json.dumps({"n_cells": plan.n_cells, "cells": [list(c) for c in cells]}))
-        else:
-            for model, method, k in cells:
-                print(f"{model}  {method}  k={k}")
-            print(f"{plan.n_cells} cells")
-        return EXIT_OK
     started = _now()
-    profiles = _build_profiles(cfg)
-    corpus, client, provider = _open_session(cfg, profiles)
-    with client:
-        run = run_sweep(plan, corpus, profiles, client, provider, exp)
+    session = _run_plan(
+        args, cfg, models=tuple(cfg["models"]), methods=tuple(cfg["methods"]),
+        shot_grid=tuple(cfg["grid"]), overprompting_threshold=cfg["overprompting_threshold"],
+        **_split_spec(cfg),
+    )
+    if session is None:
+        return EXIT_OK
+    _, run = session
     out_dir = Path(cfg["out_dir"])
     artifacts = {
         "curves_json": ("curves.json", {"series": run.curves}),
@@ -466,13 +470,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
-        "n_cells": plan.n_cells,
+        "n_cells": len(run.outcomes),
         "n_completed": len(run.reports),
         "n_failed": len(run.failures),
         "out_dir": str(out_dir),
     }
     text = (
-        f"sweep: {len(run.reports)}/{plan.n_cells} cells completed"
+        f"sweep: {len(run.reports)}/{len(run.outcomes)} cells completed"
         + (f", {len(run.failures)} failed" if run.failures else "")
         + f" -> {out_dir}"
     )
@@ -517,37 +521,29 @@ def cmd_cv(args: argparse.Namespace) -> int:
         cfg["k"] = _shots_from_manifest(args.shots_from, cfg["model"], cfg["method"])
     if cfg.get("k") is None:
         raise ConfigError("cv needs a shot count: --shots N or --shots-from MANIFEST")
-    k_folds = cfg["k_folds"]
-    if k_folds < 2:
-        raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
-    on_small_class = cfg.get("on_small_class", "error")
-    if on_small_class not in SMALL_CLASS_POLICIES:
-        raise ConfigError(f"on_small_class must be error or allow, got {on_small_class!r}")
     started = _now()
-    profiles = _build_profiles(cfg, cfg["model"])
-    exp = _experiment_config(cfg)
-    if args.dry_run:
-        return _print_dry_run(args, cfg)
-    corpus, client, provider = _open_session(cfg, profiles)
-    out_dir = Path(cfg["out_dir"])
-    with client:
-        split = make_split(corpus, "kfold", k_folds, cfg.get("split_seed", 0), on_small_class)
-        run = evaluate_split(
-            corpus, split, profiles[cfg["model"]], exp, client, provider,
-            out_dir / "trace.jsonl",
-        )
-    report = run.report
+    k_folds = cfg["k_folds"]
+    session = _run_plan(
+        args, cfg, split_kind="kfold", split_param=k_folds,
+        split_seed=cfg.get("split_seed", 0), on_small_class=cfg.get("on_small_class", "error"),
+    )
+    if session is None:
+        return EXIT_OK
+    corpus, run = session
+    (cell_run,) = run.outcomes.values()
+    report = cell_run.report
     layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
     table = emit_table([report], layout)
     artifacts = {
         "aggregate": ("aggregate.json", report),
-        "split": ("split.json", split_payload(split)),
+        "split": ("split.json", split_payload(run.split)),
         "table_txt": ("table.txt", table.text),
         "table_csv": ("table.csv", table.csv_text),
         "trace": ("trace.jsonl", None),
     }
-    for i, fold_report in enumerate(fold_reports(run, corpus.scheme)):
+    for i, fold_report in enumerate(fold_reports(cell_run, corpus.scheme)):
         artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report)
+    out_dir = Path(cfg["out_dir"])
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload = {
         "weighted_f1": report.weighted_f1,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -36,7 +35,7 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     record_id: int
     gold: str
@@ -287,11 +286,11 @@ def evaluate_cells(
     results are parsed (once per distinct completion text), scored and
     recorded in profiles order. cfg gives
     everything but the method and k. Each prediction also goes to trace, if
-    one is given (run and cv pass one for their single cell).
+    one is given (a one-cell sweep passes one).
 
-    A cell is yielded, with its report or its first failure, as soon as its
-    k is done on the last partition, so a one-partition sweep holds only one
-    (method, k) group's predictions. An exception in cell_errors fails the
+    A cell is yielded, with its report and per-partition predictions or its
+    first failure, as soon as its k is done on the last partition; the
+    caller decides what to keep. An exception in cell_errors fails the
     cells that share the step that raised it (every cell, a method's k > 0,
     a (method, k) or one model's cell) and the rest go on; any other
     exception propagates.
@@ -425,32 +424,6 @@ def partitions(
             raise EvaluationError(f"{split.kind} test partition is empty")
         parts.append((train, test))
     return parts, f"{split.kind}:{split.param}:{split.seed}"
-
-
-def evaluate_split(
-    corpus: Corpus,
-    split: SplitPlan | None,
-    profile: ModelProfile,
-    cfg: ExperimentConfig,
-    client: Client,
-    provider: EmbeddingProvider | None = None,
-    trace_path: str | Path | None = None,
-) -> CellRun:
-    """Evaluate cfg's one cell over split's partitions, into one trace.
-
-    The report pools every partition's predictions (micro aggregation);
-    fold_reports gives one report per partition. Every error propagates.
-    """
-    parts, split_desc = partitions(corpus, split)
-    meta = _run_metadata(corpus, profile, cfg, split_desc)
-    opened = TraceWriter(trace_path, meta) if trace_path is not None else nullcontext()
-    with opened as trace:
-        ((_, run),) = evaluate_cells(
-            corpus, parts, [profile], [cfg.method], [cfg.k], cfg, client,
-            provider, split_desc, trace,
-        )
-    assert isinstance(run, CellRun)
-    return run
 
 
 def fold_reports(run: CellRun, scheme: LabelScheme) -> list[EvalReport]:

@@ -246,13 +246,14 @@ class ResponseCache:
     def _load_bucket(self, bucket: str, add: Callable[[dict], None]) -> None:
         """Pass each row of a bucket's segments to add, in name order, a line at
         a time (one segment can hold a whole run). A line that is not JSON, or a
-        row add cannot take (not an object, a field missing or unknown), is torn."""
+        row add cannot take (not an object, a field missing or unknown), is torn,
+        and so is a line that is not UTF-8: it is decoded strictly, line by line."""
         assert self._dir is not None
         for segment in sorted((self._dir / bucket).glob("*.jsonl")):
-            with segment.open(encoding="utf-8") as handle:
+            with segment.open("rb") as handle:
                 for line in handle:
                     try:
-                        add(json.loads(line))
+                        add(json.loads(line.decode("utf-8")))
                     except (AttributeError, KeyError, TypeError, ValueError):
                         self.torn_lines += 1
                         if segment not in self.torn_segments:

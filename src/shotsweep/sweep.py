@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Sequence
 
-from .corpus import Corpus, make_split
+from .corpus import SMALL_CLASS_POLICIES, Corpus, SplitPlan, make_split
 from .evaluation import (
     Cell,
     CellRun,
     EvalReport,
     EvaluationError,
     ExperimentConfig,
+    TraceWriter,
+    _run_metadata,
     evaluate_cells,
     partitions,
 )
@@ -43,10 +47,11 @@ class SweepPlan:
     models: tuple[str, ...]
     methods: tuple[str, ...]
     shot_grid: tuple[int, ...] = DEFAULT_GRID
-    split_kind: str = "holdout"  # "holdout" | "full"
-    split_param: float = 0.8
+    split_kind: str = "holdout"  # "holdout" | "kfold" | "full"
+    split_param: float = 0.8  # holdout: the train fraction; kfold: the fold count
     split_seed: int = 0
     overprompting_threshold: float = DEFAULT_OVERPROMPTING_THRESHOLD
+    on_small_class: str = "error"  # kfold: see corpus.make_split
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -65,14 +70,20 @@ class SweepPlan:
             raise SweepError("shot counts must be >= 0")
         if any(b <= a for a, b in zip(self.shot_grid, self.shot_grid[1:])):
             raise SweepError(f"shot grid must be strictly increasing: {self.shot_grid}")
-        if self.split_kind not in ("holdout", "full"):
+        if self.split_kind not in ("holdout", "kfold", "full"):
             raise SweepError(f"unsupported sweep split kind {self.split_kind!r}")
+        if self.split_kind == "kfold" and self.split_param < 2:
+            raise SweepError(f"k_folds must be >= 2, got {self.split_param}")
+        if self.on_small_class not in SMALL_CLASS_POLICIES:
+            raise SweepError(
+                f"on_small_class must be error or allow, got {self.on_small_class!r}"
+            )
 
     @property
     def n_cells(self) -> int:
         return len(self.models) * len(self.methods) * len(self.shot_grid)
 
-    def cells(self) -> list[tuple[str, str, int]]:
+    def cells(self) -> list[Cell]:
         return [
             (model, method, k)
             for model in self.models
@@ -118,8 +129,24 @@ class CellFailure:
 @dataclass(frozen=True)
 class SweepRun:
     curves: tuple[SweepCurve, ...]
-    reports: dict[tuple[str, str, int], EvalReport]
-    failures: tuple[CellFailure, ...]
+    outcomes: dict[Cell, CellRun | Exception]  # in plan.cells() order
+    split: SplitPlan | None  # None: the full corpus
+
+    @property
+    def reports(self) -> dict[Cell, EvalReport]:
+        return {
+            cell: run.report
+            for cell, run in self.outcomes.items()
+            if isinstance(run, CellRun)
+        }
+
+    @property
+    def failures(self) -> tuple[CellFailure, ...]:
+        return tuple(
+            CellFailure(*cell, f"{type(error).__name__}: {error}")
+            for cell, error in self.outcomes.items()
+            if isinstance(error, Exception)
+        )
 
 
 def find_optimum(points: Sequence[CurvePoint]) -> int:
@@ -187,12 +214,15 @@ def run_sweep(
     client: Client,
     provider: EmbeddingProvider | None = None,
     cfg: ExperimentConfig = ExperimentConfig(),
+    trace_path: str | Path | None = None,
 ) -> SweepRun:
     """Run every (model, method, shot_count) cell under cfg and assemble curves.
 
     Each cell sets its own method and k; cfg gives the rest. The cells share
-    one partition, pool and space per method, and each prompt is rendered
-    once for all models (evaluation.evaluate_cells).
+    the plan's split (corpus.make_split, or none for "full") and its
+    partitions, one pool per partition and one space per method, and each
+    prompt is rendered once for all models (evaluation.evaluate_cells). A
+    one-cell plan may write every prediction to a trace at trace_path.
     Cell failures (CELL_ERRORS) are recorded in plan.cells() order and the
     sweep continues; any other exception propagates. Completions are
     cache-backed, so re-running a plan only executes what is missing.
@@ -200,47 +230,42 @@ def run_sweep(
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
-    outcomes: Iterable[tuple[Cell, CellRun | Exception]]
+    if trace_path is not None and plan.n_cells != 1:
+        raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
     split = None
-    if plan.split_kind == "holdout":
-        split = make_split(corpus, "holdout", plan.split_param, plan.split_seed)
+    if plan.split_kind != "full":
+        split = make_split(
+            corpus, plan.split_kind, plan.split_param, plan.split_seed, plan.on_small_class
+        )
     try:
         parts, split_desc = partitions(corpus, split)
     except EvaluationError as exc:  # an empty test partition fails every cell
-        outcomes = [(cell, exc) for cell in plan.cells()]
+        results: dict[Cell, CellRun | Exception] = dict.fromkeys(plan.cells(), exc)
     else:
-        outcomes = evaluate_cells(
-            corpus,
-            parts,
-            [profiles[m] for m in plan.models],
-            plan.methods,
-            plan.shot_grid,
-            cfg,
-            client,
-            provider,
-            split_desc,
-            cell_errors=CELL_ERRORS,
-        )
-    results = {
-        cell: outcome.report if isinstance(outcome, CellRun) else outcome
-        for cell, outcome in outcomes
-    }
-    reports = {c: results[c] for c in plan.cells() if isinstance(results[c], EvalReport)}
-    failures = [
-        CellFailure(*cell, f"{type(error).__name__}: {error}")
-        for cell in plan.cells()
-        if isinstance(error := results[cell], Exception)
-    ]
+        trace = nullcontext()
+        if trace_path is not None:
+            ((model, method, k),) = plan.cells()
+            cell_cfg = replace(cfg, method=method, k=k)
+            trace = TraceWriter(
+                trace_path, _run_metadata(corpus, profiles[model], cell_cfg, split_desc)
+            )
+        with trace as writer:
+            results = dict(evaluate_cells(
+                corpus, parts, [profiles[m] for m in plan.models], plan.methods,
+                plan.shot_grid, cfg, client, provider, split_desc, writer,
+                cell_errors=CELL_ERRORS,
+            ))
+    outcomes = {cell: results[cell] for cell in plan.cells()}
     curves = []
     for model in plan.models:
         for method in plan.methods:
             by_k = {
-                k: report
-                for (m, meth, k), report in reports.items()
-                if m == model and meth == method
+                k: outcome.report
+                for (m, meth, k), outcome in outcomes.items()
+                if m == model and meth == method and isinstance(outcome, CellRun)
             }
             if by_k:
                 curves.append(
                     build_curve(model, method, by_k, plan.overprompting_threshold)
                 )
-    return SweepRun(tuple(curves), reports, tuple(failures))
+    return SweepRun(tuple(curves), outcomes, split)

@@ -4,7 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from shotsweep import BINARY_FRNFR, Corpus, LabelDef, LabelScheme, RequirementRecord, load_corpus
+from shotsweep import (
+    BINARY_FRNFR,
+    Corpus,
+    LabelDef,
+    LabelScheme,
+    RequirementRecord,
+    SweepPlan,
+    load_corpus,
+    run_sweep,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROMISE_CSV = REPO_ROOT / "data" / "promise_nfr.csv"
@@ -15,6 +24,22 @@ def make_records(texts_labels, dataset="test"):
         RequirementRecord(i, text, label, dataset)
         for i, (text, label) in enumerate(texts_labels)
     ]
+
+
+def evaluate_one_cell(corpus, split, profile, cfg, client, provider=None, trace_path=None):
+    """cfg's (method, k) cell for profile over split (None: the full corpus),
+    as a one-cell run_sweep: its CellRun, or its failure raised."""
+    plan = SweepPlan(
+        (profile.name,), (cfg.method,), (cfg.k,),
+        split_kind="full" if split is None else split.kind,
+        split_param=0.8 if split is None else split.param,
+        split_seed=0 if split is None else split.seed,
+    )
+    run = run_sweep(plan, corpus, {profile.name: profile}, client, provider, cfg, trace_path)
+    (outcome,) = run.outcomes.values()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @pytest.fixture(scope="session")

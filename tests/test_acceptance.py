@@ -29,7 +29,6 @@ from shotsweep import (
     build_pool,
     compute_report,
     embed_query_tfidf,
-    evaluate_split,
     fit_tfidf,
     knn,
     load_corpus,
@@ -46,7 +45,7 @@ from shotsweep.gateway import ParsedLabel, ResponseCache
 from shotsweep.reporting import emit_table
 from shotsweep.sweep import CurvePoint, detect_overprompting, find_optimum
 
-from conftest import PROMISE_CSV
+from conftest import PROMISE_CSV, evaluate_one_cell
 from hillmock import HILL_SCHEDULE, hill_setup
 from oracles import oracle_metrics, oracle_tfidf_ranking, simulate_round_robin
 
@@ -224,9 +223,9 @@ def test_criterion_5_offline_end_to_end(promise_corpus):
     for method in ("random", "embedding", "tfidf"):
         for k in (0, 5, 20):
             cfg = ExperimentConfig(method=method, k=k, pool_size=200)
-            holdout = evaluate_split(corpus, split, profile, cfg, client, provider).report
+            holdout = evaluate_one_cell(corpus, split, profile, cfg, client, provider).report
             assert holdout.weighted_f1 == 1.0, (method, k, "holdout")
-            folded = evaluate_split(
+            folded = evaluate_one_cell(
                 corpus, make_split(corpus, "kfold", 10, 0), profile, cfg, client,
                 provider=provider,
             )
@@ -235,7 +234,7 @@ def test_criterion_5_offline_end_to_end(promise_corpus):
 
     constant_client = Client(mocks={"constant": ConstantBackend("NFR")})
     constant_profile = ModelProfile(name="const", base_url="mock://constant")
-    report = evaluate_split(
+    report = evaluate_one_cell(
         corpus, None, constant_profile, ExperimentConfig("random", 0), constant_client
     ).report
     assert abs(report.per_class["NFR"].precision - 0.592) < 0.001
@@ -391,7 +390,7 @@ def test_criterion_9_optional_live_api(tmp_path, promise_corpus):
     )
     client = Client(cache=ResponseCache(tmp_path / "live-cache"))
     cfg = ExperimentConfig(method="tfidf", k=10)
-    result = evaluate_split(
+    result = evaluate_one_cell(
         promise_corpus, make_split(promise_corpus, "kfold", 10, 0), profile, cfg, client
     )
     assert result.report.n_predictions == 625

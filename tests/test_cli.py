@@ -15,12 +15,14 @@ from shotsweep.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_TRANSPORT,
     main,
 )
 
 from shotsweep import HashEmbeddingProvider, build_embedding_matrix, build_pool
 
 from conftest import PROMISE_CSV, REPO_ROOT
+from loopback import ChatEndpoint
 from oracles import oracle_knn_embedding
 
 
@@ -172,10 +174,10 @@ class TestRun:
     def test_harness_bug_exits_with_bug_code(self, tmp_path, capsys, monkeypatch):
         import shotsweep.cli
 
-        def broken_evaluate_split(*args, **kwargs):
+        def broken_run_sweep(*args, **kwargs):
             raise KeyError("bug")
 
-        monkeypatch.setattr(shotsweep.cli, "evaluate_split", broken_evaluate_split)
+        monkeypatch.setattr(shotsweep.cli, "run_sweep", broken_run_sweep)
         code = main(["run", "--config", self.run_config(tmp_path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_BUG
@@ -208,6 +210,17 @@ class TestRun:
         assert str(cache / "completions" / "00.jsonl") in warning
         assert str(cache / "embeddings" / "seg-1.jsonl") in warning
         assert "01.jsonl" not in warning
+
+    def test_cache_line_that_is_not_utf8_is_warned_not_a_bug(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        (cache / "completions").mkdir(parents=True)
+        (cache / "completions" / "00.jsonl").write_bytes(b'\xff\xfe{"x": 1}\n')
+        code = main(["run", "--config", self.run_config(tmp_path), "--out",
+                     str(tmp_path / "o"), "--cache-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert err.count("warning:") == 1
+        assert "1 torn line(s)" in err and str(cache / "completions" / "00.jsonl") in err
 
     def test_cache_row_from_a_newer_version_is_warned_not_a_bug(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -869,7 +882,7 @@ class TestCv:
         assert aggregate["n_predictions"] == 625
 
     def test_split_is_made_once(self, tmp_path, capsys, monkeypatch):
-        import shotsweep.cli
+        import shotsweep.sweep
         from shotsweep.corpus import make_split
 
         calls = []
@@ -878,7 +891,7 @@ class TestCv:
             calls.append(args[1:])
             return make_split(*args, **kwargs)
 
-        monkeypatch.setattr(shotsweep.cli, "make_split", counting_make_split, raising=False)
+        monkeypatch.setattr(shotsweep.sweep, "make_split", counting_make_split, raising=False)
         config = self.cv_config(tmp_path, k_folds=5, pool_size=40)
         out_dir = tmp_path / "cv"
         code = main(["cv", "--config", config, "--shots", "2", "--out", str(out_dir)])
@@ -918,6 +931,97 @@ class TestCv:
         assert code == EXIT_OK
         aggregate = json.loads((out_dir / "aggregate.json").read_text())
         assert aggregate["metadata"]["k"] == 0  # echo-gold ties resolve to fewest shots
+
+
+def one_cell_or_sweep_config(tmp_path, command, **extra):
+    payload = dict(data=str(PROMISE_CSV), scheme="frnfr", pool_size=20, profiles=GOLD_PROFILES)
+    if command == "sweep":
+        payload.update(models=["mock-gold"], methods=["random"], grid=[0, 1])
+    else:
+        payload.update(model="mock-gold", method="random", k=1)
+    if command == "cv":
+        payload["k_folds"] = 5
+    payload.update(extra)
+    return write_config(tmp_path, **payload)
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("command", ["run", "cv", "sweep"])
+    def test_each_evaluating_command_calls_run_sweep_once(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        import shotsweep.cli
+
+        calls = []
+        run_sweep = shotsweep.cli.run_sweep
+
+        def counting_run_sweep(*args, **kwargs):
+            calls.append(args[0].n_cells)
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(shotsweep.cli, "run_sweep", counting_run_sweep)
+        config = one_cell_or_sweep_config(tmp_path, command)
+        code = main([command, "--config", config, "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert calls == [2 if command == "sweep" else 1]
+
+    def test_kfold_sweep_cell_equals_cv_aggregate(self, tmp_path, capsys):
+        split = {"kind": "kfold", "folds": 5, "seed": 1}
+        sweep = one_cell_or_sweep_config(tmp_path, "sweep", methods=["tfidf"], grid=[0, 2],
+                                         split=split)
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == EXIT_OK
+        cv = one_cell_or_sweep_config(tmp_path, "cv", method="tfidf", split_seed=1)
+        assert main(["cv", "--config", cv, "--shots", "2", "--out", str(tmp_path / "cv")]) == EXIT_OK
+        cell = json.loads((tmp_path / "s" / "cells" / "mock-gold__tfidf__k2.json").read_text())
+        aggregate = json.loads((tmp_path / "cv" / "aggregate.json").read_text())
+        assert cell == aggregate
+        assert cell["n_predictions"] == 625 and cell["metadata"]["split"] == "kfold:5:1"
+
+    def test_run_takes_a_kfold_split(self, tmp_path, capsys):
+        config = one_cell_or_sweep_config(tmp_path, "run",
+                                          split={"kind": "kfold", "folds": 5, "seed": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["n_predictions"] == 625
+        assert json.loads((out / "split.json").read_text())["param"] == 5
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_kfold_split_takes_folds_not_fraction(self, tmp_path, capsys, command):
+        config = one_cell_or_sweep_config(tmp_path, command,
+                                          split={"kind": "kfold", "fraction": 0.5})
+        code = main([command, "--config", config, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: unknown kfold split key(s): fraction" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class Unavailable(ChatEndpoint):
+    """Answers every request 503."""
+
+    def respond(self, target, headers, body):
+        return 503, b"{}"
+
+
+class TestTransportFailure:
+    @pytest.mark.parametrize("argv", [["run"], ["cv", "--folds", "5"]], ids=["run", "cv"])
+    def test_503_exits_transport_and_later_folds_send_nothing(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        for scheme in ("http", "https", "all", "no"):
+            monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+        endpoint = Unavailable()
+        try:
+            profile = {"base_url": endpoint.base_url, "max_attempts": 2, "backoff_base_s": 0}
+            config = one_cell_or_sweep_config(tmp_path, argv[0], profiles={"remote": profile},
+                                              model="remote")
+            out = tmp_path / "out"
+            code = main([*argv, "--config", config, "--out", str(out)])
+        finally:
+            endpoint.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_TRANSPORT, err
+        assert err.startswith("transport error:")
+        assert not (out / "manifest.json").exists()
+        assert len(endpoint.targets) == 2
 
 
 class TestReportReplay:

@@ -14,7 +14,6 @@ from shotsweep import (
     LabelScheme,
     ModelProfile,
     compute_report,
-    evaluate_split,
     make_split,
     score_prediction,
 )
@@ -29,7 +28,7 @@ from shotsweep.evaluation import (
 )
 from shotsweep.gateway import GatewayError, ParsedLabel
 
-from conftest import make_records
+from conftest import evaluate_one_cell, make_records
 from oracles import oracle_metrics
 
 
@@ -265,7 +264,7 @@ class TestRunHoldout:
         split = make_split(corpus, "holdout", 0.75, seed=0)
         client, _ = gold_client(corpus)
         cfg = ExperimentConfig(method=method, k=k)
-        report = evaluate_split(
+        report = evaluate_one_cell(
             corpus, split, profile_for(), cfg, client, HashEmbeddingProvider(8)
         ).report
         assert report.weighted_f1 == 1.0
@@ -277,7 +276,7 @@ class TestRunHoldout:
         client = Client(mocks={"constant": ConstantBackend("Non-Functional")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         cfg = ExperimentConfig(method="random", k=2)
-        report = evaluate_split(corpus, split, profile, cfg, client).report
+        report = evaluate_one_cell(corpus, split, profile, cfg, client).report
         assert report.per_class["NFR"].recall == 1.0
         assert abs(report.per_class["NFR"].precision - 0.5) < 1e-9
         assert report.per_class["FR"].f1 == 0.0
@@ -305,11 +304,11 @@ class TestRunHoldout:
         cfg = ExperimentConfig(method="random", k=1)
         trace_path = tmp_path / "trace.jsonl"
         with pytest.raises(GatewayError):
-            evaluate_split(corpus, split, profile, cfg, client, trace_path=trace_path)
+            evaluate_one_cell(corpus, split, profile, cfg, client, trace_path=trace_path)
         lines = trace_path.read_text().splitlines()
         assert len(lines) == 2  # meta + the one prediction that completed
         backend.fail_on = -1  # heal; cached first completion is not re-charged
-        report = evaluate_split(
+        report = evaluate_one_cell(
             corpus, split, profile, cfg, client, trace_path=trace_path
         ).report
         assert report.weighted_f1 == 1.0
@@ -320,7 +319,7 @@ class TestRunFull:
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         cfg = ExperimentConfig(method="random", k=0)
-        report = evaluate_split(promise_binary, None, profile, cfg, client).report
+        report = evaluate_one_cell(promise_binary, None, profile, cfg, client).report
         assert report.n_predictions == 625
         assert report.per_class["NFR"].recall == 1.0
         assert abs(report.per_class["NFR"].precision - 370 / 625) < 1e-9
@@ -341,7 +340,7 @@ class TestRunFull:
         client = Client(mocks={"checker": backend})
         profile = ModelProfile(name="checker", base_url="mock://checker")
         cfg = ExperimentConfig(method="tfidf", k=5)
-        evaluate_split(corpus, None, profile, cfg, client)
+        evaluate_one_cell(corpus, None, profile, cfg, client)
         assert backend.calls == len(corpus)
 
 
@@ -349,7 +348,7 @@ class TestRunKfold:
     def test_echo_gold_all_folds_perfect(self):
         corpus = small_corpus(10)
         client, _ = gold_client(corpus)
-        result = evaluate_split(
+        result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 5, 0), profile_for(),
             ExperimentConfig("tfidf", 3), client,
         )
@@ -361,7 +360,7 @@ class TestRunKfold:
     def test_each_record_scored_exactly_once(self):
         corpus = small_corpus(10)
         client, _ = gold_client(corpus)
-        result = evaluate_split(
+        result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 4, 0), profile_for(),
             ExperimentConfig("random", 2), client,
         )
@@ -373,7 +372,7 @@ class TestRunKfold:
         corpus = small_corpus(9)
         client = Client(mocks={"constant": ConstantBackend("Functional")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        result = evaluate_split(
+        result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 3, 0), profile,
             ExperimentConfig("random", 1), client,
         )
@@ -387,7 +386,7 @@ class TestRunKfold:
         corpus = small_corpus(10)
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        result = evaluate_split(
+        result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 5, 0), profile,
             ExperimentConfig("random", 1), client,
         )
@@ -398,7 +397,7 @@ class TestRunKfold:
         corpus = small_corpus(4)
         client, _ = gold_client(corpus)
         with pytest.raises(SplitError):  # make_split validates the fold count
-            evaluate_split(
+            evaluate_one_cell(
                 corpus, make_split(corpus, "kfold", 1, 0), profile_for(),
                 ExperimentConfig("random", 1), client,
             )

@@ -315,6 +315,18 @@ class TestCacheSegments:
         assert (loaded.torn_lines, loaded.torn_segments) == (1, [segment])
         assert len(loaded) == (1 if bucket == "completions" else 0)  # the row after it loads
 
+    def test_line_that_is_not_utf8_counts_as_torn(self, tmp_path):
+        (tmp_path / "completions").mkdir()
+        segment = tmp_path / "completions" / "00.jsonl"
+        rows = [json.dumps(dataclasses.asdict(cached_row(h * 32, "kept"))) for h in ("ab", "cd")]
+        segment.write_bytes(
+            (rows[0] + "\n").encode() + b'\xff\xfe{"x": 1}\n' + (rows[1] + "\n").encode()
+        )
+        loaded = ResponseCache(tmp_path)
+        assert (loaded.torn_lines, loaded.torn_segments) == (1, [segment])
+        for h in ("ab", "cd"):
+            assert loaded.get_completion("mock-model", "f" * 16, h * 32).text == "kept"
+
     def test_puts_go_to_one_segment_per_bucket(self, tmp_path):
         cache = ResponseCache(tmp_path)
         hashes = [f"{i:02x}" + "0" * 62 for i in range(40)]

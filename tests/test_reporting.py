@@ -11,7 +11,6 @@ from shotsweep import (
     EchoGoldBackend,
     ModelProfile,
     compute_report,
-    evaluate_split,
     make_split,
 )
 from shotsweep.corpus import PROMISE_12
@@ -30,6 +29,7 @@ from shotsweep.reporting import (
 )
 from shotsweep.sweep import CurvePoint, OverpromptingVerdict, SweepCurve
 
+from conftest import evaluate_one_cell
 from hillmock import balanced_corpus
 
 
@@ -94,7 +94,7 @@ class TestEmitTable:
     def test_constant_nfr_on_promise(self, promise_binary):
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        report = evaluate_split(
+        report = evaluate_one_cell(
             promise_binary, None, profile, ExperimentConfig("random", 0), client
         ).report
         table = emit_table([report], "binary")
@@ -116,7 +116,7 @@ class TestEmitTable:
     def test_csv_roundtrip_recomputes_weighted_f1(self, promise_binary):
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        report = evaluate_split(
+        report = evaluate_one_cell(
             promise_binary, None, profile, ExperimentConfig("random", 0), client
         ).report
         table = emit_table([report], "binary")
@@ -203,7 +203,7 @@ class TestReplay:
         profile = ModelProfile(name="b", base_url="mock://b")
         split = make_split(corpus, "holdout", 0.5, seed=0)
         trace = tmp_path / "trace.jsonl"
-        report = evaluate_split(
+        report = evaluate_one_cell(
             corpus, split, profile, ExperimentConfig("random", 1), client,
             trace_path=trace,
         ).report

@@ -401,6 +401,43 @@ class TestRunSweep:
         assert not rerun.failures
 
 
+class TestKfoldSweep:
+    def test_each_record_is_scored_once_per_cell(self, promise_binary):
+        client, _ = echo_gold_client(promise_binary)
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_kind="kfold",
+                         split_param=5, split_seed=1)
+        run = run_sweep(plan, promise_binary, mock_profiles(["m1", "m2"]), client,
+                        cfg=ExperimentConfig(pool_size=40))
+        assert list(run.outcomes) == plan.cells()
+        assert run.split.kind == "kfold" and run.split.param == 5
+        record_ids = sorted(r.record_id for r in promise_binary.records)
+        for outcome in run.outcomes.values():
+            assert len(outcome.per_partition) == 5
+            scored = [pred.record_id for preds in outcome.per_partition for pred in preds]
+            assert sorted(scored) == record_ids
+            assert outcome.report.metadata["split"] == "kfold:5:1"
+
+    @pytest.mark.parametrize(
+        "fields, needle",
+        [({"split_kind": "kfold", "split_param": 1}, "k_folds must be >= 2, got 1"),
+         ({"on_small_class": "sometimes"}, "on_small_class must be error or allow, got 'sometimes'"),
+         ({"split_kind": "leave-one-out"}, "unsupported sweep split kind 'leave-one-out'")],
+        ids=["folds", "small-class", "kind"],
+    )
+    def test_bad_split_is_refused_by_the_plan(self, fields, needle):
+        with pytest.raises(SweepError, match=needle):
+            SweepPlan(("m1",), ("random",), (0,), **fields)
+
+    def test_only_a_one_cell_plan_writes_a_trace(self, tmp_path):
+        corpus = balanced_corpus(4)
+        client, backend = echo_gold_client(corpus)
+        plan = SweepPlan(("m1",), ("random",), (0, 1), split_param=0.5)
+        with pytest.raises(SweepError, match="one-cell plan"):
+            run_sweep(plan, corpus, mock_profiles(["m1"]), client,
+                      trace_path=tmp_path / "trace.jsonl")
+        assert backend.calls == 0 and not (tmp_path / "trace.jsonl").exists()
+
+
 class TestBuildCurve:
     def test_annotations_consistent(self):
         corpus = balanced_corpus(6)
