@@ -20,7 +20,6 @@ from .corpus import (
 )
 from .evaluation import (
     EvalReport,
-    ExperimentConfig,
     Prediction,
     compute_report,
     score_prediction,

@@ -20,7 +20,7 @@ from .corpus import (
     load_corpus,
     load_scheme,
 )
-from .evaluation import SCORING_POLICIES, EvaluationError, ExperimentConfig, fold_reports
+from .evaluation import SCORING_POLICIES, EvaluationError, fold_reports
 from .gateway import (
     DEFAULT_PROFILES,
     Client,
@@ -127,7 +127,7 @@ _KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
     "overprompting_threshold": (float, ("sweep",)),
     "k_folds": (int, ("cv",)),
     "split_seed": (int, ("cv",)),
-    "on_small_class": (str, ("cv",)),
+    "on_small_class": (str, _ALL),
 }
 
 
@@ -175,8 +175,8 @@ def _load_data(cfg: dict) -> Corpus:
     )
 
 
-def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfile]:
-    """Built-in profiles overlaid with the config's; check `model` has one."""
+def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelProfile]:
+    """Built-in profiles overlaid with the config's; check each of models has one."""
     profiles = dict(DEFAULT_PROFILES)
     spec = cfg.get("profiles") or {}
     if isinstance(spec, str):
@@ -184,6 +184,8 @@ def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfi
     for name, fields in spec.items():
         if not isinstance(fields, dict):
             raise ConfigError(f"profile {name!r}: fields must be an object")
+        if fields.get("name", name) != name:
+            raise ConfigError(f"profile {name!r}: name {fields['name']!r} must match its key")
         base = profiles.get(name)
         try:
             profiles[name] = (
@@ -193,8 +195,9 @@ def _build_profiles(cfg: dict, model: str | None = None) -> dict[str, ModelProfi
             )
         except (TypeError, GatewayError) as exc:  # an unknown field, or a bad value
             raise ConfigError(f"profile {name!r}: {exc}") from exc
-    if model is not None and model not in profiles:
-        raise ConfigError(f"model {model!r} has no profile")
+    missing = [model for model in models if model not in profiles]
+    if missing:
+        raise ConfigError(f"no profile for model(s): {', '.join(missing)}")
     return profiles
 
 
@@ -274,20 +277,25 @@ def _write_artifacts(
 
 
 def _run_plan(args: argparse.Namespace, cfg: dict, **fields) -> tuple[Corpus, SweepRun] | None:
-    """Run the SweepPlan of fields over cfg's corpus and cache; on a dry run,
-    print what would run and return None.
+    """Run the SweepPlan of fields and cfg's shared settings over cfg's corpus
+    and cache; on a dry run, print what would run and return None.
 
     run and cv are one-cell plans of cfg's model, method and k: their dry run
     prints cfg, their predictions go to out_dir's trace.jsonl, and their
-    cell's failure is raised, not kept. The settings are parsed before the
-    plan, so an unknown method is reported as ExperimentConfig reports it.
+    cell's failure is raised, not kept.
     """
-    exp = _experiment_config(cfg)
     one_cell = args.command != "sweep"
     if one_cell:
         fields.update(models=(cfg["model"],), methods=(cfg["method"],), shot_grid=(cfg["k"],))
-    plan = SweepPlan(**fields)
-    profiles = _build_profiles(cfg, cfg["model"] if one_cell else None)
+    as_is = ("pool_size", "pool_seed", "selection_seed", "scoring_policy", "on_small_class")
+    template = cfg.get("template", "default")
+    plan = SweepPlan(
+        **fields,
+        **{key: cfg[key] for key in as_is if key in cfg},
+        template=DEFAULT_TEMPLATE if template == "default" else load_template(template),
+        ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
+    )
+    profiles = _build_profiles(cfg, plan.models)
     if args.dry_run:
         if one_cell:
             shown = {k: v for k, v in cfg.items() if k != "profiles"}
@@ -301,23 +309,12 @@ def _run_plan(args: argparse.Namespace, cfg: dict, **fields) -> tuple[Corpus, Sw
     corpus, client, provider = _open_session(cfg, profiles)
     trace_path = Path(cfg["out_dir"]) / "trace.jsonl" if one_cell else None
     with client:
-        run = run_sweep(plan, corpus, profiles, client, provider, exp, trace_path)
+        run = run_sweep(plan, corpus, profiles, client, provider, trace_path)
     if one_cell:
         (outcome,) = run.outcomes.values()
         if isinstance(outcome, Exception):
             raise outcome
     return corpus, run
-
-
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """The settings run, cv and sweep evaluate under; a sweep sets no method or k."""
-    fields = ("method", "k", "pool_size", "pool_seed", "selection_seed", "scoring_policy")
-    template = cfg.get("template", "default")
-    return ExperimentConfig(
-        **{field: cfg[field] for field in fields if field in cfg},
-        template=DEFAULT_TEMPLATE if template == "default" else load_template(template),
-        ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
-    )
 
 
 def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -525,7 +522,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     k_folds = cfg["k_folds"]
     session = _run_plan(
         args, cfg, split_kind="kfold", split_param=k_folds,
-        split_seed=cfg.get("split_seed", 0), on_small_class=cfg.get("on_small_class", "error"),
+        split_seed=cfg.get("split_seed", 0),
     )
     if session is None:
         return EXIT_OK

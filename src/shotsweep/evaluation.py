@@ -5,26 +5,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan
 from .gateway import (
     Client,
     CompletionRecord,
+    GatewayError,
     ModelProfile,
     ParsedLabel,
     PendingCompletion,
     parse_label,
 )
-from .promptkit import (
-    DEFAULT_TEMPLATE,
-    OrderingPolicy,
-    PromptSpec,
-    PromptTemplate,
-    render_prompt,
-)
-from .selection import METHODS, SelectionConfig, build_pool, rank
-from .vectorspace import EmbeddingProvider
+from .promptkit import PromptError, PromptSpec, render_prompt
+from .selection import SelectionConfig, SelectionError, build_pool, rank
+from .vectorspace import EmbeddingProvider, VectorSpaceError
+
+if TYPE_CHECKING:
+    from .sweep import SweepPlan
 
 INVALID_COLUMN = "__invalid__"
 
@@ -33,6 +31,17 @@ SCORING_POLICIES = ("strict", "first_match")
 
 class EvaluationError(Exception):
     pass
+
+
+# Failures that belong to one cell (its model, prompts or data); anything
+# else is a harness bug and aborts the sweep.
+CELL_ERRORS = (
+    GatewayError,
+    EvaluationError,
+    SelectionError,
+    PromptError,
+    VectorSpaceError,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,26 +155,6 @@ def compute_report(
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """The settings run, cv and sweep evaluate under; a sweep's cells set method and k."""
-
-    method: str | None = None
-    k: int | None = None
-    pool_size: int | None = None
-    pool_seed: int = 0
-    selection_seed: int = 0
-    scoring_policy: str = "strict"
-    template: PromptTemplate = DEFAULT_TEMPLATE
-    ordering: OrderingPolicy = OrderingPolicy()
-
-    def __post_init__(self) -> None:
-        if self.method is not None and self.method not in METHODS:
-            raise EvaluationError(f"unknown selection method {self.method!r}")
-        if self.scoring_policy not in SCORING_POLICIES:
-            raise EvaluationError(f"unknown scoring policy {self.scoring_policy!r}")
-
-
-@dataclass(frozen=True)
 class TraceRow:
     """One prediction row of a trace, as TraceWriter writes it and replay reads it."""
 
@@ -202,21 +191,22 @@ class TraceWriter:
 
 
 def _run_metadata(
-    corpus: Corpus, profile: ModelProfile, cfg: ExperimentConfig, split_desc: str
+    corpus: Corpus, cell: Cell, plan: SweepPlan, split_desc: str
 ) -> dict[str, object]:
+    model, method, k = cell
     return {
         "dataset": corpus.records[0].dataset if corpus.records else "",
         "scheme": corpus.scheme.name,
-        "model": profile.name,
-        "method": cfg.method,
-        "k": cfg.k,
+        "model": model,
+        "method": method,
+        "k": k,
         "split": split_desc,
-        "pool_size": cfg.pool_size,
-        "pool_seed": cfg.pool_seed,
-        "selection_seed": cfg.selection_seed,
-        "scoring_policy": cfg.scoring_policy,
-        "template_version": cfg.template.version,
-        "ordering": cfg.ordering.name,
+        "pool_size": plan.pool_size,
+        "pool_seed": plan.pool_seed,
+        "selection_seed": plan.selection_seed,
+        "scoring_policy": plan.scoring_policy,
+        "template_version": plan.template.version,
+        "ordering": plan.ordering.name,
     }
 
 
@@ -234,14 +224,13 @@ def _complete_each(
     client: Client,
     profiles: Sequence[ModelProfile],
     prompt: PromptSpec,
-    cell_errors: tuple[type[Exception], ...],
 ) -> list[CompletionRecord | Exception]:
     """Each profile's completion of prompt, or the cell error it raised, in order.
 
     All on the calling thread: every profile's request is sent first (a
     cache hit sends none), then the replies are read in profiles order, and
     only then is a first attempt that failed in transport retried. An
-    exception outside cell_errors closes the connections whose replies are
+    exception outside CELL_ERRORS closes the connections whose replies are
     unread and propagates.
     """
     pending: list[PendingCompletion] = []
@@ -254,7 +243,7 @@ def _complete_each(
         for completion in pending:
             try:
                 outcomes.append(completion.finish())
-            except cell_errors as exc:
+            except CELL_ERRORS as exc:
                 outcomes.append(exc)
         return outcomes
     finally:
@@ -263,17 +252,14 @@ def _complete_each(
 
 
 def evaluate_cells(
+    plan: SweepPlan,
     corpus: Corpus,
     partitions: Sequence[_Partition],
     profiles: Sequence[ModelProfile],
-    methods: Sequence[str],
-    grid: Sequence[int],
-    cfg: ExperimentConfig,
     client: Client,
     provider: EmbeddingProvider | None,
     split_desc: str,
     trace: TraceWriter | None = None,
-    cell_errors: tuple[type[Exception], ...] = (),
 ) -> Iterator[tuple[Cell, CellRun | Exception]]:
     """Evaluate every (model, method, k) cell, doing shared work once.
 
@@ -284,24 +270,22 @@ def evaluate_cells(
     and sent to every model before any reply is read, one request in flight
     per model, all from the calling thread (no other thread is started);
     results are parsed (once per distinct completion text), scored and
-    recorded in profiles order. cfg gives
-    everything but the method and k. Each prediction also goes to trace, if
-    one is given (a one-cell sweep passes one).
+    recorded in profiles order. plan gives the methods, the grid and the
+    settings, and profiles are its models' profiles, in its order. Each
+    prediction also goes to trace, if one is given (a one-cell sweep passes one).
 
     A cell is yielded, with its report and per-partition predictions or its
     first failure, as soon as its k is done on the last partition; the
-    caller decides what to keep. An exception in cell_errors fails the
+    caller decides what to keep. An exception in CELL_ERRORS fails the
     cells that share the step that raised it (every cell, a method's k > 0,
     a (method, k) or one model's cell) and the rest go on; any other
     exception propagates.
     """
     scheme = corpus.scheme
-    by_name = {p.name: p for p in profiles}
+    methods, grid = plan.methods, plan.shot_grid
     parsed_by_text: dict[str, ParsedLabel] = {}
     failed: dict[Cell, Exception] = {}
-    collected: dict[Cell, list[list[Prediction]]] = {
-        (p.name, method, k): [] for method in methods for k in grid for p in profiles
-    }
+    collected: dict[Cell, list[list[Prediction]]] = {cell: [] for cell in plan.cells()}
 
     def fail(
         exc: Exception, method: str, ks: Iterable[int], models: Iterable[ModelProfile]
@@ -318,13 +302,10 @@ def evaluate_cells(
         if cell in failed:
             return failed[cell]
         pooled = [pred for predictions in per_partition for pred in predictions]
-        model, method, k = cell
-        meta = _run_metadata(
-            corpus, by_name[model], replace(cfg, method=method, k=k), split_desc
-        )
+        meta = _run_metadata(corpus, cell, plan, split_desc)
         try:
             return CellRun(compute_report(pooled, scheme, meta), tuple(per_partition))
-        except cell_errors as exc:
+        except CELL_ERRORS as exc:
             return exc
 
     last = len(partitions) - 1
@@ -334,9 +315,9 @@ def evaluate_cells(
         # the last partition's pool, rankings and prompts go before the next pool
         pool = rankings = zero_shot = None
         try:
-            pool_size = cfg.pool_size if cfg.pool_size is not None else len(train)
-            pool = build_pool(train, scheme, pool_size, cfg.pool_seed)
-        except cell_errors as exc:
+            pool_size = plan.pool_size if plan.pool_size is not None else len(train)
+            pool = build_pool(train, scheme, pool_size, plan.pool_seed)
+        except CELL_ERRORS as exc:
             for method in methods:
                 fail(exc, method, grid, profiles)
             continue
@@ -345,11 +326,11 @@ def evaluate_cells(
         for method in methods:
             sel_cfg = SelectionConfig(
                 method, max((k for k in grid if live(method, k)), default=0),
-                cfg.selection_seed,
+                plan.selection_seed,
             )
             try:
                 rankings = rank(pool, test, sel_cfg, provider)
-            except cell_errors as exc:
+            except CELL_ERRORS as exc:
                 fail(exc, method, [k for k in grid if k > 0], profiles)
                 rankings = rank(pool, test, replace(sel_cfg, k=0))
 
@@ -362,17 +343,17 @@ def evaluate_cells(
                     if prompt is None:
                         try:
                             prompt = render_prompt(
-                                cfg.template, scheme, ranking.take(k), pool,
-                                record.text, cfg.ordering,
+                                plan.template, scheme, ranking.take(k), pool,
+                                record.text, plan.ordering,
                             )
-                        except cell_errors as exc:
+                        except CELL_ERRORS as exc:
                             prompt = exc
                         if k == 0:
                             zero_shot[position] = prompt
                     if isinstance(prompt, Exception):
                         fail(prompt, method, [k], models)
                         break
-                    completions = _complete_each(client, models, prompt, cell_errors)
+                    completions = _complete_each(client, models, prompt)
                     for profile, completion in zip(models, completions):
                         if isinstance(completion, Exception):
                             fail(completion, method, [k], [profile])
@@ -385,7 +366,7 @@ def evaluate_cells(
                             record_id=record.record_id,
                             gold=record.label,
                             parsed=parsed,
-                            scored_as=score_prediction(parsed, cfg.scoring_policy),
+                            scored_as=score_prediction(parsed, plan.scoring_policy),
                             content_hash=prompt.content_hash,
                         )
                         if trace is not None:

@@ -3,39 +3,29 @@
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import SMALL_CLASS_POLICIES, Corpus, SplitPlan, make_split
 from .evaluation import (
+    SCORING_POLICIES,
     Cell,
     CellRun,
     EvalReport,
     EvaluationError,
-    ExperimentConfig,
     TraceWriter,
     _run_metadata,
     evaluate_cells,
     partitions,
 )
-from .gateway import Client, GatewayError, ModelProfile
-from .promptkit import PromptError
-from .selection import METHODS, SelectionError
-from .vectorspace import EmbeddingProvider, VectorSpaceError
+from .gateway import Client, ModelProfile
+from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate
+from .selection import METHODS
+from .vectorspace import EmbeddingProvider
 
 DEFAULT_GRID = (0, 5, 10, 20, 40, 80, 120, 160)
 DEFAULT_OVERPROMPTING_THRESHOLD = 0.02
-
-# Failures that belong to one cell (its model, prompts or data); anything
-# else is a harness bug and aborts the sweep.
-CELL_ERRORS = (
-    GatewayError,
-    EvaluationError,
-    SelectionError,
-    PromptError,
-    VectorSpaceError,
-)
 
 
 class SweepError(Exception):
@@ -44,6 +34,8 @@ class SweepError(Exception):
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """Everything a run evaluates: its cells, its split and the settings they share."""
+
     models: tuple[str, ...]
     methods: tuple[str, ...]
     shot_grid: tuple[int, ...] = DEFAULT_GRID
@@ -52,6 +44,12 @@ class SweepPlan:
     split_seed: int = 0
     overprompting_threshold: float = DEFAULT_OVERPROMPTING_THRESHOLD
     on_small_class: str = "error"  # kfold: see corpus.make_split
+    pool_size: int | None = None  # None: each partition's whole train set
+    pool_seed: int = 0
+    selection_seed: int = 0
+    scoring_policy: str = "strict"
+    template: PromptTemplate = DEFAULT_TEMPLATE
+    ordering: OrderingPolicy = OrderingPolicy()
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -60,7 +58,7 @@ class SweepPlan:
             raise SweepError("sweep needs at least one method")
         for method in self.methods:
             if method not in METHODS:
-                raise SweepError(f"unknown method {method!r}")
+                raise SweepError(f"unknown selection method {method!r}")
         for kind, names in (("model", self.models), ("method", self.methods)):
             if any(names.count(name) > 1 for name in names):  # names need not hash
                 raise SweepError(f"repeated {kind} in {list(names)}")
@@ -72,12 +70,16 @@ class SweepPlan:
             raise SweepError(f"shot grid must be strictly increasing: {self.shot_grid}")
         if self.split_kind not in ("holdout", "kfold", "full"):
             raise SweepError(f"unsupported sweep split kind {self.split_kind!r}")
+        if self.split_kind == "holdout" and not 0.0 < self.split_param < 1.0:
+            raise SweepError(f"holdout fraction must be in (0, 1), got {self.split_param}")
         if self.split_kind == "kfold" and self.split_param < 2:
             raise SweepError(f"k_folds must be >= 2, got {self.split_param}")
         if self.on_small_class not in SMALL_CLASS_POLICIES:
             raise SweepError(
                 f"on_small_class must be error or allow, got {self.on_small_class!r}"
             )
+        if self.scoring_policy not in SCORING_POLICIES:
+            raise SweepError(f"unknown scoring policy {self.scoring_policy!r}")
 
     @property
     def n_cells(self) -> int:
@@ -213,15 +215,14 @@ def run_sweep(
     profiles: dict[str, ModelProfile],
     client: Client,
     provider: EmbeddingProvider | None = None,
-    cfg: ExperimentConfig = ExperimentConfig(),
     trace_path: str | Path | None = None,
 ) -> SweepRun:
-    """Run every (model, method, shot_count) cell under cfg and assemble curves.
+    """Run every (model, method, shot_count) cell of plan and assemble curves.
 
-    Each cell sets its own method and k; cfg gives the rest. The cells share
-    the plan's split (corpus.make_split, or none for "full") and its
-    partitions, one pool per partition and one space per method, and each
-    prompt is rendered once for all models (evaluation.evaluate_cells). A
+    The cells share the plan's settings, its split (corpus.make_split, or
+    none for "full") and its partitions, one pool per partition and one
+    space per method, and each prompt is rendered once for all models
+    (evaluation.evaluate_cells). A
     one-cell plan may write every prediction to a trace at trace_path.
     Cell failures (CELL_ERRORS) are recorded in plan.cells() order and the
     sweep continues; any other exception propagates. Completions are
@@ -230,6 +231,11 @@ def run_sweep(
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
+    for model in plan.models:
+        if profiles[model].name != model:
+            raise SweepError(
+                f"profile {model!r}: name {profiles[model].name!r} must match its key"
+            )
     if trace_path is not None and plan.n_cells != 1:
         raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
     split = None
@@ -244,16 +250,12 @@ def run_sweep(
     else:
         trace = nullcontext()
         if trace_path is not None:
-            ((model, method, k),) = plan.cells()
-            cell_cfg = replace(cfg, method=method, k=k)
-            trace = TraceWriter(
-                trace_path, _run_metadata(corpus, profiles[model], cell_cfg, split_desc)
-            )
+            (cell,) = plan.cells()
+            trace = TraceWriter(trace_path, _run_metadata(corpus, cell, plan, split_desc))
         with trace as writer:
             results = dict(evaluate_cells(
-                corpus, parts, [profiles[m] for m in plan.models], plan.methods,
-                plan.shot_grid, cfg, client, provider, split_desc, writer,
-                cell_errors=CELL_ERRORS,
+                plan, corpus, parts, [profiles[m] for m in plan.models], client,
+                provider, split_desc, writer,
             ))
     outcomes = {cell: results[cell] for cell in plan.cells()}
     curves = []

@@ -28,14 +28,17 @@ def make_records(texts_labels, dataset="test"):
 
 def evaluate_one_cell(corpus, split, profile, cfg, client, provider=None, trace_path=None):
     """cfg's (method, k) cell for profile over split (None: the full corpus),
-    as a one-cell run_sweep: its CellRun, or its failure raised."""
+    as a one-cell run_sweep: its CellRun, or its failure raised. cfg is a dict
+    of method, k and any other SweepPlan settings."""
+    settings = {key: value for key, value in cfg.items() if key not in ("method", "k")}
     plan = SweepPlan(
-        (profile.name,), (cfg.method,), (cfg.k,),
+        (profile.name,), (cfg["method"],), (cfg["k"],),
         split_kind="full" if split is None else split.kind,
         split_param=0.8 if split is None else split.param,
         split_seed=0 if split is None else split.seed,
+        **settings,
     )
-    run = run_sweep(plan, corpus, {profile.name: profile}, client, provider, cfg, trace_path)
+    run = run_sweep(plan, corpus, {profile.name: profile}, client, provider, trace_path)
     (outcome,) = run.outcomes.values()
     if isinstance(outcome, Exception):
         raise outcome

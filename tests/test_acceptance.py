@@ -40,7 +40,7 @@ from shotsweep import (
 )
 from shotsweep.cli import EXIT_OK, main
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import ExperimentConfig, Prediction
+from shotsweep.evaluation import Prediction
 from shotsweep.gateway import ParsedLabel, ResponseCache
 from shotsweep.reporting import emit_table
 from shotsweep.sweep import CurvePoint, detect_overprompting, find_optimum
@@ -222,7 +222,7 @@ def test_criterion_5_offline_end_to_end(promise_corpus):
     split = make_split(corpus, "holdout", 0.8, seed=0)
     for method in ("random", "embedding", "tfidf"):
         for k in (0, 5, 20):
-            cfg = ExperimentConfig(method=method, k=k, pool_size=200)
+            cfg = {"method": method, "k": k, "pool_size": 200}
             holdout = evaluate_one_cell(corpus, split, profile, cfg, client, provider).report
             assert holdout.weighted_f1 == 1.0, (method, k, "holdout")
             folded = evaluate_one_cell(
@@ -235,7 +235,7 @@ def test_criterion_5_offline_end_to_end(promise_corpus):
     constant_client = Client(mocks={"constant": ConstantBackend("NFR")})
     constant_profile = ModelProfile(name="const", base_url="mock://constant")
     report = evaluate_one_cell(
-        corpus, None, constant_profile, ExperimentConfig("random", 0), constant_client
+        corpus, None, constant_profile, {"method": "random", "k": 0}, constant_client
     ).report
     assert abs(report.per_class["NFR"].precision - 0.592) < 0.001
     assert report.per_class["NFR"].recall == 1.0
@@ -311,18 +311,18 @@ def test_criterion_7_reproducibility(tmp_path):
     gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
     plan = SweepPlan(
         ("mock-gold",), ("random", "tfidf"), (0, 5),
-        split_param=0.8, split_seed=0,
+        split_param=0.8, split_seed=0, pool_size=100,
     )
     profiles = {"mock-gold": ModelProfile(name="mock-gold", base_url="mock://echo-gold")}
     cache_dir = tmp_path / "cache"
     first_backend = EchoGoldBackend(gold)
     client1 = Client(cache=ResponseCache(cache_dir), mocks={"echo-gold": first_backend})
-    first = run_sweep(plan, corpus, profiles, client1, cfg=ExperimentConfig(pool_size=100))
+    first = run_sweep(plan, corpus, profiles, client1)
     assert not first.failures
     assert first_backend.calls > 0
     resumed_backend = EchoGoldBackend(gold)
     client2 = Client(cache=ResponseCache(cache_dir), mocks={"echo-gold": resumed_backend})
-    resumed = run_sweep(plan, corpus, profiles, client2, cfg=ExperimentConfig(pool_size=100))
+    resumed = run_sweep(plan, corpus, profiles, client2)
     assert not resumed.failures
     assert resumed_backend.calls == 0
     assert resumed.curves == first.curves
@@ -389,7 +389,7 @@ def test_criterion_9_optional_live_api(tmp_path, promise_corpus):
         name=LIVE_MODEL, base_url=LIVE_BASE, rate_limit_per_s=4.0, max_output_tokens=8
     )
     client = Client(cache=ResponseCache(tmp_path / "live-cache"))
-    cfg = ExperimentConfig(method="tfidf", k=10)
+    cfg = {"method": "tfidf", "k": 10}
     result = evaluate_one_cell(
         promise_corpus, make_split(promise_corpus, "kfold", 10, 0), profile, cfg, client
     )

@@ -580,9 +580,13 @@ class TestConfigErrors:
              "unknown full split key(s): fraction"),
             (["cv", "--shots", "1"], {"on_small_class": "sometimes"},
              "on_small_class must be error or allow, got 'sometimes'"),
+            *[([command], {"split": {"kind": "holdout", "fraction": fraction}},
+               f"holdout fraction must be in (0, 1), got {float(fraction)}")
+              for command in ("run", "sweep") for fraction in (0, 1.5)],
         ],
         ids=["run-split-typo", "sweep-split-typo", "run-full-fraction",
-             "sweep-full-fraction", "cv-on-small-class"],
+             "sweep-full-fraction", "cv-on-small-class", "run-fraction-0",
+             "run-fraction-1.5", "sweep-fraction-0", "sweep-fraction-1.5"],
     )
     def test_bad_split_key_or_small_class_policy_sends_no_request(
         self, tmp_path, capsys, argv, extra, needle, dry_run
@@ -599,7 +603,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert f"config error: {needle}" in err
-        assert not list(cache_dir.rglob("*.jsonl"))
+        assert not cache_dir.exists()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -620,6 +624,28 @@ class TestConfigErrors:
         assert "unknown selection method 'nearest'" in err
         assert not list(cache_dir.rglob("*.jsonl"))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["", "dry-run"])
+    @pytest.mark.parametrize("command", ["run", "cv", "sweep"])
+    @pytest.mark.parametrize(
+        "profiles, needle",
+        [({"m": {"name": "other", "base_url": "mock://echo-gold"}},
+          "profile 'm': name 'other' must match its key"),
+         ({}, "no profile for model(s): m")],
+        ids=["misnamed", "missing"],
+    )
+    def test_model_without_a_profile_of_its_name_sends_no_request(
+        self, tmp_path, capsys, profiles, needle, command, dry_run
+    ):
+        model = {"models": ["m"]} if command == "sweep" else {"model": "m"}
+        config = one_cell_or_sweep_config(tmp_path, command, profiles=profiles, **model)
+        cache_dir = tmp_path / "cache"
+        code = main([command, *dry_run, "--config", config, "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: {needle}" in err
+        assert not cache_dir.exists() and not (tmp_path / "out").exists()
 
     def test_config_file_not_utf8_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -966,15 +992,35 @@ class TestOneRoute:
 
     def test_kfold_sweep_cell_equals_cv_aggregate(self, tmp_path, capsys):
         split = {"kind": "kfold", "folds": 5, "seed": 1}
-        sweep = one_cell_or_sweep_config(tmp_path, "sweep", methods=["tfidf"], grid=[0, 2],
-                                         split=split)
-        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == EXIT_OK
-        cv = one_cell_or_sweep_config(tmp_path, "cv", method="tfidf", split_seed=1)
-        assert main(["cv", "--config", cv, "--shots", "2", "--out", str(tmp_path / "cv")]) == EXIT_OK
-        cell = json.loads((tmp_path / "s" / "cells" / "mock-gold__tfidf__k2.json").read_text())
-        aggregate = json.loads((tmp_path / "cv" / "aggregate.json").read_text())
-        assert cell == aggregate
-        assert cell["n_predictions"] == 625 and cell["metadata"]["split"] == "kfold:5:1"
+        shared = {"pool_seed": 3, "selection_seed": 4, "scoring_policy": "first_match",
+                  "ordering": "shuffle"}
+        for settings in ({}, shared):  # the defaults, then a value of each shared setting
+            base = tmp_path / ("shared" if settings else "defaults")
+            base.mkdir()
+            sweep = one_cell_or_sweep_config(base, "sweep", methods=["tfidf"], grid=[0, 2],
+                                             split=split, **settings)
+            assert main(["sweep", "--config", sweep, "--out", str(base / "s")]) == EXIT_OK
+            cv = one_cell_or_sweep_config(base, "cv", method="tfidf", split_seed=1, **settings)
+            argv = ["cv", "--config", cv, "--shots", "2", "--out", str(base / "cv")]
+            assert main(argv) == EXIT_OK
+            cell = json.loads((base / "s" / "cells" / "mock-gold__tfidf__k2.json").read_text())
+            aggregate = json.loads((base / "cv" / "aggregate.json").read_text())
+            assert cell == aggregate
+            assert cell["n_predictions"] == 625 and cell["metadata"]["split"] == "kfold:5:1"
+            assert {key: cell["metadata"][key] for key in settings} == settings
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_kfold_split_over_promise12_takes_on_small_class(self, tmp_path, capsys, command):
+        config = one_cell_or_sweep_config(  # promise12's class PO has one record
+            tmp_path, command, scheme="promise12", on_small_class="allow",
+            split={"kind": "kfold", "folds": 5, "seed": 0},
+        )
+        out = tmp_path / "out"
+        code = main([command, "--config", config, "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        reports = [out / "report.json"] if command == "run" else list((out / "cells").iterdir())
+        assert len(reports) == (1 if command == "run" else 2)
+        assert all(json.loads(path.read_text())["n_predictions"] == 625 for path in reports)
 
     def test_run_takes_a_kfold_split(self, tmp_path, capsys):
         config = one_cell_or_sweep_config(tmp_path, "run",

@@ -21,7 +21,6 @@ from shotsweep.corpus import Corpus, SplitError, SplitPlan
 from shotsweep.evaluation import (
     INVALID_COLUMN,
     EvaluationError,
-    ExperimentConfig,
     Prediction,
     fold_reports,
     partitions,
@@ -263,7 +262,7 @@ class TestRunHoldout:
         corpus = small_corpus()
         split = make_split(corpus, "holdout", 0.75, seed=0)
         client, _ = gold_client(corpus)
-        cfg = ExperimentConfig(method=method, k=k)
+        cfg = {"method": method, "k": k}
         report = evaluate_one_cell(
             corpus, split, profile_for(), cfg, client, HashEmbeddingProvider(8)
         ).report
@@ -275,7 +274,7 @@ class TestRunHoldout:
         split = make_split(corpus, "holdout", 0.5, seed=1)
         client = Client(mocks={"constant": ConstantBackend("Non-Functional")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        cfg = ExperimentConfig(method="random", k=2)
+        cfg = {"method": "random", "k": 2}
         report = evaluate_one_cell(corpus, split, profile, cfg, client).report
         assert report.per_class["NFR"].recall == 1.0
         assert abs(report.per_class["NFR"].precision - 0.5) < 1e-9
@@ -301,7 +300,7 @@ class TestRunHoldout:
         backend = FailsOnce(gold)
         client = Client(mocks={"flaky": backend})
         profile = ModelProfile(name="flaky", base_url="mock://flaky")
-        cfg = ExperimentConfig(method="random", k=1)
+        cfg = {"method": "random", "k": 1}
         trace_path = tmp_path / "trace.jsonl"
         with pytest.raises(GatewayError):
             evaluate_one_cell(corpus, split, profile, cfg, client, trace_path=trace_path)
@@ -318,7 +317,7 @@ class TestRunFull:
     def test_constant_nfr_precision_from_class_counts(self, promise_binary):
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
-        cfg = ExperimentConfig(method="random", k=0)
+        cfg = {"method": "random", "k": 0}
         report = evaluate_one_cell(promise_binary, None, profile, cfg, client).report
         assert report.n_predictions == 625
         assert report.per_class["NFR"].recall == 1.0
@@ -339,7 +338,7 @@ class TestRunFull:
         backend = AssertNoLeak()
         client = Client(mocks={"checker": backend})
         profile = ModelProfile(name="checker", base_url="mock://checker")
-        cfg = ExperimentConfig(method="tfidf", k=5)
+        cfg = {"method": "tfidf", "k": 5}
         evaluate_one_cell(corpus, None, profile, cfg, client)
         assert backend.calls == len(corpus)
 
@@ -350,7 +349,7 @@ class TestRunKfold:
         client, _ = gold_client(corpus)
         result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 5, 0), profile_for(),
-            ExperimentConfig("tfidf", 3), client,
+            {"method": "tfidf", "k": 3}, client,
         )
         assert result.report.weighted_f1 == 1.0
         assert len(fold_reports(result, corpus.scheme)) == 5
@@ -362,7 +361,7 @@ class TestRunKfold:
         client, _ = gold_client(corpus)
         result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 4, 0), profile_for(),
-            ExperimentConfig("random", 2), client,
+            {"method": "random", "k": 2}, client,
         )
         assert result.report.n_predictions == len(corpus)
         total = sum(r.n_predictions for r in fold_reports(result, corpus.scheme))
@@ -374,7 +373,7 @@ class TestRunKfold:
         profile = ModelProfile(name="const", base_url="mock://constant")
         result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 3, 0), profile,
-            ExperimentConfig("random", 1), client,
+            {"method": "random", "k": 1}, client,
         )
         per_fold = fold_reports(result, corpus.scheme)
         for gold in corpus.scheme.label_ids:
@@ -388,7 +387,7 @@ class TestRunKfold:
         profile = ModelProfile(name="const", base_url="mock://constant")
         result = evaluate_one_cell(
             corpus, make_split(corpus, "kfold", 5, 0), profile,
-            ExperimentConfig("random", 1), client,
+            {"method": "random", "k": 1}, client,
         )
         assert result.report.per_class["NFR"].recall == 1.0
         assert abs(result.report.per_class["NFR"].precision - 0.5) < 1e-9
@@ -399,5 +398,5 @@ class TestRunKfold:
         with pytest.raises(SplitError):  # make_split validates the fold count
             evaluate_one_cell(
                 corpus, make_split(corpus, "kfold", 1, 0), profile_for(),
-                ExperimentConfig("random", 1), client,
+                {"method": "random", "k": 1}, client,
             )

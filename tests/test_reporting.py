@@ -14,7 +14,7 @@ from shotsweep import (
     make_split,
 )
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import ExperimentConfig, Prediction
+from shotsweep.evaluation import Prediction
 from shotsweep.gateway import ParsedLabel
 from shotsweep.reporting import (
     ReportingError,
@@ -95,7 +95,7 @@ class TestEmitTable:
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         report = evaluate_one_cell(
-            promise_binary, None, profile, ExperimentConfig("random", 0), client
+            promise_binary, None, profile, {"method": "random", "k": 0}, client
         ).report
         table = emit_table([report], "binary")
         row = table.text.splitlines()[2]
@@ -117,7 +117,7 @@ class TestEmitTable:
         client = Client(mocks={"constant": ConstantBackend("NFR")})
         profile = ModelProfile(name="const", base_url="mock://constant")
         report = evaluate_one_cell(
-            promise_binary, None, profile, ExperimentConfig("random", 0), client
+            promise_binary, None, profile, {"method": "random", "k": 0}, client
         ).report
         table = emit_table([report], "binary")
         import csv
@@ -204,7 +204,7 @@ class TestReplay:
         split = make_split(corpus, "holdout", 0.5, seed=0)
         trace = tmp_path / "trace.jsonl"
         report = evaluate_one_cell(
-            corpus, split, profile, ExperimentConfig("random", 1), client,
+            corpus, split, profile, {"method": "random", "k": 1}, client,
             trace_path=trace,
         ).report
         return corpus, trace, report

@@ -29,7 +29,6 @@ from shotsweep import (
 )
 from shotsweep.evaluation import (
     CellRun,
-    ExperimentConfig,
     TraceWriter,
     evaluate_cells,
     partitions,
@@ -39,7 +38,6 @@ from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _Con
 from shotsweep.promptkit import PromptError
 from shotsweep.reporting import artifact_json
 from shotsweep.sweep import (
-    CELL_ERRORS,
     CurvePoint,
     SweepError,
     build_curve,
@@ -59,7 +57,7 @@ class TestSweepPlan:
             SweepPlan(("m",), ("tfidf",), (0, 5, 5))
 
     def test_unknown_method(self):
-        with pytest.raises(SweepError, match="unknown method"):
+        with pytest.raises(SweepError, match="unknown selection method"):
             SweepPlan(("m",), ("nearest",))
 
     def test_cell_matrix_size(self):
@@ -315,9 +313,9 @@ class TestRunSweep:
     def test_pool_failure_fails_every_cell_in_plan_order(self):
         corpus = balanced_corpus(10)
         client, backend = echo_gold_client(corpus)
-        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
-        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client,
-                        cfg=ExperimentConfig(pool_size=11))  # 10 train records
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5,
+                         pool_size=11)  # 10 train records
+        run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
         assert [(f.model, f.method, f.shot_count) for f in run.failures] == plan.cells()
         assert all("exceeds train partition size" in f.error for f in run.failures)
         assert not run.curves and backend.calls == 0
@@ -389,6 +387,15 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="ghost"):
             run_sweep(plan, corpus, {}, client)
 
+    def test_profile_named_other_than_its_key_aborts(self):
+        corpus = balanced_corpus(4)
+        client, backend = echo_gold_client(corpus)
+        plan = SweepPlan(("m",), ("random",), (0,))
+        profiles = {"m": ModelProfile(name="other", base_url="mock://echo-gold")}
+        with pytest.raises(SweepError, match="profile 'm': name 'other' must match its key"):
+            run_sweep(plan, corpus, profiles, client)
+        assert backend.calls == 0
+
     def test_rerun_hits_cache_only(self):
         corpus = balanced_corpus(6)
         client, backend = echo_gold_client(corpus)
@@ -405,9 +412,8 @@ class TestKfoldSweep:
     def test_each_record_is_scored_once_per_cell(self, promise_binary):
         client, _ = echo_gold_client(promise_binary)
         plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_kind="kfold",
-                         split_param=5, split_seed=1)
-        run = run_sweep(plan, promise_binary, mock_profiles(["m1", "m2"]), client,
-                        cfg=ExperimentConfig(pool_size=40))
+                         split_param=5, split_seed=1, pool_size=40)
+        run = run_sweep(plan, promise_binary, mock_profiles(["m1", "m2"]), client)
         assert list(run.outcomes) == plan.cells()
         assert run.split.kind == "kfold" and run.split.param == 5
         record_ids = sorted(r.record_id for r in promise_binary.records)
@@ -421,8 +427,9 @@ class TestKfoldSweep:
         "fields, needle",
         [({"split_kind": "kfold", "split_param": 1}, "k_folds must be >= 2, got 1"),
          ({"on_small_class": "sometimes"}, "on_small_class must be error or allow, got 'sometimes'"),
-         ({"split_kind": "leave-one-out"}, "unsupported sweep split kind 'leave-one-out'")],
-        ids=["folds", "small-class", "kind"],
+         ({"split_kind": "leave-one-out"}, "unsupported sweep split kind 'leave-one-out'"),
+         ({"split_param": 1.5}, r"holdout fraction must be in \(0, 1\), got 1.5")],
+        ids=["folds", "small-class", "kind", "fraction"],
     )
     def test_bad_split_is_refused_by_the_plan(self, fields, needle):
         with pytest.raises(SweepError, match=needle):
@@ -525,9 +532,9 @@ def dispatch(corpus, profiles, client, n_prompts):
     queries, one prompt each, to every profile."""
     records = list(corpus.records)
     parts = [(records[n_prompts:], records[:n_prompts])]
+    plan = SweepPlan(tuple(profiles), ("random",), (0,))
     return dict(evaluate_cells(
-        corpus, parts, list(profiles.values()), ["random"], [0], ExperimentConfig(),
-        client, None, "first-records", cell_errors=CELL_ERRORS,
+        plan, corpus, parts, list(profiles.values()), client, None, "first-records",
     ))
 
 
@@ -648,7 +655,6 @@ class TestConcurrentDispatch:
             ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
         )
         parts, split_desc = partitions(corpus, make_split(corpus, "holdout", 0.5, 0))
-        cfg = ExperimentConfig(method="random", k=0)
 
         def artifacts(models, seed):
             profiles = mock_profiles(models, "jitter")
@@ -657,8 +663,8 @@ class TestConcurrentDispatch:
             trace_path = tmp_path / f"{'-'.join(models)}-{seed}.jsonl"
             with TraceWriter(trace_path, {"seed": 0}) as trace:
                 cells = dict(evaluate_cells(
-                    corpus, parts, list(profiles.values()), plan.methods,
-                    plan.shot_grid, cfg, Client(mocks={"jitter": jittered_backend(seed + 1)}),
+                    replace(plan, models=models), corpus, parts, list(profiles.values()),
+                    Client(mocks={"jitter": jittered_backend(seed + 1)}),
                     provider, split_desc, trace,
                 ))
             for (model, _, _), outcome in cells.items():
