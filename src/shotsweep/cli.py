@@ -184,8 +184,6 @@ def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelP
     for name, fields in spec.items():
         if not isinstance(fields, dict):
             raise ConfigError(f"profile {name!r}: fields must be an object")
-        if fields.get("name", name) != name:
-            raise ConfigError(f"profile {name!r}: name {fields['name']!r} must match its key")
         base = profiles.get(name)
         try:
             profiles[name] = (

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Corpus, LabelScheme, RequirementRecord, SplitPlan
 from .gateway import (
@@ -255,7 +255,7 @@ def evaluate_cells(
     plan: SweepPlan,
     corpus: Corpus,
     partitions: Sequence[_Partition],
-    profiles: Sequence[ModelProfile],
+    profiles: Mapping[str, ModelProfile],
     client: Client,
     provider: EmbeddingProvider | None,
     split_desc: str,
@@ -270,8 +270,9 @@ def evaluate_cells(
     and sent to every model before any reply is read, one request in flight
     per model, all from the calling thread (no other thread is started);
     results are parsed (once per distinct completion text), scored and
-    recorded in profiles order. plan gives the methods, the grid and the
-    settings, and profiles are its models' profiles, in its order. Each
+    recorded in plan.models order. plan gives the cells and the settings,
+    and profiles maps each of its models to the profile its requests go to;
+    cells are keyed by the plan's model, whatever the profile's name. Each
     prediction also goes to trace, if one is given (a one-cell sweep passes one).
 
     A cell is yielded, with its report and per-partition predictions or its
@@ -288,14 +289,14 @@ def evaluate_cells(
     collected: dict[Cell, list[list[Prediction]]] = {cell: [] for cell in plan.cells()}
 
     def fail(
-        exc: Exception, method: str, ks: Iterable[int], models: Iterable[ModelProfile]
+        exc: Exception, method: str, ks: Iterable[int], models: Iterable[str]
     ) -> None:
         for k in ks:
-            for profile in models:
-                failed.setdefault((profile.name, method, k), exc)
+            for model in models:
+                failed.setdefault((model, method, k), exc)
 
-    def live(method: str, k: int) -> list[ModelProfile]:
-        return [p for p in profiles if (p.name, method, k) not in failed]
+    def live(method: str, k: int) -> list[str]:
+        return [model for model in plan.models if (model, method, k) not in failed]
 
     def finish(cell: Cell) -> CellRun | Exception:
         per_partition = collected.pop(cell)
@@ -319,7 +320,7 @@ def evaluate_cells(
             pool = build_pool(train, scheme, pool_size, plan.pool_seed)
         except CELL_ERRORS as exc:
             for method in methods:
-                fail(exc, method, grid, profiles)
+                fail(exc, method, grid, plan.models)
             continue
         # a zero-shot prompt does not depend on the method: render it once
         zero_shot: dict[int, PromptSpec | Exception] = {}
@@ -331,7 +332,7 @@ def evaluate_cells(
             try:
                 rankings = rank(pool, test, sel_cfg, provider)
             except CELL_ERRORS as exc:
-                fail(exc, method, [k for k in grid if k > 0], profiles)
+                fail(exc, method, [k for k in grid if k > 0], plan.models)
                 rankings = rank(pool, test, replace(sel_cfg, k=0))
 
             for k in grid:
@@ -353,10 +354,12 @@ def evaluate_cells(
                     if isinstance(prompt, Exception):
                         fail(prompt, method, [k], models)
                         break
-                    completions = _complete_each(client, models, prompt)
-                    for profile, completion in zip(models, completions):
+                    completions = _complete_each(
+                        client, [profiles[model] for model in models], prompt
+                    )
+                    for model, completion in zip(models, completions):
                         if isinstance(completion, Exception):
-                            fail(completion, method, [k], [profile])
+                            fail(completion, method, [k], [model])
                             continue
                         parsed = parsed_by_text.get(completion.text)
                         if parsed is None:
@@ -374,10 +377,10 @@ def evaluate_cells(
                                 record.record_id, record.label, completion.text,
                                 prompt.content_hash,
                             ))
-                        collected[(profile.name, method, k)][-1].append(pred)
+                        collected[(model, method, k)][-1].append(pred)
                 if index == last:
-                    for profile in profiles:
-                        cell = (profile.name, method, k)
+                    for model in plan.models:
+                        cell = (model, method, k)
                         yield cell, finish(cell)
     for cell in list(collected):  # the last partition could not build its pool
         yield cell, finish(cell)

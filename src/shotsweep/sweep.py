@@ -231,11 +231,6 @@ def run_sweep(
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
-    for model in plan.models:
-        if profiles[model].name != model:
-            raise SweepError(
-                f"profile {model!r}: name {profiles[model].name!r} must match its key"
-            )
     if trace_path is not None and plan.n_cells != 1:
         raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
     split = None
@@ -254,8 +249,7 @@ def run_sweep(
             trace = TraceWriter(trace_path, _run_metadata(corpus, cell, plan, split_desc))
         with trace as writer:
             results = dict(evaluate_cells(
-                plan, corpus, parts, [profiles[m] for m in plan.models], client,
-                provider, split_desc, writer,
+                plan, corpus, parts, profiles, client, provider, split_desc, writer
             ))
     outcomes = {cell: results[cell] for cell in plan.cells()}
     curves = []

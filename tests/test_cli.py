@@ -298,6 +298,20 @@ class TestRun:
         trace = (tmp_path / "profile" / "trace.jsonl").read_bytes()
         assert trace == (tmp_path / "hash" / "trace.jsonl").read_bytes()
 
+    def test_embedding_profile_may_send_another_name(self, tmp_path, capsys):
+        payload = dict(data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+                       method="embedding", k=3, pool_size=200)
+        emb = {"kind": "embedding", "name": "text-embedding-3-small", "base_url": "mock://hash64"}
+        aliased = write_config(tmp_path, "aliased.json", provider="profile:emb",
+                               profiles={**GOLD_PROFILES, "emb": emb}, **payload)
+        via_hash = write_config(tmp_path, "hash.json", provider="hash:64",
+                                profiles=GOLD_PROFILES, **payload)
+        for config, out in ((aliased, "aliased"), (via_hash, "hash")):
+            code = main(["run", "--config", config, "--out", str(tmp_path / out)])
+            assert code == EXIT_OK, capsys.readouterr().err
+        trace = (tmp_path / "aliased" / "trace.jsonl").read_bytes()
+        assert trace == (tmp_path / "hash" / "trace.jsonl").read_bytes()
+
     def test_unknown_profile_field_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="gpt-4o",
@@ -627,24 +641,15 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["", "dry-run"])
     @pytest.mark.parametrize("command", ["run", "cv", "sweep"])
-    @pytest.mark.parametrize(
-        "profiles, needle",
-        [({"m": {"name": "other", "base_url": "mock://echo-gold"}},
-          "profile 'm': name 'other' must match its key"),
-         ({}, "no profile for model(s): m")],
-        ids=["misnamed", "missing"],
-    )
-    def test_model_without_a_profile_of_its_name_sends_no_request(
-        self, tmp_path, capsys, profiles, needle, command, dry_run
-    ):
+    def test_model_without_a_profile_sends_no_request(self, tmp_path, capsys, command, dry_run):
         model = {"models": ["m"]} if command == "sweep" else {"model": "m"}
-        config = one_cell_or_sweep_config(tmp_path, command, profiles=profiles, **model)
+        config = one_cell_or_sweep_config(tmp_path, command, profiles={}, **model)
         cache_dir = tmp_path / "cache"
         code = main([command, *dry_run, "--config", config, "--out", str(tmp_path / "out"),
                      "--cache-dir", str(cache_dir)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert f"config error: {needle}" in err
+        assert "config error: no profile for model(s): m" in err
         assert not cache_dir.exists() and not (tmp_path / "out").exists()
 
     def test_config_file_not_utf8_is_a_config_error(self, tmp_path, capsys):
@@ -1008,6 +1013,30 @@ class TestOneRoute:
             assert cell == aggregate
             assert cell["n_predictions"] == 625 and cell["metadata"]["split"] == "kfold:5:1"
             assert {key: cell["metadata"][key] for key in settings} == settings
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["", "dry-run"])
+    @pytest.mark.parametrize("command", ["run", "cv", "sweep"])
+    def test_profile_named_other_than_its_key_runs_under_its_key(
+        self, tmp_path, capsys, command, dry_run
+    ):
+        model = {"models": ["m"]} if command == "sweep" else {"model": "m"}
+        profiles = {"m": {"name": "other", "base_url": "mock://echo-gold"}}
+        config = one_cell_or_sweep_config(tmp_path, command, profiles=profiles, **model)
+        out, cache_dir = tmp_path / "out", tmp_path / "cache"
+        code = main([command, *dry_run, "--config", config, "--out", str(out),
+                     "--cache-dir", str(cache_dir)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        if dry_run:
+            assert not cache_dir.exists() and not out.exists()
+            return
+        reports = {"run": ["report.json"], "cv": ["aggregate.json"],
+                   "sweep": ["cells/m__random__k0.json", "cells/m__random__k1.json"]}[command]
+        for name in reports:  # the cell is the plan's model ...
+            report = json.loads((out / name).read_text())
+            assert report["metadata"]["model"] == "m" and report["weighted_f1"] == 1.0
+        rows = [json.loads(line) for segment in (cache_dir / "completions").glob("*.jsonl")
+                for line in segment.read_text().splitlines()]
+        assert rows and {row["model"] for row in rows} == {"other"}  # ... sent as its name
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_kfold_split_over_promise12_takes_on_small_class(self, tmp_path, capsys, command):

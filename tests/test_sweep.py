@@ -387,14 +387,18 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="ghost"):
             run_sweep(plan, corpus, {}, client)
 
-    def test_profile_named_other_than_its_key_aborts(self):
+    def test_cells_are_keyed_by_the_plans_model_not_its_profiles_name(self):
         corpus = balanced_corpus(4)
         client, backend = echo_gold_client(corpus)
-        plan = SweepPlan(("m",), ("random",), (0,))
-        profiles = {"m": ModelProfile(name="other", base_url="mock://echo-gold")}
-        with pytest.raises(SweepError, match="profile 'm': name 'other' must match its key"):
-            run_sweep(plan, corpus, profiles, client)
-        assert backend.calls == 0
+        plan = SweepPlan(("a", "b"), ("random",), (0, 1))
+        profile = ModelProfile(name="other", base_url="mock://echo-gold")
+        run = run_sweep(plan, corpus, {"a": profile, "b": profile}, client)
+        assert not run.failures and backend.calls > 0
+        assert list(run.outcomes) == plan.cells()
+        assert [curve.model for curve in run.curves] == ["a", "b"]
+        assert {cell: report.metadata["model"] for cell, report in run.reports.items()} == {
+            cell: cell[0] for cell in plan.cells()
+        }
 
     def test_rerun_hits_cache_only(self):
         corpus = balanced_corpus(6)
@@ -534,7 +538,7 @@ def dispatch(corpus, profiles, client, n_prompts):
     parts = [(records[n_prompts:], records[:n_prompts])]
     plan = SweepPlan(tuple(profiles), ("random",), (0,))
     return dict(evaluate_cells(
-        plan, corpus, parts, list(profiles.values()), client, None, "first-records",
+        plan, corpus, parts, profiles, client, None, "first-records",
     ))
 
 
@@ -663,7 +667,7 @@ class TestConcurrentDispatch:
             trace_path = tmp_path / f"{'-'.join(models)}-{seed}.jsonl"
             with TraceWriter(trace_path, {"seed": 0}) as trace:
                 cells = dict(evaluate_cells(
-                    replace(plan, models=models), corpus, parts, list(profiles.values()),
+                    replace(plan, models=models), corpus, parts, profiles,
                     Client(mocks={"jitter": jittered_backend(seed + 1)}),
                     provider, split_desc, trace,
                 ))
