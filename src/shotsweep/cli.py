@@ -199,16 +199,12 @@ def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelP
     return profiles
 
 
-def _register_mocks(
-    client: Client, profiles: dict[str, ModelProfile], corpus: Corpus | None
-) -> None:
+def _register_mocks(client: Client, profiles: dict[str, ModelProfile], corpus: Corpus) -> None:
     for profile in profiles.values():
         name = mock_name(profile.base_url)
         if name is None or name in client.mocks:
             continue
         if name == "echo-gold":
-            if corpus is None:
-                raise ConfigError("echo-gold mock needs a loaded corpus")
             gold = {
                 r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records
             }
@@ -274,14 +270,15 @@ def _write_artifacts(
     atomic_write(out_dir / "manifest.json", artifact_json(manifest))
 
 
-def _run_plan(args: argparse.Namespace, cfg: dict, **fields) -> tuple[Corpus, SweepRun] | None:
+def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
     """Run the SweepPlan of fields and cfg's shared settings over cfg's corpus
-    and cache; on a dry run, print what would run and return None.
-
-    run and cv are one-cell plans of cfg's model, method and k: their dry run
-    prints cfg, their predictions go to out_dir's trace.jsonl, and their
-    cell's failure is raised, not kept.
+    and cache; write and print what outputs(corpus, run) gives: artifacts (see
+    _write_artifacts), a --json payload and a summary line, both given out_dir,
+    and the lines after it; return the exit code. A dry run prints what would
+    run. run and cv are one-cell plans of cfg's model, method and k: their dry
+    run prints cfg, their trace goes to out_dir, and their failure is raised.
     """
+    started = _now()
     one_cell = args.command != "sweep"
     if one_cell:
         fields.update(models=(cfg["model"],), methods=(cfg["method"],), shot_grid=(cfg["k"],))
@@ -303,16 +300,21 @@ def _run_plan(args: argparse.Namespace, cfg: dict, **fields) -> tuple[Corpus, Sw
             lines = [f"{m}  {meth}  k={k}" for m, meth, k in plan.cells()]
             lines.append(f"{plan.n_cells} cells")
         _print(args, shown, "\n".join(lines))
-        return None
+        return EXIT_OK
     corpus, client, provider = _open_session(cfg, profiles)
-    trace_path = Path(cfg["out_dir"]) / "trace.jsonl" if one_cell else None
+    out_dir = Path(cfg["out_dir"])
+    trace_path = out_dir / "trace.jsonl" if one_cell else None
     with client:
         run = run_sweep(plan, corpus, profiles, client, provider, trace_path)
     if one_cell:
         (outcome,) = run.outcomes.values()
         if isinstance(outcome, Exception):
             raise outcome
-    return corpus, run
+    artifacts, payload, line, after = outputs(corpus, run)
+    _write_artifacts(out_dir, cfg, started, artifacts)
+    payload["out_dir"] = str(out_dir)
+    _print(args, payload, "\n".join([f"{line} -> {out_dir}", *after]))
+    return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
 def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -322,14 +324,6 @@ def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def _class_distribution_text(corpus: Corpus) -> str:
-    lines = [f"records: {len(corpus)}  scheme: {corpus.scheme.name}"]
-    for lid in corpus.scheme.label_ids:
-        name = corpus.scheme.canonical_name(lid)
-        lines.append(f"  {lid:<4} {name:<28} {corpus.class_counts[lid]}")
-    return "\n".join(lines)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     corpus = _load_data(vars(args))
     payload = {
@@ -337,7 +331,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "scheme": corpus.scheme.name,
         "class_counts": corpus.class_counts,
     }
-    _print(args, payload, _class_distribution_text(corpus))
+    lines = [f"records: {len(corpus)}  scheme: {corpus.scheme.name}"]
+    for lid in corpus.scheme.label_ids:
+        name = corpus.scheme.canonical_name(lid)
+        lines.append(f"  {lid:<4} {name:<28} {corpus.class_counts[lid]}")
+    _print(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
@@ -414,71 +412,60 @@ def _split_spec(cfg: dict) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, {}, {"data", "scheme", "model", "method", "k", "out_dir"})
-    started = _now()
-    session = _run_plan(args, cfg, **_split_spec(cfg))
-    if session is None:
-        return EXIT_OK
-    _, run = session
-    (report,) = run.reports.values()
-    out_dir = Path(cfg["out_dir"])
-    artifacts = {"report": ("report.json", report), "trace": ("trace.jsonl", None)}
-    if run.split is not None:
-        artifacts["split"] = ("split.json", split_payload(run.split))
-    _write_artifacts(out_dir, cfg, started, artifacts)
-    payload = {
-        "weighted_f1": report.weighted_f1,
-        "macro_f1": report.macro_f1,
-        "n_predictions": report.n_predictions,
-        "out_dir": str(out_dir),
-    }
-    _print(
-        args,
-        payload,
-        f"weighted F1 {report.weighted_f1:.4f}  macro F1 {report.macro_f1:.4f}  "
-        f"({report.n_predictions} predictions) -> {out_dir}",
-    )
-    return EXIT_OK
+
+    def outputs(corpus: Corpus, run: SweepRun):
+        (report,) = run.reports.values()
+        artifacts = {"report": ("report.json", report), "trace": ("trace.jsonl", None)}
+        if run.split is not None:
+            artifacts["split"] = ("split.json", split_payload(run.split))
+        payload = {
+            "weighted_f1": report.weighted_f1,
+            "macro_f1": report.macro_f1,
+            "n_predictions": report.n_predictions,
+        }
+        line = (
+            f"weighted F1 {report.weighted_f1:.4f}  macro F1 {report.macro_f1:.4f}  "
+            f"({report.n_predictions} predictions)"
+        )
+        return artifacts, payload, line, []
+
+    return _run_plan(args, cfg, outputs, **_split_spec(cfg))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     defaults = {"methods": list(METHODS), "grid": list(DEFAULT_GRID),
                 "overprompting_threshold": DEFAULT_OVERPROMPTING_THRESHOLD}
     cfg = _merge_config(args, defaults, {"data", "scheme", "models", "out_dir"})
-    started = _now()
-    session = _run_plan(
-        args, cfg, models=tuple(cfg["models"]), methods=tuple(cfg["methods"]),
+
+    def outputs(corpus: Corpus, run: SweepRun):
+        artifacts = {
+            "curves_json": ("curves.json", {"series": run.curves}),
+            "curves_csv": ("curves.csv", curves_csv(run.curves)),
+            "sweep": ("sweep.json", {"curves": run.curves, "failures": run.failures}),
+        }
+        for (model, method, k), report in sorted(run.reports.items()):
+            artifacts[f"cell:{model}:{method}:{k}"] = (
+                f"cells/{model}__{method}__k{k}.json", report
+            )
+        payload = {
+            "n_cells": len(run.outcomes),
+            "n_completed": len(run.reports),
+            "n_failed": len(run.failures),
+        }
+        line = f"sweep: {len(run.reports)}/{len(run.outcomes)} cells completed" + (
+            f", {len(run.failures)} failed" if run.failures else ""
+        )
+        failed = [
+            f"  FAILED {failure.model} {failure.method} k={failure.shot_count}: {failure.error}"
+            for failure in run.failures
+        ]
+        return artifacts, payload, line, failed
+
+    return _run_plan(
+        args, cfg, outputs, models=tuple(cfg["models"]), methods=tuple(cfg["methods"]),
         shot_grid=tuple(cfg["grid"]), overprompting_threshold=cfg["overprompting_threshold"],
         **_split_spec(cfg),
     )
-    if session is None:
-        return EXIT_OK
-    _, run = session
-    out_dir = Path(cfg["out_dir"])
-    artifacts = {
-        "curves_json": ("curves.json", {"series": run.curves}),
-        "curves_csv": ("curves.csv", curves_csv(run.curves)),
-        "sweep": ("sweep.json", {"curves": run.curves, "failures": run.failures}),
-    }
-    for (model, method, k), report in sorted(run.reports.items()):
-        artifacts[f"cell:{model}:{method}:{k}"] = (
-            f"cells/{model}__{method}__k{k}.json", report
-        )
-    _write_artifacts(out_dir, cfg, started, artifacts)
-    payload = {
-        "n_cells": len(run.outcomes),
-        "n_completed": len(run.reports),
-        "n_failed": len(run.failures),
-        "out_dir": str(out_dir),
-    }
-    text = (
-        f"sweep: {len(run.reports)}/{len(run.outcomes)} cells completed"
-        + (f", {len(run.failures)} failed" if run.failures else "")
-        + f" -> {out_dir}"
-    )
-    for failure in run.failures:
-        text += f"\n  FAILED {failure.model} {failure.method} k={failure.shot_count}: {failure.error}"
-    _print(args, payload, text)
-    return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
 def _key(payload: object, key: str, source: object) -> object:
@@ -516,43 +503,36 @@ def cmd_cv(args: argparse.Namespace) -> int:
         cfg["k"] = _shots_from_manifest(args.shots_from, cfg["model"], cfg["method"])
     if cfg.get("k") is None:
         raise ConfigError("cv needs a shot count: --shots N or --shots-from MANIFEST")
-    started = _now()
-    k_folds = cfg["k_folds"]
-    session = _run_plan(
-        args, cfg, split_kind="kfold", split_param=k_folds,
+
+    def outputs(corpus: Corpus, run: SweepRun):
+        (cell_run,) = run.outcomes.values()
+        report = cell_run.report
+        layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
+        table = emit_table([report], layout)
+        artifacts = {
+            "aggregate": ("aggregate.json", report),
+            "split": ("split.json", split_payload(run.split)),
+            "table_txt": ("table.txt", table.text),
+            "table_csv": ("table.csv", table.csv_text),
+            "trace": ("trace.jsonl", None),
+        }
+        for i, fold_report in enumerate(fold_reports(cell_run, corpus.scheme)):
+            artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report)
+        payload = {
+            "weighted_f1": report.weighted_f1,
+            "macro_f1": report.macro_f1,
+            "folds": cfg["k_folds"],
+        }
+        line = (
+            f"{cfg['k_folds']}-fold aggregate: weighted F1 {report.weighted_f1:.4f}  "
+            f"macro F1 {report.macro_f1:.4f}"
+        )
+        return artifacts, payload, line, []
+
+    return _run_plan(
+        args, cfg, outputs, split_kind="kfold", split_param=cfg["k_folds"],
         split_seed=cfg.get("split_seed", 0),
     )
-    if session is None:
-        return EXIT_OK
-    corpus, run = session
-    (cell_run,) = run.outcomes.values()
-    report = cell_run.report
-    layout = "binary" if corpus.scheme.task_kind == "binary" else "multiclass"
-    table = emit_table([report], layout)
-    artifacts = {
-        "aggregate": ("aggregate.json", report),
-        "split": ("split.json", split_payload(run.split)),
-        "table_txt": ("table.txt", table.text),
-        "table_csv": ("table.csv", table.csv_text),
-        "trace": ("trace.jsonl", None),
-    }
-    for i, fold_report in enumerate(fold_reports(cell_run, corpus.scheme)):
-        artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report)
-    out_dir = Path(cfg["out_dir"])
-    _write_artifacts(out_dir, cfg, started, artifacts)
-    payload = {
-        "weighted_f1": report.weighted_f1,
-        "macro_f1": report.macro_f1,
-        "folds": k_folds,
-        "out_dir": str(out_dir),
-    }
-    _print(
-        args,
-        payload,
-        f"{k_folds}-fold aggregate: weighted F1 {report.weighted_f1:.4f}  "
-        f"macro F1 {report.macro_f1:.4f} -> {out_dir}",
-    )
-    return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -678,11 +658,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SweepError, EvaluationError, SelectionError, PromptError,
-            VectorSpaceError) as exc:
+    except (ConfigError, SweepError, SelectionError, PromptError, VectorSpaceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, SplitError, ReportingError) as exc:
+    except (CorpusError, SplitError, EvaluationError, ReportingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TransportError, ProtocolError, ContextOverflowError) as exc:

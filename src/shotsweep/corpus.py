@@ -197,13 +197,11 @@ def load_corpus(
     scheme: LabelScheme,
     text_col: str = "text",
     label_col: str = "label",
-    dataset: str | None = None,
 ) -> Corpus:
     """Load a labeled CSV (RFC 4180) into a Corpus with sequential record ids."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
-    dataset_name = dataset if dataset is not None else path.stem
     records: list[RequirementRecord] = []
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -240,7 +238,7 @@ def load_corpus(
                         f"{scheme.name!r}"
                     )
                 records.append(
-                    RequirementRecord(len(records), text, label_id, dataset_name)
+                    RequirementRecord(len(records), text, label_id, path.stem)
                 )
         except csv.Error as exc:
             raise CorpusError(f"{path}: malformed CSV ({exc})") from exc

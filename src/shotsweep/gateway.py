@@ -52,7 +52,6 @@ class ModelProfile:
     temperature: float = 0.0
     max_output_tokens: int = 16
     rate_limit_per_s: float | None = None
-    provider_tag: str = ""
     embedding_dim: int | None = None
     max_attempts: int = 4
     backoff_base_s: float = 0.5
@@ -60,7 +59,7 @@ class ModelProfile:
     api_key_env: str = "OPENAI_API_KEY"
 
     def __post_init__(self) -> None:
-        for field in ("name", "kind", "base_url", "provider_tag", "api_key_env"):
+        for field in ("name", "kind", "base_url", "api_key_env"):
             if not isinstance(value := getattr(self, field), str):
                 raise GatewayError(f"{field} must be a string, got {value!r}")
         if self.kind not in ("chat", "embedding"):
@@ -77,8 +76,6 @@ class ModelProfile:
             raise GatewayError("timeout_s must be above 0")
         if not self.backoff_base_s >= 0:
             raise GatewayError("backoff_base_s must be at least 0")
-        if not self.provider_tag:
-            object.__setattr__(self, "provider_tag", self.name)
 
     @functools.cached_property
     def request_fingerprint(self) -> str:
@@ -196,6 +193,7 @@ _SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")
 def _new_segment(bucket: Path) -> IO[str]:
     """Create the bucket's next segment, numbered after every one there, so
     sorted names follow write order (and follow older hex-named shards)."""
+    bucket.mkdir(parents=True, exist_ok=True)
     numbers = (_SEGMENT_NAME.fullmatch(path.name) for path in bucket.iterdir())
     number = max((int(m.group(1)) for m in numbers if m), default=0) + 1
     while True:
@@ -217,15 +215,15 @@ class ResponseCache:
     Completions are keyed by (model, request fingerprint, content_hash), so
     another endpoint, temperature or output limit is a miss; rows written
     without a fingerprint are never served. Embeddings are keyed the same
-    way, by (provider_tag, request fingerprint, text). With no directory the
+    way, by (profile name, request fingerprint, text). With no directory the
     cache is memory-only.
     Loading reads every segment of a bucket in name order and the first row
     for a key wins; torn_lines counts the lines skipped as unreadable (torn
     writes, rows this version cannot read), and torn_segments lists the
     segments that hold them. Segments are never appended to once closed: each
-    cache writes its rows to one new segment per bucket, created on its first
-    write and flushed row by row, so a run that resumes after a torn write
-    never glues a row onto the torn line. close() closes the open segments (a
+    cache writes its rows to one new segment per bucket, made (with its bucket
+    directory) on its first write and flushed row by row, so a resumed run
+    never glues a row onto a torn line. close() closes the open segments (a
     later write starts another); a cache collected unclosed closes them too.
     """
 
@@ -238,8 +236,6 @@ class ResponseCache:
         self.torn_lines = 0
         self.torn_segments: list[Path] = []  # the segments holding torn lines
         if self._dir is not None:
-            (self._dir / "completions").mkdir(parents=True, exist_ok=True)
-            (self._dir / "embeddings").mkdir(parents=True, exist_ok=True)
             self._load_bucket("completions", self._add_completion)
             self._load_bucket("embeddings", self._add_embedding)
 
@@ -852,7 +848,7 @@ class Client:
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
             raise GatewayError(f"profile {profile.name} is not an embedding profile")
-        key = (profile.provider_tag, profile.request_fingerprint)
+        key = (profile.name, profile.request_fingerprint)
         missing = [
             text
             for text in dict.fromkeys(texts)

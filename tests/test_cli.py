@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -274,7 +275,6 @@ class TestRun:
         profile = _build_profiles({"profiles": spec})["gpt-3.5-turbo"]
         assert profile.base_url == "http://localhost:8000/v1"
         assert profile.context_window == 16384
-        assert profile.provider_tag == "gpt-3.5-turbo"
 
     def test_profile_provider_matches_hash_provider(self, tmp_path, capsys):
         payload = dict(
@@ -311,6 +311,21 @@ class TestRun:
             assert code == EXIT_OK, capsys.readouterr().err
         trace = (tmp_path / "aliased" / "trace.jsonl").read_bytes()
         assert trace == (tmp_path / "hash" / "trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("mock", ["constant/Functional", "unparseable"])
+    def test_documented_mock_backends(self, tmp_path, capsys, mock):
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="m", method="random",
+            k=0, profiles={"m": {"base_url": f"mock://{mock}"}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_predictions"] == 125
+        if mock == "unparseable":
+            assert report["n_unparseable"] == report["n_predictions"]
+        else:  # every prediction is FR, the label named Functional
+            assert sum(row["FR"] for row in report["confusion"].values()) == 125
 
     def test_unknown_profile_field_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -433,12 +448,15 @@ class TestConfigErrors:
             ("sweep", {"models": "mock-gold"}, None, "models: expected a list"),
             ("run", {"provider": "profile:nope"}, None, "provider profile 'nope' not found"),
             ("run", {"provider": "bert"}, None, "unknown provider spec 'bert'"),
+            ("run", {"profiles": {"mock-gold": {"base_url": "mock://nope"}}}, None,
+             "unknown mock backend 'nope'"),
         ],
         ids=[
             "provider", "mock-dim", "pool-seed", "fraction", "k", "no-series", "list",
             "curves-path", "series-model", "series-method", "series-shots",
             "series-shots-type", "run-pool-size", "cv-pool-size", "sweep-pool-size",
             "sweep-grid", "sweep-models", "provider-profile-missing", "provider-unknown",
+            "mock-unknown",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, extra,
@@ -659,6 +677,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert "config error" in err and str(config) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "content, needle",
+        [(None, "no such config file"), ("{", "invalid JSON"),
+         ("[]", "config must be a JSON object")],
+        ids=["missing", "invalid-json", "list"],
+    )
+    def test_config_file_that_is_no_json_object_is_a_config_error(self, tmp_path, capsys,
+                                                                  content, needle):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error" in err and str(config) in err and needle in err
 
     @pytest.mark.parametrize("argv", [["run"], ["run", "--dry-run"]], ids=["run", "run-dry-run"])
     def test_template_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, argv):
@@ -1051,6 +1085,28 @@ class TestOneRoute:
         assert len(reports) == (1 if command == "run" else 2)
         assert all(json.loads(path.read_text())["n_predictions"] == 625 for path in reports)
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [(["run", "--k", "0"], "holdout test partition is empty"),
+         (["cv", "--shots", "0", "--folds", "2"], "fewer than 2 records")],
+        ids=["run", "cv"],
+    )
+    def test_split_without_test_records_is_a_data_error_and_leaves_no_cache(
+        self, tmp_path, capsys, argv, needle
+    ):
+        data = tmp_path / "two.csv"  # one FR and one NFR record
+        data.write_text("text,label\nThe system shall log users in.,F\n"
+                        "The system shall respond within 1 s.,PE\n", encoding="utf-8")
+        config = write_config(tmp_path, data=str(data), scheme="frnfr", model="mock-gold",
+                              method="random", profiles=GOLD_PROFILES)
+        cache_dir = tmp_path / "cache"
+        code = main([*argv, "--config", config, "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert "data error: " in err and needle in err
+        assert not cache_dir.exists()
+
     def test_run_takes_a_kfold_split(self, tmp_path, capsys):
         config = one_cell_or_sweep_config(tmp_path, "run",
                                           split={"kind": "kfold", "folds": 5, "seed": 1})
@@ -1232,3 +1288,17 @@ def test_numpy_loads_with_the_first_fitted_space(tmp_path):
     for method in ("tfidf", "embedding"):
         select = ["select", *data, "--method", method, "--k", "2", "--query", "The system shall"]
         assert numpy_loaded_after([select]) == [["select", EXIT_OK, True]]
+
+
+def test_only_run_plan_runs_a_sweep_or_writes_artifacts():
+    """run, cv and sweep share one lifecycle in _run_plan. A reference to
+    run_sweep or _write_artifacts anywhere else in cli.py would fork it again."""
+    tree = ast.parse((REPO_ROOT / "src" / "shotsweep" / "cli.py").read_text(encoding="utf-8"))
+    users: dict[str, set] = {"run_sweep": set(), "_write_artifacts": set()}
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in users:
+                users[name].add(owner)
+    assert users == {"run_sweep": {"_run_plan"}, "_write_artifacts": {"_run_plan"}}

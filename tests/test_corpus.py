@@ -189,6 +189,18 @@ class TestHoldout:
         with pytest.raises(SplitError):
             make_split(balanced_corpus(), "holdout", 1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "rows, kind, needle",
+        [([], "holdout", "cannot split an empty corpus"),
+         ([("f 0", "FR"), ("f 1", "FR")], "holdout", "class NFR has no records"),
+         ([("f 0", "FR"), ("n 0", "NFR")], "loo", "unknown split kind 'loo'")],
+        ids=["empty-corpus", "class-without-records", "loo"],
+    )
+    def test_unsplittable_corpus_or_unknown_kind_refused(self, rows, kind, needle):
+        corpus = Corpus(tuple(make_records(rows)), BINARY_FRNFR)
+        with pytest.raises(SplitError, match=needle):
+            make_split(corpus, kind, 0.8, seed=0)
+
 
 class TestKfold:
     def test_promise_binary_fold_shape(self, promise_binary):

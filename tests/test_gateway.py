@@ -575,6 +575,49 @@ class TestConnectionReuse:
         assert len(endpoint.targets) == 2
 
 
+class CannedEndpoint(ChatEndpoint):
+    """Answers every request with one status and body."""
+
+    def __init__(self, status: int, raw: bytes):
+        super().__init__()
+        self.canned = status, raw
+
+    def respond(self, target, headers, body):
+        return self.canned
+
+
+class TestBadReplies:
+    @pytest.mark.parametrize(
+        "kind, status, raw, needle",
+        [("chat", 404, b"no such model", "HTTP 404"),
+         ("chat", 200, b"<html>busy</html>", "non-JSON response"),
+         ("chat", 200, b'{"choices": [{"message": {}}]}', "malformed chat response"),
+         ("embedding", 200, b'{"data": [{"embedding": [1.0]}, {"embedding": [2.0]}]}',
+          "malformed embeddings response")],
+        ids=["404", "not-json", "no-content", "no-index"],
+    )
+    def test_refused_after_one_request(self, loopback, kind, status, raw, needle):
+        endpoint = loopback(CannedEndpoint, status=status, raw=raw)
+        waits = []
+        profile = ModelProfile(name="m", kind=kind, base_url=endpoint.base_url, max_attempts=3)
+        with Client(sleeper=waits.append) as client, pytest.raises(ProtocolError, match=needle):
+            if kind == "chat":
+                client.complete(profile, prompt_for())
+            else:
+                client.embed_batch(profile, ["a", "b"])
+        assert len(endpoint.targets) == 1 and waits == []
+
+    def test_500_is_retried_max_attempts_times(self, loopback):
+        endpoint = loopback(CannedEndpoint, status=500, raw=b"oops")
+        profile = ModelProfile(name="m", base_url=endpoint.base_url, max_attempts=3,
+                               backoff_base_s=0.0)
+        with Client(sleeper=lambda s: None) as client:
+            with pytest.raises(TransportError, match="gave up after 3 attempts") as err:
+                client.complete(profile, prompt_for())
+        assert len(err.value.attempts) == 3 and "HTTP 500" in err.value.attempts[0]
+        assert len(endpoint.targets) == 3
+
+
 @pytest.fixture()
 def client_writes(monkeypatch):
     """The size of each socket write the test's own thread makes."""
@@ -794,7 +837,6 @@ class TestEmbedBatch:
         client = Client(mocks={"hash": provider})
         profile = ModelProfile(
             name="hash-embedder", kind="embedding", base_url="mock://hash",
-            provider_tag="hashbag-8-v1",
         )
         return client, profile, provider
 
@@ -816,7 +858,6 @@ class TestEmbedBatch:
         client = Client(mocks={"hash": provider})
         profile = ModelProfile(
             name="hash-embedder", kind="embedding", base_url="mock://hash",
-            provider_tag="hashbag-8-v1",
         )
         client.embed_batch(profile, ["abc"])
         client.embed_batch(profile, ["abc"])
@@ -852,8 +893,6 @@ class TestEmbedBatch:
 
     def test_declared_dimension_enforced(self):
         class WrongDim:
-            provider_tag = "wd"
-
             def embed_batch(self, texts):
                 return [[0.0, 1.0] for _ in texts]
 
@@ -872,8 +911,6 @@ class TestEmbedBatch:
     )
     def test_malformed_batch_is_a_protocol_error_and_caches_nothing(self, vectors, needle):
         class Scripted:
-            provider_tag = "scripted"
-
             def embed_batch(self, texts):
                 return vectors
 
@@ -881,7 +918,7 @@ class TestEmbedBatch:
         profile = ModelProfile(name="scripted", kind="embedding", base_url="mock://scripted")
         with pytest.raises(ProtocolError, match=needle):
             client.embed_batch(profile, ["a", "b"])
-        key = (profile.provider_tag, profile.request_fingerprint)
+        key = (profile.name, profile.request_fingerprint)
         assert client.cache.get_embedding(*key, "a") is None
 
     def test_chat_profile_refused(self):
@@ -945,7 +982,7 @@ class TestProfiles:
             ModelProfile(name="x", **{field: value})
 
     @pytest.mark.parametrize(
-        "field", ["name", "kind", "base_url", "provider_tag", "api_key_env"]
+        "field", ["name", "kind", "base_url", "api_key_env"]
     )
     def test_non_string_field_rejected(self, field):
         with pytest.raises(GatewayError, match=f"{field} must be a string, got 5"):

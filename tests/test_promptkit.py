@@ -359,6 +359,18 @@ class TestTemplateFiles:
         again = load_template(path)
         assert again == DEFAULT_TEMPLATE
 
+    @pytest.mark.parametrize(
+        "text, needle",
+        [("[system]\nrole\n[footer]\nbye\n", r":3: unknown section 'footer'"),
+         ("role\n[system]\nrole\n", r":1: content before any \[section\]")],
+        ids=["unknown-section", "content-before-sections"],
+    )
+    def test_malformed_template_rejected(self, tmp_path, text, needle):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PromptError, match=needle):
+            load_template(path)
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[system]\nrole only\n", encoding="utf-8")

@@ -25,6 +25,7 @@ from shotsweep.reporting import (
     curves_csv,
     emit_table,
     file_digest,
+    read_trace,
     replay,
 )
 from shotsweep.sweep import CurvePoint, OverpromptingVerdict, SweepCurve
@@ -255,3 +256,16 @@ class TestReplay:
     def test_missing_trace(self, tmp_path):
         with pytest.raises(ReportingError, match="no such trace"):
             replay(tmp_path / "absent.jsonl", BINARY_FRNFR)
+
+    @pytest.mark.parametrize(
+        "rows, needle",
+        [([{"kind": "meta"}, {"kind": "meta"}], "line 2: duplicate meta row"),
+         ([{"kind": "meta"}, {"kind": "score"}], "line 2: unknown row kind 'score'"),
+         ([], "missing meta row")],
+        ids=["two-meta-rows", "unknown-kind", "no-meta-row"],
+    )
+    def test_malformed_trace_refused(self, tmp_path, rows, needle):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(ReportingError, match=needle):
+            read_trace(trace)

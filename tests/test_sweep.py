@@ -60,6 +60,19 @@ class TestSweepPlan:
         with pytest.raises(SweepError, match="unknown selection method"):
             SweepPlan(("m",), ("nearest",))
 
+    @pytest.mark.parametrize(
+        "models, methods, grid, needle",
+        [((), ("tfidf",), (0,), "at least one model"),
+         (("m",), (), (0,), "at least one method"),
+         (("m",), ("tfidf",), (), "empty shot grid"),
+         (("m",), ("tfidf",), (-5, 0), "shot counts must be >= 0")],
+        ids=["no-models", "no-methods", "empty-grid", "negative-shots"],
+    )
+    def test_plan_without_cells_or_with_negative_shots_refused(self, models, methods, grid,
+                                                               needle):
+        with pytest.raises(SweepError, match=needle):
+            SweepPlan(models, methods, grid)
+
     def test_cell_matrix_size(self):
         plan = SweepPlan(
             tuple(f"m{i}" for i in range(7)), ("random", "embedding", "tfidf")

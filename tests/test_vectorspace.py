@@ -283,7 +283,6 @@ class TestEmbeddingMatrix:
 
     def test_wrong_dimension_names_record(self):
         class BrokenProvider:
-            provider_tag = "broken"
             dim = 4
 
             def embed_batch(self, texts):
@@ -295,7 +294,6 @@ class TestEmbeddingMatrix:
 
     def test_provider_failure_names_batch(self):
         class FailingProvider:
-            provider_tag = "failing"
             dim = 4
 
             def embed_batch(self, texts):
