@@ -3,26 +3,41 @@
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import SMALL_CLASS_POLICIES, Corpus, SplitPlan, make_split
 from .evaluation import (
     SCORING_POLICIES,
-    Cell,
     CellRun,
     EvalReport,
     EvaluationError,
+    Prediction,
+    TraceRow,
     TraceWriter,
-    _run_metadata,
-    evaluate_cells,
-    partitions,
+    compute_report,
+    score_prediction,
 )
-from .gateway import Client, ModelProfile
-from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptTemplate
-from .selection import METHODS
-from .vectorspace import EmbeddingProvider
+from .gateway import (
+    Client,
+    CompletionRecord,
+    GatewayError,
+    ModelProfile,
+    ParsedLabel,
+    PendingCompletion,
+    parse_label,
+)
+from .promptkit import (
+    DEFAULT_TEMPLATE,
+    OrderingPolicy,
+    PromptError,
+    PromptSpec,
+    PromptTemplate,
+    render_prompt,
+)
+from .selection import METHODS, SelectionConfig, SelectionError, build_pool, rank
+from .vectorspace import EmbeddingProvider, VectorSpaceError
 
 DEFAULT_GRID = (0, 5, 10, 20, 40, 80, 120, 160)
 DEFAULT_OVERPROMPTING_THRESHOLD = 0.02
@@ -30,6 +45,19 @@ DEFAULT_OVERPROMPTING_THRESHOLD = 0.02
 
 class SweepError(Exception):
     pass
+
+
+# Failures that belong to one cell (its model, prompts or data); anything
+# else is a harness bug and aborts the sweep.
+CELL_ERRORS = (
+    GatewayError,
+    EvaluationError,
+    SelectionError,
+    PromptError,
+    VectorSpaceError,
+)
+
+Cell = tuple[str, str, int]  # (model, method, shot count)
 
 
 @dataclass(frozen=True)
@@ -80,6 +108,11 @@ class SweepPlan:
             )
         if self.scoring_policy not in SCORING_POLICIES:
             raise SweepError(f"unknown scoring policy {self.scoring_policy!r}")
+        if self.pool_size is not None and self.pool_size < 0:
+            raise SweepError(f"pool size must be >= 0, got {self.pool_size}")
+        threshold = self.overprompting_threshold
+        if not 0 < threshold < float("inf"):  # NaN compares false
+            raise SweepError(f"overprompting_threshold must be finite and > 0, got {threshold}")
 
     @property
     def n_cells(self) -> int:
@@ -209,6 +242,37 @@ def build_curve(
     return SweepCurve(model, method, points, verdict.peak_at, peak, verdict)
 
 
+def _complete_each(
+    client: Client,
+    profiles: Sequence[ModelProfile],
+    prompt: PromptSpec,
+) -> list[CompletionRecord | Exception]:
+    """Each profile's completion of prompt, or the cell error it raised, in order.
+
+    All on the calling thread: every profile's request is sent first (a
+    cache hit sends none), then the replies are read in profiles order, and
+    only then is a first attempt that failed in transport retried. An
+    exception outside CELL_ERRORS closes the connections whose replies are
+    unread and propagates.
+    """
+    pending: list[PendingCompletion] = []
+    try:
+        for profile in profiles:
+            pending.append(client.start(profile, prompt))
+        for completion in pending:
+            completion.read()
+        outcomes: list[CompletionRecord | Exception] = []
+        for completion in pending:
+            try:
+                outcomes.append(completion.finish())
+            except CELL_ERRORS as exc:
+                outcomes.append(exc)
+        return outcomes
+    finally:
+        for completion in pending:
+            completion.close()
+
+
 def run_sweep(
     plan: SweepPlan,
     corpus: Corpus,
@@ -219,39 +283,166 @@ def run_sweep(
 ) -> SweepRun:
     """Run every (model, method, shot_count) cell of plan and assemble curves.
 
-    The cells share the plan's settings, its split (corpus.make_split, or
-    none for "full") and its partitions, one pool per partition and one
-    space per method, and each prompt is rendered once for all models
-    (evaluation.evaluate_cells). A
-    one-cell plan may write every prediction to a trace at trace_path.
-    Cell failures (CELL_ERRORS) are recorded in plan.cells() order and the
-    sweep continues; any other exception propagates. Completions are
-    cache-backed, so re-running a plan only executes what is missing.
+    The split is corpus.make_split's (holdout tests partition 1 and kfold
+    each fold in turn, each against a pool over the rest; an empty test
+    partition fails every cell) or, for "full", none: every record is tested
+    against a pool over all of them, and query self-exclusion keeps each
+    record out of its own prompt. Shared work is done once: each partition's
+    pool; per method, one fitted space and one ranking per test record to
+    the largest k, which every k slices; each prompt rendered once (a
+    zero-shot prompt once for every method). A prompt goes to every model
+    (profiles maps each of the plan's models to the profile its requests go
+    to) before any reply is read, one request in flight per model, all from
+    the calling thread (no other thread is started); replies are parsed once
+    per distinct text, scored and recorded in plan.models order. A one-cell
+    plan may write every prediction to a trace at trace_path.
+
+    An exception in CELL_ERRORS fails the cells that share the step that
+    raised it (every cell, a method's k > 0, a (method, k) or one model's
+    cell) and the rest go on; any other exception propagates. outcomes keeps
+    each cell's report and per-partition predictions, or its first failure,
+    in plan.cells() order, keyed by the plan's model whatever the profile's
+    name. Completions are cache-backed, so a rerun only executes what is
+    missing.
     """
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
     if trace_path is not None and plan.n_cells != 1:
         raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
-    split = None
+    scheme = corpus.scheme
+    methods, grid = plan.methods, plan.shot_grid
+    parsed_by_text: dict[str, ParsedLabel] = {}
+    failed: dict[Cell, Exception] = {}
+    collected: dict[Cell, list[list[Prediction]]] = {cell: [] for cell in plan.cells()}
+    records = list(corpus.records)
+    split, parts, split_desc = None, [(records, records)], "full"
     if plan.split_kind != "full":
         split = make_split(
             corpus, plan.split_kind, plan.split_param, plan.split_seed, plan.on_small_class
         )
-    try:
-        parts, split_desc = partitions(corpus, split)
-    except EvaluationError as exc:  # an empty test partition fails every cell
-        results: dict[Cell, CellRun | Exception] = dict.fromkeys(plan.cells(), exc)
-    else:
-        trace = nullcontext()
-        if trace_path is not None:
-            (cell,) = plan.cells()
-            trace = TraceWriter(trace_path, _run_metadata(corpus, cell, plan, split_desc))
-        with trace as writer:
-            results = dict(evaluate_cells(
-                plan, corpus, parts, profiles, client, provider, split_desc, writer
-            ))
-    outcomes = {cell: results[cell] for cell in plan.cells()}
+        tested = [1] if split.kind == "holdout" else range(int(split.param))
+        parts = []
+        for part in tested:
+            train = [r for r in records if split.assignments[r.record_id] != part]
+            test = [r for r in records if split.assignments[r.record_id] == part]
+            parts.append((train, test))
+        split_desc = f"{split.kind}:{split.param}:{split.seed}"
+        if not all(test for _, test in parts):
+            exc = EvaluationError(f"{split.kind} test partition is empty")
+            failed, parts = dict.fromkeys(plan.cells(), exc), []
+
+    def metadata(cell: Cell) -> dict[str, object]:
+        model, method, k = cell
+        return {
+            "dataset": corpus.records[0].dataset if corpus.records else "",
+            "scheme": scheme.name,
+            "model": model,
+            "method": method,
+            "k": k,
+            "split": split_desc,
+            "pool_size": plan.pool_size,
+            "pool_seed": plan.pool_seed,
+            "selection_seed": plan.selection_seed,
+            "scoring_policy": plan.scoring_policy,
+            "template_version": plan.template.version,
+            "ordering": plan.ordering.name,
+        }
+
+    def fail(
+        exc: Exception, method: str, ks: Iterable[int], models: Iterable[str]
+    ) -> None:
+        for k in ks:
+            for model in models:
+                failed.setdefault((model, method, k), exc)
+
+    def live(method: str, k: int) -> list[str]:
+        return [model for model in plan.models if (model, method, k) not in failed]
+
+    def finish(cell: Cell) -> CellRun | Exception:
+        if cell in failed:
+            return failed[cell]
+        per_partition = collected[cell]
+        pooled = [pred for predictions in per_partition for pred in predictions]
+        try:
+            return CellRun(compute_report(pooled, scheme, metadata(cell)), tuple(per_partition))
+        except CELL_ERRORS as exc:
+            return exc
+
+    trace = nullcontext()
+    if trace_path is not None and parts:
+        (cell,) = plan.cells()
+        trace = TraceWriter(trace_path, metadata(cell))
+    with trace as writer:
+        for train, test in parts:
+            for predictions in collected.values():
+                predictions.append([])
+            # the last partition's pool, rankings and prompts go before the next pool
+            pool = rankings = zero_shot = None
+            try:
+                pool_size = plan.pool_size if plan.pool_size is not None else len(train)
+                pool = build_pool(train, scheme, pool_size, plan.pool_seed)
+            except CELL_ERRORS as exc:
+                for method in methods:
+                    fail(exc, method, grid, plan.models)
+                continue
+            # a zero-shot prompt does not depend on the method: render it once
+            zero_shot: dict[int, PromptSpec | Exception] = {}
+            for method in methods:
+                sel_cfg = SelectionConfig(
+                    method, max((k for k in grid if live(method, k)), default=0),
+                    plan.selection_seed,
+                )
+                try:
+                    rankings = rank(pool, test, sel_cfg, provider)
+                except CELL_ERRORS as exc:
+                    fail(exc, method, [k for k in grid if k > 0], plan.models)
+                    rankings = rank(pool, test, replace(sel_cfg, k=0))
+
+                for k in grid:
+                    for position, (record, ranking) in enumerate(zip(test, rankings)):
+                        models = live(method, k)
+                        if not models:
+                            break
+                        prompt = zero_shot.get(position) if k == 0 else None
+                        if prompt is None:
+                            try:
+                                prompt = render_prompt(
+                                    plan.template, scheme, ranking.take(k), pool,
+                                    record.text, plan.ordering,
+                                )
+                            except CELL_ERRORS as exc:
+                                prompt = exc
+                            if k == 0:
+                                zero_shot[position] = prompt
+                        if isinstance(prompt, Exception):
+                            fail(prompt, method, [k], models)
+                            break
+                        completions = _complete_each(
+                            client, [profiles[model] for model in models], prompt
+                        )
+                        for model, completion in zip(models, completions):
+                            if isinstance(completion, Exception):
+                                fail(completion, method, [k], [model])
+                                continue
+                            parsed = parsed_by_text.get(completion.text)
+                            if parsed is None:
+                                parsed = parse_label(completion.text, scheme)
+                                parsed_by_text[completion.text] = parsed
+                            pred = Prediction(
+                                record_id=record.record_id,
+                                gold=record.label,
+                                parsed=parsed,
+                                scored_as=score_prediction(parsed, plan.scoring_policy),
+                                content_hash=prompt.content_hash,
+                            )
+                            if writer is not None:
+                                writer.write_prediction(TraceRow(
+                                    record.record_id, record.label, completion.text,
+                                    prompt.content_hash,
+                                ))
+                            collected[(model, method, k)][-1].append(pred)
+    outcomes = {cell: finish(cell) for cell in plan.cells()}
     curves = []
     for model in plan.models:
         for method in plan.methods:

@@ -615,16 +615,23 @@ class TestConfigErrors:
             *[([command], {"split": {"kind": "holdout", "fraction": fraction}},
                f"holdout fraction must be in (0, 1), got {float(fraction)}")
               for command in ("run", "sweep") for fraction in (0, 1.5)],
+            *[(argv, {"pool_size": -1}, "pool size must be >= 0, got -1")
+              for argv in (["run"], ["cv", "--shots", "1"], ["sweep"])],
+            *[(["sweep"], {"overprompting_threshold": threshold},
+               f"overprompting_threshold must be finite and > 0, got {float(threshold)}")
+              for threshold in (0, -1, float("nan"))],
         ],
         ids=["run-split-typo", "sweep-split-typo", "run-full-fraction",
              "sweep-full-fraction", "cv-on-small-class", "run-fraction-0",
-             "run-fraction-1.5", "sweep-fraction-0", "sweep-fraction-1.5"],
+             "run-fraction-1.5", "sweep-fraction-0", "sweep-fraction-1.5",
+             "run-pool-size", "cv-pool-size", "sweep-pool-size", "threshold-0",
+             "threshold-negative", "threshold-nan"],
     )
-    def test_bad_split_key_or_small_class_policy_sends_no_request(
+    def test_bad_split_or_plan_setting_sends_no_request(
         self, tmp_path, capsys, argv, extra, needle, dry_run
     ):
-        payload = dict(data=str(PROMISE_CSV), scheme="frnfr", pool_size=20,
-                       profiles=GOLD_PROFILES, **extra)
+        payload = {"data": str(PROMISE_CSV), "scheme": "frnfr", "pool_size": 20,
+                   "profiles": GOLD_PROFILES, **extra}
         if argv[0] == "sweep":
             payload.update(models=["mock-gold"], methods=["random"], grid=[0, 1])
         else:
@@ -1105,7 +1112,7 @@ class TestOneRoute:
         err = capsys.readouterr().err
         assert code == EXIT_DATA, err
         assert "data error: " in err and needle in err
-        assert not cache_dir.exists()
+        assert not cache_dir.exists() and not (tmp_path / "out").exists()
 
     def test_run_takes_a_kfold_split(self, tmp_path, capsys):
         config = one_cell_or_sweep_config(tmp_path, "run",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from shotsweep import (
     BINARY_FRNFR,
     Client,
     ConstantBackend,
-    EchoGoldBackend,
     HashEmbeddingProvider,
     LabelDef,
     LabelScheme,
@@ -17,17 +17,16 @@ from shotsweep import (
     make_split,
     score_prediction,
 )
-from shotsweep.corpus import Corpus, SplitError, SplitPlan
+from shotsweep.corpus import Corpus, SplitError
 from shotsweep.evaluation import (
     INVALID_COLUMN,
     EvaluationError,
     Prediction,
     fold_reports,
-    partitions,
 )
-from shotsweep.gateway import GatewayError, ParsedLabel
+from shotsweep.gateway import CallableBackend, GatewayError, ParsedLabel
 
-from conftest import evaluate_one_cell, make_records
+from conftest import REPO_ROOT, evaluate_one_cell, make_records
 from oracles import oracle_metrics
 
 
@@ -201,58 +200,20 @@ def small_corpus(n_per_class=8):
 
 
 def gold_client(corpus):
+    """A client whose "echo-gold" backend answers each query's gold label, and
+    the list of every prompt it is sent."""
     gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
-    backend = EchoGoldBackend(gold)
-    return Client(mocks={"echo-gold": backend}), backend
+    prompts = []
+
+    def respond(profile, prompt):
+        prompts.append(prompt)
+        return gold[prompt.query_text]
+
+    return Client(mocks={"echo-gold": CallableBackend(respond)}), prompts
 
 
 def profile_for(backend="echo-gold"):
     return ModelProfile(name=f"mock-{backend}", base_url=f"mock://{backend}")
-
-
-class TestPartitions:
-    def test_holdout_tests_exactly_partition_one(self):
-        corpus = small_corpus(10)
-        split = make_split(corpus, "holdout", 0.75, seed=3)
-        parts, _ = partitions(corpus, split)
-        assert len(parts) == 1
-        train, test = parts[0]
-        assert [r.record_id for r in test] == [
-            r.record_id for r in corpus.records if split.assignments[r.record_id] == 1
-        ]
-        assert [r.record_id for r in train] == [
-            r.record_id for r in corpus.records if split.assignments[r.record_id] == 0
-        ]
-
-    def test_kfold_tests_cover_every_record_once(self):
-        corpus = small_corpus(10)
-        split = make_split(corpus, "kfold", 4, seed=1)
-        parts, _ = partitions(corpus, split)
-        assert len(parts) == 4
-        tested = sorted(r.record_id for _, test in parts for r in test)
-        assert tested == sorted(r.record_id for r in corpus.records)
-        for fold, (train, test) in enumerate(parts):
-            assert {split.assignments[r.record_id] for r in test} == {fold}
-            assert len(train) + len(test) == len(corpus)
-            assert fold not in {split.assignments[r.record_id] for r in train}
-
-    def test_full_tests_every_record_against_all(self):
-        corpus = small_corpus(3)
-        parts, split_desc = partitions(corpus, None)
-        records = list(corpus.records)
-        assert parts == [(records, records)]
-        assert split_desc == "full"
-
-    def test_descriptions(self):
-        corpus = small_corpus(10)
-        assert partitions(corpus, make_split(corpus, "holdout", 0.8, 7))[1] == "holdout:0.8:7"
-        assert partitions(corpus, make_split(corpus, "kfold", 5, 2))[1] == "kfold:5:2"
-
-    def test_empty_holdout_test_partition_raises(self):
-        corpus = small_corpus(3)
-        split = SplitPlan("holdout", 0.8, 0, {r.record_id: 0 for r in corpus.records})
-        with pytest.raises(EvaluationError, match="test partition is empty"):
-            partitions(corpus, split)
 
 
 class TestRunHoldout:
@@ -268,6 +229,18 @@ class TestRunHoldout:
         ).report
         assert report.weighted_f1 == 1.0
         assert report.n_predictions == 4
+
+    def test_tests_partition_one_against_examples_from_partition_zero(self):
+        corpus = small_corpus(10)
+        split = make_split(corpus, "holdout", 0.8, seed=7)
+        client, prompts = gold_client(corpus)
+        run = evaluate_one_cell(corpus, split, profile_for(), {"method": "tfidf", "k": 3}, client)
+        assert [p.record_id for p in run.per_partition[0]] == [
+            r.record_id for r in corpus.records if split.assignments[r.record_id] == 1
+        ]
+        examples = {rid for prompt in prompts for rid in prompt.example_provenance}
+        assert examples and {split.assignments[rid] for rid in examples} == {0}
+        assert run.report.metadata["split"] == "holdout:0.8:7"
 
     def test_constant_label_arithmetic(self):
         corpus = small_corpus(10)  # 10 FR, 10 NFR
@@ -329,9 +302,11 @@ class TestRunFull:
         class AssertNoLeak:
             def __init__(self):
                 self.calls = 0
+                self.prompts = []
 
             def respond(self, profile, prompt):
                 self.calls += 1
+                self.prompts.append(prompt)
                 assert prompt.query_text not in prompt.user_message.split("Input:")[0]
                 return "FR"
 
@@ -339,8 +314,14 @@ class TestRunFull:
         client = Client(mocks={"checker": backend})
         profile = ModelProfile(name="checker", base_url="mock://checker")
         cfg = {"method": "tfidf", "k": 5}
-        evaluate_one_cell(corpus, None, profile, cfg, client)
+        run = evaluate_one_cell(corpus, None, profile, cfg, client)
         assert backend.calls == len(corpus)
+        assert [p.record_id for p in run.per_partition[0]] == [r.record_id for r in corpus.records]
+        assert run.report.metadata["split"] == "full"
+        ids = {r.record_id for r in corpus.records}
+        for record, prompt in zip(corpus.records, backend.prompts):
+            assert prompt.query_text == record.text
+            assert set(prompt.example_provenance) == ids - {record.record_id}
 
 
 class TestRunKfold:
@@ -348,24 +329,33 @@ class TestRunKfold:
         corpus = small_corpus(10)
         client, _ = gold_client(corpus)
         result = evaluate_one_cell(
-            corpus, make_split(corpus, "kfold", 5, 0), profile_for(),
+            corpus, make_split(corpus, "kfold", 5, 2), profile_for(),
             {"method": "tfidf", "k": 3}, client,
         )
         assert result.report.weighted_f1 == 1.0
+        assert result.report.metadata["split"] == "kfold:5:2"
         assert len(fold_reports(result, corpus.scheme)) == 5
         for fold_report in fold_reports(result, corpus.scheme):
             assert fold_report.weighted_f1 == 1.0
 
     def test_each_record_scored_exactly_once(self):
         corpus = small_corpus(10)
-        client, _ = gold_client(corpus)
+        split = make_split(corpus, "kfold", 4, 0)
+        client, prompts = gold_client(corpus)
         result = evaluate_one_cell(
-            corpus, make_split(corpus, "kfold", 4, 0), profile_for(),
-            {"method": "random", "k": 2}, client,
+            corpus, split, profile_for(), {"method": "random", "k": 2}, client,
         )
         assert result.report.n_predictions == len(corpus)
         total = sum(r.n_predictions for r in fold_reports(result, corpus.scheme))
         assert total == len(corpus)
+        assert [[p.record_id for p in tested] for tested in result.per_partition] == [
+            [r.record_id for r in corpus.records if split.assignments[r.record_id] == fold]
+            for fold in range(4)
+        ]
+        fold_of = {r.text: split.assignments[r.record_id] for r in corpus.records}
+        for prompt in prompts:  # each fold is tested against a pool over the others
+            examples = {split.assignments[rid] for rid in prompt.example_provenance}
+            assert examples and fold_of[prompt.query_text] not in examples
 
     def test_aggregate_confusion_is_sum_of_folds(self):
         corpus = small_corpus(9)
@@ -400,3 +390,20 @@ class TestRunKfold:
                 corpus, make_split(corpus, "kfold", 1, 0), profile_for(),
                 {"method": "random", "k": 1}, client,
             )
+
+
+def test_scoring_imports_nothing_of_the_run_loop():
+    """evaluation.py scores, and replay re-scores a trace through it. The run
+    loop lives in sweep.py; an import here of selection, prompts, spaces or
+    dispatch would tie scoring to it again."""
+    tree = ast.parse((REPO_ROOT / "src" / "shotsweep" / "evaluation.py").read_text("utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            names = {alias.name for alias in node.names}
+            imported.setdefault(node.module.split(".")[-1], set()).update(names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # import x, from . import x
+            for alias in node.names:
+                imported.setdefault(alias.name.split(".")[-1], set()).add("*")
+    assert not {"selection", "promptkit", "vectorspace"} & set(imported)
+    assert imported.get("gateway", set()) <= {"ParsedLabel"}

@@ -27,12 +27,8 @@ from shotsweep import (
     run_sweep,
     select,
 )
-from shotsweep.evaluation import (
-    CellRun,
-    TraceWriter,
-    evaluate_cells,
-    partitions,
-)
+from shotsweep.corpus import Corpus
+from shotsweep.evaluation import CellRun
 from shotsweep import gateway
 from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
@@ -354,7 +350,7 @@ class TestRunSweep:
             rendered.append(prompt)
             return prompt
 
-        monkeypatch.setattr("shotsweep.evaluation.render_prompt", counting_render)
+        monkeypatch.setattr("shotsweep.sweep.render_prompt", counting_render)
         plan = SweepPlan(
             ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2), split_param=0.5
         )
@@ -382,7 +378,7 @@ class TestRunSweep:
                 raise PromptError("no zero-shot prompt for this record")
             return render_prompt(template, scheme, selection, pool, query_text, ordering)
 
-        monkeypatch.setattr("shotsweep.evaluation.render_prompt", render_failing_one_record)
+        monkeypatch.setattr("shotsweep.sweep.render_prompt", render_failing_one_record)
         plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
         run = run_sweep(plan, corpus, mock_profiles(["m1", "m2"]), client)
         assert [(f.model, f.method, f.shot_count) for f in run.failures] == [
@@ -545,14 +541,11 @@ def http_profiles(endpoint, names, **fields):
 
 
 def dispatch(corpus, profiles, client, n_prompts):
-    """Run the sweep engine over the first n_prompts records as zero-shot
-    queries, one prompt each, to every profile."""
-    records = list(corpus.records)
-    parts = [(records[n_prompts:], records[:n_prompts])]
-    plan = SweepPlan(tuple(profiles), ("random",), (0,))
-    return dict(evaluate_cells(
-        plan, corpus, parts, profiles, client, None, "first-records",
-    ))
+    """Sweep the first n_prompts records, unsplit, as zero-shot queries: one
+    prompt each, to every profile."""
+    first = Corpus(corpus.records[:n_prompts], corpus.scheme)
+    plan = SweepPlan(tuple(profiles), ("random",), (0,), split_kind="full")
+    return run_sweep(plan, first, profiles, client).outcomes
 
 
 class TestConcurrentDispatch:
@@ -671,35 +664,33 @@ class TestConcurrentDispatch:
         plan = SweepPlan(
             ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
         )
-        parts, split_desc = partitions(corpus, make_split(corpus, "holdout", 0.5, 0))
 
-        def artifacts(models, seed):
+        def artifacts(models, seed, trace_path=None, **cells):
             profiles = mock_profiles(models, "jitter")
             client = Client(mocks={"jitter": jittered_backend(seed)})
-            run = run_sweep(replace(plan, models=models), corpus, profiles, client, provider)
-            trace_path = tmp_path / f"{'-'.join(models)}-{seed}.jsonl"
-            with TraceWriter(trace_path, {"seed": 0}) as trace:
-                cells = dict(evaluate_cells(
-                    replace(plan, models=models), corpus, parts, profiles,
-                    Client(mocks={"jitter": jittered_backend(seed + 1)}),
-                    provider, split_desc, trace,
-                ))
-            for (model, _, _), outcome in cells.items():
+            run = run_sweep(replace(plan, models=models, **cells), corpus, profiles, client,
+                            provider, trace_path)
+            for (model, _, _), outcome in run.outcomes.items():
                 assert isinstance(outcome, CellRun)
                 for pred in outcome.per_partition[0]:
                     reply = jitter_reply(model, pred.content_hash)
                     assert pred.parsed == parse_label(reply, corpus.scheme)
             reports = {cell: artifact_json(report) for cell, report in run.reports.items()}
-            assert reports == {c: artifact_json(outcome.report) for c, outcome in cells.items()}
             sweep_json = artifact_json({"curves": run.curves, "failures": run.failures})
-            return sweep_json, reports, trace_path.read_text()
+            return sweep_json, reports, run.outcomes
 
         first = artifacts(("m1", "m2"), seed=1)
         assert first == artifacts(("m1", "m2"), seed=2)
-        _, reports, trace = first
-        assert len(reports) == 18 and len(trace.splitlines()) == 1 + 2 * 9 * 10
+        _, reports, _ = first
+        assert len(reports) == 18
         alone = {**artifacts(("m1",), seed=3)[1], **artifacts(("m2",), seed=4)[1]}
         assert reports == alone
+        traces = []
+        for seed in (5, 6):
+            trace_path = tmp_path / f"trace-{seed}.jsonl"
+            artifacts(("m2",), seed, trace_path, methods=("tfidf",), shot_grid=(5,))
+            traces.append(trace_path.read_text())
+        assert traces[0] == traces[1] and len(traces[0].splitlines()) == 1 + 10
 
     def test_models_on_one_endpoint_hold_a_connection_each(self):
         endpoint = ChatEndpoint(reply="Functional")
