@@ -694,6 +694,12 @@ class PendingCompletion:
             self._error = exc
         self.latency_ms = (time.monotonic() - self._sent_at) * 1000.0
 
+    @property
+    def failed(self) -> bool:
+        """After read(): whether result() retries or raises (a refused prompt,
+        or a failed attempt)."""
+        return self._error is not None
+
     def result(self) -> object:
         self.read()
         while isinstance(self._error, TransportError):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,7 +22,6 @@ from .evaluation import (
 )
 from .gateway import (
     Client,
-    CompletionRecord,
     GatewayError,
     ModelProfile,
     ParsedLabel,
@@ -242,37 +242,6 @@ def build_curve(
     return SweepCurve(model, method, points, verdict.peak_at, peak, verdict)
 
 
-def _complete_each(
-    client: Client,
-    profiles: Sequence[ModelProfile],
-    prompt: PromptSpec,
-) -> list[CompletionRecord | Exception]:
-    """Each profile's completion of prompt, or the cell error it raised, in order.
-
-    All on the calling thread: every profile's request is sent first (a
-    cache hit sends none), then the replies are read in profiles order, and
-    only then is a first attempt that failed in transport retried. An
-    exception outside CELL_ERRORS closes the connections whose replies are
-    unread and propagates.
-    """
-    pending: list[PendingCompletion] = []
-    try:
-        for profile in profiles:
-            pending.append(client.start(profile, prompt))
-        for completion in pending:
-            completion.read()
-        outcomes: list[CompletionRecord | Exception] = []
-        for completion in pending:
-            try:
-                outcomes.append(completion.finish())
-            except CELL_ERRORS as exc:
-                outcomes.append(exc)
-        return outcomes
-    finally:
-        for completion in pending:
-            completion.close()
-
-
 def run_sweep(
     plan: SweepPlan,
     corpus: Corpus,
@@ -290,12 +259,16 @@ def run_sweep(
     record out of its own prompt. Shared work is done once: each partition's
     pool; per method, one fitted space and one ranking per test record to
     the largest k, which every k slices; each prompt rendered once (a
-    zero-shot prompt once for every method). A prompt goes to every model
+    zero-shot prompt once for every method). At each (method, k), every model
     (profiles maps each of the plan's models to the profile its requests go
-    to) before any reply is read, one request in flight per model, all from
-    the calling thread (no other thread is started); replies are parsed once
-    per distinct text, scored and recorded in plan.models order. A one-cell
-    plan may write every prediction to a trace at trace_path.
+    to) walks the test records with one request in flight, all on the
+    calling thread (no other thread is started). Replies are read oldest
+    first; once one is read, that model's next prompt is sent before the
+    reply is cached, parsed (once per distinct text), scored and recorded in
+    test order, and the prompt after it is rendered. A repeat of the prompt
+    just answered waits for its cache row; a failed attempt is retried once
+    every other reply in flight is read. A one-cell plan may write every
+    prediction to a trace at trace_path, opened once a pool is built.
 
     An exception in CELL_ERRORS fails the cells that share the step that
     raised it (every cell, a method's k > 0, a (method, k) or one model's
@@ -369,11 +342,8 @@ def run_sweep(
         except CELL_ERRORS as exc:
             return exc
 
-    trace = nullcontext()
-    if trace_path is not None and parts:
-        (cell,) = plan.cells()
-        trace = TraceWriter(trace_path, metadata(cell))
-    with trace as writer:
+    with ExitStack() as stack:
+        writer = None
         for train, test in parts:
             for predictions in collected.values():
                 predictions.append([])
@@ -386,6 +356,9 @@ def run_sweep(
                 for method in methods:
                     fail(exc, method, grid, plan.models)
                 continue
+            if trace_path is not None and writer is None and not failed:
+                (cell,) = plan.cells()
+                writer = stack.enter_context(TraceWriter(trace_path, metadata(cell)))
             # a zero-shot prompt does not depend on the method: render it once
             zero_shot: dict[int, PromptSpec | Exception] = {}
             for method in methods:
@@ -400,31 +373,55 @@ def run_sweep(
                     rankings = rank(pool, test, replace(sel_cfg, k=0))
 
                 for k in grid:
-                    for position, (record, ranking) in enumerate(zip(test, rankings)):
-                        models = live(method, k)
-                        if not models:
-                            break
-                        prompt = zero_shot.get(position) if k == 0 else None
-                        if prompt is None:
+                    prompts = zero_shot if k == 0 else {}
+                    in_flight: deque[tuple[str, int, PromptSpec, PendingCompletion]] = deque()
+
+                    def prompt_at(position: int) -> PromptSpec | Exception | None:
+                        if position < len(test) and position not in prompts:
                             try:
-                                prompt = render_prompt(
-                                    plan.template, scheme, ranking.take(k), pool,
-                                    record.text, plan.ordering,
+                                prompts[position] = render_prompt(
+                                    plan.template, scheme, rankings[position].take(k), pool,
+                                    test[position].text, plan.ordering,
                                 )
                             except CELL_ERRORS as exc:
-                                prompt = exc
-                            if k == 0:
-                                zero_shot[position] = prompt
+                                prompts[position] = exc
+                        return prompts.get(position)  # None past the last record
+
+                    def send(
+                        model: str, position: int, prompt: PromptSpec | Exception | None
+                    ) -> None:
                         if isinstance(prompt, Exception):
-                            fail(prompt, method, [k], models)
-                            break
-                        completions = _complete_each(
-                            client, [profiles[model] for model in models], prompt
-                        )
-                        for model, completion in zip(models, completions):
-                            if isinstance(completion, Exception):
-                                fail(completion, method, [k], [model])
+                            fail(prompt, method, [k], [model])
+                        elif prompt is not None:
+                            pending = client.start(profiles[model], prompt)
+                            in_flight.append((model, position, prompt, pending))
+
+                    try:
+                        for model in live(method, k):
+                            send(model, 0, prompt_at(0))
+                        while in_flight:
+                            model, position, prompt, pending = in_flight.popleft()
+                            if k:  # every live model has started it; zero_shot is kept
+                                prompts.pop(position, None)
+                            pending.read()
+                            if pending.failed:  # a retry waits for every other reply
+                                for *_, other in in_flight:
+                                    other.read()
+                            following = prompt_at(position + 1)
+                            # a repeat of this prompt waits for its cache row, so it is sent once
+                            repeat = (
+                                isinstance(following, PromptSpec)
+                                and following.content_hash == prompt.content_hash
+                            )
+                            early = not (pending.failed or repeat)
+                            if early:
+                                send(model, position + 1, following)
+                            try:
+                                completion = pending.finish()
+                            except CELL_ERRORS as exc:
+                                fail(exc, method, [k], [model])
                                 continue
+                            record = test[position]
                             parsed = parsed_by_text.get(completion.text)
                             if parsed is None:
                                 parsed = parse_label(completion.text, scheme)
@@ -442,6 +439,12 @@ def run_sweep(
                                     prompt.content_hash,
                                 ))
                             collected[(model, method, k)][-1].append(pred)
+                            if not early:
+                                send(model, position + 1, following)
+                            prompt_at(position + 2)  # rendered while requests are in flight
+                    finally:
+                        for *_, pending in in_flight:
+                            pending.close()
     outcomes = {cell: finish(cell) for cell in plan.cells()}
     curves = []
     for model in plan.models:

@@ -124,6 +124,8 @@ class _Loopback(ThreadingHTTPServer):
             self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             self.tls.load_cert_chain(TLS_CERT, TLS_KEY)
         self.connections = 0
+        self.in_flight: dict[str | None, int] = {}  # requests being answered, by model
+        self.peak_in_flight: dict[str | None, int] = {}  # the most at once, by model
         self.targets: list[str] = []  # request targets, in arrival order
         self.received: list[tuple[dict[str, str], bytes]] = []  # (headers, body) per request
         self.lock = threading.Lock()
@@ -149,8 +151,25 @@ class _Loopback(ThreadingHTTPServer):
             self.received.append((dict(headers.items()), body))
 
     def answer(self, target: str, headers, body: bytes) -> tuple[int, bytes]:
+        """respond()'s reply, counted in flight by the model named in the JSON
+        body (None if none) until just before the reply is written: the next
+        request a client sends once it has read the reply counts after it."""
         self.record(target, headers, body)
-        return self.respond(target, headers, body)
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            payload = None
+        model = payload.get("model") if isinstance(payload, dict) else None
+        with self.lock:
+            self.in_flight[model] = self.in_flight.get(model, 0) + 1
+            self.peak_in_flight[model] = max(
+                self.peak_in_flight.get(model, 0), self.in_flight[model]
+            )
+        try:
+            return self.respond(target, headers, body)
+        finally:
+            with self.lock:
+                self.in_flight[model] -= 1
 
     def respond(self, target: str, headers, body: bytes) -> tuple[int, bytes]:
         raise NotImplementedError

@@ -1114,6 +1114,17 @@ class TestOneRoute:
         assert "data error: " in err and needle in err
         assert not cache_dir.exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "cv"])
+    def test_pool_larger_than_the_train_partition_leaves_no_out(self, tmp_path, capsys,
+                                                               command):
+        config = one_cell_or_sweep_config(tmp_path, command, pool_size=900)
+        out = tmp_path / "out"
+        code = main([command, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error: pool size 900 exceeds train partition size 500" in err
+        assert not out.exists()
+
     def test_run_takes_a_kfold_split(self, tmp_path, capsys):
         config = one_cell_or_sweep_config(tmp_path, "run",
                                           split={"kind": "kfold", "folds": 5, "seed": 1})

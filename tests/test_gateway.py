@@ -815,10 +815,12 @@ def source_imports(at_import_time: bool = False) -> list[tuple[str, str]]:
 
 
 def test_no_module_imports_threading():
-    """A Client belongs to one thread, and shotsweep starts none. The stdlib
-    always loads threading, so sys.modules cannot show this: read the source."""
+    """A Client belongs to one thread, and shotsweep starts none: a sweep keeps
+    its models' requests in flight from the calling thread, without threads,
+    executors or an event loop. The stdlib always loads threading, so
+    sys.modules cannot show this: read the source."""
     banned = [(name, module) for name, module in source_imports()
-              if module.split(".")[0] in ("threading", "concurrent")]
+              if module.split(".")[0] in ("threading", "concurrent", "asyncio")]
     assert banned == []
 
 

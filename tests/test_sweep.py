@@ -699,11 +699,60 @@ class TestConcurrentDispatch:
             profiles = {
                 n: ModelProfile(name=n, base_url=endpoint.base_url) for n in ("m1", "m2")
             }
-            plan = SweepPlan(("m1", "m2"), ("random",), (0, 2), split_param=0.5)
+            plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
             with Client() as client:
                 run = run_sweep(plan, corpus, profiles, client)
         finally:
             endpoint.stop()
         assert not run.failures
-        assert len(endpoint.targets) == 2 * 2 * 6
+        assert len(endpoint.targets) == 2 * 3 * 6  # a k=0 prompt is sent once for both methods
+        assert endpoint.peak_in_flight == {"m1": 1, "m2": 1}
         assert endpoint.connections <= 2
+
+    def test_identical_prompts_are_sent_once_per_model(self):
+        base = balanced_corpus(4)
+        records = base.records
+        twin = replace(records[1], record_id=len(records))  # tested right after records[1]
+        corpus = Corpus((*records[:2], twin, *records[2:]), base.scheme)
+        backends = {m: CallableBackend(lambda profile, prompt: "Functional") for m in ("m1", "m2")}
+        client = Client(mocks=backends)
+        profiles = {m: ModelProfile(name=m, base_url=f"mock://{m}") for m in backends}
+        plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_kind="full")
+        run = run_sweep(plan, corpus, profiles, client)
+        assert not run.failures
+        for model, backend in backends.items():
+            cells = [run.outcomes[(model, method, k)] for method in plan.methods for k in (0, 2)]
+            hashes = [pred.content_hash for cell in cells for pred in cell.per_partition[0]]
+            assert hashes[1] == hashes[2]  # the twins' zero-shot prompts are one prompt
+            assert backend.calls == len(set(hashes))
+
+    def test_one_models_failure_stops_only_its_stream(self):
+        corpus = balanced_corpus(6)
+        asked = {"m1": [], "m2": []}  # shot count of each prompt a model's backend answers
+
+        def backend(model):
+            def respond(profile, prompt):
+                asked[model].append(prompt.shot_count)
+                if (model, prompt.shot_count, asked[model].count(2)) == ("m1", 2, 3):
+                    raise GatewayError("m1 is down")
+                return jitter_reply(model, prompt.content_hash)
+
+            return CallableBackend(respond)
+
+        profiles = {m: ModelProfile(name=m, base_url=f"mock://{m}") for m in asked}
+        plan = SweepPlan(("m1", "m2"), ("tfidf",), (0, 2, 5), split_param=0.5)
+        run = run_sweep(plan, corpus, profiles, Client(mocks={m: backend(m) for m in asked}))
+        assert [asked[m].count(k) for m in asked for k in (0, 2, 5)] == [6, 3, 6, 6, 6, 6]
+        assert [(f.model, f.method, f.shot_count, f.error) for f in run.failures] == [
+            ("m1", "tfidf", 2, "GatewayError: m1 is down")
+        ]
+        assert list(run.outcomes) == plan.cells()
+        for cell, outcome in run.outcomes.items():
+            if cell != ("m1", "tfidf", 2):
+                assert isinstance(outcome, CellRun) and len(outcome.per_partition[0]) == 6
+        alone = run_sweep(replace(plan, models=("m2",)), corpus, profiles,
+                          Client(mocks={"m2": backend("m2")}))
+        assert {cell: artifact_json(report) for cell, report in alone.reports.items()} == {
+            cell: artifact_json(report) for cell, report in run.reports.items()
+            if cell[0] == "m2"
+        }
