@@ -224,9 +224,8 @@ def _build_provider(
     cfg: dict, client: Client, profiles: dict[str, ModelProfile]
 ) -> EmbeddingProvider:
     spec = cfg.get("provider", "hash:64")
-    if spec.startswith("hash"):
-        _, _, dim = spec.partition(":")
-        return HashEmbeddingProvider(_typed(int, dim or "64", "provider"))
+    if spec == "hash" or spec.startswith("hash:"):
+        return HashEmbeddingProvider(_typed(int, spec[len("hash:") :] or "64", "provider"))
     if spec.startswith("profile:"):
         name = spec[len("profile:") :]
         if name not in profiles:
@@ -389,7 +388,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 def _split_spec(cfg: dict) -> dict:
     """SweepPlan's split fields from the split object of run or sweep: its kind
     (holdout, kfold or full), the holdout fraction or fold count, and the seed."""
-    split = cfg.get("split") or {"kind": "holdout", "fraction": 0.8, "seed": 0}
+    split = cfg.get("split", {"kind": "holdout", "fraction": 0.8, "seed": 0})
     if "kind" not in split:
         raise ConfigError("split must be an object with a 'kind'")
     kind = split["kind"]

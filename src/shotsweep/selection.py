@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Sequence
 
 from .corpus import LabelScheme, RequirementRecord
@@ -151,44 +152,30 @@ def query_key_for(query: str | RequirementRecord) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Ranking:
-    """One query's selection order over a pool, to a fixed depth.
+    """One query's selection order over a pool: the k-shot selection is its
+    first k ids, for every method, so each k-shot prompt is a prefix of every
+    larger-k prompt.
 
-    tfidf/embedding keep the nearest `depth` candidates, nearest first and
-    the query's own record left out, as compact id/similarity arrays: the
-    k-shot selection is their first k, so one ranking serves every k up to
-    the depth. random keeps no order; each k is its own seeded draw, since
-    random.sample has no prefix property.
+    `available` counts the candidates left after the query's own record is
+    excluded. tfidf/embedding keep the nearest candidates, nearest first, with
+    their similarities; random keeps a prefix of one seeded permutation and no
+    similarities.
     """
 
-    pool: FewShotPool
     query_key: str
     method: str
-    seed: int
-    excluded_id: int | None
-    depth: int
-    ids: array = field(default_factory=lambda: array("q"))
-    sims: array = field(default_factory=lambda: array("d"))
+    available: int
+    ids: array
+    sims: array
 
     def take(self, k: int) -> SelectionResult:
-        """The k-shot selection: min(k, candidates left after exclusion)."""
-        available = len(self.pool) - (1 if self.excluded_id is not None else 0)
-        k_delivered = min(k, available)
-        if k_delivered == 0:
-            return SelectionResult(self.query_key, (), self.method, k, 0)
-        if k_delivered > self.depth:
+        """The k-shot selection: min(k, available) ids, similarities or None."""
+        k_delivered = min(k, self.available)
+        if k_delivered > len(self.ids):
             raise SelectionError(
-                f"selection of {k} asked of a ranking of depth {self.depth}"
+                f"selection of {k} asked of a ranking of depth {len(self.ids)}"
             )
-        if self.method == "random":
-            ids = self.pool.candidate_ids
-            if self.excluded_id is not None:
-                ids = tuple(rid for rid in ids if rid != self.excluded_id)
-            rng = derived_rng(self.seed, f"query:{self.query_key}")
-            chosen: tuple[tuple[int, float | None], ...] = tuple(
-                (rid, None) for rid in rng.sample(ids, k_delivered)
-            )
-        else:
-            chosen = tuple(zip(self.ids[:k_delivered], self.sims[:k_delivered]))
+        chosen = tuple(zip_longest(self.ids[:k_delivered], self.sims[:k_delivered]))
         return SelectionResult(self.query_key, chosen, self.method, k, k_delivered)
 
 
@@ -200,11 +187,12 @@ def rank(
 ) -> list[Ranking]:
     """Rank the pool for each query, deep enough for any selection up to cfg.k.
 
+    random draws one permutation of the whole pool per query, seeded from
+    cfg.seed and the query, so its order does not depend on cfg.k.
     tfidf/embedding fit their space over the pool once (not for k == 0 or an
     empty pool) and rank each query by cosine similarity, embedding each
-    query with its own provider call; random defers to Ranking.take. A
-    record query that is a pool member never ranks its own record; a text
-    query excludes nothing.
+    query with its own provider call. A record query that is a pool member
+    never ranks its own record; a text query excludes nothing.
     """
     space: TfidfModel | EmbeddingMatrix | None = None
     if cfg.k and len(pool) and cfg.method == "tfidf":
@@ -217,11 +205,15 @@ def rank(
     for query in queries:
         member = isinstance(query, RequirementRecord) and query.record_id in pool
         excluded_id = query.record_id if member else None
-        depth = min(cfg.k, len(pool) - member)
-        ranking = Ranking(
-            pool, query_key_for(query), cfg.method, cfg.seed, excluded_id, depth
-        )
-        if depth and space is not None:
+        key = query_key_for(query)
+        available = len(pool) - member
+        depth = min(cfg.k, available)
+        ids: list[int] = []
+        sims: list[float] = []
+        if depth and cfg.method == "random":
+            others = [rid for rid in pool.candidate_ids if rid != excluded_id]
+            ids = derived_rng(cfg.seed, f"query:{key}").sample(others, available)
+        elif depth and space is not None:
             text = query.text if isinstance(query, RequirementRecord) else query
             if isinstance(space, TfidfModel):
                 vector: dict[int, float] | list[float] = embed_query_tfidf(space, text)
@@ -231,10 +223,9 @@ def rank(
             if excluded_id in ids:
                 drop = ids.index(excluded_id)
                 del ids[drop], sims[drop]
-            ranking = replace(
-                ranking, ids=array("q", ids[:depth]), sims=array("d", sims[:depth])
-            )
-        rankings.append(ranking)
+        rankings.append(Ranking(
+            key, cfg.method, available, array("q", ids[:depth]), array("d", sims[:depth])
+        ))
     return rankings
 
 
@@ -246,8 +237,9 @@ def select(
 ) -> SelectionResult:
     """Pick cfg.k examples from the pool for one query: rank, then slice.
 
-    random draws uniformly without replacement with a per-query derived seed;
-    tfidf/embedding take the cfg.k most cosine-similar candidates. A record
-    query that is a pool member never gets its own record back.
+    random takes the first cfg.k of the query's seeded permutation of the
+    pool, tfidf/embedding the cfg.k most cosine-similar candidates, so a
+    smaller k picks a prefix of a larger k's examples. A record query that is
+    a pool member never gets its own record back.
     """
     return rank(pool, [query], cfg, provider)[0].take(cfg.k)

@@ -131,6 +131,18 @@ class TestPoolSelect:
         expected = oracle_knn_embedding(matrix, provider.embed_batch([query])[0], 3)
         assert [(c["record_id"], c["similarity"]) for c in payload["chosen"]] == expected
 
+    def test_select_random_smaller_k_is_a_prefix(self, capsys):
+        ids = {}
+        for k in (2, 5):
+            code = main(
+                ["select", "--data", str(PROMISE_CSV), "--scheme", "frnfr", "--method",
+                 "random", "--k", str(k), "--query", "The system shall log in.", "--json"]
+            )
+            assert code == EXIT_OK
+            ids[k] = [c["record_id"] for c in json.loads(capsys.readouterr().out)["chosen"]]
+        assert len(ids[5]) == 5
+        assert ids[5][:2] == ids[2]
+
     def test_select_random_zero_shot(self, capsys):
         code = main(
             ["select", "--data", str(PROMISE_CSV), "--scheme", "frnfr",
@@ -450,13 +462,16 @@ class TestConfigErrors:
             ("run", {"provider": "bert"}, None, "unknown provider spec 'bert'"),
             ("run", {"profiles": {"mock-gold": {"base_url": "mock://nope"}}}, None,
              "unknown mock backend 'nope'"),
+            ("run", {"provider": "hash128"}, None, "unknown provider spec 'hash128'"),
+            ("run", {"provider": "hashfoo"}, None, "unknown provider spec 'hashfoo'"),
+            ("run", {"split": {}}, None, "split must be an object with a 'kind'"),
         ],
         ids=[
             "provider", "mock-dim", "pool-seed", "fraction", "k", "no-series", "list",
             "curves-path", "series-model", "series-method", "series-shots",
             "series-shots-type", "run-pool-size", "cv-pool-size", "sweep-pool-size",
             "sweep-grid", "sweep-models", "provider-profile-missing", "provider-unknown",
-            "mock-unknown",
+            "mock-unknown", "provider-hash-no-colon", "provider-hash-suffix", "split-empty",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, extra,

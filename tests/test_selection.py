@@ -5,12 +5,14 @@ import random
 import pytest
 
 from shotsweep import (
+    DEFAULT_GRID,
     HashEmbeddingProvider,
     LabelDef,
     LabelScheme,
     SelectionConfig,
     build_pool,
     fit_tfidf,
+    make_split,
     select,
 )
 from shotsweep import selection
@@ -272,3 +274,41 @@ class TestRankFitsOncePerPool:
     def test_embedding_without_provider_is_a_selection_error(self):
         with pytest.raises(SelectionError, match="requires an embedding provider"):
             rank(make_pool(6), ["alpha"], SelectionConfig("embedding", 2))
+
+
+class TestNestedSelection:
+    """Every method's k-shot selection is a prefix of its larger-k selections,
+    so a shot-count curve measures what adding examples does."""
+
+    @pytest.fixture(scope="class")
+    def readme_holdout(self, promise_binary):
+        """The README sweep's pool (200, seed 0) and test records (holdout 0.8, seed 0)."""
+        split = make_split(promise_binary, "holdout", 0.8, 0)
+        train = [r for r in promise_binary.records if split.assignments[r.record_id] == 0]
+        test = [r for r in promise_binary.records if split.assignments[r.record_id] == 1]
+        return build_pool(train, promise_binary.scheme, 200, 0), test
+
+    def test_random_prompts_of_the_readme_sweep_are_prefixes(self, readme_holdout):
+        pool, test = readme_holdout
+        rankings = rank(pool, test, SelectionConfig("random", max(DEFAULT_GRID), seed=0))
+        not_nested = []
+        for query, ranking in zip(test, rankings):
+            chosen = {k: ranking.take(k).chosen_ids for k in DEFAULT_GRID}
+            if any(chosen[big][:k] != chosen[k] for k in DEFAULT_GRID for big in DEFAULT_GRID
+                   if k < big):
+                not_nested.append(query.record_id)
+        assert len(test) == 125
+        assert not_nested == []
+
+    def test_ranking_depth_leaves_smaller_selections_unchanged(self, readme_holdout):
+        pool, test = readme_holdout
+        queries = [*test[:10], pool.candidates[0], pool.candidates[-1], "alpha beta"]
+        provider = HashEmbeddingProvider(16)
+        for method in ("random", "tfidf", "embedding"):
+            shallow, deep = (
+                rank(pool, queries, SelectionConfig(method, depth, seed=0), provider)
+                for depth in (20, 160)
+            )
+            for a, b in zip(shallow, deep):
+                for k in range(21):
+                    assert a.take(k) == b.take(k), (method, a.query_key, k)
