@@ -35,7 +35,6 @@ from .gateway import (
 )
 from .promptkit import (
     DEFAULT_TEMPLATE,
-    OrderingPolicy,
     PromptSpec,
     PromptTemplate,
     estimate_tokens,

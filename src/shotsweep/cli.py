@@ -35,7 +35,7 @@ from .gateway import (
     TransportError,
     mock_name,
 )
-from .promptkit import DEFAULT_TEMPLATE, OrderingPolicy, PromptError, load_template
+from .promptkit import DEFAULT_TEMPLATE, PromptError, load_template
 from .reporting import (
     ReportingError,
     RunManifest,
@@ -176,7 +176,8 @@ def _load_data(cfg: dict) -> Corpus:
 
 
 def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelProfile]:
-    """Built-in profiles overlaid with the config's; check each of models has one."""
+    """Built-in profiles overlaid with the config's; check each of models has
+    one, each mock:// profile's backend (see _mock) and the provider spec."""
     profiles = dict(DEFAULT_PROFILES)
     spec = cfg.get("profiles") or {}
     if isinstance(spec, str):
@@ -196,41 +197,51 @@ def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelP
     missing = [model for model in models if model not in profiles]
     if missing:
         raise ConfigError(f"no profile for model(s): {', '.join(missing)}")
+    for profile in profiles.values():
+        _mock(profile)
+    _provider(cfg, profiles)
     return profiles
 
 
-def _register_mocks(client: Client, profiles: dict[str, ModelProfile], corpus: Corpus) -> None:
-    for profile in profiles.values():
-        name = mock_name(profile.base_url)
-        if name is None or name in client.mocks:
-            continue
-        if name == "echo-gold":
-            gold = {
-                r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records
-            }
-            client.register_mock(name, EchoGoldBackend(gold))
-        elif name.startswith("constant/"):
-            client.register_mock(name, ConstantBackend(name[len("constant/") :]))
-        elif name == "unparseable":
-            client.register_mock(name, ConstantBackend("I cannot classify this."))
-        elif name.startswith("hash"):
-            dim = _typed(int, name[len("hash") :] or "64", f"{profile.name}.base_url")
-            client.register_mock(name, HashEmbeddingProvider(dim))
-        else:
-            raise ConfigError(f"unknown mock backend {name!r}")
+def _mock(profile: ModelProfile):
+    """None, or for a mock://<name> profile a maker of that mock's backend over
+    a corpus. hash<dim> answers embedding profiles; echo-gold, constant/<X>
+    and unparseable answer chat profiles; any other name is a ConfigError."""
+    name = mock_name(profile.base_url)
+    if name is None:
+        return None
+    if name.startswith("hash"):
+        encoder = HashEmbeddingProvider(
+            _typed(int, name[len("hash") :] or "64", f"{profile.name}.base_url"))
+        kind, make = "embedding", lambda corpus: encoder
+    elif name == "echo-gold":
+        kind, make = "chat", lambda corpus: EchoGoldBackend(
+            {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records})
+    elif name.startswith("constant/"):
+        kind, make = "chat", lambda corpus: ConstantBackend(name[len("constant/") :])
+    elif name == "unparseable":
+        kind, make = "chat", lambda corpus: ConstantBackend("I cannot classify this.")
+    else:
+        raise ConfigError(f"unknown mock backend {name!r}")
+    if kind != profile.kind:
+        raise ConfigError(f"profile {profile.name!r}: mock://{name} answers {kind} profiles")
+    return make
 
 
-def _build_provider(
-    cfg: dict, client: Client, profiles: dict[str, ModelProfile]
-) -> EmbeddingProvider:
+def _provider(cfg: dict, profiles: dict[str, ModelProfile]):
+    """A maker, given the client, of the encoder that the provider spec names:
+    hash[:<dim>], or profile:<name> of an embedding profile."""
     spec = cfg.get("provider", "hash:64")
     if spec == "hash" or spec.startswith("hash:"):
-        return HashEmbeddingProvider(_typed(int, spec[len("hash:") :] or "64", "provider"))
+        encoder = HashEmbeddingProvider(_typed(int, spec[len("hash:") :] or "64", "provider"))
+        return lambda client: encoder
     if spec.startswith("profile:"):
         name = spec[len("profile:") :]
         if name not in profiles:
             raise ConfigError(f"provider profile {name!r} not found")
-        return GatewayEmbeddingProvider(client, profiles[name])
+        if profiles[name].kind != "embedding":
+            raise ConfigError(f"provider profile {name!r} is not an embedding profile")
+        return lambda client: GatewayEmbeddingProvider(client, profiles[name])
     raise ConfigError(f"unknown provider spec {spec!r} (use hash:<dim> or profile:<name>)")
 
 
@@ -247,8 +258,10 @@ def _open_session(
             file=sys.stderr,
         )
     client = Client(cache=cache)
-    _register_mocks(client, profiles, corpus)
-    return corpus, client, _build_provider(cfg, client, profiles)
+    for profile in profiles.values():
+        if (make := _mock(profile)) and mock_name(profile.base_url) not in client.mocks:
+            client.register_mock(mock_name(profile.base_url), make(corpus))
+    return corpus, client, _provider(cfg, profiles)(client)
 
 
 def _write_artifacts(
@@ -281,13 +294,13 @@ def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
     one_cell = args.command != "sweep"
     if one_cell:
         fields.update(models=(cfg["model"],), methods=(cfg["method"],), shot_grid=(cfg["k"],))
-    as_is = ("pool_size", "pool_seed", "selection_seed", "scoring_policy", "on_small_class")
+    as_is = ("pool_size", "pool_seed", "selection_seed", "scoring_policy", "on_small_class",
+             "ordering")
     template = cfg.get("template", "default")
     plan = SweepPlan(
         **fields,
         **{key: cfg[key] for key in as_is if key in cfg},
         template=DEFAULT_TEMPLATE if template == "default" else load_template(template),
-        ordering=OrderingPolicy(cfg.get("ordering", "ascending")),
     )
     profiles = _build_profiles(cfg, plan.models)
     if args.dry_run:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,14 @@ class CorpusError(Exception):
 
 class SplitError(Exception):
     """Raised when a split cannot honor its stratification contract."""
+
+
+_NON_WORD_RE = re.compile(r"[^a-z0-9]+")
+
+
+def normalize_completion(text: str) -> str:
+    """Lowercase and reduce to alphanumeric words; punctuation and markdown go."""
+    return _NON_WORD_RE.sub(" ", text.lower()).strip()
 
 
 @dataclass(frozen=True)
@@ -41,12 +50,15 @@ class LabelScheme:
             raise CorpusError(
                 f"binary scheme {self.name!r} must have exactly 2 labels, got {len(self.labels)}"
             )
+        # forms are told apart as the label parser reads them
         seen: dict[str, str] = {}
         for label in self.labels:
             for form in label.surface_forms():
-                key = form.strip().lower()
+                key = normalize_completion(form)
                 if not key:
-                    raise CorpusError(f"empty label form in scheme {self.name!r}")
+                    raise CorpusError(
+                        f"scheme {self.name!r}: form {form!r} has no letter or digit"
+                    )
                 if key in seen and seen[key] != label.label_id:
                     raise CorpusError(
                         f"scheme {self.name!r}: form {form!r} is ambiguous "
@@ -86,7 +98,7 @@ class RequirementRecord:
 class Corpus:
     records: tuple[RequirementRecord, ...]
     scheme: LabelScheme
-    class_counts: dict[str, int] = field(default_factory=dict)
+    class_counts: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         counts: dict[str, int] = {lid: 0 for lid in self.scheme.label_ids}

@@ -140,23 +140,27 @@ class TraceRow:
 
 
 class TraceWriter:
-    """Per-prediction JSONL trace; flushed per row so aborted runs keep data."""
+    """JSONL trace made by its first prediction; flushed per row so aborted runs keep data."""
 
     def __init__(self, path: str | Path, meta: dict[str, object]):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: IO[str] = self.path.open("w", encoding="utf-8")
-        self._write({"kind": "meta", **meta})
+        self._meta = {"kind": "meta", **meta}
+        self._handle: IO[str] | None = None
 
     def _write(self, payload: dict) -> None:
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
         self._handle.flush()
 
     def write_prediction(self, row: TraceRow) -> None:
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("w", encoding="utf-8")
+            self._write(self._meta)
         self._write({"kind": "prediction", **vars(row)})
 
     def close(self) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
 
     def __enter__(self) -> "TraceWriter":
         return self

@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-from .corpus import LabelScheme
+from .corpus import LabelScheme, normalize_completion
 from .promptkit import PromptSpec, estimate_tokens
 
 
@@ -127,15 +127,6 @@ class CompletionRecord:
 class ParsedLabel:
     kind: str  # "label" | "multi_label" | "unparseable"
     labels: tuple[str, ...] = ()
-    spans: tuple[tuple[str, int, int], ...] = ()
-
-
-_NON_WORD_RE = re.compile(r"[^a-z0-9]+")
-
-
-def normalize_completion(text: str) -> str:
-    """Lowercase and reduce to alphanumeric words; punctuation and markdown go."""
-    return _NON_WORD_RE.sub(" ", text.lower()).strip()
 
 
 @functools.lru_cache(maxsize=16)
@@ -148,10 +139,9 @@ def _form_patterns(scheme: LabelScheme) -> tuple[tuple[str, re.Pattern[str], str
     patterns = []
     for label in scheme.labels:
         for form in label.surface_forms():
-            norm_form = normalize_completion(form)
-            if norm_form:
-                pattern = re.compile(rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])")
-                patterns.append((norm_form, pattern, label.label_id))
+            norm_form = normalize_completion(form)  # never empty: see LabelScheme
+            pattern = re.compile(rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])")
+            patterns.append((norm_form, pattern, label.label_id))
     return tuple(patterns)
 
 
@@ -179,12 +169,11 @@ def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
     for _, _, lid in accepted:
         if lid not in ordered_labels:
             ordered_labels.append(lid)
-    spans = tuple((lid, start, end) for start, end, lid in accepted)
     if not ordered_labels:
         return ParsedLabel("unparseable")
     if len(ordered_labels) == 1:
-        return ParsedLabel("label", (ordered_labels[0],), spans)
-    return ParsedLabel("multi_label", tuple(ordered_labels), spans)
+        return ParsedLabel("label", (ordered_labels[0],))
+    return ParsedLabel("multi_label", tuple(ordered_labels))
 
 
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")

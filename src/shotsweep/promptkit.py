@@ -19,25 +19,12 @@ class PromptError(Exception):
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
+# How rendered examples are ordered: ascending puts the most similar example
+# last, next to the input; descending reverses that; pool_order keeps pool
+# positions; shuffle is a permutation seeded by the query. Random-draw
+# selections carry no similarities and keep their draw order under
+# ascending/descending.
 ORDERING_POLICIES = ("ascending", "descending", "pool_order", "shuffle")
-
-
-@dataclass(frozen=True)
-class OrderingPolicy:
-    """How rendered examples are ordered.
-
-    ascending puts the most similar example last, next to the input;
-    descending reverses that; pool_order keeps pool positions; shuffle is a
-    seeded permutation. Random-draw selections carry no similarities and keep
-    their draw order under ascending/descending.
-    """
-
-    name: str = "ascending"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.name not in ORDERING_POLICIES:
-            raise PromptError(f"unknown ordering policy {self.name!r}")
 
 
 def _check_placeholders(template_text: str, allowed: set[str], where: str) -> None:
@@ -125,7 +112,6 @@ class PromptSpec:
     user_message: str
     example_provenance: tuple[int, ...]
     shot_count: int
-    template_version: str
     content_hash: str
     query_text: str
 
@@ -139,18 +125,20 @@ def _content_hash(system_message: str, user_message: str) -> str:
 
 
 def _order_examples(
-    selection: SelectionResult, pool: FewShotPool, ordering: OrderingPolicy
+    selection: SelectionResult, pool: FewShotPool, ordering: str
 ) -> list[tuple[int, float | None]]:
     chosen = list(selection.chosen)
-    if ordering.name in ("ascending", "descending"):
+    if ordering in ("ascending", "descending"):
         if None in map(itemgetter(1), chosen):
             return chosen
         # a reverse sort keeps ties in order, as the ascending one does
-        return sorted(chosen, key=itemgetter(1), reverse=ordering.name == "descending")
-    if ordering.name == "pool_order":
+        return sorted(chosen, key=itemgetter(1), reverse=ordering == "descending")
+    if ordering == "pool_order":
         position = pool.positions
         return sorted(chosen, key=lambda item: position[item[0]])
-    rng = derived_rng(ordering.seed, f"order:{selection.query_key}")
+    if ordering != "shuffle":
+        raise PromptError(f"unknown ordering policy {ordering!r}")
+    rng = derived_rng(0, f"order:{selection.query_key}")
     rng.shuffle(chosen)
     return chosen
 
@@ -176,13 +164,13 @@ def render_prompt(
     selection: SelectionResult,
     pool: FewShotPool,
     query_text: str,
-    ordering: OrderingPolicy = OrderingPolicy(),
+    ordering: str = "ascending",
 ) -> PromptSpec:
     """Assemble the prompt: system role, task with class list, examples, input.
 
-    Zero-shot selections render with the examples block omitted entirely.
-    The task text and each example block are formatted once per (pool,
-    template, scheme).
+    Examples are ordered as ordering (one of ORDERING_POLICIES) names, and a
+    zero-shot selection omits their block. The task text and each example
+    block are formatted once per (pool, template, scheme).
     """
     task, formatted = _formatted(template, scheme, pool)
     provenance = tuple(map(itemgetter(0), _order_examples(selection, pool, ordering)))
@@ -209,7 +197,6 @@ def render_prompt(
         user_message=user_message,
         example_provenance=provenance,
         shot_count=len(provenance),
-        template_version=template.version,
         content_hash=_content_hash(template.system_role_text, user_message),
         query_text=query_text,
     )

@@ -30,7 +30,7 @@ from .gateway import (
 )
 from .promptkit import (
     DEFAULT_TEMPLATE,
-    OrderingPolicy,
+    ORDERING_POLICIES,
     PromptError,
     PromptSpec,
     PromptTemplate,
@@ -77,7 +77,7 @@ class SweepPlan:
     selection_seed: int = 0
     scoring_policy: str = "strict"
     template: PromptTemplate = DEFAULT_TEMPLATE
-    ordering: OrderingPolicy = OrderingPolicy()
+    ordering: str = "ascending"  # one of promptkit.ORDERING_POLICIES
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -108,6 +108,8 @@ class SweepPlan:
             )
         if self.scoring_policy not in SCORING_POLICIES:
             raise SweepError(f"unknown scoring policy {self.scoring_policy!r}")
+        if self.ordering not in ORDERING_POLICIES:
+            raise SweepError(f"unknown ordering policy {self.ordering!r}")
         if self.pool_size is not None and self.pool_size < 0:
             raise SweepError(f"pool size must be >= 0, got {self.pool_size}")
         threshold = self.overprompting_threshold
@@ -268,7 +270,7 @@ def run_sweep(
     test order, and the prompt after it is rendered. A repeat of the prompt
     just answered waits for its cache row; a failed attempt is retried once
     every other reply in flight is read. A one-cell plan may write every
-    prediction to a trace at trace_path, opened once a pool is built.
+    prediction to a trace at trace_path, made by its first prediction.
 
     An exception in CELL_ERRORS fails the cells that share the step that
     raised it (every cell, a method's k > 0, a (method, k) or one model's
@@ -319,7 +321,7 @@ def run_sweep(
             "selection_seed": plan.selection_seed,
             "scoring_policy": plan.scoring_policy,
             "template_version": plan.template.version,
-            "ordering": plan.ordering.name,
+            "ordering": plan.ordering,
         }
 
     def fail(
@@ -344,6 +346,8 @@ def run_sweep(
 
     with ExitStack() as stack:
         writer = None
+        if trace_path is not None:
+            writer = stack.enter_context(TraceWriter(trace_path, metadata(plan.cells()[0])))
         for train, test in parts:
             for predictions in collected.values():
                 predictions.append([])
@@ -356,9 +360,6 @@ def run_sweep(
                 for method in methods:
                     fail(exc, method, grid, plan.models)
                 continue
-            if trace_path is not None and writer is None and not failed:
-                (cell,) = plan.cells()
-                writer = stack.enter_context(TraceWriter(trace_path, metadata(cell)))
             # a zero-shot prompt does not depend on the method: render it once
             zero_shot: dict[int, PromptSpec | Exception] = {}
             for method in methods:

@@ -28,19 +28,6 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    terms: tuple[str, ...]
-    index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
-
-    @property
-    def size(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
 class Neighbor:
     record_id: int
     similarity: float
@@ -56,7 +43,7 @@ def _normalize_sparse(weights: dict[int, float]) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class TfidfModel:
-    vocabulary: Vocabulary
+    vocabulary: dict[str, int]  # term -> column, in column order
     idf: tuple[float, ...]
     rows: tuple[dict[int, float], ...]  # L2-normalized, sparse by column id
     row_ids: tuple[int, ...]
@@ -77,8 +64,8 @@ class TfidfModel:
         row_of = np.repeat(np.arange(len(self.rows), dtype=np.intp), lengths)
         # a stable sort by column keeps each column's rows ascending
         order = np.argsort(cols, kind="stable")
-        indptr = np.zeros(self.vocabulary.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cols, minlength=self.vocabulary.size), out=indptr[1:])
+        indptr = np.zeros(len(self.vocabulary) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cols, minlength=len(self.vocabulary)), out=indptr[1:])
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", row_of[order])
         object.__setattr__(self, "data", weights[order])
@@ -94,18 +81,18 @@ def fit_tfidf(candidates: Sequence[RequirementRecord]) -> TfidfModel:
         raise VectorSpaceError("cannot fit TF-IDF on an empty candidate list")
     token_lists = [tokenize(r.text) for r in candidates]
     terms = sorted({tok for tokens in token_lists for tok in tokens})
-    vocab = Vocabulary(tuple(terms))
+    vocab = {term: col for col, term in enumerate(terms)}
     n_docs = len(candidates)
-    df = [0] * vocab.size
+    df = [0] * len(vocab)
     for tokens in token_lists:
         for tok in set(tokens):
-            df[vocab.index[tok]] += 1
+            df[vocab[tok]] += 1
     idf = tuple(math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df)
     rows = []
     for tokens in token_lists:
         counts: dict[int, int] = {}
         for tok in tokens:
-            counts[vocab.index[tok]] = counts.get(vocab.index[tok], 0) + 1
+            counts[vocab[tok]] = counts.get(vocab[tok], 0) + 1
         rows.append(_normalize_sparse({c: n * idf[c] for c, n in counts.items()}))
     return TfidfModel(
         vocabulary=vocab,
@@ -119,7 +106,7 @@ def embed_query_tfidf(model: TfidfModel, text: str) -> dict[int, float]:
     """Transform a query with the fitted vocabulary; OOV tokens are dropped."""
     counts: dict[int, int] = {}
     for tok in tokenize(text):
-        col = model.vocabulary.index.get(tok)
+        col = model.vocabulary.get(tok)
         if col is not None:
             counts[col] = counts.get(col, 0) + 1
     return _normalize_sparse({c: n * model.idf[c] for c, n in counts.items()})
@@ -187,13 +174,7 @@ def build_embedding_matrix(
     vectors: dict[str, Sequence[float]] = {}
     for batch_no, start in enumerate(range(0, len(pending), _EMBED_BATCH_SIZE)):
         batch = pending[start : start + _EMBED_BATCH_SIZE]
-        try:
-            encoded = provider.embed_batch(batch)
-        except Exception as exc:
-            raise VectorSpaceError(
-                f"embedding provider failed on batch {batch_no} "
-                f"({len(batch)} texts, first: {batch[0][:60]!r}): {exc}"
-            ) from exc
+        encoded = provider.embed_batch(batch)
         if len(encoded) != len(batch):
             raise VectorSpaceError(
                 f"provider returned {len(encoded)} vectors for batch {batch_no} "
@@ -223,7 +204,7 @@ def build_embedding_matrix(
 def _tfidf_scores(model: TfidfModel, query: dict[int, float]) -> np.ndarray:
     import numpy as np
     for col in query:
-        if not 0 <= col < model.vocabulary.size:
+        if not 0 <= col < len(model.vocabulary):
             raise VectorSpaceError(f"query column {col} outside vocabulary")
     # Each row's score is the sum of its terms in ascending column order, the
     # same IEEE multiplies and adds as a scalar loop; rows a column does not

@@ -90,7 +90,7 @@ def oracle_knn_tfidf(model, query: dict[int, float], k: int) -> list[tuple[int, 
     query follow at 0.0 in row order. It reads only model.rows, row_ids and
     the vocabulary size."""
     for col in query:
-        if not 0 <= col < model.vocabulary.size:
+        if not 0 <= col < len(model.vocabulary):
             raise ValueError(f"query column {col} outside vocabulary")
     postings: dict[int, list[tuple[int, float]]] = {}
     for row_idx, row in enumerate(model.rows):
@@ -138,15 +138,15 @@ def oracle_render(template, scheme, selection, candidates, query_text, ordering)
     must give. candidates is the pool's records in pool order."""
     chosen = list(selection.chosen)
     with_sims = all(sim is not None for _, sim in chosen)
-    if ordering.name == "ascending" and with_sims:
+    if ordering == "ascending" and with_sims:
         chosen.sort(key=lambda item: item[1])
-    elif ordering.name == "descending" and with_sims:
+    elif ordering == "descending" and with_sims:
         chosen.sort(key=lambda item: -item[1])
-    elif ordering.name == "pool_order":
+    elif ordering == "pool_order":
         order = [r.record_id for r in candidates]
         chosen.sort(key=lambda item: order.index(item[0]))
-    elif ordering.name == "shuffle":
-        salt = f"{ordering.seed}:order:{selection.query_key}".encode("utf-8")
+    elif ordering == "shuffle":
+        salt = f"0:order:{selection.query_key}".encode("utf-8")
         seed = int.from_bytes(hashlib.sha256(salt).digest()[:8], "big")
         random.Random(seed).shuffle(chosen)
     by_id = {r.record_id: r for r in candidates}

@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -635,12 +636,24 @@ class TestConfigErrors:
             *[(["sweep"], {"overprompting_threshold": threshold},
                f"overprompting_threshold must be finite and > 0, got {float(threshold)}")
               for threshold in (0, -1, float("nan"))],
+            (["sweep"], {"ordering": "sideways"}, "unknown ordering policy 'sideways'"),
+            (["run"], {"provider": "profile:m",
+                       "profiles": {**GOLD_PROFILES, "m": {"base_url": "mock://echo-gold"}}},
+             "provider profile 'm' is not an embedding profile"),
+            (["run"], {"profiles": {"mock-gold": {"base_url": "mock://hash64"}}},
+             "profile 'mock-gold': mock://hash64 answers embedding profiles"),
+            (["run"], {"provider": "profile:e", "profiles": {
+                **GOLD_PROFILES, "e": {"kind": "embedding", "base_url": "mock://echo-gold"}}},
+             "profile 'e': mock://echo-gold answers chat profiles"),
+            (["run"], {"profiles": {"mock-gold": {"base_url": "mock://nosuch"}}},
+             "unknown mock backend 'nosuch'"),
         ],
         ids=["run-split-typo", "sweep-split-typo", "run-full-fraction",
              "sweep-full-fraction", "cv-on-small-class", "run-fraction-0",
              "run-fraction-1.5", "sweep-fraction-0", "sweep-fraction-1.5",
              "run-pool-size", "cv-pool-size", "sweep-pool-size", "threshold-0",
-             "threshold-negative", "threshold-nan"],
+             "threshold-negative", "threshold-nan", "ordering", "provider-chat-profile",
+             "chat-profile-on-hash", "embedding-profile-on-echo-gold", "mock-unknown"],
     )
     def test_bad_split_or_plan_setting_sends_no_request(
         self, tmp_path, capsys, argv, extra, needle, dry_run
@@ -1140,6 +1153,24 @@ class TestOneRoute:
         assert "config error: pool size 900 exceeds train partition size 500" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "cv"])
+    def test_unreachable_embeddings_endpoint_is_a_transport_error(self, tmp_path, capsys,
+                                                                  command):
+        with socket.socket() as sock:  # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        embedder = {"kind": "embedding", "base_url": f"http://127.0.0.1:{port}/v1",
+                    "max_attempts": 1}
+        config = one_cell_or_sweep_config(tmp_path, command, method="embedding",
+                                          provider="profile:e",
+                                          profiles={**GOLD_PROFILES, "e": embedder})
+        out = tmp_path / "out"
+        code = main([command, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_TRANSPORT, err
+        assert "transport error: " in err
+        assert not out.exists()
+
     def test_run_takes_a_kfold_split(self, tmp_path, capsys):
         config = one_cell_or_sweep_config(tmp_path, "run",
                                           split={"kind": "kfold", "folds": 5, "seed": 1})
@@ -1335,3 +1366,35 @@ def test_only_run_plan_runs_a_sweep_or_writes_artifacts():
             if isinstance(node, (ast.Name, ast.Attribute)) and name in users:
                 users[name].add(owner)
     assert users == {"run_sweep": {"_run_plan"}, "_write_artifacts": {"_run_plan"}}
+
+
+def test_every_catch_all_handler_re_raises():
+    """A handler of Exception or BaseException may clean up, but it ends in a
+    bare raise: relabelling any error there would report a failure against
+    the wrong layer, or record a harness bug as a failed cell. The one
+    exception is cli.main's last resort, which reports a bug."""
+
+    def caught(handler: ast.ExceptHandler) -> set:
+        if handler.type is None:  # a bare except
+            return {"BaseException"}
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return {getattr(node, "id", None) for node in types}
+
+    checked, relabelling = [], []
+    for path in sorted((REPO_ROOT / "src" / "shotsweep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = None
+        if path.name == "cli.py":
+            (main_fn,) = [n for n in tree.body if getattr(n, "name", None) == "main"]
+            (guarded,) = [n for n in main_fn.body if isinstance(n, ast.Try)]
+            exempt = guarded.handlers[-1]
+            assert caught(exempt) == {"Exception"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node is not exempt
+                    and caught(node) & {"Exception", "BaseException"}):
+                checked.append(f"{path.name}:{node.lineno}")
+                last = node.body[-1]
+                if not (isinstance(last, ast.Raise) and last.exc is None):
+                    relabelling.append(f"{path.name}:{node.lineno}")
+    assert checked  # atomic_write, _connect and _write close what they opened
+    assert relabelling == []

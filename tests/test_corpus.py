@@ -49,6 +49,19 @@ class TestLabelScheme:
                 (LabelDef("A", "Alpha", ("x",)), LabelDef("B", "Beta", ("X",))),
                 "multiclass",
             )
+        # forms that differ only in punctuation: the label parser reads both
+        # as "non functional", so it could not tell A from B
+        with pytest.raises(CorpusError, match="ambiguous"):
+            LabelScheme(
+                "bad",
+                (LabelDef("A", "Alpha", ("non-functional",)),
+                 LabelDef("B", "Beta", ("non functional",))),
+                "multiclass",
+            )
+
+    def test_form_without_a_letter_or_digit_rejected(self):
+        with pytest.raises(CorpusError, match="form '&' has no letter or digit"):
+            LabelScheme("bad", (LabelDef("A", "Alpha", ("&",)), LabelDef("B", "Beta")), "binary")
 
     def test_builtin_scheme_sizes(self):
         assert len(PROMISE_12.labels) == 12

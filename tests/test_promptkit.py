@@ -9,7 +9,6 @@ import pytest
 from shotsweep import (
     DEFAULT_TEMPLATE,
     BINARY_FRNFR,
-    OrderingPolicy,
     PromptSpec,
     PromptTemplate,
     build_pool,
@@ -66,8 +65,11 @@ class TestTemplateValidation:
             )
 
     def test_ordering_policy_names(self):
-        with pytest.raises(PromptError):
-            OrderingPolicy("sideways")
+        selection = SelectionResult("text:q", ((0, 0.9),), "tfidf", 1, 1)
+        with pytest.raises(PromptError, match="unknown ordering policy 'sideways'"):
+            render_prompt(
+                DEFAULT_TEMPLATE, BINARY_FRNFR, selection, small_pool(), "q", "sideways"
+            )
 
 
 class TestRenderPrompt:
@@ -103,7 +105,7 @@ class TestRenderPrompt:
         )
         prompt = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
-            OrderingPolicy("ascending"),
+            "ascending",
         )
         assert prompt.example_provenance == (2, 0)
 
@@ -112,7 +114,7 @@ class TestRenderPrompt:
         selection = SelectionResult("text:q", ((0, 0.4), (2, 0.9)), "tfidf", 2, 2)
         prompt = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
-            OrderingPolicy("descending"),
+            "descending",
         )
         assert prompt.example_provenance == (2, 0)
 
@@ -121,7 +123,7 @@ class TestRenderPrompt:
         selection = SelectionResult("text:q", ((2, 0.9), (0, 0.1)), "tfidf", 2, 2)
         prompt = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
-            OrderingPolicy("pool_order"),
+            "pool_order",
         )
         positions = {rid: i for i, rid in enumerate(pool.candidate_ids)}
         rendered = [positions[rid] for rid in prompt.example_provenance]
@@ -134,11 +136,11 @@ class TestRenderPrompt:
         )
         one = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q",
-            OrderingPolicy("shuffle", seed=5),
+            "shuffle",
         )
         two = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q",
-            OrderingPolicy("shuffle", seed=5),
+            "shuffle",
         )
         assert one.example_provenance == two.example_provenance
         assert one.content_hash == two.content_hash
@@ -258,10 +260,9 @@ class TestRenderMemo:
     """Blocks formatted once per (pool, template, scheme) render as a plain
     per-call formatting of the same selection would."""
 
-    @pytest.mark.parametrize("policy", ORDERING_POLICIES)
-    def test_memoised_prompts_equal_plain_formatting(self, policy):
+    @pytest.mark.parametrize("ordering", ORDERING_POLICIES)
+    def test_memoised_prompts_equal_plain_formatting(self, ordering):
         pool = memo_corpus()
-        ordering = OrderingPolicy(policy, seed=11)
         queries = ["encrypt stored data", "export reports", "load fast uptime"]
         for _ in range(2):  # the second pass renders from the memo
             for query in queries:
@@ -279,7 +280,6 @@ class TestRenderMemo:
     def test_other_template_or_scheme_renders_its_own_blocks(self):
         pool = memo_corpus()
         selection = SelectionResult("text:q", ((1, 0.2), (5, 0.7), (0, 0.9)), "tfidf", 3, 3)
-        ordering = OrderingPolicy()
         for template, scheme in [
             (DEFAULT_TEMPLATE, BINARY_FRNFR),
             (OTHER_TEMPLATE, BINARY_FRNFR),
@@ -287,7 +287,7 @@ class TestRenderMemo:
             (OTHER_TEMPLATE, OTHER_SCHEME),
             (DEFAULT_TEMPLATE, BINARY_FRNFR),
         ]:
-            assert_renders_as_oracle(template, scheme, selection, pool, "q", ordering)
+            assert_renders_as_oracle(template, scheme, selection, pool, "q", "ascending")
         other = render_prompt(OTHER_TEMPLATE, OTHER_SCHEME, selection, pool, "q")
         assert "<Quality> the page shall load fast" in other.user_message
         assert "Text:" not in other.user_message
@@ -305,15 +305,15 @@ class TestRenderMemo:
 
 class TestEstimateTokens:
     def test_empty_prompt(self):
-        prompt = PromptSpec("", "", (), 0, "v", "h", "")
+        prompt = PromptSpec("", "", (), 0, "h", "")
         assert estimate_tokens(prompt) == 0
 
     def test_300_chars_is_100(self):
-        prompt = PromptSpec("x" * 100, "y" * 200, (), 0, "v", "h", "")
+        prompt = PromptSpec("x" * 100, "y" * 200, (), 0, "h", "")
         assert estimate_tokens(prompt) == 100
 
     def test_rounds_up(self):
-        prompt = PromptSpec("x", "", (), 0, "v", "h", "")
+        prompt = PromptSpec("x", "", (), 0, "h", "")
         assert estimate_tokens(prompt) == 1
 
 

@@ -650,7 +650,7 @@ class TestConcurrentDispatch:
                 assert len(connects) == 1
                 # m1's reply was never read: its connection was closed, not made idle
                 record = client.complete(profiles["m1"], PromptSpec(
-                    "system", "Input: another query\nCategory:", (), 0, "v", "hash-2",
+                    "system", "Input: another query\nCategory:", (), 0, "hash-2",
                     "another query",
                 ))
         finally:

@@ -57,7 +57,7 @@ class TestTokenize:
 class TestFitTfidf:
     def test_two_doc_example(self):
         model = fit_tfidf(make_records([("encrypt data", "X"), ("log errors", "X")]))
-        assert model.vocabulary.size == 4
+        assert model.vocabulary == {"data": 0, "encrypt": 1, "errors": 2, "log": 3}
         expected_idf = math.log(3 / 2) + 1
         assert all(abs(v - expected_idf) < 1e-12 for v in model.idf)
         for row in model.rows:
@@ -67,7 +67,7 @@ class TestFitTfidf:
 
     def test_repeated_term_weights(self):
         model = fit_tfidf(make_records([("a a b", "X")]))
-        cols = model.vocabulary.index
+        cols = model.vocabulary
         row = model.rows[0]
         assert abs(row[cols["a"]] - 2 / math.sqrt(5)) < 1e-12
         assert abs(row[cols["b"]] - 1 / math.sqrt(5)) < 1e-12
@@ -75,7 +75,7 @@ class TestFitTfidf:
     def test_empty_text_all_zero_row(self):
         model = fit_tfidf(make_records([("   ", "X"), ("words here", "X")]))
         assert model.rows[0] == {}
-        assert "words" in model.vocabulary.index
+        assert "words" in model.vocabulary
 
     def test_rows_unit_norm(self):
         rng = random.Random(0)
@@ -105,7 +105,7 @@ class TestQueryTransform:
         model = fit_tfidf(make_records([(t, "X") for t in texts]))
         got = embed_query_tfidf(model, "encrypt encrypt data")
         expected = oracle_tfidf_query(texts, "encrypt encrypt data")
-        for term, col in model.vocabulary.index.items():
+        for term, col in model.vocabulary.items():
             assert abs(got.get(col, 0.0) - expected[col]) < 1e-12
 
 
@@ -250,7 +250,7 @@ class TestKnnExactness:
         rng = random.Random(4)
         model = fit_tfidf(make_records([(t, "X") for t in random_corpus(rng, 30)]))
         assert model.indptr[0] == 0 and model.indptr[-1] == len(model.indices)
-        for col in range(model.vocabulary.size):
+        for col in range(len(model.vocabulary)):
             lo, hi = model.indptr[col], model.indptr[col + 1]
             expected = [(i, row[col]) for i, row in enumerate(model.rows) if col in row]
             assert list(zip(model.indices[lo:hi].tolist(), model.data[lo:hi].tolist())) == expected
@@ -292,16 +292,21 @@ class TestEmbeddingMatrix:
         with pytest.raises(VectorSpaceError, match="record 1"):
             build_embedding_matrix(records, BrokenProvider())
 
-    def test_provider_failure_names_batch(self):
+    def test_provider_exception_propagates_unchanged(self):
+        """A provider's own error keeps its class: a gateway error is reported
+        as one, and any other exception is a bug, not a vector-space error."""
+        boom = RuntimeError("boom")
+
         class FailingProvider:
             dim = 4
 
             def embed_batch(self, texts):
-                raise RuntimeError("boom")
+                raise boom
 
         records = make_records([("a", "X"), ("b", "X")])
-        with pytest.raises(VectorSpaceError, match="batch 0"):
+        with pytest.raises(RuntimeError) as caught:
             build_embedding_matrix(records, FailingProvider())
+        assert caught.value is boom
 
     def test_embedding_knn_matches_bruteforce(self):
         rng = random.Random(7)
