@@ -20,8 +20,10 @@ from .corpus import (
 )
 from .evaluation import (
     EvalReport,
+    ParsedLabel,
     Prediction,
     compute_report,
+    parse_label,
     score_prediction,
 )
 from .gateway import (
@@ -29,9 +31,7 @@ from .gateway import (
     ConstantBackend,
     EchoGoldBackend,
     ModelProfile,
-    ParsedLabel,
     ResponseCache,
-    parse_label,
 )
 from .promptkit import (
     DEFAULT_TEMPLATE,

@@ -1,14 +1,15 @@
-"""Score predictions against gold labels: metrics, reports and traces."""
+"""Parse completions and score them against gold labels: metrics, reports, traces."""
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
-from .corpus import LabelScheme
-from .gateway import ParsedLabel
+from .corpus import LabelScheme, normalize_completion
 
 INVALID_COLUMN = "__invalid__"
 
@@ -17,6 +18,59 @@ SCORING_POLICIES = ("strict", "first_match")
 
 class EvaluationError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class ParsedLabel:
+    kind: str  # "label" | "multi_label" | "unparseable"
+    labels: tuple[str, ...] = ()
+
+
+@functools.lru_cache(maxsize=16)
+def _form_patterns(scheme: LabelScheme) -> tuple[tuple[str, re.Pattern[str], str], ...]:
+    """(normalized form, whole-word pattern, label id) for each surface form.
+
+    One pattern per form, not one alternation: an alternation returns the
+    leftmost match, which can hide a longer overlapping form further right.
+    """
+    patterns = []
+    for label in scheme.labels:
+        for form in label.surface_forms():
+            norm_form = normalize_completion(form)  # never empty: see LabelScheme
+            pattern = re.compile(rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])")
+            patterns.append((norm_form, pattern, label.label_id))
+    return tuple(patterns)
+
+
+def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
+    """Total mapping from raw completion text to a ParsedLabel.
+
+    Canonical names and aliases match as whole words on the normalized text;
+    overlaps resolve longest-match-first, so a name embedded in a longer one
+    (e.g. within a hyphenated compound) does not double count.
+    """
+    norm = normalize_completion(completion)
+    if not norm:
+        return ParsedLabel("unparseable")
+    matches: list[tuple[int, int, str]] = []
+    for norm_form, pattern, label_id in _form_patterns(scheme):
+        if norm_form in norm:
+            for hit in pattern.finditer(norm):
+                matches.append((hit.start(), hit.end(), label_id))
+    accepted: list[tuple[int, int, str]] = []
+    for start, end, lid in sorted(matches, key=lambda m: (-(m[1] - m[0]), m[0])):
+        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
+            accepted.append((start, end, lid))
+    accepted.sort(key=lambda m: m[0])
+    ordered_labels: list[str] = []
+    for _, _, lid in accepted:
+        if lid not in ordered_labels:
+            ordered_labels.append(lid)
+    if not ordered_labels:
+        return ParsedLabel("unparseable")
+    if len(ordered_labels) == 1:
+        return ParsedLabel("label", (ordered_labels[0],))
+    return ParsedLabel("multi_label", tuple(ordered_labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,14 +183,32 @@ def compute_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
-    """One prediction row of a trace, as TraceWriter writes it and replay reads it."""
+    """One answer: a line of a trace, and what a sweep cell keeps per test record."""
 
     record_id: int
     gold: str
     completion: str
     content_hash: str
+
+
+def score_rows(
+    rows: Sequence[TraceRow], scheme: LabelScheme, policy: str, metadata: dict[str, object]
+) -> EvalReport:
+    """The report over rows: each distinct completion parsed once, scored under
+    policy, and metadata's scoring_policy set to policy."""
+    parsed_by_text: dict[str, ParsedLabel] = {}
+    predictions = []
+    for row in rows:
+        parsed = parsed_by_text.get(row.completion)
+        if parsed is None:
+            parsed = parsed_by_text[row.completion] = parse_label(row.completion, scheme)
+        scored_as = score_prediction(parsed, policy)
+        predictions.append(
+            Prediction(row.record_id, row.gold, parsed, scored_as, row.content_hash)
+        )
+    return compute_report(predictions, scheme, {**metadata, "scoring_policy": policy})
 
 
 class TraceWriter:
@@ -156,7 +228,7 @@ class TraceWriter:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
             self._write(self._meta)
-        self._write({"kind": "prediction", **vars(row)})
+        self._write({"kind": "prediction", **asdict(row)})
 
     def close(self) -> None:
         if self._handle is not None:
@@ -171,13 +243,14 @@ class TraceWriter:
 
 @dataclass(frozen=True)
 class CellRun:
-    report: EvalReport  # over the predictions of every partition
-    per_partition: tuple[list[Prediction], ...]
+    report: EvalReport  # over the rows of every partition
+    per_partition: tuple[list[TraceRow], ...]
 
 
 def fold_reports(run: CellRun, scheme: LabelScheme) -> list[EvalReport]:
-    """One report per partition of run, its metadata tagged with the fold."""
+    """One report per partition of run, under its policy, its metadata tagged with the fold."""
+    metadata = run.report.metadata
     return [
-        compute_report(predictions, scheme, {**run.report.metadata, "fold": fold})
-        for fold, predictions in enumerate(run.per_partition)
+        score_rows(rows, scheme, str(metadata["scoring_policy"]), {**metadata, "fold": fold})
+        for fold, rows in enumerate(run.per_partition)
     ]

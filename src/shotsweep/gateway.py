@@ -1,4 +1,4 @@
-"""Dispatch prompts to chat/embedding endpoints, cache responses, parse labels."""
+"""Dispatch prompts to chat/embedding endpoints and cache responses."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-from .corpus import LabelScheme, normalize_completion
 from .promptkit import PromptSpec, estimate_tokens
 
 
@@ -121,59 +120,6 @@ class CompletionRecord:
     model: str
     created_at: str
     fingerprint: str  # ModelProfile.request_fingerprint of the request
-
-
-@dataclass(frozen=True)
-class ParsedLabel:
-    kind: str  # "label" | "multi_label" | "unparseable"
-    labels: tuple[str, ...] = ()
-
-
-@functools.lru_cache(maxsize=16)
-def _form_patterns(scheme: LabelScheme) -> tuple[tuple[str, re.Pattern[str], str], ...]:
-    """(normalized form, whole-word pattern, label id) for each surface form.
-
-    One pattern per form, not one alternation: an alternation returns the
-    leftmost match, which can hide a longer overlapping form further right.
-    """
-    patterns = []
-    for label in scheme.labels:
-        for form in label.surface_forms():
-            norm_form = normalize_completion(form)  # never empty: see LabelScheme
-            pattern = re.compile(rf"(?<![a-z0-9]){re.escape(norm_form)}(?![a-z0-9])")
-            patterns.append((norm_form, pattern, label.label_id))
-    return tuple(patterns)
-
-
-def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
-    """Total mapping from raw completion text to a ParsedLabel.
-
-    Canonical names and aliases match as whole words on the normalized text;
-    overlaps resolve longest-match-first, so a name embedded in a longer one
-    (e.g. within a hyphenated compound) does not double count.
-    """
-    norm = normalize_completion(completion)
-    if not norm:
-        return ParsedLabel("unparseable")
-    matches: list[tuple[int, int, str]] = []
-    for norm_form, pattern, label_id in _form_patterns(scheme):
-        if norm_form in norm:
-            for hit in pattern.finditer(norm):
-                matches.append((hit.start(), hit.end(), label_id))
-    accepted: list[tuple[int, int, str]] = []
-    for start, end, lid in sorted(matches, key=lambda m: (-(m[1] - m[0]), m[0])):
-        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
-            accepted.append((start, end, lid))
-    accepted.sort(key=lambda m: m[0])
-    ordered_labels: list[str] = []
-    for _, _, lid in accepted:
-        if lid not in ordered_labels:
-            ordered_labels.append(lid)
-    if not ordered_labels:
-        return ParsedLabel("unparseable")
-    if len(ordered_labels) == 1:
-        return ParsedLabel("label", (ordered_labels[0],))
-    return ParsedLabel("multi_label", tuple(ordered_labels))
 
 
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")
@@ -695,7 +641,8 @@ class PendingCompletion:
             self._failures.append(f"attempt {self.attempt}: {self._error}")
             if self.attempt == self._profile.max_attempts:
                 raise TransportError(
-                    f"{self._profile.name}: gave up after {self.attempt} attempts",
+                    f"{self._profile.name}: gave up after {self.attempt} attempts; "
+                    f"last: {self._error}",
                     self._failures,
                 ) from self._error
             delay = self._profile.backoff_base_s * (2 ** (self.attempt - 1))

@@ -11,15 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import LabelScheme, SplitPlan
-from .evaluation import (
-    ClassMetrics,
-    EvalReport,
-    Prediction,
-    TraceRow,
-    compute_report,
-    score_prediction,
-)
-from .gateway import parse_label
+from .evaluation import ClassMetrics, EvalReport, TraceRow, score_rows
 from .sweep import SweepCurve
 
 
@@ -241,9 +233,13 @@ def read_trace(path: str | Path) -> tuple[dict, list[TraceRow]]:
                 meta = payload
             elif kind == "prediction":
                 try:
-                    rows.append(TraceRow(**payload))
+                    row = TraceRow(**payload)
                 except TypeError as exc:  # a missing or unknown field
                     raise ReportingError(f"{path}: line {line_no}: {exc}") from exc
+                texts = (row.gold, row.completion, row.content_hash)
+                if type(row.record_id) is not int or not all(isinstance(t, str) for t in texts):
+                    raise ReportingError(f"{path}: line {line_no}: mistyped prediction row")
+                rows.append(row)
             else:
                 raise ReportingError(f"{path}: line {line_no}: unknown row kind {kind!r}")
     if meta is None:
@@ -261,18 +257,4 @@ def replay(
     """
     meta, rows = read_trace(trace_path)
     effective_policy = policy if policy is not None else str(meta.get("scoring_policy", "strict"))
-    predictions = []
-    for row in rows:
-        parsed = parse_label(row.completion, scheme)
-        predictions.append(
-            Prediction(
-                record_id=row.record_id,
-                gold=row.gold,
-                parsed=parsed,
-                scored_as=score_prediction(parsed, effective_policy),
-                content_hash=row.content_hash,
-            )
-        )
-    metadata = dict(meta)
-    metadata["scoring_policy"] = effective_policy
-    return compute_report(predictions, scheme, metadata)
+    return score_rows(rows, scheme, effective_policy, meta)

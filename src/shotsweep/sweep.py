@@ -14,20 +14,11 @@ from .evaluation import (
     CellRun,
     EvalReport,
     EvaluationError,
-    Prediction,
     TraceRow,
     TraceWriter,
-    compute_report,
-    score_prediction,
+    score_rows,
 )
-from .gateway import (
-    Client,
-    GatewayError,
-    ModelProfile,
-    ParsedLabel,
-    PendingCompletion,
-    parse_label,
-)
+from .gateway import Client, GatewayError, ModelProfile, PendingCompletion
 from .promptkit import (
     DEFAULT_TEMPLATE,
     ORDERING_POLICIES,
@@ -266,16 +257,16 @@ def run_sweep(
     to) walks the test records with one request in flight, all on the
     calling thread (no other thread is started). Replies are read oldest
     first; once one is read, that model's next prompt is sent before the
-    reply is cached, parsed (once per distinct text), scored and recorded in
-    test order, and the prompt after it is rendered. A repeat of the prompt
-    just answered waits for its cache row; a failed attempt is retried once
-    every other reply in flight is read. A one-cell plan may write every
-    prediction to a trace at trace_path, made by its first prediction.
+    reply is cached and recorded as a TraceRow in test order, and the prompt
+    after it is rendered. A repeat of the prompt just answered waits for its
+    cache row; a failed attempt is retried once every other reply in flight
+    is read. A one-cell plan may write every row to a trace at trace_path,
+    made by its first row. Each cell's rows are scored once it is done.
 
     An exception in CELL_ERRORS fails the cells that share the step that
     raised it (every cell, a method's k > 0, a (method, k) or one model's
     cell) and the rest go on; any other exception propagates. outcomes keeps
-    each cell's report and per-partition predictions, or its first failure,
+    each cell's report and per-partition rows, or its first failure,
     in plan.cells() order, keyed by the plan's model whatever the profile's
     name. Completions are cache-backed, so a rerun only executes what is
     missing.
@@ -287,9 +278,8 @@ def run_sweep(
         raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
     scheme = corpus.scheme
     methods, grid = plan.methods, plan.shot_grid
-    parsed_by_text: dict[str, ParsedLabel] = {}
     failed: dict[Cell, Exception] = {}
-    collected: dict[Cell, list[list[Prediction]]] = {cell: [] for cell in plan.cells()}
+    collected: dict[Cell, list[list[TraceRow]]] = {cell: [] for cell in plan.cells()}
     records = list(corpus.records)
     split, parts, split_desc = None, [(records, records)], "full"
     if plan.split_kind != "full":
@@ -338,9 +328,10 @@ def run_sweep(
         if cell in failed:
             return failed[cell]
         per_partition = collected[cell]
-        pooled = [pred for predictions in per_partition for pred in predictions]
+        pooled = [row for rows in per_partition for row in rows]
         try:
-            return CellRun(compute_report(pooled, scheme, metadata(cell)), tuple(per_partition))
+            report = score_rows(pooled, scheme, plan.scoring_policy, metadata(cell))
+            return CellRun(report, tuple(per_partition))
         except CELL_ERRORS as exc:
             return exc
 
@@ -349,8 +340,8 @@ def run_sweep(
         if trace_path is not None:
             writer = stack.enter_context(TraceWriter(trace_path, metadata(plan.cells()[0])))
         for train, test in parts:
-            for predictions in collected.values():
-                predictions.append([])
+            for rows in collected.values():
+                rows.append([])
             # the last partition's pool, rankings and prompts go before the next pool
             pool = rankings = zero_shot = None
             try:
@@ -423,23 +414,13 @@ def run_sweep(
                                 fail(exc, method, [k], [model])
                                 continue
                             record = test[position]
-                            parsed = parsed_by_text.get(completion.text)
-                            if parsed is None:
-                                parsed = parse_label(completion.text, scheme)
-                                parsed_by_text[completion.text] = parsed
-                            pred = Prediction(
-                                record_id=record.record_id,
-                                gold=record.label,
-                                parsed=parsed,
-                                scored_as=score_prediction(parsed, plan.scoring_policy),
-                                content_hash=prompt.content_hash,
+                            row = TraceRow(
+                                record.record_id, record.label, completion.text,
+                                prompt.content_hash,
                             )
                             if writer is not None:
-                                writer.write_prediction(TraceRow(
-                                    record.record_id, record.label, completion.text,
-                                    prompt.content_hash,
-                                ))
-                            collected[(model, method, k)][-1].append(pred)
+                                writer.write_prediction(row)
+                            collected[(model, method, k)][-1].append(row)
                             if not early:
                                 send(model, position + 1, following)
                             prompt_at(position + 2)  # rendered while requests are in flight

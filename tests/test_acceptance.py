@@ -40,8 +40,8 @@ from shotsweep import (
 )
 from shotsweep.cli import EXIT_OK, main
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import Prediction
-from shotsweep.gateway import ParsedLabel, ResponseCache
+from shotsweep.evaluation import ParsedLabel, Prediction
+from shotsweep.gateway import ResponseCache
 from shotsweep.reporting import emit_table
 from shotsweep.sweep import CurvePoint, detect_overprompting, find_optimum
 

@@ -1218,6 +1218,19 @@ class TestTransportFailure:
         assert not (out / "manifest.json").exists()
         assert len(endpoint.targets) == 2
 
+    def test_give_up_names_the_endpoint_and_the_reason(self, tmp_path, capsys, monkeypatch):
+        for scheme in ("http", "https", "all", "no"):
+            monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+        profile = {"base_url": "http://127.0.0.1:9/v1", "max_attempts": 1, "backoff_base_s": 0}
+        config = one_cell_or_sweep_config(tmp_path, "run", profiles={"remote": profile},
+                                          model="remote")
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_TRANSPORT, err
+        assert "gave up after 1 attempts; last: " in err
+        assert "127.0.0.1:9" in err and "unreachable" in err
+
 
 class TestReportReplay:
     def test_report_formats_stored_reports(self, tmp_path, capsys):

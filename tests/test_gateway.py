@@ -28,7 +28,7 @@ from shotsweep import (
     parse_label,
 )
 from shotsweep import gateway
-from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
+from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme, normalize_completion
 from shotsweep.gateway import (
     CompletionRecord,
     ContextOverflowError,
@@ -36,7 +36,6 @@ from shotsweep.gateway import (
     GatewayError,
     ProtocolError,
     TransportError,
-    normalize_completion,
 )
 
 from conftest import REPO_ROOT
@@ -825,6 +824,17 @@ def test_numpy_is_imported_only_where_a_space_is_built_or_scored():
 
     assert numpy_in(source_imports()) == {"vectorspace.py"}
     assert numpy_in(source_imports(at_import_time=True)) == set()
+
+
+def test_dispatch_imports_only_prompts_from_the_package():
+    """gateway.py sends prompts and caches replies; parsing and scoring them
+    is evaluation.py's, so of the package it needs only promptkit."""
+    tree = ast.parse((REPO_ROOT / "src" / "shotsweep" / "gateway.py").read_text("utf-8"))
+    package = {
+        node.module or "." for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert package == {"promptkit"}
 
 
 class TestEmbedBatch:

@@ -14,8 +14,7 @@ from shotsweep import (
     make_split,
 )
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import Prediction
-from shotsweep.gateway import ParsedLabel
+from shotsweep.evaluation import ParsedLabel, Prediction
 from shotsweep.reporting import (
     ReportingError,
     RunManifest,
@@ -257,12 +256,19 @@ class TestReplay:
         with pytest.raises(ReportingError, match="no such trace"):
             replay(tmp_path / "absent.jsonl", BINARY_FRNFR)
 
+    ROW = {"kind": "prediction", "record_id": 0, "gold": "FR", "completion": "FR",
+           "content_hash": "h"}
+
     @pytest.mark.parametrize(
         "rows, needle",
         [([{"kind": "meta"}, {"kind": "meta"}], "line 2: duplicate meta row"),
          ([{"kind": "meta"}, {"kind": "score"}], "line 2: unknown row kind 'score'"),
-         ([], "missing meta row")],
-        ids=["two-meta-rows", "unknown-kind", "no-meta-row"],
+         ([], "missing meta row"),
+         ([{"kind": "meta"}, {**ROW, "completion": 5}], "line 2: mistyped prediction row"),
+         ([{"kind": "meta"}, {**ROW, "gold": ["FR"]}], "line 2: mistyped prediction row"),
+         ([{"kind": "meta"}, {**ROW, "record_id": True}], "line 2: mistyped prediction row")],
+        ids=["two-meta-rows", "unknown-kind", "no-meta-row", "completion-not-text",
+             "gold-not-text", "record-id-bool"],
     )
     def test_malformed_trace_refused(self, tmp_path, rows, needle):
         trace = tmp_path / "t.jsonl"

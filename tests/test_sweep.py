@@ -22,17 +22,16 @@ from shotsweep import (
     detect_overprompting,
     find_optimum,
     make_split,
-    parse_label,
     render_prompt,
     run_sweep,
     select,
 )
 from shotsweep.corpus import Corpus
-from shotsweep.evaluation import CellRun
+from shotsweep.evaluation import CellRun, TraceWriter, score_rows
 from shotsweep import gateway
 from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
-from shotsweep.reporting import artifact_json
+from shotsweep.reporting import artifact_json, replay
 from shotsweep.sweep import (
     CurvePoint,
     SweepError,
@@ -672,9 +671,8 @@ class TestConcurrentDispatch:
                             provider, trace_path)
             for (model, _, _), outcome in run.outcomes.items():
                 assert isinstance(outcome, CellRun)
-                for pred in outcome.per_partition[0]:
-                    reply = jitter_reply(model, pred.content_hash)
-                    assert pred.parsed == parse_label(reply, corpus.scheme)
+                for row in outcome.per_partition[0]:
+                    assert row.completion == jitter_reply(model, row.content_hash)
             reports = {cell: artifact_json(report) for cell, report in run.reports.items()}
             sweep_json = artifact_json({"curves": run.curves, "failures": run.failures})
             return sweep_json, reports, run.outcomes
@@ -691,6 +689,32 @@ class TestConcurrentDispatch:
             artifacts(("m2",), seed, trace_path, methods=("tfidf",), shot_grid=(5,))
             traces.append(trace_path.read_text())
         assert traces[0] == traces[1] and len(traces[0].splitlines()) == 1 + 10
+
+    def test_kept_rows_replay_to_each_cells_report(self, tmp_path):
+        """A cell keeps its answers as trace rows: written out and replayed,
+        they give the cell's report, and another policy scores them as
+        score_rows does."""
+        corpus = balanced_corpus(10)
+        plan = SweepPlan(
+            ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
+        )
+        client = Client(mocks={"jitter": jittered_backend(7)})
+        run = run_sweep(plan, corpus, mock_profiles(plan.models, "jitter"), client,
+                        HashEmbeddingProvider(16))
+        rescored = 0
+        for (model, method, k), outcome in run.outcomes.items():
+            assert isinstance(outcome, CellRun)
+            trace = tmp_path / f"{model}-{method}-{k}.jsonl"
+            metadata = outcome.report.metadata
+            with TraceWriter(trace, metadata) as writer:
+                for row in outcome.per_partition[0]:
+                    writer.write_prediction(row)
+            assert replay(trace, corpus.scheme, metadata["scoring_policy"]) == outcome.report
+            first = replay(trace, corpus.scheme, "first_match")
+            rows = outcome.per_partition[0]
+            assert first == score_rows(rows, corpus.scheme, "first_match", metadata)
+            rescored += first != outcome.report
+        assert len(run.outcomes) == 18 and rescored > 0
 
     def test_models_on_one_endpoint_hold_a_connection_each(self):
         endpoint = ChatEndpoint(reply="Functional")
