@@ -170,6 +170,10 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    for needed in ("src/shotsweep/cli.py", "data/promise_nfr.csv"):
+        if not (src / needed).is_file():
+            print(f"{src} is not a shotsweep checkout root: no {needed}", file=sys.stderr)
+            return 2
     if out.exists():
         print(f"{out} exists; give a new directory", file=sys.stderr)
         return 2

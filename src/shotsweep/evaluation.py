@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -194,11 +194,13 @@ class TraceRow:
 
 
 def score_rows(
-    rows: Sequence[TraceRow], scheme: LabelScheme, policy: str, metadata: dict[str, object]
+    rows: Sequence[TraceRow], scheme: LabelScheme, policy: str, metadata: dict[str, object],
+    parsed_by_text: dict[str, ParsedLabel] | None = None,
 ) -> EvalReport:
     """The report over rows: each distinct completion parsed once, scored under
-    policy, and metadata's scoring_policy set to policy."""
-    parsed_by_text: dict[str, ParsedLabel] = {}
+    policy, and metadata's scoring_policy set to policy. The parses are kept in
+    parsed_by_text, when given, for the next call over the same completions."""
+    parsed_by_text = {} if parsed_by_text is None else parsed_by_text
     predictions = []
     for row in rows:
         parsed = parsed_by_text.get(row.completion)
@@ -228,7 +230,7 @@ class TraceWriter:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
             self._write(self._meta)
-        self._write({"kind": "prediction", **asdict(row)})
+        self._write({"kind": "prediction", **{f: getattr(row, f) for f in TraceRow.__slots__}})
 
     def close(self) -> None:
         if self._handle is not None:
@@ -245,12 +247,16 @@ class TraceWriter:
 class CellRun:
     report: EvalReport  # over the rows of every partition
     per_partition: tuple[list[TraceRow], ...]
+    # each distinct completion's parse, which fold_reports reuses
+    parsed: dict[str, ParsedLabel] = field(default_factory=dict, repr=False, compare=False)
 
 
 def fold_reports(run: CellRun, scheme: LabelScheme) -> list[EvalReport]:
     """One report per partition of run, under its policy, its metadata tagged with the fold."""
     metadata = run.report.metadata
     return [
-        score_rows(rows, scheme, str(metadata["scoring_policy"]), {**metadata, "fold": fold})
+        score_rows(
+            rows, scheme, str(metadata["scoring_policy"]), {**metadata, "fold": fold}, run.parsed
+        )
         for fold, rows in enumerate(run.per_partition)
     ]

@@ -84,7 +84,8 @@ def build_pool(
         raise SelectionError(
             f"pool size {size} exceeds train partition size {len(train)}"
         )
-    queues: dict[str, list[RequirementRecord]] = {lid: [] for lid in scheme.label_ids}
+    label_ids = scheme.label_ids
+    queues: dict[str, list[RequirementRecord]] = {lid: [] for lid in label_ids}
     for record in train:
         if record.label not in queues:
             raise SelectionError(
@@ -92,25 +93,14 @@ def build_pool(
                 f"not in scheme {scheme.name!r}"
             )
         queues[record.label].append(record)
-    for lid in scheme.label_ids:
+    for lid in label_ids:
         derived_rng(seed, f"pool-class:{lid}").shuffle(queues[lid])
-
-    picked: list[RequirementRecord] = []
-    per_class: dict[str, list[int]] = {lid: [] for lid in scheme.label_ids}
-    cursors = {lid: 0 for lid in scheme.label_ids}
-    while len(picked) < size:
-        progressed = False
-        for lid in scheme.label_ids:
-            if len(picked) >= size:
-                break
-            if cursors[lid] < len(queues[lid]):
-                record = queues[lid][cursors[lid]]
-                cursors[lid] += 1
-                picked.append(record)
-                per_class[lid].append(record.record_id)
-                progressed = True
-        if not progressed:
-            break
+    # round r takes each class's r-th pick in scheme order; the first size picks stay
+    rounds = zip_longest(*queues.values())
+    picked = [record for picks in rounds for record in picks if record is not None][:size]
+    per_class: dict[str, list[int]] = {lid: [] for lid in label_ids}
+    for record in picked:
+        per_class[record.label].append(record.record_id)
     return FewShotPool(
         candidates=tuple(picked),
         per_class={lid: tuple(ids) for lid, ids in per_class.items()},

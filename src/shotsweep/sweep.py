@@ -14,6 +14,7 @@ from .evaluation import (
     CellRun,
     EvalReport,
     EvaluationError,
+    ParsedLabel,
     TraceRow,
     TraceWriter,
     score_rows,
@@ -329,9 +330,10 @@ def run_sweep(
             return failed[cell]
         per_partition = collected[cell]
         pooled = [row for rows in per_partition for row in rows]
+        parsed: dict[str, ParsedLabel] = {}  # fold_reports parses nothing again
         try:
-            report = score_rows(pooled, scheme, plan.scoring_policy, metadata(cell))
-            return CellRun(report, tuple(per_partition))
+            report = score_rows(pooled, scheme, plan.scoring_policy, metadata(cell), parsed)
+            return CellRun(report, tuple(per_partition), parsed)
         except CELL_ERRORS as exc:
             return exc
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Protocol, Sequence
 
 # Runs before numpy loads, which is only in the functions that build or score a
@@ -34,82 +38,99 @@ class Neighbor:
 
 
 def _normalize_sparse(weights: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(sum(w * w for w in weights.values()))
+    # left to right, as fit_tfidf sums its rows: from 3.12 the builtin sum of
+    # floats is compensated, and a query would no longer equal its pool row
+    sq_norm = 0.0
+    for w in weights.values():
+        sq_norm += w * w
+    norm = math.sqrt(sq_norm)
     if norm == 0.0:
         return {}
     # build in ascending column order so dot products accumulate deterministically
     return {col: weights[col] / norm for col in sorted(weights)}
 
 
-@dataclass(frozen=True)
+# Distinct texts whose term counts stay memoized: a k-fold sweep refits a
+# space per fold over mostly the same texts, and counts each of them once.
+TERM_COUNTS_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=TERM_COUNTS_MEMO_SIZE)
+def _term_counts(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """text's distinct terms in first-occurrence order, and each one's count.
+    Terms are interned, so the memo holds one string per term, not per text."""
+    counts = Counter(map(sys.intern, tokenize(text)))
+    return tuple(counts), tuple(counts.values())
+
+
+@dataclass(frozen=True, eq=False)
 class TfidfModel:
     vocabulary: dict[str, int]  # term -> column, in column order
     idf: tuple[float, ...]
-    rows: tuple[dict[int, float], ...]  # L2-normalized, sparse by column id
     row_ids: tuple[int, ...]
-    # postings in CSC form: column c's rows are indices[indptr[c]:indptr[c + 1]],
-    # ascending, with their weights at the same positions of data
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
-    data: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        lengths = [len(row) for row in self.rows]
-        nnz = sum(lengths)
-        cols = np.fromiter((c for row in self.rows for c in row), np.intp, nnz)
-        weights = np.fromiter(
-            (w for row in self.rows for w in row.values()), np.float64, nnz
-        )
-        row_of = np.repeat(np.arange(len(self.rows), dtype=np.intp), lengths)
-        # a stable sort by column keeps each column's rows ascending
-        order = np.argsort(cols, kind="stable")
-        indptr = np.zeros(len(self.vocabulary) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cols, minlength=len(self.vocabulary)), out=indptr[1:])
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", row_of[order])
-        object.__setattr__(self, "data", weights[order])
+    # L2-normalized rows as postings in CSC form: column c's rows are
+    # indices[indptr[c]:indptr[c + 1]], ascending, with their weights at the
+    # same positions of data
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
     @property
     def n_docs(self) -> int:
-        return len(self.rows)
+        return len(self.row_ids)
+
+    @property
+    def rows(self) -> tuple[dict[int, float], ...]:
+        """Each row's weights by column, ascending, rebuilt from the postings."""
+        rows: tuple[dict[int, float], ...] = tuple({} for _ in self.row_ids)
+        for col in range(len(self.vocabulary)):
+            lo, hi = self.indptr[col], self.indptr[col + 1]
+            for row, weight in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
+                rows[row][col] = weight
+        return rows
 
 
 def fit_tfidf(candidates: Sequence[RequirementRecord]) -> TfidfModel:
-    """Fit a TF-IDF space: raw tf, idf = ln((1+N)/(1+df)) + 1, L2-normalized rows."""
+    """Fit a TF-IDF space: raw tf, idf = ln((1+N)/(1+df)) + 1, L2-normalized rows.
+
+    Every weight is the one a scalar loop gets: idf is math.log per term, a
+    weight is count * idf, and a row's squared norm is summed left to right in
+    its text's first-occurrence order of terms.
+    """
     if not candidates:
         raise VectorSpaceError("cannot fit TF-IDF on an empty candidate list")
-    token_lists = [tokenize(r.text) for r in candidates]
-    terms = sorted({tok for tokens in token_lists for tok in tokens})
-    vocab = {term: col for col, term in enumerate(terms)}
-    n_docs = len(candidates)
-    df = [0] * len(vocab)
-    for tokens in token_lists:
-        for tok in set(tokens):
-            df[vocab[tok]] += 1
-    idf = tuple(math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df)
-    rows = []
-    for tokens in token_lists:
-        counts: dict[int, int] = {}
-        for tok in tokens:
-            counts[vocab[tok]] = counts.get(vocab[tok], 0) + 1
-        rows.append(_normalize_sparse({c: n * idf[c] for c, n in counts.items()}))
+    import numpy as np
+    terms_of, counts_of = zip(*(_term_counts(r.text) for r in candidates))
+    # one entry per (row, distinct term), rows in order, terms as first seen
+    entry_terms = list(chain.from_iterable(terms_of))
+    vocab = {term: col for col, term in enumerate(sorted(set(entry_terms)))}
+    nnz, n_docs = len(entry_terms), len(candidates)
+    cols = np.fromiter(map(vocab.__getitem__, entry_terms), np.intp, nnz)
+    lengths = np.fromiter(map(len, terms_of), np.intp, n_docs)
+    row_of = np.repeat(np.arange(n_docs, dtype=np.intp), lengths)
+    df = np.bincount(cols, minlength=len(vocab))
+    idf = tuple(math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df.tolist())
+    weights = np.fromiter(chain.from_iterable(counts_of), np.float64, nnz)
+    weights *= np.array(idf, dtype=np.float64)[cols]
+    # bincount adds each square to its row's total one entry at a time, so a
+    # row's squared norm is summed left to right (np.sum would add pairwise)
+    sq_norms = np.bincount(row_of, weights=weights * weights, minlength=n_docs)
+    weights /= np.sqrt(sq_norms)[row_of]
+    # a stable sort by column keeps each column's rows ascending
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(len(vocab) + 1, dtype=np.intp)
+    np.cumsum(df, out=indptr[1:])
     return TfidfModel(
-        vocabulary=vocab,
-        idf=idf,
-        rows=tuple(rows),
-        row_ids=tuple(r.record_id for r in candidates),
+        vocab, idf, tuple(r.record_id for r in candidates), indptr, row_of[order], weights[order]
     )
 
 
 def embed_query_tfidf(model: TfidfModel, text: str) -> dict[int, float]:
     """Transform a query with the fitted vocabulary; OOV tokens are dropped."""
-    counts: dict[int, int] = {}
-    for tok in tokenize(text):
-        col = model.vocabulary.get(tok)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-    return _normalize_sparse({c: n * model.idf[c] for c, n in counts.items()})
+    return _normalize_sparse({
+        col: n * model.idf[col] for term, n in zip(*_term_counts(text))
+        if (col := model.vocabulary.get(term)) is not None
+    })
 
 
 class EmbeddingProvider(Protocol):

@@ -42,6 +42,43 @@ def oracle_tfidf_vectors(texts: list[str]) -> tuple[list[str], list[list[float]]
     return vocab, rows
 
 
+def oracle_fit_tfidf(texts: list[str]):
+    """The scalar fit that vectorspace.fit_tfidf replaced, as (vocabulary, idf,
+    rows, indptr, indices, data). Each row is a dict in ascending column order
+    whose squared norm is summed left to right over its terms in
+    first-occurrence order; the CSC postings come from the rows by a stable
+    sort on the column."""
+    token_lists = [_oracle_tokens(t) for t in texts]
+    terms = sorted({tok for tokens in token_lists for tok in tokens})
+    vocab = {term: col for col, term in enumerate(terms)}
+    n_docs = len(texts)
+    df = [0] * len(vocab)
+    for tokens in token_lists:
+        for tok in set(tokens):
+            df[vocab[tok]] += 1
+    idf = tuple(math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df)
+    rows = []
+    for tokens in token_lists:
+        counts: dict[int, int] = {}
+        for tok in tokens:
+            counts[vocab[tok]] = counts.get(vocab[tok], 0) + 1
+        weights = {c: n * idf[c] for c, n in counts.items()}
+        sq_norm = 0.0
+        for w in weights.values():
+            sq_norm += w * w
+        norm = math.sqrt(sq_norm)
+        rows.append({c: weights[c] / norm for c in sorted(weights)} if norm else {})
+    lengths = [len(row) for row in rows]
+    nnz = sum(lengths)
+    cols = np.fromiter((c for row in rows for c in row), np.intp, nnz)
+    data = np.fromiter((w for row in rows for w in row.values()), np.float64, nnz)
+    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(len(vocab) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=len(vocab)), out=indptr[1:])
+    return vocab, idf, tuple(rows), indptr, row_of[order], data[order]
+
+
 def oracle_tfidf_query(texts: list[str], query: str) -> list[float]:
     token_lists = [_oracle_tokens(t) for t in texts]
     vocab = sorted({tok for toks in token_lists for tok in toks})

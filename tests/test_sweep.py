@@ -25,10 +25,11 @@ from shotsweep import (
     render_prompt,
     run_sweep,
     select,
+    tokenize,
 )
 from shotsweep.corpus import Corpus
 from shotsweep.evaluation import CellRun, TraceWriter, score_rows
-from shotsweep import gateway
+from shotsweep import gateway, vectorspace
 from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
 from shotsweep.reporting import artifact_json, replay
@@ -434,6 +435,24 @@ class TestKfoldSweep:
             scored = [pred.record_id for preds in outcome.per_partition for pred in preds]
             assert sorted(scored) == record_ids
             assert outcome.report.metadata["split"] == "kfold:5:1"
+
+    def test_each_text_is_tokenized_once(self, promise_binary, monkeypatch):
+        """Ten folds refit the tfidf space over mostly the same texts and query
+        every record once, yet each distinct text's terms are counted once."""
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(vectorspace, "tokenize", counting_tokenize)
+        vectorspace._term_counts.cache_clear()
+        client, _ = echo_gold_client(promise_binary)
+        plan = SweepPlan(("m1",), ("tfidf",), (2,), split_kind="kfold", split_param=10)
+        run = run_sweep(plan, promise_binary, mock_profiles(["m1"]), client)
+        assert not run.failures
+        texts = {r.text for r in promise_binary.records}
+        assert len(calls) == len(set(calls)) and set(calls) <= texts
 
     @pytest.mark.parametrize(
         "fields, needle",

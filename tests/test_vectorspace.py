@@ -7,19 +7,25 @@ import numpy as np
 import pytest
 
 from shotsweep import (
+    BINARY_FRNFR,
+    PROMISE_12,
     HashEmbeddingProvider,
     build_embedding_matrix,
+    build_pool,
     embed_query_tfidf,
     fit_tfidf,
     knn,
+    load_corpus,
+    make_split,
     tokenize,
 )
 from shotsweep.corpus import RequirementRecord
-from shotsweep.vectorspace import EmbeddingMatrix, VectorSpaceError
+from shotsweep.vectorspace import EmbeddingMatrix, VectorSpaceError, _normalize_sparse
 
-from conftest import make_records
+from conftest import PROMISE_CSV, make_records
 from oracles import (
     oracle_cosine,
+    oracle_fit_tfidf,
     oracle_knn_embedding,
     oracle_knn_tfidf,
     oracle_tfidf_query,
@@ -248,12 +254,72 @@ class TestKnnExactness:
 
     def test_postings_are_csc_over_the_rows(self):
         rng = random.Random(4)
-        model = fit_tfidf(make_records([(t, "X") for t in random_corpus(rng, 30)]))
+        texts = random_corpus(rng, 30)
+        model = fit_tfidf(make_records([(t, "X") for t in texts]))
+        _, _, rows, *_ = oracle_fit_tfidf(texts)  # model.rows is read from the postings
         assert model.indptr[0] == 0 and model.indptr[-1] == len(model.indices)
         for col in range(len(model.vocabulary)):
             lo, hi = model.indptr[col], model.indptr[col + 1]
-            expected = [(i, row[col]) for i, row in enumerate(model.rows) if col in row]
+            expected = [(i, row[col]) for i, row in enumerate(rows) if col in row]
             assert list(zip(model.indices[lo:hi].tolist(), model.data[lo:hi].tolist())) == expected
+
+
+def assert_fit_equals_oracle(candidates):
+    """fit_tfidf over candidates gives the scalar fit's vocabulary, idf, rows
+    (their key order too) and the bytes of its CSC arrays."""
+    model = fit_tfidf(candidates)
+    vocab, idf, rows, indptr, indices, data = oracle_fit_tfidf([r.text for r in candidates])
+    assert list(model.vocabulary.items()) == list(vocab.items())
+    assert model.idf == idf
+    assert [list(row.items()) for row in model.rows] == [list(row.items()) for row in rows]
+    for got, want in ((model.indptr, indptr), (model.indices, indices), (model.data, data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return model
+
+
+class TestFitExactness:
+    """fit_tfidf must equal the scalar fit it replaced bit for bit (==, not a tolerance)."""
+
+    def test_fit_equals_scalar_oracle_on_random_corpora(self):
+        rng = random.Random(2025)
+        words = WORDS + [f"t{i}" for i in range(40)]
+        corpora = [["", "!!", "  -- "], ["encrypt data"], ["a a b"], ["same", "same"]]
+        for _ in range(2000):
+            n_docs = rng.choice([1, 2, 3, rng.randint(4, 30)])
+            texts = [" ".join(rng.choices(words, k=rng.randint(0, 40))) for _ in range(n_docs)]
+            for i in range(n_docs):
+                if rng.random() < 0.2:
+                    texts[i] = texts[rng.randrange(n_docs)]  # a duplicate text
+                elif rng.random() < 0.05:
+                    texts[i] = "!!"  # no terms: an empty row
+            corpora.append(texts)
+        for texts in corpora:
+            assert_fit_equals_oracle(make_records([(t, "X") for t in texts]))
+
+    @pytest.mark.parametrize("scheme", [PROMISE_12, BINARY_FRNFR], ids=["promise12", "frnfr"])
+    def test_fit_equals_scalar_oracle_on_promise_fold_pools(self, scheme):
+        """Every 10-fold pool of the fixture, as a cv run builds it; a query of a
+        pool text is that text's row."""
+        corpus = load_corpus(PROMISE_CSV, scheme)
+        split = make_split(corpus, "kfold", 10, 0, "allow")
+        for fold in range(10):
+            train = [r for r in corpus.records if split.assignments[r.record_id] != fold]
+            pool = build_pool(train, scheme, len(train), 0).candidates
+            model = assert_fit_equals_oracle(pool)
+            for record, row in zip(pool, model.rows):
+                assert list(embed_query_tfidf(model, record.text).items()) == list(row.items())
+
+    def test_query_norm_is_summed_left_to_right(self):
+        """One large weight and ten tiny ones: a compensated sum, which the
+        builtin sum is from Python 3.12, gives a different norm."""
+        weights = {0: 1.0, **{col: 1e-8 for col in range(1, 11)}}
+        squares = [w * w for w in weights.values()]
+        sq_norm = 0.0
+        for square in squares:
+            sq_norm += square
+        assert sq_norm != math.fsum(squares)
+        norm = math.sqrt(sq_norm)
+        assert _normalize_sparse(weights) == {col: w / norm for col, w in weights.items()}
 
 
 class CountingProvider(HashEmbeddingProvider):
