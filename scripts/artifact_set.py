@@ -13,6 +13,9 @@ all from one response cache:
            pure function of (model, user message)
 - run/     `run` tfidf k=5, pool 200, holdout split
 - cv/      10-fold `cv` at the sweep's optimum (`--shots-from`)
+- orderings/<policy>/  for each example ordering other than the default
+           ascending (descending, pool_order, shuffle), a mock-gold sweep
+           of random and tfidf at k in [0, 5, 20], pool 200, holdout split
 - replay.json          `replay` of run/trace.jsonl under first_match
 - report.txt, .csv     `report` over run/report.json and cv/aggregate.json
 - cache_rows.jsonl     the cache's rows, sorted, without `created_at` and
@@ -69,6 +72,16 @@ CV = {
     "pool_size": 200,
     "profiles": {"mock-gold": {"base_url": "mock://echo-gold"}},
 }
+# Every prompt of these sweeps lands in cache_rows.jsonl with its hash, so a
+# change in how any ordering places the examples shows in the diff.
+ORDERINGS = ("descending", "pool_order", "shuffle")
+ORDERING_SWEEP = {
+    **SWEEP,
+    "models": ["mock-gold"],
+    "methods": ["random", "tfidf"],
+    "grid": [0, 5, 20],
+    "profiles": {"mock-gold": SWEEP["profiles"]["mock-gold"]},
+}
 VARYING_ROW_FIELDS = ("created_at", "latency_ms")
 # The endpoint's URL is part of each HTTP cache row's fingerprint and of the
 # manifest, so every checkout must see the same one.
@@ -115,7 +128,8 @@ def build(src: Path, out: Path) -> None:
     with tempfile.TemporaryDirectory() as work:
         work_dir = Path(work)
         shutil.copyfile(src / "data" / "promise_nfr.csv", work_dir / "promise_nfr.csv")
-        configs = (("sweep", SWEEP), ("sweep-http", sweep_http), ("run", RUN), ("cv", CV))
+        configs = [("sweep", SWEEP), ("sweep-http", sweep_http), ("run", RUN), ("cv", CV)]
+        configs += [(f"orderings-{o}", {**ORDERING_SWEEP, "ordering": o}) for o in ORDERINGS]
         for name, config in configs:
             (work_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 
@@ -140,6 +154,11 @@ def build(src: Path, out: Path) -> None:
             "cv", "--config", "cv.json", "--shots-from", str(out / "sweep" / "manifest.json"),
             "--out", str(out / "cv"), *cache,
         )
+        for ordering in ORDERINGS:
+            shotsweep(
+                "sweep", "--config", f"orderings-{ordering}.json",
+                "--out", str(out / "orderings" / ordering), *cache,
+            )
         shotsweep(
             "replay", "--trace", str(out / "run" / "trace.jsonl"), "--scheme", "frnfr",
             "--policy", "first_match", "--out", str(out / "replay.json"),

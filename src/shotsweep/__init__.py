@@ -43,9 +43,7 @@ from .promptkit import (
 from .selection import (
     FewShotPool,
     SelectionConfig,
-    SelectionResult,
     build_pool,
-    select,
 )
 from .sweep import (
     DEFAULT_GRID,

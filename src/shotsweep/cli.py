@@ -48,7 +48,7 @@ from .reporting import (
     replay,
     split_payload,
 )
-from .selection import METHODS, SelectionConfig, SelectionError, build_pool, select
+from .selection import METHODS, SelectionConfig, SelectionError, build_pool, rank
 from .sweep import (
     DEFAULT_GRID,
     DEFAULT_OVERPROMPTING_THRESHOLD,
@@ -139,8 +139,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"no such config file: {file}")
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{file}: not UTF-8 ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{file}: unreadable or not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{file}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -303,6 +303,12 @@ def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
         template=DEFAULT_TEMPLATE if template == "default" else load_template(template),
     )
     profiles = _build_profiles(cfg, plan.models)
+    for key in ("out_dir", "cache_dir"):
+        if key in cfg:  # made on first write, so its nearest existing part must be a directory
+            path = Path(cfg[key])
+            existing = next(part for part in (path, *path.parents) if part.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"{key} {path}: {existing} is not a directory")
     if args.dry_run:
         if one_cell:
             shown = {k: v for k, v in cfg.items() if k != "profiles"}
@@ -373,7 +379,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         args.pool_seed,
     )
     sel_cfg = SelectionConfig(args.method, args.k, args.seed)
-    result = select(pool, args.query, sel_cfg, HashEmbeddingProvider(args.hash_dim))
+    ranking = rank(pool, [args.query], sel_cfg, HashEmbeddingProvider(args.hash_dim))[0]
     chosen = [
         {
             "record_id": rid,
@@ -381,16 +387,16 @@ def cmd_select(args: argparse.Namespace) -> int:
             "label": pool.record(rid).label,
             "text": pool.record(rid).text,
         }
-        for rid, sim in result.chosen
+        for rid, sim in ranking.take(args.k)
     ]
     payload = {
-        "method": result.method,
-        "k_requested": result.k_requested,
-        "k_delivered": result.k_delivered,
+        "method": args.method,
+        "k_requested": args.k,
+        "k_delivered": len(chosen),
         "chosen": chosen,
         "class_counts": Counter(item["label"] for item in chosen),
     }
-    text_lines = [f"{result.method} selection, k={result.k_delivered}:"]
+    text_lines = [f"{args.method} selection, k={len(chosen)}:"]
     for item in chosen:
         sim = "-" if item["similarity"] is None else f"{item['similarity']:.4f}"
         text_lines.append(f"  [{item['label']}] ({sim}) {item['text']}")
@@ -495,7 +501,7 @@ def _shots_from_manifest(path: str, model: str, method: str) -> int:
             _key(manifest, "artifacts", path), "curves_json", path
         )
         curves = json.loads(curves_path.read_text(encoding="utf-8"))
-    except (OSError, TypeError, json.JSONDecodeError) as exc:  # TypeError: a non-str path
+    except (OSError, TypeError, ValueError) as exc:  # a non-str path, not UTF-8, not JSON
         raise ConfigError(f"cannot read sweep manifest {path}: {exc}") from exc
     all_series = _key(curves, "series", curves_path)
     if not isinstance(all_series, list):

@@ -190,8 +190,8 @@ def load_scheme(source: str | Path) -> LabelScheme:
         )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CorpusError(f"scheme file {path}: invalid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise CorpusError(f"scheme file {path}: not a readable JSON file ({exc})") from exc
     try:
         labels = tuple(
             LabelDef(item["id"], item["name"], tuple(item.get("aliases", ())))
@@ -214,15 +214,19 @@ def load_corpus(
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
+    try:
+        handle = path.open(newline="", encoding="utf-8-sig")
+    except OSError as exc:  # a directory, or not readable
+        raise CorpusError(f"{path}: cannot open ({exc})") from exc
     records: list[RequirementRecord] = []
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise CorpusError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise CorpusError(f"{path}: malformed CSV ({exc})") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: malformed CSV or not UTF-8 ({exc})") from exc
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise CorpusError(f"{path}: duplicate header column(s): {', '.join(dupes)}")
@@ -252,8 +256,8 @@ def load_corpus(
                 records.append(
                     RequirementRecord(len(records), text, label_id, path.stem)
                 )
-        except csv.Error as exc:
-            raise CorpusError(f"{path}: malformed CSV ({exc})") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: malformed CSV or not UTF-8 ({exc})") from exc
     return Corpus(tuple(records), scheme)
 
 

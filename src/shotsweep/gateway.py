@@ -683,11 +683,10 @@ class Client:
     cache-contract tests count real backend calls).
 
     start() sends a completion's request and returns at once, so one thread
-    can have a request in flight to each of several models; complete() is
-    start() finished at once. Retries, their backoff and the rate limit all
-    run on the calling thread. A Client belongs to one thread: nothing in
-    it is locked, so a caller that wants clients in parallel opens one
-    Client per thread.
+    can have a request in flight to each of several models. Retries, their
+    backoff and the rate limit all run on the calling thread. A Client
+    belongs to one thread: nothing in it is locked, so a caller that wants
+    clients in parallel opens one Client per thread.
     """
 
     cache: ResponseCache = field(default_factory=ResponseCache)
@@ -742,9 +741,9 @@ class Client:
         )
 
     def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
-        """The cached completion complete() would return, or None on a miss.
+        """The cached completion start() would finish with, or None on a miss.
 
-        Refuses what complete() refuses, without calling any backend.
+        Refuses what finish() refuses, without calling any backend.
         """
         if profile.kind != "chat":
             raise GatewayError(f"profile {profile.name} is not a chat profile")
@@ -768,9 +767,6 @@ class Client:
         return PendingCompletion(
             self, profile, lambda: self._chat_request(profile, prompt), prompt
         )
-
-    def complete(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord:
-        return self.start(profile, prompt).finish()
 
     def _chat_request(self, profile: ModelProfile, prompt: PromptSpec):
         payload = {

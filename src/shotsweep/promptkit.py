@@ -10,7 +10,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .corpus import LabelScheme
-from .selection import FewShotPool, SelectionError, SelectionResult, derived_rng
+from .selection import FewShotPool, Ranking, SelectionError, derived_rng
 
 
 class PromptError(Exception):
@@ -21,9 +21,8 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 # How rendered examples are ordered: ascending puts the most similar example
 # last, next to the input; descending reverses that; pool_order keeps pool
-# positions; shuffle is a permutation seeded by the query. Random-draw
-# selections carry no similarities and keep their draw order under
-# ascending/descending.
+# positions; shuffle is a permutation seeded by the query. Random rankings
+# carry no similarities and keep their draw order under ascending/descending.
 ORDERING_POLICIES = ("ascending", "descending", "pool_order", "shuffle")
 
 
@@ -111,7 +110,6 @@ class PromptSpec:
     system_message: str
     user_message: str
     example_provenance: tuple[int, ...]
-    shot_count: int
     content_hash: str
     query_text: str
 
@@ -125,20 +123,22 @@ def _content_hash(system_message: str, user_message: str) -> str:
 
 
 def _order_examples(
-    selection: SelectionResult, pool: FewShotPool, ordering: str
+    ranking: Ranking, k: int, pool: FewShotPool, ordering: str
 ) -> list[tuple[int, float | None]]:
-    chosen = list(selection.chosen)
+    """The ranking's k-shot selection as (id, similarity or None) pairs, in
+    the order the prompt shows them."""
+    chosen = list(ranking.take(k))
     if ordering in ("ascending", "descending"):
         if None in map(itemgetter(1), chosen):
             return chosen
         # a reverse sort keeps ties in order, as the ascending one does
         return sorted(chosen, key=itemgetter(1), reverse=ordering == "descending")
     if ordering == "pool_order":
-        position = pool.positions
-        return sorted(chosen, key=lambda item: position[item[0]])
+        position = pool.positions  # an id not in the pool fails when formatted
+        return sorted(chosen, key=lambda item: position.get(item[0], -1))
     if ordering != "shuffle":
         raise PromptError(f"unknown ordering policy {ordering!r}")
-    rng = derived_rng(0, f"order:{selection.query_key}")
+    rng = derived_rng(0, f"order:{ranking.query_key}")
     rng.shuffle(chosen)
     return chosen
 
@@ -161,19 +161,20 @@ def _formatted(
 def render_prompt(
     template: PromptTemplate,
     scheme: LabelScheme,
-    selection: SelectionResult,
+    ranking: Ranking,
+    k: int,
     pool: FewShotPool,
     query_text: str,
     ordering: str = "ascending",
 ) -> PromptSpec:
     """Assemble the prompt: system role, task with class list, examples, input.
 
-    Examples are ordered as ordering (one of ORDERING_POLICIES) names, and a
-    zero-shot selection omits their block. The task text and each example
-    block are formatted once per (pool, template, scheme).
+    The examples are the ranking's first k, ordered as ordering (one of
+    ORDERING_POLICIES) names; a zero-shot prompt omits their block. The task
+    text and each example block are formatted once per (pool, template, scheme).
     """
     task, formatted = _formatted(template, scheme, pool)
-    provenance = tuple(map(itemgetter(0), _order_examples(selection, pool, ordering)))
+    provenance = tuple(map(itemgetter(0), _order_examples(ranking, k, pool, ordering)))
     try:
         blocks = [formatted[rid] for rid in provenance]
     except KeyError:
@@ -196,7 +197,6 @@ def render_prompt(
         system_message=template.system_role_text,
         user_message=user_message,
         example_provenance=provenance,
-        shot_count=len(provenance),
         content_hash=_content_hash(template.system_role_text, user_message),
         query_text=query_text,
     )

@@ -65,7 +65,7 @@ def read_report(path: str | Path) -> EvalReport:
         payload = json.loads(file.read_text(encoding="utf-8"))
         per_class = {lid: ClassMetrics(**m) for lid, m in payload.pop("per_class").items()}
         return EvalReport(per_class=per_class, **payload)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ReportingError(f"{file}: not a report ({type(exc).__name__}: {exc})") from exc
 
 
@@ -216,32 +216,36 @@ def read_trace(path: str | Path) -> tuple[dict, list[TraceRow]]:
         raise ReportingError(f"no such trace: {path}")
     meta: dict | None = None
     rows: list[TraceRow] = []
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    try:
+        with path.open(encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReportingError(f"{path}: unreadable or not UTF-8 ({exc})") from exc
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReportingError(f"{path}: line {line_no}: corrupt row ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ReportingError(f"{path}: line {line_no}: not a JSON object")
+        kind = payload.pop("kind", None)
+        if kind == "meta":
+            if meta is not None:
+                raise ReportingError(f"{path}: line {line_no}: duplicate meta row")
+            meta = payload
+        elif kind == "prediction":
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReportingError(f"{path}: line {line_no}: corrupt row ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise ReportingError(f"{path}: line {line_no}: not a JSON object")
-            kind = payload.pop("kind", None)
-            if kind == "meta":
-                if meta is not None:
-                    raise ReportingError(f"{path}: line {line_no}: duplicate meta row")
-                meta = payload
-            elif kind == "prediction":
-                try:
-                    row = TraceRow(**payload)
-                except TypeError as exc:  # a missing or unknown field
-                    raise ReportingError(f"{path}: line {line_no}: {exc}") from exc
-                texts = (row.gold, row.completion, row.content_hash)
-                if type(row.record_id) is not int or not all(isinstance(t, str) for t in texts):
-                    raise ReportingError(f"{path}: line {line_no}: mistyped prediction row")
-                rows.append(row)
-            else:
-                raise ReportingError(f"{path}: line {line_no}: unknown row kind {kind!r}")
+                row = TraceRow(**payload)
+            except TypeError as exc:  # a missing or unknown field
+                raise ReportingError(f"{path}: line {line_no}: {exc}") from exc
+            texts = (row.gold, row.completion, row.content_hash)
+            if type(row.record_id) is not int or not all(isinstance(t, str) for t in texts):
+                raise ReportingError(f"{path}: line {line_no}: mistyped prediction row")
+            rows.append(row)
+        else:
+            raise ReportingError(f"{path}: line {line_no}: unknown row kind {kind!r}")
     if meta is None:
         raise ReportingError(f"{path}: missing meta row")
     return meta, rows

@@ -120,19 +120,6 @@ class SelectionConfig:
             raise SelectionError(f"shot count must be >= 0, got {self.k}")
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    query_key: str
-    chosen: tuple[tuple[int, float | None], ...]
-    method: str
-    k_requested: int
-    k_delivered: int
-
-    @property
-    def chosen_ids(self) -> tuple[int, ...]:
-        return tuple(rid for rid, _ in self.chosen)
-
-
 def query_key_for(query: str | RequirementRecord) -> str:
     if isinstance(query, RequirementRecord):
         return f"record:{query.record_id}"
@@ -153,20 +140,18 @@ class Ranking:
     """
 
     query_key: str
-    method: str
     available: int
     ids: array
     sims: array
 
-    def take(self, k: int) -> SelectionResult:
-        """The k-shot selection: min(k, available) ids, similarities or None."""
-        k_delivered = min(k, self.available)
-        if k_delivered > len(self.ids):
+    def take(self, k: int) -> tuple[tuple[int, float | None], ...]:
+        """The k-shot selection: min(k, available) (id, similarity or None) pairs."""
+        n = min(k, self.available)
+        if n > len(self.ids):
             raise SelectionError(
                 f"selection of {k} asked of a ranking of depth {len(self.ids)}"
             )
-        chosen = tuple(zip_longest(self.ids[:k_delivered], self.sims[:k_delivered]))
-        return SelectionResult(self.query_key, chosen, self.method, k, k_delivered)
+        return tuple(zip_longest(self.ids[:n], self.sims[:n]))
 
 
 def rank(
@@ -213,23 +198,7 @@ def rank(
             if excluded_id in ids:
                 drop = ids.index(excluded_id)
                 del ids[drop], sims[drop]
-        rankings.append(Ranking(
-            key, cfg.method, available, array("q", ids[:depth]), array("d", sims[:depth])
-        ))
+        rankings.append(
+            Ranking(key, available, array("q", ids[:depth]), array("d", sims[:depth]))
+        )
     return rankings
-
-
-def select(
-    pool: FewShotPool,
-    query: str | RequirementRecord,
-    cfg: SelectionConfig,
-    provider: EmbeddingProvider | None = None,
-) -> SelectionResult:
-    """Pick cfg.k examples from the pool for one query: rank, then slice.
-
-    random takes the first cfg.k of the query's seeded permutation of the
-    pool, tfidf/embedding the cfg.k most cosine-similar candidates, so a
-    smaller k picks a prefix of a larger k's examples. A record query that is
-    a pool member never gets its own record back.
-    """
-    return rank(pool, [query], cfg, provider)[0].take(cfg.k)

@@ -374,7 +374,7 @@ def run_sweep(
                         if position < len(test) and position not in prompts:
                             try:
                                 prompts[position] = render_prompt(
-                                    plan.template, scheme, rankings[position].take(k), pool,
+                                    plan.template, scheme, rankings[position], k, pool,
                                     test[position].text, plan.ordering,
                                 )
                             except CELL_ERRORS as exc:

@@ -50,7 +50,7 @@ def schedule_backend(corpus: Corpus, split, schedule: dict[int, float]) -> Calla
 
     def respond(profile, prompt):
         text = prompt.query_text
-        if text in wrong_sets.get(prompt.shot_count, ()):
+        if text in wrong_sets.get(len(prompt.example_provenance), ()):
             return other[label_of[text]]
         return gold[text]
 

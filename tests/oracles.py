@@ -169,11 +169,14 @@ def oracle_knn_embedding(matrix, query: list[float], k: int) -> list[tuple[int, 
     ]
 
 
-def oracle_render(template, scheme, selection, candidates, query_text, ordering):
+def oracle_render(template, scheme, ranking, k, candidates, query_text, ordering):
     """Format one prompt from scratch, every block on every call: the
     (system message, user message, provenance, content hash) render_prompt
-    must give. candidates is the pool's records in pool order."""
-    chosen = list(selection.chosen)
+    must give for the ranking's first k. candidates is the pool's records in
+    pool order."""
+    n = min(k, ranking.available)
+    sims = list(ranking.sims[:n]) if len(ranking.sims) else [None] * n
+    chosen = list(zip(ranking.ids[:n], sims))
     with_sims = all(sim is not None for _, sim in chosen)
     if ordering == "ascending" and with_sims:
         chosen.sort(key=lambda item: item[1])
@@ -183,7 +186,7 @@ def oracle_render(template, scheme, selection, candidates, query_text, ordering)
         order = [r.record_id for r in candidates]
         chosen.sort(key=lambda item: order.index(item[0]))
     elif ordering == "shuffle":
-        salt = f"0:order:{selection.query_key}".encode("utf-8")
+        salt = f"0:order:{ranking.query_key}".encode("utf-8")
         seed = int.from_bytes(hashlib.sha256(salt).digest()[:8], "big")
         random.Random(seed).shuffle(chosen)
     by_id = {r.record_id: r for r in candidates}

@@ -36,13 +36,13 @@ from shotsweep import (
     render_prompt,
     run_sweep,
     score_prediction,
-    select,
 )
 from shotsweep.cli import EXIT_OK, main
 from shotsweep.corpus import PROMISE_12
 from shotsweep.evaluation import ParsedLabel, Prediction
 from shotsweep.gateway import ResponseCache
 from shotsweep.reporting import emit_table
+from shotsweep.selection import rank
 from shotsweep.sweep import CurvePoint, detect_overprompting, find_optimum
 
 from conftest import PROMISE_CSV, evaluate_one_cell
@@ -356,13 +356,13 @@ def test_criterion_8_prompt_contract():
         ]
         pool = build_pool(records, scheme, len(records), seed=case)
         k = rng.randint(0, 8)
-        selection = select(pool, f"query {case} unique", SelectionConfig("random", k, seed=case))
+        ranking = rank(pool, [f"query {case} unique"], SelectionConfig("random", k, seed=case))[0]
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, scheme, selection, pool, f"query {case} unique"
+            DEFAULT_TEMPLATE, scheme, ranking, k, pool, f"query {case} unique"
         )
         blocks = re.findall(r"(?m)^Text: ", prompt.user_message)
-        assert len(blocks) == prompt.shot_count == min(k, len(pool))
-        if prompt.shot_count == 0:
+        assert len(blocks) == len(prompt.example_provenance) == min(k, len(pool))
+        if len(prompt.example_provenance) == 0:
             assert DEFAULT_TEMPLATE.examples_header not in prompt.user_message
         task_block = prompt.user_message.split(DEFAULT_TEMPLATE.examples_header)[0]
         for label in scheme.labels:

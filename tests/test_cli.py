@@ -781,6 +781,69 @@ class TestConfigErrors:
                 assert command in _KEYS.get(action.dest, (None, ()))[1], (command, action.dest)
 
 
+class TestUnusablePaths:
+    """An input that cannot be read, or an output path that cannot become a
+    directory, is reported against the layer that owns it, never as a bug."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["ingest", "--data", "<not-utf8>", "--scheme", "frnfr"], EXIT_DATA),
+            (["ingest", "--data", "<dir>", "--scheme", "frnfr"], EXIT_DATA),
+            (["ingest", "--data", str(PROMISE_CSV), "--scheme", "<dir>"], EXIT_DATA),
+            (["run", "--config", "<dir>", "--out", "<out>"], EXIT_CONFIG),
+            (["run", "--config", "<profiles-dir-config>", "--out", "<out>"], EXIT_CONFIG),
+            (["replay", "--trace", "<not-utf8>", "--scheme", "frnfr"], EXIT_DATA),
+            (["replay", "--trace", "<dir>", "--scheme", "frnfr"], EXIT_DATA),
+            (["report", "--reports", "<dir>", "--layout", "binary"], EXIT_DATA),
+            (["cv", "--config", "<cv-config>", "--shots-from", "<not-utf8>", "--out", "<out>"],
+             EXIT_CONFIG),
+        ],
+        ids=["ingest-data-not-utf8", "ingest-data-dir", "scheme-dir", "run-config-dir",
+             "profiles-dir", "replay-trace-not-utf8", "replay-trace-dir", "report-dir",
+             "cv-shots-from-not-utf8"],
+    )
+    def test_unreadable_input_is_a_data_or_config_error(self, tmp_path, capsys, argv, code):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        not_utf8 = tmp_path / "latin1.txt"
+        not_utf8.write_bytes(b"text,label\n\xe9t\xe9,FR\n")
+        made = {
+            "<dir>": lambda: str(directory),
+            "<not-utf8>": lambda: str(not_utf8),
+            "<out>": lambda: str(tmp_path / "out"),
+            "<profiles-dir-config>": lambda: one_cell_or_sweep_config(
+                tmp_path, "run", profiles=str(directory)),
+            "<cv-config>": lambda: one_cell_or_sweep_config(tmp_path, "cv"),
+        }
+        got = main([made[arg]() if arg in made else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert ("config error" if code == EXIT_CONFIG else "data error") in err
+        assert "internal error" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["", "dry-run"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("flag, key", [("--out", "out_dir"), ("--cache-dir", "cache_dir")])
+    @pytest.mark.parametrize("command", ["run", "cv", "sweep"])
+    def test_out_or_cache_dir_on_a_file_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flag, key, below, dry_run
+    ):
+        monkeypatch.setattr("shotsweep.cli.run_sweep", None)  # a call would exit as a bug
+        a_file = tmp_path / "file"
+        a_file.write_text("kept\n")
+        paths = {"--out": tmp_path / "out", "--cache-dir": tmp_path / "cache"}
+        paths[flag] = a_file / "sub" if below else a_file
+        config = one_cell_or_sweep_config(tmp_path, command)
+        code = main([command, *dry_run, "--config", config,
+                     *(str(arg) for item in paths.items() for arg in item)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: {key} {paths[flag]}: {a_file} is not a directory" in err
+        assert a_file.read_text() == "kept\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):
         payload = dict(

@@ -47,7 +47,6 @@ def prompt_for(text="classify this", content_hash=None):
         system_message="You are a software requirements analyst.",
         user_message=f"Input: {text}\nCategory:",
         example_provenance=(),
-        shot_count=0,
         content_hash=content_hash or f"hash-{text}",
         query_text=text,
     )
@@ -146,8 +145,8 @@ class TestCompleteAndCache:
         client = Client(mocks={"test": backend})
         profile = mock_profile()
         prompt = prompt_for("one")
-        first = client.complete(profile, prompt)
-        second = client.complete(profile, prompt)
+        first = client.start(profile, prompt).finish()
+        second = client.start(profile, prompt).finish()
         assert backend.calls == 1
         assert first == second
         assert first.text == "FR"
@@ -156,25 +155,25 @@ class TestCompleteAndCache:
         backend = ConstantBackend("FR")
         client = Client(mocks={"test": backend})
         profile = mock_profile()
-        client.complete(profile, prompt_for("one"))
-        client.complete(profile, prompt_for("two"))
+        client.start(profile, prompt_for("one")).finish()
+        client.start(profile, prompt_for("two")).finish()
         assert backend.calls == 2
 
     def test_cache_keyed_by_model_too(self):
         backend = ConstantBackend("FR")
         client = Client(mocks={"test": backend})
         prompt = prompt_for("one")
-        client.complete(mock_profile(name="m1"), prompt)
-        client.complete(mock_profile(name="m2"), prompt)
+        client.start(mock_profile(name="m1"), prompt).finish()
+        client.start(mock_profile(name="m2"), prompt).finish()
         assert backend.calls == 2
 
     def test_disk_cache_survives_reopen(self, tmp_path):
         backend = ConstantBackend("NFR")
         client = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
         profile = mock_profile()
-        client.complete(profile, prompt_for("persisted"))
+        client.start(profile, prompt_for("persisted")).finish()
         reopened = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
-        record = reopened.complete(profile, prompt_for("persisted"))
+        record = reopened.start(profile, prompt_for("persisted")).finish()
         assert record.text == "NFR"
         assert backend.calls == 1
 
@@ -186,8 +185,8 @@ class TestCompleteAndCache:
         backend = ConstantBackend("FR")
         client = Client(mocks={"test": backend, "other": backend})
         profile = mock_profile()
-        client.complete(profile, prompt_for("one"))
-        client.complete(dataclasses.replace(profile, **change), prompt_for("one"))
+        client.start(profile, prompt_for("one")).finish()
+        client.start(dataclasses.replace(profile, **change), prompt_for("one")).finish()
         assert backend.calls == 2
 
     def test_other_endpoint_under_same_name_gets_its_own_answer(self, tmp_path):
@@ -200,10 +199,10 @@ class TestCompleteAndCache:
         )
         first = mock_profile(backend="constant/Functional")
         second = mock_profile(backend="constant/Non-Functional")
-        assert client.complete(first, prompt_for()).text == "Functional"
-        assert client.complete(second, prompt_for()).text == "Non-Functional"
+        assert client.start(first, prompt_for()).finish().text == "Functional"
+        assert client.start(second, prompt_for()).finish().text == "Non-Functional"
         reopened = Client(cache=ResponseCache(tmp_path))
-        assert reopened.complete(second, prompt_for()).text == "Non-Functional"
+        assert reopened.start(second, prompt_for()).finish().text == "Non-Functional"
 
     def test_rows_without_fingerprint_are_misses(self, tmp_path):
         legacy = {
@@ -220,13 +219,13 @@ class TestCompleteAndCache:
         assert (len(cache), cache.torn_lines) == (0, 0)  # skipped, not torn
         backend = ConstantBackend("FR")
         client = Client(cache=cache, mocks={"test": backend})
-        assert client.complete(mock_profile(), prompt_for("one")).text == "FR"
+        assert client.start(mock_profile(), prompt_for("one")).finish().text == "FR"
         assert backend.calls == 1
 
     def test_torn_final_line_counted_and_skipped(self, tmp_path):
         backend = ConstantBackend("NFR")
         client = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
-        client.complete(mock_profile(), prompt_for("kept"))
+        client.start(mock_profile(), prompt_for("kept")).finish()
         segment = next((tmp_path / "completions").glob("*.jsonl"))
         with segment.open("a", encoding="utf-8") as handle:
             handle.write('{"content_hash": "hash-torn", "te')
@@ -238,7 +237,7 @@ class TestCompleteAndCache:
     def test_echo_gold_returns_wired_label(self):
         backend = EchoGoldBackend({"classify this": "Functional"})
         client = Client(mocks={"gold": backend})
-        record = client.complete(mock_profile(backend="gold"), prompt_for())
+        record = client.start(mock_profile(backend="gold"), prompt_for()).finish()
         assert record.text == "Functional"
 
     def test_context_overflow_refused_locally(self):
@@ -247,19 +246,19 @@ class TestCompleteAndCache:
         profile = mock_profile(context_window=10)
         big = prompt_for("x" * 1000)
         with pytest.raises(ContextOverflowError):
-            client.complete(profile, big)
+            client.start(profile, big).finish()
         assert backend.calls == 0
 
     def test_unknown_mock_name(self):
         client = Client()
         with pytest.raises(GatewayError, match="no mock backend"):
-            client.complete(mock_profile(backend="ghost"), prompt_for())
+            client.start(mock_profile(backend="ghost"), prompt_for()).finish()
 
     def test_chat_profile_required(self):
         client = Client(mocks={"test": ConstantBackend("x")})
         profile = mock_profile(kind="embedding")
         with pytest.raises(GatewayError, match="not a chat profile"):
-            client.complete(profile, prompt_for())
+            client.start(profile, prompt_for()).finish()
 
 
 def cached_row(content_hash, text="FR"):
@@ -357,9 +356,9 @@ class TestCacheSegments:
 
     def test_client_close_closes_the_segment(self, tmp_path):
         client = Client(cache=ResponseCache(tmp_path), mocks={"test": ConstantBackend("FR")})
-        client.complete(mock_profile(), prompt_for("one"))
+        client.start(mock_profile(), prompt_for("one")).finish()
         client.close()
-        client.complete(mock_profile(), prompt_for("two"))  # a closed segment stays closed
+        client.start(mock_profile(), prompt_for("two")).finish()  # a closed segment stays closed
         client.close()
         assert len(list((tmp_path / "completions").glob("*.jsonl"))) == 2
         assert len(ResponseCache(tmp_path)) == 2
@@ -431,7 +430,7 @@ class TestHttpTransport:
         profile = ModelProfile(
             name="retry-model", base_url=http_server, backoff_base_s=0.0
         )
-        record = client.complete(profile, prompt_for("retry me"))
+        record = client.start(profile, prompt_for("retry me")).finish()
         assert record.text == "FR"
         assert record.attempts == 3
         assert FlakyHandler.payload["temperature"] == 0.0
@@ -443,7 +442,7 @@ class TestHttpTransport:
             name="retry-model", base_url=http_server, max_attempts=3, backoff_base_s=0.0
         )
         with pytest.raises(TransportError, match="3 attempts") as err:
-            client.complete(profile, prompt_for("never works"))
+            client.start(profile, prompt_for("never works")).finish()
         assert len(err.value.attempts) == 3
 
     def test_unreachable_endpoint(self):
@@ -452,14 +451,14 @@ class TestHttpTransport:
             name="m", base_url="http://127.0.0.1:1/v1", max_attempts=2, backoff_base_s=0.0
         )
         with pytest.raises(TransportError):
-            client.complete(profile, prompt_for())
+            client.start(profile, prompt_for()).finish()
 
     def test_unsupported_scheme_refused_without_retry(self):
         waits = []
         client = Client(sleeper=waits.append)
         profile = ModelProfile(name="m", base_url="ftp://127.0.0.1/v1")
         with pytest.raises(GatewayError, match="unsupported URL scheme") as err:
-            client.complete(profile, prompt_for())
+            client.start(profile, prompt_for()).finish()
         assert not isinstance(err.value, TransportError)
         assert waits == []
 
@@ -513,7 +512,7 @@ class TestConnectionReuse:
         endpoint = loopback(ChatEndpoint)
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(5)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(5)]
         assert texts == ["FR"] * 5
         assert endpoint.targets == ["/v1/chat/completions"] * 5
         assert endpoint.connections == 1
@@ -530,9 +529,9 @@ class TestConnectionReuse:
         chat = ModelProfile(name="m", base_url=endpoint.base_url)
         embedder = ModelProfile(name="e", kind="embedding", base_url=endpoint.base_url)
         with Client() as client:
-            assert client.complete(chat, prompt_for("q1")).text == "FR"
+            assert client.start(chat, prompt_for("q1")).finish().text == "FR"
             assert client.embed_batch(embedder, ["a", "b"]) == [[0.0, 1.0], [1.0, 1.0]]
-            assert client.complete(chat, prompt_for("q2")).text == "FR"
+            assert client.start(chat, prompt_for("q2")).finish().text == "FR"
         assert endpoint.targets == [
             "/v1/chat/completions", "/v1/embeddings", "/v1/chat/completions"
         ]
@@ -544,7 +543,7 @@ class TestConnectionReuse:
         waits = []
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client(sleeper=waits.append) as client:
-            records = [client.complete(profile, prompt_for(f"q{i}")) for i in range(4)]
+            records = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(4)]
         assert [r.attempts for r in records] == [1, 1, 1, 1]
         assert waits == []
         assert len(endpoint.targets) == 4
@@ -556,14 +555,14 @@ class TestConnectionReuse:
         clean_proxy_env.setenv("http_proxy", proxy.url.replace("//", "//user:p%40ss@"))
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            assert client.complete(profile, prompt_for("via proxy")).text == "NFR"
+            assert client.start(profile, prompt_for("via proxy")).finish().text == "NFR"
         assert proxy.targets == [endpoint.base_url + "/chat/completions"]
         assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
         assert endpoint.targets == ["/v1/chat/completions"]
 
         clean_proxy_env.setenv("no_proxy", "127.0.0.1")
         with Client() as client:
-            assert client.complete(profile, prompt_for("direct")).text == "NFR"
+            assert client.start(profile, prompt_for("direct")).finish().text == "NFR"
         assert len(proxy.targets) == 1
         assert len(endpoint.targets) == 2
 
@@ -595,7 +594,7 @@ class TestBadReplies:
         profile = ModelProfile(name="m", kind=kind, base_url=endpoint.base_url, max_attempts=3)
         with Client(sleeper=waits.append) as client, pytest.raises(ProtocolError, match=needle):
             if kind == "chat":
-                client.complete(profile, prompt_for())
+                client.start(profile, prompt_for()).finish()
             else:
                 client.embed_batch(profile, ["a", "b"])
         assert len(endpoint.targets) == 1 and waits == []
@@ -606,7 +605,7 @@ class TestBadReplies:
                                backoff_base_s=0.0)
         with Client(sleeper=lambda s: None) as client:
             with pytest.raises(TransportError, match="gave up after 3 attempts") as err:
-                client.complete(profile, prompt_for())
+                client.start(profile, prompt_for()).finish()
         assert len(err.value.attempts) == 3 and "HTTP 500" in err.value.attempts[0]
         assert len(endpoint.targets) == 3
 
@@ -634,7 +633,7 @@ class TestReplyFraming:
             **profile_fields,
         )
         with Client(sleeper=waits.append) as client:
-            records = [client.complete(profile, prompt_for(f"q{i}")) for i in range(n)]
+            records = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(n)]
         return records, waits
 
     @pytest.mark.parametrize("framing", ["chunked", "continue", "100-headers"])
@@ -684,9 +683,9 @@ class TestReplyFraming:
         )
         prompt = prompt_for("a long requirement " * 300)  # far over http.client's 2,000 bytes
         with Client() as client:
-            client.complete(profile, prompt)
+            client.start(profile, prompt).finish()
             monkeypatch.delenv("SHOTSWEEP_TEST_KEY")
-            client.complete(profile, prompt_for("short"))
+            client.start(profile, prompt_for("short")).finish()
         (first, first_body), (second, _) = endpoint.received
         assert len(client_writes) == 2 and client_writes[0] > len(first_body) > 5000
         assert first["Host"] == f"127.0.0.1:{endpoint.server_port}"
@@ -709,7 +708,7 @@ class TestTls:
         endpoint = loopback(ChatEndpoint, reply="NFR", tls=True)
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(3)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(3)]
         assert texts == ["NFR"] * 3
         assert endpoint.connections == 1
 
@@ -719,7 +718,7 @@ class TestTls:
         clean_proxy_env.setenv("https_proxy", proxy.url.replace("//", "//user:p%40ss@"))
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.complete(profile, prompt_for(f"q{i}")).text for i in range(2)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(2)]
         assert texts == ["NFR"] * 2
         assert proxy.targets == [f"127.0.0.1:{endpoint.server_port}"]  # one CONNECT
         assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
@@ -731,7 +730,7 @@ class TestTls:
         endpoint = loopback(ChatEndpoint, tls=True)
         profile = ModelProfile(name="m", base_url=endpoint.base_url, max_attempts=1)
         with Client() as client, pytest.raises(TransportError) as err:
-            client.complete(profile, prompt_for())
+            client.start(profile, prompt_for()).finish()
         assert "CERTIFICATE_VERIFY_FAILED" in err.value.attempts[0]
         assert endpoint.targets == []
 
@@ -948,16 +947,16 @@ class TestRateLimiter:
         waits = []
         client = Client(mocks={"test": ConstantBackend("FR")}, sleeper=waits.append)
         profile = mock_profile(rate_limit_per_s=1000.0)
-        client.complete(profile, prompt_for("one"))
-        client.complete(profile, prompt_for("two"))
+        client.start(profile, prompt_for("one")).finish()
+        client.start(profile, prompt_for("two")).finish()
         assert any(w > 0 for w in waits)
 
     def test_no_limit_no_sleep(self):
         waits = []
         client = Client(mocks={"test": ConstantBackend("FR")}, sleeper=waits.append)
         profile = mock_profile()
-        client.complete(profile, prompt_for("one"))
-        client.complete(profile, prompt_for("two"))
+        client.start(profile, prompt_for("one")).finish()
+        client.start(profile, prompt_for("two")).finish()
         assert waits == []
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import re
 import weakref
+from array import array
 
 import pytest
 
@@ -11,10 +12,10 @@ from shotsweep import (
     BINARY_FRNFR,
     PromptSpec,
     PromptTemplate,
+    HashEmbeddingProvider,
     build_pool,
     estimate_tokens,
     render_prompt,
-    select,
     SelectionConfig,
 )
 from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
@@ -23,7 +24,8 @@ from shotsweep.promptkit import (
     PromptError,
     load_template,
 )
-from shotsweep.selection import SelectionResult
+from shotsweep.selection import Ranking, rank
+from shotsweep.sweep import CELL_ERRORS
 
 from conftest import make_records
 from oracles import oracle_render
@@ -38,6 +40,13 @@ def small_pool():
     ]
     records = make_records(rows)
     return build_pool(records, BINARY_FRNFR, 4, seed=0)
+
+
+def ranking_of(chosen, query_key="text:q"):
+    """A Ranking of chosen's (id, similarity or None) pairs, as rank keeps them."""
+    sims = [sim for _, sim in chosen if sim is not None]
+    return Ranking(query_key, len(chosen), array("q", [rid for rid, _ in chosen]),
+                   array("d", sims))
 
 
 def count_whole(name: str, text: str) -> int:
@@ -65,32 +74,33 @@ class TestTemplateValidation:
             )
 
     def test_ordering_policy_names(self):
-        selection = SelectionResult("text:q", ((0, 0.9),), "tfidf", 1, 1)
+        ranking = ranking_of(((0, 0.9),))
         with pytest.raises(PromptError, match="unknown ordering policy 'sideways'"):
             render_prompt(
-                DEFAULT_TEMPLATE, BINARY_FRNFR, selection, small_pool(), "q", "sideways"
+                DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 1, small_pool(), "q", "sideways"
             )
 
 
 class TestRenderPrompt:
     def test_zero_shot_omits_examples_block(self):
         pool = small_pool()
-        selection = SelectionResult("text:q", (), "tfidf", 0, 0)
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "classify me"
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking_of(()), 0, pool, "classify me"
         )
-        assert prompt.shot_count == 0
+        assert prompt.example_provenance == ()
         assert DEFAULT_TEMPLATE.examples_header not in prompt.user_message
         assert "Text:" not in prompt.user_message
         assert "Input: classify me" in prompt.user_message
 
     def test_zero_shot_identical_across_methods(self):
         pool = small_pool()
+        provider = HashEmbeddingProvider(8)
         prompts = [
             render_prompt(
                 DEFAULT_TEMPLATE,
                 BINARY_FRNFR,
-                SelectionResult("text:q", (), method, 0, 0),
+                rank(pool, ["classify me"], SelectionConfig(method, 2), provider)[0],
+                0,
                 pool,
                 "classify me",
             )
@@ -100,29 +110,27 @@ class TestRenderPrompt:
 
     def test_ascending_puts_most_similar_last(self):
         pool = small_pool()
-        selection = SelectionResult(
-            "text:q", ((0, 0.9), (2, 0.4)), "tfidf", 2, 2
-        )
+        ranking = ranking_of(((0, 0.9), (2, 0.4)))
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "query",
             "ascending",
         )
         assert prompt.example_provenance == (2, 0)
 
     def test_descending_puts_most_similar_first(self):
         pool = small_pool()
-        selection = SelectionResult("text:q", ((0, 0.4), (2, 0.9)), "tfidf", 2, 2)
+        ranking = ranking_of(((0, 0.4), (2, 0.9)))
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "query",
             "descending",
         )
         assert prompt.example_provenance == (2, 0)
 
     def test_pool_order(self):
         pool = small_pool()
-        selection = SelectionResult("text:q", ((2, 0.9), (0, 0.1)), "tfidf", 2, 2)
+        ranking = ranking_of(((2, 0.9), (0, 0.1)))
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query",
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "query",
             "pool_order",
         )
         positions = {rid: i for i, rid in enumerate(pool.candidate_ids)}
@@ -131,15 +139,13 @@ class TestRenderPrompt:
 
     def test_shuffle_is_seeded(self):
         pool = small_pool()
-        selection = SelectionResult(
-            "text:q", ((0, None), (1, None), (2, None), (3, None)), "random", 4, 4
-        )
+        ranking = ranking_of(((0, None), (1, None), (2, None), (3, None)))
         one = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q",
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 4, pool, "q",
             "shuffle",
         )
         two = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q",
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 4, pool, "q",
             "shuffle",
         )
         assert one.example_provenance == two.example_provenance
@@ -147,21 +153,21 @@ class TestRenderPrompt:
 
     def test_identical_inputs_identical_hash(self):
         pool = small_pool()
-        sel = select(pool, "encrypt data", SelectionConfig("tfidf", 2))
-        one = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, sel, pool, "encrypt data")
-        two = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, sel, pool, "encrypt data")
+        ranking = rank(pool, ["encrypt data"], SelectionConfig("tfidf", 2))[0]
+        one = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "encrypt data")
+        two = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "encrypt data")
         assert one == two
 
     def test_different_provenance_different_hash(self):
         pool = small_pool()
         a = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR,
-            SelectionResult("text:q", ((0, 0.5), (1, 0.4)), "tfidf", 2, 2),
+            ranking_of(((0, 0.5), (1, 0.4))), 2,
             pool, "q",
         )
         b = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR,
-            SelectionResult("text:q", ((1, 0.5), (0, 0.4)), "tfidf", 2, 2),
+            ranking_of(((1, 0.5), (0, 0.4))), 2,
             pool, "q",
         )
         assert a.example_provenance != b.example_provenance
@@ -169,9 +175,8 @@ class TestRenderPrompt:
 
     def test_every_class_name_once_in_task_block(self):
         pool = small_pool()
-        selection = SelectionResult("text:q", ((0, 0.9),), "tfidf", 1, 1)
         prompt = render_prompt(
-            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "query text"
+            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking_of(((0, 0.9),)), 1, pool, "query text"
         )
         task_block = prompt.user_message.split(DEFAULT_TEMPLATE.examples_header)[0]
         for label in BINARY_FRNFR.labels:
@@ -180,8 +185,7 @@ class TestRenderPrompt:
     def test_multiclass_names_once_each(self):
         rows = [(f"requirement {i}", lid) for i, lid in enumerate(PROMISE_12.label_ids)]
         pool = build_pool(make_records(rows), PROMISE_12, len(rows), seed=0)
-        selection = SelectionResult("text:q", (), "random", 0, 0)
-        prompt = render_prompt(DEFAULT_TEMPLATE, PROMISE_12, selection, pool, "query")
+        prompt = render_prompt(DEFAULT_TEMPLATE, PROMISE_12, ranking_of(()), 0, pool, "query")
         for label in PROMISE_12.labels:
             assert count_whole(label.name, prompt.user_message) == 1
 
@@ -191,18 +195,18 @@ class TestRenderPrompt:
             chosen = tuple((i, 1.0 - i * 0.1) for i in range(k))
             prompt = render_prompt(
                 DEFAULT_TEMPLATE, BINARY_FRNFR,
-                SelectionResult("text:q", chosen, "tfidf", k, k),
+                ranking_of(chosen), k,
                 pool, "the query sentence",
             )
             blocks = re.findall(r"(?m)^Text: ", prompt.user_message)
-            assert len(blocks) == k == prompt.shot_count
+            assert len(blocks) == k == len(prompt.example_provenance)
 
     def test_query_appears_once_after_examples(self):
         pool = small_pool()
         chosen = ((0, 0.9), (1, 0.5))
         prompt = render_prompt(
             DEFAULT_TEMPLATE, BINARY_FRNFR,
-            SelectionResult("text:q", chosen, "tfidf", 2, 2),
+            ranking_of(chosen), 2,
             pool, "a unique query sentence",
         )
         assert prompt.user_message.count("a unique query sentence") == 1
@@ -212,12 +216,26 @@ class TestRenderPrompt:
 
     def test_unresolvable_record_id(self):
         pool = small_pool()
-        selection = SelectionResult("text:q", ((99, 0.5),), "tfidf", 1, 1)
-        with pytest.raises(PromptError, match="99"):
-            render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q")
+        for ordering in ORDERING_POLICIES:
+            with pytest.raises(PromptError, match="record 99 not in pool"):
+                render_prompt(
+                    DEFAULT_TEMPLATE, BINARY_FRNFR, ranking_of(((99, 0.5),)), 1, pool, "q",
+                    ordering,
+                )
+
+    @pytest.mark.parametrize("method", ["random", "tfidf", "embedding"])
+    def test_k_deeper_than_the_ranking_is_refused(self, method):
+        """A ranking ranked to depth 5 cannot give 10 examples, although 11
+        candidates are available; it must not render a 5-shot prompt."""
+        pool = memo_corpus(12)
+        cfg = SelectionConfig(method, 5)
+        ranking = rank(pool, ["encrypt stored data"], cfg, HashEmbeddingProvider(8))[0]
+        assert (ranking.available, len(ranking.ids)) == (12, 5)
+        with pytest.raises(CELL_ERRORS, match="selection of 10 asked of a ranking of depth 5"):
+            render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 10, pool, "any query")
 
 
-def memo_corpus():
+def memo_corpus(size=7):
     rows = [
         ("the service shall encrypt all stored data", "FR"),
         ("the page shall load fast", "NFR"),
@@ -227,6 +245,7 @@ def memo_corpus():
         ("admins shall export the audit log", "FR"),
         ("reports shall load within a second", "NFR"),
     ]
+    rows += [(f"the system shall log event {i}", "FR") for i in range(size - len(rows))]
     return build_pool(make_records(rows), BINARY_FRNFR, len(rows), seed=3)
 
 
@@ -245,15 +264,15 @@ OTHER_SCHEME = LabelScheme(
 )
 
 
-def assert_renders_as_oracle(template, scheme, selection, pool, query, ordering):
-    prompt = render_prompt(template, scheme, selection, pool, query, ordering)
-    expected = oracle_render(template, scheme, selection, pool.candidates, query, ordering)
+def assert_renders_as_oracle(template, scheme, ranking, k, pool, query, ordering):
+    prompt = render_prompt(template, scheme, ranking, k, pool, query, ordering)
+    expected = oracle_render(template, scheme, ranking, k, pool.candidates, query, ordering)
     got = (
         prompt.system_message, prompt.user_message, prompt.example_provenance,
         prompt.content_hash,
     )
     assert got == expected
-    assert prompt.shot_count == len(expected[2])
+    assert len(prompt.example_provenance) == min(k, ranking.available)
 
 
 class TestRenderMemo:
@@ -268,18 +287,19 @@ class TestRenderMemo:
             for query in queries:
                 for method in ("tfidf", "random"):
                     for k in range(len(pool) + 1):
-                        selection = select(pool, query, SelectionConfig(method, k, seed=2))
+                        cfg = SelectionConfig(method, k, seed=2)
+                        ranking = rank(pool, [query], cfg)[0]
                         assert_renders_as_oracle(
-                            DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query, ordering
+                            DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, k, pool, query, ordering
                         )
-            tied = SelectionResult("text:t", ((4, 0.5), (0, 0.5), (2, 0.9)), "tfidf", 3, 3)
+            tied = ranking_of(((4, 0.5), (0, 0.5), (2, 0.9)), "text:t")
             assert_renders_as_oracle(
-                DEFAULT_TEMPLATE, BINARY_FRNFR, tied, pool, "q", ordering
+                DEFAULT_TEMPLATE, BINARY_FRNFR, tied, 3, pool, "q", ordering
             )
 
     def test_other_template_or_scheme_renders_its_own_blocks(self):
         pool = memo_corpus()
-        selection = SelectionResult("text:q", ((1, 0.2), (5, 0.7), (0, 0.9)), "tfidf", 3, 3)
+        ranking = ranking_of(((1, 0.2), (5, 0.7), (0, 0.9)))
         for template, scheme in [
             (DEFAULT_TEMPLATE, BINARY_FRNFR),
             (OTHER_TEMPLATE, BINARY_FRNFR),
@@ -287,15 +307,15 @@ class TestRenderMemo:
             (OTHER_TEMPLATE, OTHER_SCHEME),
             (DEFAULT_TEMPLATE, BINARY_FRNFR),
         ]:
-            assert_renders_as_oracle(template, scheme, selection, pool, "q", "ascending")
-        other = render_prompt(OTHER_TEMPLATE, OTHER_SCHEME, selection, pool, "q")
+            assert_renders_as_oracle(template, scheme, ranking, 3, pool, "q", "ascending")
+        other = render_prompt(OTHER_TEMPLATE, OTHER_SCHEME, ranking, 3, pool, "q")
         assert "<Quality> the page shall load fast" in other.user_message
         assert "Text:" not in other.user_message
 
     def test_memo_does_not_keep_the_pool_alive(self):
         pool = memo_corpus()
-        selection = SelectionResult("text:q", ((1, 0.2), (5, 0.7)), "tfidf", 2, 2)
-        render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, "q")
+        render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking_of(((1, 0.2), (5, 0.7))), 2, pool,
+                      "q")
         assert pool.render_memo  # the blocks were kept for the next prompt
         ref = weakref.ref(pool)
         del pool
@@ -305,15 +325,15 @@ class TestRenderMemo:
 
 class TestEstimateTokens:
     def test_empty_prompt(self):
-        prompt = PromptSpec("", "", (), 0, "h", "")
+        prompt = PromptSpec("", "", (), "h", "")
         assert estimate_tokens(prompt) == 0
 
     def test_300_chars_is_100(self):
-        prompt = PromptSpec("x" * 100, "y" * 200, (), 0, "h", "")
+        prompt = PromptSpec("x" * 100, "y" * 200, (), "h", "")
         assert estimate_tokens(prompt) == 100
 
     def test_rounds_up(self):
-        prompt = PromptSpec("x", "", (), 0, "h", "")
+        prompt = PromptSpec("x", "", (), "h", "")
         assert estimate_tokens(prompt) == 1
 
 
@@ -323,9 +343,9 @@ class TestBigPrompt:
         pool = build_pool(records, BINARY_FRNFR, 400, seed=0)
         query = records[0].text
         cfg = SelectionConfig("tfidf", 160)
-        selection = select(pool, query, cfg)
-        prompt = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, selection, pool, query)
-        assert prompt.shot_count == 160
+        ranking = rank(pool, [query], cfg)[0]
+        prompt = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 160, pool, query)
+        assert len(prompt.example_provenance) == 160
         chars = len(prompt.system_message) + len(prompt.user_message)
         estimate = estimate_tokens(prompt)
         assert estimate == -(-chars // 3)  # oracle: ceil of character count / 3

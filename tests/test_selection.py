@@ -13,7 +13,6 @@ from shotsweep import (
     build_pool,
     fit_tfidf,
     make_split,
-    select,
 )
 from shotsweep import selection
 from shotsweep.selection import SelectionError, rank
@@ -103,6 +102,15 @@ class TestBuildPool:
         assert other.candidate_ids != one.candidate_ids
 
 
+def selected(pool, query, cfg, provider=None):
+    """One query's cfg.k-shot selection: (id, similarity or None) pairs."""
+    return rank(pool, [query], cfg, provider)[0].take(cfg.k)
+
+
+def ids_of(selection):
+    return tuple(rid for rid, _ in selection)
+
+
 def make_pool(n=30, seed=0):
     rng = random.Random(seed)
     train = records_for([n // 2, n - n // 2], rng)
@@ -113,57 +121,55 @@ class TestSelect:
     def test_zero_shot_empty(self):
         pool = make_pool()
         for method in ("random", "tfidf", "embedding"):
-            result = select(pool, "anything", SelectionConfig(method, 0))
-            assert result.chosen == ()
-            assert result.k_delivered == 0
+            assert selected(pool, "anything", SelectionConfig(method, 0)) == ()
 
     def test_tfidf_exact_match_without_exclusion(self):
         pool = make_pool()
         target = pool.candidates[3]
         cfg = SelectionConfig("tfidf", 1)
-        result = select(pool, target.text, cfg)
-        assert result.chosen[0][0] == target.record_id
-        assert abs(result.chosen[0][1] - 1.0) < 1e-9
+        result = selected(pool, target.text, cfg)
+        assert result[0][0] == target.record_id
+        assert abs(result[0][1] - 1.0) < 1e-9
 
     def test_tfidf_top10_matches_bruteforce(self):
         pool = make_pool(30)
         query = "alpha beta item"
-        result = select(pool, query, SelectionConfig("tfidf", 10))
+        result = selected(pool, query, SelectionConfig("tfidf", 10))
         texts = [r.text for r in pool.candidates]
         expected = oracle_tfidf_ranking(texts, query)[:10]
         expected_ids = [pool.candidates[i].record_id for i, _ in expected]
-        assert list(result.chosen_ids) == expected_ids
+        assert list(ids_of(result)) == expected_ids
 
     def test_exclusion_removes_query_record(self):
         pool = make_pool(12)
         for record in pool.candidates:
-            result = select(pool, record, SelectionConfig("tfidf", len(pool)))
-            assert record.record_id not in result.chosen_ids
-            assert result.k_delivered == len(pool) - 1
+            result = selected(pool, record, SelectionConfig("tfidf", len(pool)))
+            assert record.record_id not in ids_of(result)
+            assert len(result) == len(pool) - 1
 
     def test_exclusion_applies_to_random(self):
         pool = make_pool(10)
         record = pool.candidates[0]
         for seed in range(20):
-            result = select(pool, record, SelectionConfig("random", 9, seed=seed))
-            assert record.record_id not in result.chosen_ids
-            assert result.k_delivered == 9
+            result = selected(pool, record, SelectionConfig("random", 9, seed=seed))
+            assert record.record_id not in ids_of(result)
+            assert len(result) == 9
 
     def test_random_is_reproducible_but_varies_by_query(self):
         pool = make_pool(20)
         cfg = SelectionConfig("random", 5, seed=7)
-        a1 = select(pool, pool.candidates[0], cfg)
-        a2 = select(pool, pool.candidates[0], cfg)
-        b = select(pool, pool.candidates[1], cfg)
+        a1 = selected(pool, pool.candidates[0], cfg)
+        a2 = selected(pool, pool.candidates[0], cfg)
+        b = selected(pool, pool.candidates[1], cfg)
         assert a1 == a2
-        assert a1.chosen_ids != b.chosen_ids  # derived per-query seeds
+        assert ids_of(a1) != ids_of(b)  # derived per-query seeds
 
     def test_similarities_non_increasing(self):
         pool = make_pool(25)
         provider = HashEmbeddingProvider(16)
         for method in ("tfidf", "embedding"):
-            result = select(pool, "alpha beta gamma", SelectionConfig(method, 10), provider)
-            sims = [sim for _, sim in result.chosen]
+            result = selected(pool, "alpha beta gamma", SelectionConfig(method, 10), provider)
+            sims = [sim for _, sim in result]
             assert all(s is not None for s in sims)
             assert all(a >= b for a, b in zip(sims, sims[1:]))
 
@@ -172,13 +178,9 @@ class TestSelect:
         provider = HashEmbeddingProvider(8)
         for k in (0, 3, 15, 40):
             sizes = {
-                len(select(pool, "beta gamma", SelectionConfig("random", k)).chosen),
-                len(select(pool, "beta gamma", SelectionConfig("tfidf", k)).chosen),
-                len(
-                    select(
-                        pool, "beta gamma", SelectionConfig("embedding", k), provider
-                    ).chosen
-                ),
+                len(selected(pool, "beta gamma", SelectionConfig("random", k))),
+                len(selected(pool, "beta gamma", SelectionConfig("tfidf", k))),
+                len(selected(pool, "beta gamma", SelectionConfig("embedding", k), provider)),
             }
             assert len(sizes) == 1
 
@@ -186,9 +188,9 @@ class TestSelect:
         pool = make_pool(14)
         provider = HashEmbeddingProvider(8)
         query = pool.candidates[2]
-        tfidf_runs = [select(pool, query, SelectionConfig("tfidf", 5)) for _ in range(3)]
+        tfidf_runs = [selected(pool, query, SelectionConfig("tfidf", 5)) for _ in range(3)]
         embed_runs = [
-            select(pool, query, SelectionConfig("embedding", 5), provider)
+            selected(pool, query, SelectionConfig("embedding", 5), provider)
             for _ in range(3)
         ]
         assert len(set(tfidf_runs)) == 1
@@ -203,17 +205,17 @@ class TestSelect:
             assert len(rankings) == len(queries)
             for query, ranking in zip(queries, rankings):
                 for k in range(26):
-                    expected = select(pool, query, SelectionConfig(method, k, seed=3), provider)
+                    expected = selected(pool, query, SelectionConfig(method, k, seed=3), provider)
                     assert ranking.take(k) == expected
 
     def test_no_duplicate_ids(self):
         pool = make_pool(18)
         for seed in range(10):
             for method in ("random", "tfidf"):
-                result = select(
+                result = selected(
                     pool, pool.candidates[seed], SelectionConfig(method, 12, seed=seed)
                 )
-                assert len(set(result.chosen_ids)) == len(result.chosen_ids)
+                assert len(set(ids_of(result))) == len(result)
 
 
 class CountingProvider(HashEmbeddingProvider):
@@ -293,7 +295,7 @@ class TestNestedSelection:
         rankings = rank(pool, test, SelectionConfig("random", max(DEFAULT_GRID), seed=0))
         not_nested = []
         for query, ranking in zip(test, rankings):
-            chosen = {k: ranking.take(k).chosen_ids for k in DEFAULT_GRID}
+            chosen = {k: ids_of(ranking.take(k)) for k in DEFAULT_GRID}
             if any(chosen[big][:k] != chosen[k] for k in DEFAULT_GRID for big in DEFAULT_GRID
                    if k < big):
                 not_nested.append(query.record_id)

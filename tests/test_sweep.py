@@ -24,7 +24,6 @@ from shotsweep import (
     make_split,
     render_prompt,
     run_sweep,
-    select,
     tokenize,
 )
 from shotsweep.corpus import Corpus
@@ -33,6 +32,7 @@ from shotsweep import gateway, vectorspace
 from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
 from shotsweep.reporting import artifact_json, replay
+from shotsweep.selection import rank
 from shotsweep.sweep import (
     CurvePoint,
     SweepError,
@@ -210,7 +210,7 @@ class TestRunSweep:
 
         class FailsAtK5(EchoGoldBackend):
             def respond(self, profile, prompt):
-                if prompt.shot_count == 5:
+                if len(prompt.example_provenance) == 5:
                     raise GatewayError("cell-level boom")
                 return super().respond(profile, prompt)
 
@@ -226,7 +226,7 @@ class TestRunSweep:
         corpus = balanced_corpus(10)
 
         def respond(profile, prompt):
-            if prompt.shot_count == 5:
+            if len(prompt.example_provenance) == 5:
                 raise KeyError("harness bug")
             return "Functional"
 
@@ -264,8 +264,10 @@ class TestRunSweep:
         expected = set()
         for model, method, k in plan.cells():
             for record in test:
-                chosen = select(pool, record, SelectionConfig(method, k), provider)
-                prompt = render_prompt(DEFAULT_TEMPLATE, corpus.scheme, chosen, pool, record.text)
+                ranking = rank(pool, [record], SelectionConfig(method, k), provider)[0]
+                prompt = render_prompt(
+                    DEFAULT_TEMPLATE, corpus.scheme, ranking, k, pool, record.text
+                )
                 expected.add((model, prompt.content_hash, prompt.example_provenance,
                               record.text))
         assert sent == expected
@@ -277,7 +279,7 @@ class TestRunSweep:
         gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
 
         def respond(profile, prompt):
-            if profile.name == "m1" and prompt.shot_count == 5:
+            if profile.name == "m1" and len(prompt.example_provenance) == 5:
                 raise GatewayError("m1 is down at k=5")
             return gold[prompt.query_text]
 
@@ -299,7 +301,7 @@ class TestRunSweep:
 
         def respond(profile, prompt):
             # m2 fails at k=2, before m1 fails at k=5 in evaluation order
-            if (profile.name, prompt.shot_count) in {("m1", 5), ("m2", 2)}:
+            if (profile.name, len(prompt.example_provenance)) in {("m1", 5), ("m2", 2)}:
                 raise GatewayError("boom")
             return "Functional"
 
@@ -318,6 +320,23 @@ class TestRunSweep:
         ]
         assert all("requires an embedding provider" in f.error for f in run.failures)
         assert len(run.reports) == 6
+
+    def test_k_deeper_than_its_ranking_fails_only_that_cell(self, monkeypatch):
+        """A ranking too shallow for k fails the cell; it never renders fewer examples."""
+        corpus = balanced_corpus(10)  # 10 train records, so 10 are available at k=10
+        client, _ = echo_gold_client(corpus)
+
+        def shallow_tfidf(pool, queries, cfg, provider=None):
+            depth = min(cfg.k, 5) if cfg.method == "tfidf" else cfg.k
+            return rank(pool, queries, replace(cfg, k=depth), provider)
+
+        monkeypatch.setattr("shotsweep.sweep.rank", shallow_tfidf)
+        plan = SweepPlan(("m1",), ("random", "tfidf"), (0, 5, 10), split_param=0.5)
+        run = run_sweep(plan, corpus, mock_profiles(["m1"]), client)
+        assert [(f.model, f.method, f.shot_count, f.error) for f in run.failures] == [
+            ("m1", "tfidf", 10, "SelectionError: selection of 10 asked of a ranking of depth 5")
+        ]
+        assert set(run.reports) == set(plan.cells()) - {("m1", "tfidf", 10)}
 
     def test_pool_failure_fails_every_cell_in_plan_order(self):
         corpus = balanced_corpus(10)
@@ -358,7 +377,7 @@ class TestRunSweep:
             plan, corpus, mock_profiles(["m1", "m2"]), client, HashEmbeddingProvider(16)
         )
         assert not run.failures
-        zero_shot = [p for p in rendered if p.shot_count == 0]
+        zero_shot = [p for p in rendered if not p.example_provenance]
         assert len(zero_shot) == len({p.content_hash for p in zero_shot}) == 10
         assert len(rendered) - len(zero_shot) == 3 * 10
         for method in plan.methods:
@@ -372,11 +391,11 @@ class TestRunSweep:
         client, _ = echo_gold_client(corpus)
         attempts = []
 
-        def render_failing_one_record(template, scheme, selection, pool, query_text, ordering):
-            if not selection.chosen and query_text == "quality constraint number 3":
+        def render_failing_one_record(template, scheme, ranking, k, pool, query_text, ordering):
+            if k == 0 and query_text == "quality constraint number 3":
                 attempts.append(query_text)
                 raise PromptError("no zero-shot prompt for this record")
-            return render_prompt(template, scheme, selection, pool, query_text, ordering)
+            return render_prompt(template, scheme, ranking, k, pool, query_text, ordering)
 
         monkeypatch.setattr("shotsweep.sweep.render_prompt", render_failing_one_record)
         plan = SweepPlan(("m1", "m2"), ("random", "tfidf"), (0, 2), split_param=0.5)
@@ -667,10 +686,10 @@ class TestConcurrentDispatch:
                     dispatch(corpus, profiles, client, 1)
                 assert len(connects) == 1
                 # m1's reply was never read: its connection was closed, not made idle
-                record = client.complete(profiles["m1"], PromptSpec(
-                    "system", "Input: another query\nCategory:", (), 0, "hash-2",
+                record = client.start(profiles["m1"], PromptSpec(
+                    "system", "Input: another query\nCategory:", (), "hash-2",
                     "another query",
-                ))
+                )).finish()
         finally:
             endpoint.stop()
         assert record.text == "Functional" and record.attempts == 1
@@ -775,8 +794,8 @@ class TestConcurrentDispatch:
 
         def backend(model):
             def respond(profile, prompt):
-                asked[model].append(prompt.shot_count)
-                if (model, prompt.shot_count, asked[model].count(2)) == ("m1", 2, 3):
+                asked[model].append(len(prompt.example_provenance))
+                if (model, len(prompt.example_provenance), asked[model].count(2)) == ("m1", 2, 3):
                     raise GatewayError("m1 is down")
                 return jitter_reply(model, prompt.content_hash)
 
