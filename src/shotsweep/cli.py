@@ -282,6 +282,19 @@ def _write_artifacts(
     atomic_write(out_dir / "manifest.json", artifact_json(manifest))
 
 
+def _check_output(name: str, path: str, directory: bool = False) -> None:
+    """Refuse, as a ConfigError, an output path that cannot be written: a file
+    that is a directory, or a path whose nearest existing part is not a directory
+    (a directory output is made on first write; a file output's parent is)."""
+    path = Path(path)
+    if not directory and path.is_dir():
+        raise ConfigError(f"{name} {path} is a directory")
+    made = path if directory else path.parent
+    existing = next(part for part in (made, *made.parents) if part.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{name} {path}: {existing} is not a directory")
+
+
 def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
     """Run the SweepPlan of fields and cfg's shared settings over cfg's corpus
     and cache; write and print what outputs(corpus, run) gives: artifacts (see
@@ -304,11 +317,8 @@ def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
     )
     profiles = _build_profiles(cfg, plan.models)
     for key in ("out_dir", "cache_dir"):
-        if key in cfg:  # made on first write, so its nearest existing part must be a directory
-            path = Path(cfg[key])
-            existing = next(part for part in (path, *path.parents) if part.exists())
-            if not existing.is_dir():
-                raise ConfigError(f"{key} {path}: {existing} is not a directory")
+        if key in cfg:
+            _check_output(key, cfg[key], directory=True)
     if args.dry_run:
         if one_cell:
             shown = {k: v for k, v in cfg.items() if k != "profiles"}
@@ -554,6 +564,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.out_base:
+        for suffix in (".txt", ".csv"):
+            _check_output("--out-base", args.out_base + suffix)
     reports = [read_report(path) for path in args.reports]
     table = emit_table(reports, args.layout)
     if args.out_base:
@@ -567,6 +580,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output("--out", args.out)
     scheme = load_scheme(args.scheme)
     report = replay(args.trace, scheme, args.policy)
     if args.out:

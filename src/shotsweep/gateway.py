@@ -111,7 +111,7 @@ DEFAULT_PROFILES: dict[str, ModelProfile] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRecord:
     content_hash: str
     text: str
@@ -193,8 +193,9 @@ class ResponseCache:
     def _add_completion(self, row: dict) -> None:
         if row.get("fingerprint") is None:
             return
-        # one string per endpoint setting, not one per row
-        row["fingerprint"] = sys.intern(row["fingerprint"])
+        # one string per model, endpoint setting and answer, not one per row
+        for name in ("model", "text", "fingerprint"):
+            row[name] = sys.intern(row[name])
         record = CompletionRecord(**row)
         key = (record.model, record.fingerprint, record.content_hash)
         self._completions.setdefault(key, record)
@@ -228,7 +229,7 @@ class ResponseCache:
         if key in self._completions:
             return
         self._completions[key] = record
-        # getattr, not vars(record): vars would give every cached record a dict
+        # a slotted record has no vars(): read its fields by name
         self._append("completions", {f.name: getattr(record, f.name) for f in fields(record)})
 
     def get_embedding(
@@ -310,9 +311,16 @@ class _Route:
 
 def _resolve_route(scheme: str, netloc: str) -> _Route:
     """Route by http(s)_proxy and no_proxy, as urllib would."""
-    import urllib.request  # for its proxy tables only, so loaded by the first request
     if scheme not in ("http", "https"):
         raise GatewayError(f"unsupported URL scheme {scheme!r} in {scheme}://{netloc}")
+    # Off macOS and Windows, urllib reads proxies from the environment alone and
+    # takes a scheme only from a non-empty <scheme>_proxy in any letter case.
+    variable = f"{scheme}_proxy"
+    if sys.platform != "darwin" and os.name != "nt" and not any(
+        value and name.lower() == variable for name, value in os.environ.items()
+    ):
+        return _Route(tls=scheme == "https", address=netloc)
+    import urllib.request  # for its proxy tables only (also reads macOS and Windows settings)
     # getproxies() also holds a "no" entry, so look the scheme up; never test
     # the dict itself for being empty.
     proxy = urllib.request.getproxies().get(scheme)
@@ -658,7 +666,7 @@ class PendingCompletion:
             text = self.result()
             self._record = CompletionRecord(
                 content_hash=self._prompt.content_hash,
-                text=str(text),
+                text=sys.intern(str(text)),
                 latency_ms=self.latency_ms,
                 attempts=self.attempt,
                 model=self._profile.name,

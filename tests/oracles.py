@@ -6,10 +6,13 @@ counting loops) so they share no code path with src/shotsweep.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import math
 import random
 import re
+import urllib.parse
+import urllib.request
 
 import numpy as np
 
@@ -207,6 +210,34 @@ def oracle_render(template, scheme, ranking, k, candidates, query_text, ordering
         template.system_role_text.encode("utf-8") + b"\x00" + user.encode("utf-8")
     ).hexdigest()
     return template.system_role_text, user, tuple(rid for rid, _ in chosen), digest
+
+
+def oracle_resolve_route(scheme: str, netloc: str) -> dict:
+    """gateway._resolve_route of an http or https URL as it was before it
+    skipped urllib.request when no proxy is set: it always asks urllib's proxy
+    tables. Returns the _Route's fields as a dict."""
+
+    def route(tls, address, tunnel=None, absolute_target=False, proxy_headers=()):
+        return {"tls": tls, "address": address, "tunnel": tunnel,
+                "absolute_target": absolute_target, "proxy_headers": proxy_headers}
+
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return route(tls=scheme == "https", address=netloc)
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers: tuple[tuple[str, str], ...] = ()
+    if parts.username is not None:
+        user = urllib.parse.unquote(parts.username)
+        password = urllib.parse.unquote(parts.password or "")
+        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+        headers = (("Proxy-Authorization", f"Basic {token}"),)
+    address = parts.netloc.rpartition("@")[2]
+    if scheme == "https":
+        return route(tls=True, address=address, tunnel=netloc, proxy_headers=headers)
+    return route(
+        tls=parts.scheme == "https", address=address, absolute_target=True,
+        proxy_headers=headers,
+    )
 
 
 def simulate_round_robin(class_sizes: list[tuple[str, int]], size: int) -> dict[str, int]:

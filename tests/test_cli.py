@@ -843,6 +843,49 @@ class TestUnusablePaths:
         assert a_file.read_text() == "kept\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
+    @pytest.fixture(scope="class")
+    def finished_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("finished")
+        config = one_cell_or_sweep_config(tmp, "run")
+        assert main(["run", "--config", config, "--out", str(tmp / "run")]) == EXIT_OK
+        return tmp / "run"
+
+    @pytest.mark.parametrize(
+        "argv, directory",
+        [
+            (["replay", "--trace", "<trace>", "--scheme", "frnfr", "--out", "out.json"],
+             "out.json"),
+            (["replay", "--trace", "<trace>", "--scheme", "frnfr", "--out", "file/out.json"],
+             None),
+            (["report", "--reports", "<report>", "--layout", "binary", "--out-base", "out"],
+             "out.txt"),
+            (["report", "--reports", "<report>", "--layout", "binary", "--out-base", "out"],
+             "out.csv"),
+            (["report", "--reports", "<report>", "--layout", "binary", "--out-base", "file/out"],
+             None),
+        ],
+        ids=["replay-out-dir", "replay-out-below-file", "report-txt-dir", "report-csv-dir",
+             "report-out-base-below-file"],
+    )
+    def test_replay_or_report_output_that_cannot_be_written_is_refused_before_any_work(
+        self, finished_run, tmp_path, capsys, monkeypatch, argv, directory
+    ):
+        monkeypatch.setattr("shotsweep.cli.replay", None)  # a call would exit as a bug
+        monkeypatch.setattr("shotsweep.cli.read_report", None)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n")
+        if directory is not None:
+            (tmp_path / directory).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        inputs = {"<trace>": finished_run / "trace.jsonl",
+                  "<report>": finished_run / "report.json"}
+        code = main([str(inputs.get(arg, arg)) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: {argv[-2]} " in err and "internal error" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept\n"
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):

@@ -40,6 +40,7 @@ from shotsweep.gateway import (
 
 from conftest import REPO_ROOT
 from loopback import TLS_CERT, ChatEndpoint, ForwardingProxy
+from oracles import oracle_resolve_route
 
 
 def prompt_for(text="classify this", content_hash=None):
@@ -374,6 +375,29 @@ class TestCacheSegments:
             gc.collect()
         assert unraisable == []
         assert len(ResponseCache(tmp_path)) == 1
+
+    def test_records_are_slotted_and_share_model_and_answer_strings(self, tmp_path):
+        """A cache repeats a few model names and labels over many rows; new and
+        reloaded records keep one string of each, and no record has a dict."""
+        profiles = [mock_profile(name) for name in ("model-a", "model-b")]
+        backend = gateway.CallableBackend(  # a new string object per answer
+            lambda profile, prompt: "".join(("N" if int(prompt.query_text) % 2 else "", "FR"))
+        )
+        with Client(cache=ResponseCache(tmp_path), mocks={"test": backend}) as client:
+            written = [client.start(profile, prompt_for(str(i))).finish()
+                       for profile in profiles for i in range(20)]
+        (segment,) = (tmp_path / "completions").glob("*.jsonl")
+        assert len(segment.read_text(encoding="utf-8").splitlines()) == 40
+        reloaded = ResponseCache(tmp_path)
+        loaded = [reloaded.get_completion(r.model, r.fingerprint, r.content_hash)
+                  for r in written]
+        for record, twin in zip(written, loaded):
+            for name in (f.name for f in dataclasses.fields(CompletionRecord)):
+                assert getattr(twin, name) == getattr(record, name)
+        for records in (written, loaded):
+            assert len({id(r.model) for r in records}) == 2
+            assert len({id(r.text) for r in records}) == 2
+            assert not any(hasattr(r, "__dict__") for r in records)
 
 
 class FlakyHandler(BaseHTTPRequestHandler):
@@ -748,6 +772,102 @@ def test_cli_import_loads_no_network_stack():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+_ONE_LIVE_REQUEST = (
+    "import sys\n"
+    "from shotsweep import Client, ModelProfile, PromptSpec\n"
+    "prompt = PromptSpec(system_message='s', user_message='u', example_provenance=(),"
+    " content_hash='h', query_text='q')\n"
+    "with Client() as client:\n"
+    "    print(client.start(ModelProfile(name='m', base_url=sys.argv[1]), prompt).finish().text)\n"
+    "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl', 'email')"
+    " if m in sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize("proxied", [False, True], ids=["direct", "http_proxy"])
+def test_live_request_loads_an_http_library_only_for_a_proxy(loopback, proxied):
+    """With no proxy variable set, a request goes straight to its endpoint
+    without loading urllib.request's proxy tables or what they import."""
+    endpoint = loopback(ChatEndpoint, reply="NFR")
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if proxied:
+        proxy = loopback(ForwardingProxy)
+        env["http_proxy"] = proxy.url
+    result = subprocess.run(
+        [sys.executable, "-c", _ONE_LIVE_REQUEST, endpoint.base_url],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    text, loaded = result.stdout.splitlines()
+    assert text == "NFR"
+    assert endpoint.targets == ["/v1/chat/completions"]
+    if proxied:
+        assert proxy.targets == [endpoint.base_url + "/chat/completions"]
+        assert "urllib.request" in loaded
+    else:
+        assert loaded == "[]"
+
+
+# Proxy settings (over an environment with none) and the URL schemes whose
+# route is still read from urllib's proxy tables under each.
+PROXY_ENVIRONMENTS = {
+    "none": ({}, set()),
+    "empty-http_proxy": ({"http_proxy": ""}, set()),
+    "HTTP_PROXY": ({"HTTP_PROXY": "http://p:3128"}, {"http"}),
+    "only-https_proxy": ({"https_proxy": "http://p:3128"}, {"https"}),
+    "only-no_proxy": ({"no_proxy": "127.0.0.1"}, set()),
+    "only-NO_PROXY": ({"NO_PROXY": "127.0.0.1"}, set()),
+    "only-all_proxy": ({"all_proxy": "http://p:3128"}, set()),
+    "cgi-HTTP_PROXY": ({"REQUEST_METHOD": "GET", "HTTP_PROXY": "http://p:3128"}, {"http"}),
+    "http_proxy-and-no_proxy": (
+        {"http_proxy": "http://p:3128", "no_proxy": "127.0.0.1"}, {"http"}),
+    "credentials": (
+        {"http_proxy": "http://user:p%40ss@p:3128", "https_proxy": "https://user:p%40ss@p:3128"},
+        {"http", "https"}),
+}
+
+
+class TestProxyShortcut:
+    @pytest.fixture()
+    def getproxies_calls(self, monkeypatch):
+        """Clear every proxy variable and count calls to urllib's getproxies."""
+        import urllib.request
+
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+                monkeypatch.delenv(name)
+        calls, getproxies = [], urllib.request.getproxies
+        monkeypatch.setattr(urllib.request, "getproxies",
+                            lambda: calls.append(1) or getproxies())
+        return calls
+
+    @pytest.mark.parametrize("netloc", ["127.0.0.1:8080", "api.example.com"])
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    @pytest.mark.parametrize("name", list(PROXY_ENVIRONMENTS))
+    def test_route_is_urllibs_and_skips_it_with_no_proxy_set(
+        self, monkeypatch, getproxies_calls, name, scheme, netloc
+    ):
+        environment, consulted = PROXY_ENVIRONMENTS[name]
+        for variable, value in environment.items():
+            monkeypatch.setenv(variable, value)
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "name", "posix")
+        route = gateway._resolve_route(scheme, netloc)
+        assert bool(getproxies_calls) == (scheme in consulted)
+        assert dataclasses.asdict(route) == oracle_resolve_route(scheme, netloc)
+
+    @pytest.mark.parametrize("platform, os_name", [("darwin", "posix"), ("win32", "nt")])
+    def test_macos_and_windows_still_read_urllibs_tables(
+        self, monkeypatch, getproxies_calls, platform, os_name
+    ):
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(os, "name", os_name)
+        route = gateway._resolve_route("http", "127.0.0.1:8080")
+        monkeypatch.undo()
+        assert getproxies_calls == [1]
+        assert route == gateway._Route(tls=False, address="127.0.0.1:8080")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
