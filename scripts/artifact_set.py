@@ -10,7 +10,10 @@ all from one response cache:
 - sweep/   the README sweep config, plus a `mock://constant/Functional` model
 - sweep-http/  the same sweep with both models sent over HTTP/1.1 to a
            loopback chat endpoint started by this script, whose reply is a
-           pure function of (model, user message)
+           pure function of (model, user message); its
+           `request_bodies.sha256` lists the sha256 of every request body the
+           endpoint received, sorted, so a change to what goes over HTTP
+           shows in the diff too
 - run/     `run` tfidf k=5, pool 200, holdout split
 - cv/      10-fold `cv` at the sweep's optimum (`--shots-from`)
 - orderings/<policy>/  for each example ordering other than the default
@@ -90,13 +93,17 @@ HTTP_PORT = 18741
 
 class _ChatHandler(BaseHTTPRequestHandler):
     """An OpenAI-style chat endpoint: the sha256 of (model, user message)
-    picks the reply, so every checkout gets the same answer to a prompt."""
+    picks the reply, so every checkout gets the same answer to a prompt. The
+    sha256 of each request body goes to the server's body_digests."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # headers and body go out as two writes
+    server: "_ChatServer"
 
     def do_POST(self) -> None:
-        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.body_digests.append(hashlib.sha256(raw).hexdigest())
+        request = json.loads(raw)
         user = next(m["content"] for m in request["messages"] if m["role"] == "user")
         digest = hashlib.sha256(f"{request['model']}\n{user}".encode("utf-8")).digest()
         reply = ("Functional", "Non-Functional")[digest[0] % 2]
@@ -114,13 +121,17 @@ class _ChatHandler(BaseHTTPRequestHandler):
 class _ChatServer(ThreadingHTTPServer):
     daemon_threads = True
 
+    def __init__(self, address: tuple[str, int]):
+        super().__init__(address, _ChatHandler)
+        self.body_digests: list[str] = []  # one per request, in arrival order
+
 
 def build(src: Path, out: Path) -> None:
     out.mkdir(parents=True)
     # loopback requests go straight to the endpoint, never through a proxy
     env = {**os.environ, "PYTHONPATH": str(src / "src"), "no_proxy": "127.0.0.1",
            "NO_PROXY": "127.0.0.1"}
-    server = _ChatServer(("127.0.0.1", HTTP_PORT), _ChatHandler)
+    server = _ChatServer(("127.0.0.1", HTTP_PORT))
     serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
     base_url = f"http://127.0.0.1:{HTTP_PORT}/v1"
@@ -149,6 +160,9 @@ def build(src: Path, out: Path) -> None:
             server.shutdown()
             server.server_close()
             serving.join()
+        (out / "sweep-http" / "request_bodies.sha256").write_text(
+            "".join(f"{digest}\n" for digest in sorted(server.body_digests)), encoding="utf-8"
+        )
         shotsweep("run", "--config", "run.json", "--out", str(out / "run"), *cache)
         shotsweep(
             "cv", "--config", "cv.json", "--shots-from", str(out / "sweep" / "manifest.json"),

@@ -446,8 +446,7 @@ def _write(conn: _Connection, request: bytes, timeout: float) -> _Connection:
 class _Sent:
     """A request written to a checked-out connection, its reply not yet read."""
 
-    url: str
-    key: tuple[str, str]  # (scheme, host) of url
+    key: tuple[str, str]  # (scheme, host) of the URL
     route: _Route
     request: bytes
     timeout: float
@@ -491,12 +490,12 @@ class _ConnectionPool:
         ).encode("latin-1") + body
         if conn is None:
             conn = _write(_connect(route, timeout), request, timeout)
-            return _Sent(url, key, route, request, timeout, conn, reused=False)
+            return _Sent(key, route, request, timeout, conn, reused=False)
         try:
             _write(conn, request, timeout)
         except (ConnectionResetError, BrokenPipeError):
             conn = None  # closed by _write; receive() sends afresh
-        return _Sent(url, key, route, request, timeout, conn, reused=True)
+        return _Sent(key, route, request, timeout, conn, reused=True)
 
     def receive(self, sent: _Sent) -> tuple[int, bytes]:
         """The reply to sent: (status, body). OSError, or ValueError for a bad reply."""
@@ -536,49 +535,27 @@ class _ConnectionPool:
                 conn.close()
 
 
-def _send_json(
-    pool: _ConnectionPool, url: str, payload: dict, api_key: str | None, timeout: float
-) -> _Sent:
-    """POST payload to url as JSON; _reply_json reads the reply."""
-    body = json.dumps(payload).encode("utf-8")
-    headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    try:
-        return pool.send(url, body, headers, timeout)
-    except OSError as exc:
-        raise TransportError(f"{url} unreachable: {exc}") from exc
+def _content(response) -> str:
+    """The answer of a chat reply."""
+    content = response["choices"][0]["message"]["content"]
+    if not isinstance(content, str):  # null on a refusal or a content filter
+        raise TypeError(f"content {content!r} is not a string")
+    return content
 
 
-def _reply_json(pool: _ConnectionPool, sent: _Sent) -> dict:
-    url = sent.url
-    try:
-        status, raw = pool.receive(sent)
-    except (OSError, ValueError) as exc:  # ValueError: a malformed or truncated reply
-        raise TransportError(f"{url} unreachable: {exc}") from exc
-    if status == 429 or status >= 500:
-        raise TransportError(f"HTTP {status} from {url}")
-    if not 200 <= status < 300:
-        raise ProtocolError(f"HTTP {status} from {url}: {raw[:200]!r}")
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
+def _vectors(response) -> list[list[float]]:
+    """The vectors of an embeddings reply, in input order."""
+    vectors = [row["embedding"] for row in sorted(response["data"], key=lambda r: r["index"])]
+    if not all(type(v) is list and all(type(x) in (int, float) for x in v) for v in vectors):
+        raise TypeError("an embedding is not a list of numbers")
+    return [list(map(float, vector)) for vector in vectors]
 
 
-def _chat_text(response: dict) -> str:
-    try:
-        return response["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed chat response: {response}") from exc
-
-
-def _vectors(response: dict) -> list[list[float]]:
-    try:
-        rows = sorted(response["data"], key=lambda item: item["index"])
-        return [list(map(float, row["embedding"])) for row in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed embeddings response: {response}") from exc
+# Each endpoint kind's path, its name in error messages, and the pick of its answer
+_ENDPOINTS = {
+    "chat": ("/chat/completions", "chat", _content),
+    "embedding": ("/embeddings", "embeddings", _vectors),
+}
 
 
 class PendingCompletion:
@@ -730,23 +707,49 @@ class Client:
         if next_at > now:
             self.sleeper(next_at - now)
 
-    def _request(self, profile: ModelProfile, path: str, payload: dict, parse, ask_mock):
+    def _request(self, profile: ModelProfile, payload: dict, ask_mock):
         """The send and read steps of one attempt at profile's endpoint. A
-        mock:// backend is asked by ask_mock(backend) when read; an HTTP
-        endpoint is sent payload as JSON at base_url + path, and its reply
-        goes through parse."""
+        mock:// backend is asked by ask_mock(backend) when read. An HTTP endpoint
+        is sent payload as JSON encoded once (a retry resends the same bytes), and
+        read gives the answer its kind's pick finds in a reply, or a GatewayError."""
         name = mock_name(profile.base_url)
         if name is not None:
             if name not in self.mocks:
                 raise GatewayError(f"no mock backend registered as {name!r}")
             backend = self.mocks[name]
             return (lambda: None), (lambda _: ask_mock(backend))
+        path, kind, pick = _ENDPOINTS[profile.kind]
         url = profile.base_url.rstrip("/") + path
-        api_key = os.environ.get(profile.api_key_env)
-        return (
-            lambda: _send_json(self._pool, url, payload, api_key, profile.timeout_s),
-            lambda sent: parse(_reply_json(self._pool, sent)),
-        )
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
+        if api_key := os.environ.get(profile.api_key_env):
+            headers["Authorization"] = f"Bearer {api_key}"
+
+        def send() -> _Sent:
+            try:
+                return self._pool.send(url, body, headers, profile.timeout_s)
+            except OSError as exc:
+                raise TransportError(f"{url} unreachable: {exc}") from exc
+
+        def read(sent: _Sent):
+            try:
+                status, raw = self._pool.receive(sent)
+            except (OSError, ValueError) as exc:  # ValueError: a malformed or truncated reply
+                raise TransportError(f"{url} unreachable: {exc}") from exc
+            if status == 429 or status >= 500:
+                raise TransportError(f"HTTP {status} from {url}")
+            if not 200 <= status < 300:
+                raise ProtocolError(f"HTTP {status} from {url}: {raw[:200]!r}")
+            try:
+                response = json.loads(raw)
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+                raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
+            try:
+                return pick(response)
+            except (KeyError, IndexError, TypeError, OverflowError) as exc:
+                raise ProtocolError(f"malformed {kind} response: {raw[:200]!r}") from exc
+
+        return send, read
 
     def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
         """The cached completion start() would finish with, or None on a miss.
@@ -786,10 +789,7 @@ class Client:
             "temperature": profile.temperature,
             "max_tokens": profile.max_output_tokens,
         }
-        return self._request(
-            profile, "/chat/completions", payload, _chat_text,
-            lambda backend: backend.respond(profile, prompt),
-        )
+        return self._request(profile, payload, lambda backend: backend.respond(profile, prompt))
 
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
@@ -803,8 +803,7 @@ class Client:
         if missing:
             payload = {"model": profile.name, "input": missing}
             vectors = PendingCompletion(self, profile, lambda: self._request(
-                profile, "/embeddings", payload, _vectors,
-                lambda backend: backend.embed_batch(missing),
+                profile, payload, lambda backend: backend.embed_batch(missing)
             )).result()
             if len(vectors) != len(missing):
                 raise ProtocolError(

@@ -203,6 +203,17 @@ class ChatEndpoint(_Loopback):
         return 200, json.dumps({"choices": [{"message": {"content": self.reply}}]}).encode()
 
 
+class CannedEndpoint(ChatEndpoint):
+    """Answers every request with one status and body."""
+
+    def __init__(self, status: int, raw: bytes):
+        super().__init__()
+        self.canned = status, raw
+
+    def respond(self, target, headers, body):
+        return self.canned
+
+
 class ForwardingProxy(_Loopback):
     """An http_proxy: takes absolute-form targets and forwards each upstream,
     and tunnels a CONNECT to its target."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import math
 import random
 import re
@@ -238,6 +239,24 @@ def oracle_resolve_route(scheme: str, netloc: str) -> dict:
         tls=parts.scheme == "https", address=address, absolute_target=True,
         proxy_headers=headers,
     )
+
+
+def oracle_chat_body(model: str, system: str, user: str, temperature: float,
+                     max_tokens: int) -> bytes:
+    """The body of a chat completion request as the gateway encoded it when a
+    separate function sent each request: json.dumps' defaults, as UTF-8."""
+    payload = {
+        "model": model,
+        "messages": [{"role": "system", "content": system}, {"role": "user", "content": user}],
+        "temperature": temperature,
+        "max_tokens": max_tokens,
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
+def oracle_embeddings_body(model: str, texts: list[str]) -> bytes:
+    """The body of an embeddings request, encoded as oracle_chat_body's."""
+    return json.dumps({"model": model, "input": texts}).encode("utf-8")
 
 
 def simulate_round_robin(class_sizes: list[tuple[str, int]], size: int) -> dict[str, int]:

@@ -1,8 +1,13 @@
-"""scripts/artifact_set.py's argument checks, which run before it builds anything."""
+"""scripts/artifact_set.py's argument checks, which run before it builds anything,
+and its loopback chat endpoint."""
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import importlib.util
+import json
+import threading
 
 import pytest
 
@@ -28,3 +33,24 @@ def test_a_src_that_is_not_a_checkout_root_is_refused_before_out_is_made(
     assert not out.exists()
     message = capsys.readouterr().err
     assert message.count("\n") == 1 and "not a shotsweep checkout root" in message
+
+
+def test_chat_endpoint_keeps_the_digest_of_every_request_body(artifact_set):
+    server = artifact_set._ChatServer(("127.0.0.1", 0))
+    serving = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    serving.start()
+    bodies = [json.dumps({"model": m, "messages": [{"role": "user", "content": "q"}]}).encode()
+              for m in ("a", "b", "a")]
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=5)
+        replies = []
+        for body in bodies:
+            conn.request("POST", "/v1/chat/completions", body)
+            replies.append(json.loads(conn.getresponse().read()))
+        conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    assert server.body_digests == [hashlib.sha256(body).hexdigest() for body in bodies]
+    assert replies[0] == replies[2] and "choices" in replies[1]

@@ -24,7 +24,7 @@ from shotsweep.cli import (
 from shotsweep import HashEmbeddingProvider, build_embedding_matrix, build_pool
 
 from conftest import PROMISE_CSV, REPO_ROOT
-from loopback import ChatEndpoint
+from loopback import CannedEndpoint, ChatEndpoint
 from oracles import oracle_knn_embedding
 
 
@@ -1336,6 +1336,36 @@ class TestTransportFailure:
         assert code == EXIT_TRANSPORT, err
         assert "gave up after 1 attempts; last: " in err
         assert "127.0.0.1:9" in err and "unreachable" in err
+
+
+class TestProtocolFailure:
+    def test_reply_that_is_not_utf8_fails_only_its_models_cells(self, tmp_path, capsys,
+                                                               monkeypatch):
+        for scheme in ("http", "https", "all", "no"):
+            monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+        endpoint = CannedEndpoint(200, b'{"choices": [{"message": {"content": "FR\xff"}}]}')
+        try:
+            profiles = {"remote": {"base_url": endpoint.base_url},
+                        "mock-constant": {"base_url": "mock://constant/Functional"}}
+            config = one_cell_or_sweep_config(tmp_path, "sweep", profiles=profiles,
+                                              models=["remote", "mock-constant"])
+            out, cache = tmp_path / "out", tmp_path / "cache"
+            code = main(["sweep", "--config", config, "--out", str(out),
+                         "--cache-dir", str(cache)])
+        finally:
+            endpoint.stop()
+        printed = capsys.readouterr().out
+        assert code == EXIT_PARTIAL, printed
+        assert "sweep: 2/4 cells completed, 2 failed" in printed
+        assert printed.count("FAILED remote random") == 2
+        assert printed.count("ProtocolError: non-JSON response") == 2
+        assert len(endpoint.targets) == 2  # one request per cell, none retried
+        cells = sorted(path.name for path in (out / "cells").glob("*.json"))
+        assert cells == ["mock-constant__random__k0.json", "mock-constant__random__k1.json"]
+        rows = [json.loads(line) for segment in sorted(cache.rglob("*.jsonl"))
+                for line in segment.read_text().splitlines()]
+        assert rows and {row["model"] for row in rows} == {"mock-constant"}
 
 
 class TestReportReplay:

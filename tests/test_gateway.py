@@ -39,8 +39,8 @@ from shotsweep.gateway import (
 )
 
 from conftest import REPO_ROOT
-from loopback import TLS_CERT, ChatEndpoint, ForwardingProxy
-from oracles import oracle_resolve_route
+from loopback import TLS_CERT, CannedEndpoint, ChatEndpoint, ForwardingProxy
+from oracles import oracle_chat_body, oracle_embeddings_body, oracle_resolve_route
 
 
 def prompt_for(text="classify this", content_hash=None):
@@ -591,15 +591,9 @@ class TestConnectionReuse:
         assert len(endpoint.targets) == 2
 
 
-class CannedEndpoint(ChatEndpoint):
-    """Answers every request with one status and body."""
-
-    def __init__(self, status: int, raw: bytes):
-        super().__init__()
-        self.canned = status, raw
-
-    def respond(self, target, headers, body):
-        return self.canned
+def embeddings_reply(*vectors: bytes) -> bytes:
+    rows = (b'{"index": %d, "embedding": %s}' % (i, v) for i, v in enumerate(vectors))
+    return b'{"data": [%s]}' % b", ".join(rows)
 
 
 class TestBadReplies:
@@ -609,19 +603,42 @@ class TestBadReplies:
          ("chat", 200, b"<html>busy</html>", "non-JSON response"),
          ("chat", 200, b'{"choices": [{"message": {}}]}', "malformed chat response"),
          ("embedding", 200, b'{"data": [{"embedding": [1.0]}, {"embedding": [2.0]}]}',
+          "malformed embeddings response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": null}}]}',
+          "malformed chat response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": 7}}]}', "malformed chat response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": ["FR"]}}]}',
+          "malformed chat response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": "FR\xff"}}]}',
+          "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[1.0]", b'[2.0, "\xff"]'), "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b'"12"', b'"34"'), "malformed embeddings response"),
+         ("embedding", 200, embeddings_reply(b"[1.0, true]", b"[2.0, 1.0]"),
+          "malformed embeddings response"),
+         ("embedding", 200, embeddings_reply(b"[1%s]" % (b"0" * 400), b"[2]"),
+          "malformed embeddings response"),
+         ("chat", 200, b"[" * 100_000 + b"]" * 100_000, "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[%s]" % b", ".join([b"0.5"] * 5000), b'"x"'),
           "malformed embeddings response")],
-        ids=["404", "not-json", "no-content", "no-index"],
+        ids=["404", "not-json", "no-content", "no-index", "null-content", "number-content",
+             "list-content", "chat-not-utf8", "embeddings-not-utf8", "digit-string-embedding",
+             "bool-in-embedding", "embedding-past-float", "nested-too-deep",
+             "long-and-malformed"],
     )
-    def test_refused_after_one_request(self, loopback, kind, status, raw, needle):
+    def test_refused_after_one_request(self, loopback, tmp_path, kind, status, raw, needle):
         endpoint = loopback(CannedEndpoint, status=status, raw=raw)
         waits = []
         profile = ModelProfile(name="m", kind=kind, base_url=endpoint.base_url, max_attempts=3)
-        with Client(sleeper=waits.append) as client, pytest.raises(ProtocolError, match=needle):
+        cache = ResponseCache(tmp_path / "cache")
+        with Client(cache=cache, sleeper=waits.append) as client, \
+                pytest.raises(ProtocolError, match=needle) as err:
             if kind == "chat":
                 client.start(profile, prompt_for()).finish()
             else:
                 client.embed_batch(profile, ["a", "b"])
+        assert len(str(err.value)) < 500  # the reply is quoted up to its first 200 bytes
         assert len(endpoint.targets) == 1 and waits == []
+        assert len(cache) == 0 and not (tmp_path / "cache").exists()
 
     def test_500_is_retried_max_attempts_times(self, loopback):
         endpoint = loopback(CannedEndpoint, status=500, raw=b"oops")
@@ -632,6 +649,36 @@ class TestBadReplies:
                 client.start(profile, prompt_for()).finish()
         assert len(err.value.attempts) == 3 and "HTTP 500" in err.value.attempts[0]
         assert len(endpoint.targets) == 3
+
+
+class FirstAttemptFails(ChatEndpoint):
+    """Answers every odd-numbered request 500, and the next as ChatEndpoint does."""
+
+    def respond(self, target, headers, body):
+        if len(self.targets) % 2:
+            return 500, b"{}"
+        return super().respond(target, headers, body)
+
+
+TRICKY = 'Der "Login" muss \\ in \u2264 2 s gelingen\tna\u00efve\n\u65e5\u672c\u8a9e \U0001f600'
+
+
+class TestWireBytes:
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_a_retry_resends_the_bytes_json_dumps_gives(self, loopback, kind):
+        endpoint = loopback(FirstAttemptFails)
+        profile = ModelProfile(name="m", kind=kind, base_url=endpoint.base_url,
+                               backoff_base_s=0.0)
+        with Client(sleeper=lambda s: None) as client:
+            if kind == "chat":
+                prompt = dataclasses.replace(prompt_for(TRICKY), system_message=TRICKY)
+                assert client.start(profile, prompt).finish().attempts == 2
+                expected = oracle_chat_body("m", TRICKY, prompt.user_message, 0.0, 16)
+            else:
+                assert client.embed_batch(profile, [TRICKY, "b"]) == [[0.0, 1.0], [1.0, 1.0]]
+                expected = oracle_embeddings_body("m", [TRICKY, "b"])
+        (_, first), (_, second) = endpoint.received
+        assert first == second == expected
 
 
 @pytest.fixture()
