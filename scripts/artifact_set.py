@@ -23,6 +23,13 @@ all from one response cache:
 - report.txt, .csv     `report` over run/report.json and cv/aggregate.json
 - cache_rows.jsonl     the cache's rows, sorted, without `created_at` and
                        `latency_ms` (the fields that vary between runs)
+- cache_served.tsv     the cache reloaded by SRC's ResponseCache, after a
+                       later segment is added that repeats every row with
+                       another answer and ends in a torn line: each on-disk
+                       row's bucket and key, sorted, with the answer served
+                       for it, then `torn_lines`; so the diff covers how a
+                       cache is loaded and served too (the first row for a
+                       key wins)
 
 Every manifest.json loses its `started_at` and `finished_at`, so two
 checkouts that write the same artifacts give an empty `diff -r` of their
@@ -86,6 +93,32 @@ ORDERING_SWEEP = {
     "profiles": {"mock-gold": SWEEP["profiles"]["mock-gold"]},
 }
 VARYING_ROW_FIELDS = ("created_at", "latency_ms")
+# Run with SRC's shotsweep on the path over a cache directory: every on-disk
+# row's bucket and key with the answer ResponseCache serves for it (a record's
+# text, a text, or a vector), sorted, then the count of torn lines.
+SERVED = """\
+import json, sys
+from pathlib import Path
+from shotsweep import ResponseCache
+cache = ResponseCache(sys.argv[1])
+buckets = {"completions": (("model", "fingerprint", "content_hash"), cache.get_completion),
+           "embeddings": (("tag", "fingerprint", "text"), cache.get_embedding)}
+lines = []
+for bucket, (fields, get) in buckets.items():
+    for segment in sorted(Path(sys.argv[1], bucket).glob("*.jsonl")):
+        for line in segment.read_text(encoding="utf-8").splitlines():
+            try:
+                row = json.loads(line)
+            except ValueError:  # the torn line
+                continue
+            key = [row[name] for name in fields]
+            served = get(*key)
+            served = getattr(served, "text", served)  # a record, where one is served
+            if served is not None and not isinstance(served, str):
+                served = list(served)  # a vector
+            lines.append("\\t".join(map(json.dumps, [bucket, *key, served])) + "\\n")
+sys.stdout.write("".join(sorted(lines)) + f"torn_lines\\t{cache.torn_lines}\\n")
+"""
 # The endpoint's URL is part of each HTTP cache row's fingerprint and of the
 # manifest, so every checkout must see the same one.
 HTTP_PORT = 18741
@@ -190,6 +223,27 @@ def build(src: Path, out: Path) -> None:
                     row.pop(field, None)
                 rows.append(f"{segment.parent.name}\t{json.dumps(row, sort_keys=True)}\n")
         (out / "cache_rows.jsonl").write_text("".join(sorted(rows)), encoding="utf-8")
+        shadowed = work_dir / "cache-served"
+        shutil.copytree(work_dir / "cache", shadowed)
+        for bucket in ("completions", "embeddings"):
+            repeats = []
+            for segment in sorted((shadowed / bucket).glob("*.jsonl")):
+                for line in segment.read_text(encoding="utf-8").splitlines():
+                    row = json.loads(line)
+                    if "vector" in row:
+                        row["vector"] = [-x for x in row["vector"]]
+                    else:
+                        row["text"] = f"repeated {row['text']}"
+                    repeats.append(json.dumps(row, sort_keys=True) + "\n")
+            if repeats:
+                (shadowed / bucket / "seg-99999999.jsonl").write_text(
+                    "".join(repeats) + '{"torn', encoding="utf-8"
+                )
+        served = subprocess.run(
+            [sys.executable, "-c", SERVED, str(shadowed)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        (out / "cache_served.tsv").write_text(served.stdout, encoding="utf-8")
 
     for manifest in out.rglob("manifest.json"):
         payload = json.loads(manifest.read_text(encoding="utf-8"))

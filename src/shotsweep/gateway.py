@@ -13,7 +13,8 @@ import sys
 import time
 import urllib.parse
 import weakref
-from dataclasses import dataclass, field, fields
+from array import array
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -111,15 +112,10 @@ DEFAULT_PROFILES: dict[str, ModelProfile] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class CompletionRecord:
-    content_hash: str
-    text: str
-    latency_ms: float
-    attempts: int
-    model: str
-    created_at: str
-    fingerprint: str  # ModelProfile.request_fingerprint of the request
+# The fields of a completions row, each one required
+_COMPLETION_FIELDS = frozenset(
+    ("attempts", "content_hash", "created_at", "fingerprint", "latency_ms", "model", "text")
+)
 
 
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")
@@ -151,7 +147,11 @@ class ResponseCache:
     another endpoint, temperature or output limit is a miss; rows written
     without a fingerprint are never served. Embeddings are keyed the same
     way, by (profile name, request fingerprint, text). With no directory the
-    cache is memory-only.
+    cache is memory-only. The index holds answers, not rows: one dict per
+    (model, fingerprint) from content hash to the answer text, interned so a
+    cache of thousands of rows holds one string per distinct answer, and one
+    dict per (profile name, fingerprint) from text to its vector as an
+    array of doubles.
     Loading reads every segment of a bucket in name order and the first row
     for a key wins; torn_lines counts the lines skipped as unreadable (torn
     writes, rows this version cannot read), and torn_segments lists the
@@ -164,8 +164,8 @@ class ResponseCache:
 
     def __init__(self, directory: str | Path | None = None):
         self._dir = Path(directory) if directory is not None else None
-        self._completions: dict[tuple[str, str, str], CompletionRecord] = {}
-        self._embeddings: dict[tuple[str, str, str], tuple[float, ...]] = {}
+        self._completions: dict[tuple[str, str], dict[str, str]] = {}
+        self._embeddings: dict[tuple[str, str], dict[str, array]] = {}
         self._segments: dict[str, IO[str]] = {}  # bucket -> this cache's segment
         weakref.finalize(self, _close_segments, self._segments)
         self.torn_lines = 0
@@ -177,15 +177,16 @@ class ResponseCache:
     def _load_bucket(self, bucket: str, add: Callable[[dict], None]) -> None:
         """Pass each row of a bucket's segments to add, in name order, a line at
         a time (one segment can hold a whole run). A line that is not JSON, or a
-        row add cannot take (not an object, a field missing or unknown), is torn,
-        and so is a line that is not UTF-8: it is decoded strictly, line by line."""
+        row add cannot take (not an object, a field missing or unknown, a vector
+        that is not a list of numbers), is torn, and so is a line that is not
+        UTF-8: it is decoded strictly, line by line."""
         assert self._dir is not None
         for segment in sorted((self._dir / bucket).glob("*.jsonl")):
             with segment.open("rb") as handle:
                 for line in handle:
                     try:
                         add(json.loads(line.decode("utf-8")))
-                    except (AttributeError, KeyError, TypeError, ValueError):
+                    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                         self.torn_lines += 1
                         if segment not in self.torn_segments:
                             self.torn_segments.append(segment)
@@ -193,18 +194,19 @@ class ResponseCache:
     def _add_completion(self, row: dict) -> None:
         if row.get("fingerprint") is None:
             return
-        # one string per model, endpoint setting and answer, not one per row
-        for name in ("model", "text", "fingerprint"):
-            row[name] = sys.intern(row[name])
-        record = CompletionRecord(**row)
-        key = (record.model, record.fingerprint, record.content_hash)
-        self._completions.setdefault(key, record)
+        if row.keys() != _COMPLETION_FIELDS:
+            raise KeyError(f"a completions row has the fields {sorted(row)}")
+        model, fingerprint = sys.intern(row["model"]), sys.intern(row["fingerprint"])
+        answers = self._completions.setdefault((model, fingerprint), {})
+        answers.setdefault(row["content_hash"], sys.intern(row["text"]))
 
     def _add_embedding(self, row: dict) -> None:
         if row.get("fingerprint") is None:
             return
-        key = (row["tag"], sys.intern(row["fingerprint"]), row["text"])
-        self._embeddings.setdefault(key, tuple(row["vector"]))
+        if not _is_numbers(vector := row["vector"]):
+            raise TypeError("a cached embedding is not a list of numbers")
+        vectors = self._embeddings.setdefault((row["tag"], sys.intern(row["fingerprint"])), {})
+        vectors.setdefault(row["text"], array("d", vector))
 
     def _append(self, bucket: str, payload: dict) -> None:
         if self._dir is None:
@@ -219,43 +221,38 @@ class ResponseCache:
         """Close this cache's open segments."""
         _close_segments(self._segments)
 
-    def get_completion(
-        self, model: str, fingerprint: str, content_hash: str
-    ) -> CompletionRecord | None:
-        return self._completions.get((model, fingerprint, content_hash))
+    def get_completion(self, model: str, fingerprint: str, content_hash: str) -> str | None:
+        """The cached answer text, or None on a miss."""
+        return self._completions.get((model, fingerprint), {}).get(content_hash)
 
-    def put_completion(self, record: CompletionRecord) -> None:
-        key = (record.model, record.fingerprint, record.content_hash)
-        if key in self._completions:
+    def put_completion(self, model: str, fingerprint: str, content_hash: str, text: str,
+                       latency_ms: float, attempts: int) -> None:
+        """Hold text as the answer for the key, unless it has one, and write its row."""
+        answers = self._completions.setdefault((model, fingerprint), {})
+        if content_hash in answers:
             return
-        self._completions[key] = record
-        # a slotted record has no vars(): read its fields by name
-        self._append("completions", {f.name: getattr(record, f.name) for f in fields(record)})
+        answers[content_hash] = sys.intern(text)
+        self._append("completions", {
+            "attempts": attempts, "content_hash": content_hash,
+            "created_at": datetime.now(timezone.utc).isoformat(), "fingerprint": fingerprint,
+            "latency_ms": latency_ms, "model": model, "text": text,
+        })
 
-    def get_embedding(
-        self, tag: str, fingerprint: str, text: str
-    ) -> tuple[float, ...] | None:
-        return self._embeddings.get((tag, fingerprint, text))
+    def get_embedding(self, tag: str, fingerprint: str, text: str) -> array | None:
+        return self._embeddings.get((tag, fingerprint), {}).get(text)
 
     def put_embedding(
         self, tag: str, fingerprint: str, text: str, vector: Sequence[float]
     ) -> None:
-        key = (tag, fingerprint, text)
-        if key in self._embeddings:
+        vectors = self._embeddings.setdefault((tag, fingerprint), {})
+        if text in vectors:
             return
-        self._embeddings[key] = tuple(vector)
-        self._append(
-            "embeddings",
-            {
-                "tag": tag,
-                "fingerprint": fingerprint,
-                "text": text,
-                "vector": list(vector),
-            },
-        )
+        vectors[text] = array("d", vector)
+        self._append("embeddings", {"fingerprint": fingerprint, "tag": tag, "text": text,
+                                    "vector": list(vector)})
 
     def __len__(self) -> int:
-        return len(self._completions) + len(self._embeddings)
+        return sum(map(len, (*self._completions.values(), *self._embeddings.values())))
 
 
 class CallableBackend:
@@ -543,12 +540,21 @@ def _content(response) -> str:
     return content
 
 
+def _is_numbers(vector) -> bool:
+    """Whether a decoded JSON value is a list of numbers (a bool is not one)."""
+    return type(vector) is list and {*map(type, vector)} <= {int, float}
+
+
 def _vectors(response) -> list[list[float]]:
     """The vectors of an embeddings reply, in input order."""
     vectors = [row["embedding"] for row in sorted(response["data"], key=lambda r: r["index"])]
-    if not all(type(v) is list and all(type(x) in (int, float) for x in v) for v in vectors):
+    if not all(map(_is_numbers, vectors)):
         raise TypeError("an embedding is not a list of numbers")
     return [list(map(float, vector)) for vector in vectors]
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
 
 
 # Each endpoint kind's path, its name in error messages, and the pick of its answer
@@ -569,7 +575,8 @@ class PendingCompletion:
     read() takes the answer in flight; result() reads it too, retries a
     TransportError after a backoff, and returns the answer or raises the
     GatewayError (any other exception propagates at once). finish() is a
-    completion's result() as a cached CompletionRecord. close() closes the
+    completion's answer text: the cached one on a hit, else result(), which
+    it caches with its latency and attempt count. close() closes the
     connection of a reply never read.
     """
 
@@ -579,13 +586,13 @@ class PendingCompletion:
         self.attempt = 0
         self.latency_ms = 0.0  # from the answered attempt's send to the read of its answer
         self._failures: list[str] = []
-        self._record: CompletionRecord | None = None
+        self._text: str | None = None
         self._handle = self._value = self._error = None
         self._unread = False
         try:
             if prompt is not None:
-                self._record = client.lookup(profile, prompt)
-            if self._record is None:
+                self._text = client.lookup(profile, prompt)
+            if self._text is None:
                 self._send, self._read = request()
                 self._start()
         except GatewayError as exc:
@@ -638,20 +645,14 @@ class PendingCompletion:
             raise self._error
         return self._value
 
-    def finish(self) -> CompletionRecord:
-        if self._record is None:
-            text = self.result()
-            self._record = CompletionRecord(
-                content_hash=self._prompt.content_hash,
-                text=sys.intern(str(text)),
-                latency_ms=self.latency_ms,
-                attempts=self.attempt,
-                model=self._profile.name,
-                created_at=datetime.now(timezone.utc).isoformat(),
-                fingerprint=self._profile.request_fingerprint,
+    def finish(self) -> str:
+        if self._text is None:
+            self._text = sys.intern(str(self.result()))
+            self._client.cache.put_completion(
+                self._profile.name, self._profile.request_fingerprint,
+                self._prompt.content_hash, self._text, self.latency_ms, self.attempt,
             )
-            self._client.cache.put_completion(self._record)
-        return self._record
+        return self._text
 
     def close(self) -> None:
         if isinstance(self._handle, _Sent):
@@ -741,8 +742,8 @@ class Client:
             if not 200 <= status < 300:
                 raise ProtocolError(f"HTTP {status} from {url}: {raw[:200]!r}")
             try:
-                response = json.loads(raw)
-            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+                response = json.loads(raw, parse_constant=_refuse_constant)
+            except (ValueError, RecursionError) as exc:  # not JSON (NaN too), not UTF-8, too deep
                 raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
             try:
                 return pick(response)
@@ -751,8 +752,8 @@ class Client:
 
         return send, read
 
-    def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> CompletionRecord | None:
-        """The cached completion start() would finish with, or None on a miss.
+    def lookup(self, profile: ModelProfile, prompt: PromptSpec) -> str | None:
+        """The cached answer text start() would finish with, or None on a miss.
 
         Refuses what finish() refuses, without calling any backend.
         """
@@ -821,12 +822,7 @@ class Client:
                 )
             for text, vector in zip(missing, vectors):
                 self.cache.put_embedding(*key, text, vector)
-        out = []
-        for text in texts:
-            vector = self.cache.get_embedding(*key, text)
-            assert vector is not None
-            out.append(list(vector))
-        return out
+        return [self.cache.get_embedding(*key, text).tolist() for text in texts]
 
 
 class GatewayEmbeddingProvider:

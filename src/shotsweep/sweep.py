@@ -417,7 +417,7 @@ def run_sweep(
                                 continue
                             record = test[position]
                             row = TraceRow(
-                                record.record_id, record.label, completion.text,
+                                record.record_id, record.label, completion,
                                 prompt.content_hash,
                             )
                             if writer is not None:

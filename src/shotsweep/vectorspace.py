@@ -177,6 +177,12 @@ class EmbeddingMatrix:
     def n_docs(self) -> int:
         return len(self.row_ids)
 
+    @functools.cached_property
+    def row_norms(self) -> np.ndarray:
+        """Each row's L2 norm, computed on the first query of the space."""
+        import numpy as np
+        return np.linalg.norm(self.rows, axis=1)
+
 
 _EMBED_BATCH_SIZE = 32
 
@@ -247,12 +253,11 @@ def _embedding_scores(matrix: EmbeddingMatrix, query: Sequence[float]) -> np.nda
     if not all(map(math.isfinite, query)):
         raise VectorSpaceError("non-finite query embedding entry")
     q_norm = float(np.linalg.norm(q))
-    row_norms = np.linalg.norm(matrix.rows, axis=1)
     dots = matrix.rows @ q
     sims = np.zeros(matrix.n_docs, dtype=np.float64)
     if q_norm > 0.0:
-        nonzero = row_norms > 0.0
-        sims[nonzero] = dots[nonzero] / (row_norms[nonzero] * q_norm)
+        nonzero = matrix.row_norms > 0.0
+        sims[nonzero] = dots[nonzero] / (matrix.row_norms[nonzero] * q_norm)
     return sims
 
 

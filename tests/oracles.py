@@ -12,8 +12,11 @@ import json
 import math
 import random
 import re
+import sys
 import urllib.parse
 import urllib.request
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -257,6 +260,48 @@ def oracle_chat_body(model: str, system: str, user: str, temperature: float,
 def oracle_embeddings_body(model: str, texts: list[str]) -> bytes:
     """The body of an embeddings request, encoded as oracle_chat_body's."""
     return json.dumps({"model": model, "input": texts}).encode("utf-8")
+
+
+@dataclass(frozen=True, slots=True)
+class _CompletionRecord:
+    """One cached completion row, every field required and no other taken."""
+
+    content_hash: str
+    text: str
+    latency_ms: float
+    attempts: int
+    model: str
+    created_at: str
+    fingerprint: str
+
+
+def oracle_load_completions(directory: Path) -> tuple[dict, int, list[Path]]:
+    """The completions bucket of a cache directory as ResponseCache loaded it
+    when it held one record per row: every line of every segment, in name
+    order, becomes a record by _CompletionRecord(**row) after its model, text
+    and fingerprint are interned, unless its fingerprint is missing or null
+    (skipped), and the first record for a (model, fingerprint, content hash)
+    wins. A line that fails on the way is torn. Returns ({key: answer text},
+    torn_lines, torn_segments)."""
+    served: dict[tuple, str] = {}
+    torn_lines, torn_segments = 0, []
+    for segment in sorted((Path(directory) / "completions").glob("*.jsonl")):
+        with segment.open("rb") as handle:
+            for line in handle:
+                try:
+                    row = json.loads(line.decode("utf-8"))
+                    if row.get("fingerprint") is None:
+                        continue
+                    for name in ("model", "text", "fingerprint"):
+                        row[name] = sys.intern(row[name])
+                    record = _CompletionRecord(**row)
+                    key = (record.model, record.fingerprint, record.content_hash)
+                    served.setdefault(key, record.text)
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    torn_lines += 1
+                    if segment not in torn_segments:
+                        torn_segments.append(segment)
+    return served, torn_lines, torn_segments
 
 
 def simulate_round_robin(class_sizes: list[tuple[str, int]], size: int) -> dict[str, int]:

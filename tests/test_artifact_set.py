@@ -7,6 +7,9 @@ import hashlib
 import http.client
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -54,3 +57,20 @@ def test_chat_endpoint_keeps_the_digest_of_every_request_body(artifact_set):
         serving.join()
     assert server.body_digests == [hashlib.sha256(body).hexdigest() for body in bodies]
     assert replies[0] == replies[2] and "choices" in replies[1]
+
+
+def test_served_table_lists_each_row_with_the_answer_served(artifact_set, tmp_path):
+    row = {"attempts": 1, "content_hash": "h1", "created_at": "2025-01-01T00:00:00",
+           "fingerprint": "f", "latency_ms": 1.0, "model": "m", "text": "first"}
+    lines = [row, {**row, "text": "second"}, {**row, "content_hash": "h2", "text": "other"}]
+    (tmp_path / "completions").mkdir()
+    (tmp_path / "completions" / "seg-00000001.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines) + '{"torn', encoding="utf-8"
+    )
+    served = subprocess.run(
+        [sys.executable, "-c", artifact_set.SERVED, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    first = '"completions"\t"m"\t"f"\t"h1"\t"first"'
+    assert served == [first, first, '"completions"\t"m"\t"f"\t"h2"\t"other"', "torn_lines\t1"]

@@ -4,6 +4,7 @@ import ast
 import base64
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -30,7 +32,6 @@ from shotsweep import (
 from shotsweep import gateway
 from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme, normalize_completion
 from shotsweep.gateway import (
-    CompletionRecord,
     ContextOverflowError,
     GatewayEmbeddingProvider,
     GatewayError,
@@ -40,7 +41,12 @@ from shotsweep.gateway import (
 
 from conftest import REPO_ROOT
 from loopback import TLS_CERT, CannedEndpoint, ChatEndpoint, ForwardingProxy
-from oracles import oracle_chat_body, oracle_embeddings_body, oracle_resolve_route
+from oracles import (
+    oracle_chat_body,
+    oracle_embeddings_body,
+    oracle_load_completions,
+    oracle_resolve_route,
+)
 
 
 def prompt_for(text="classify this", content_hash=None):
@@ -149,8 +155,7 @@ class TestCompleteAndCache:
         first = client.start(profile, prompt).finish()
         second = client.start(profile, prompt).finish()
         assert backend.calls == 1
-        assert first == second
-        assert first.text == "FR"
+        assert first == second == "FR"
 
     def test_distinct_hashes_distinct_entries(self):
         backend = ConstantBackend("FR")
@@ -174,8 +179,7 @@ class TestCompleteAndCache:
         profile = mock_profile()
         client.start(profile, prompt_for("persisted")).finish()
         reopened = Client(cache=ResponseCache(tmp_path), mocks={"test": backend})
-        record = reopened.start(profile, prompt_for("persisted")).finish()
-        assert record.text == "NFR"
+        assert reopened.start(profile, prompt_for("persisted")).finish() == "NFR"
         assert backend.calls == 1
 
     @pytest.mark.parametrize(
@@ -200,10 +204,10 @@ class TestCompleteAndCache:
         )
         first = mock_profile(backend="constant/Functional")
         second = mock_profile(backend="constant/Non-Functional")
-        assert client.start(first, prompt_for()).finish().text == "Functional"
-        assert client.start(second, prompt_for()).finish().text == "Non-Functional"
+        assert client.start(first, prompt_for()).finish() == "Functional"
+        assert client.start(second, prompt_for()).finish() == "Non-Functional"
         reopened = Client(cache=ResponseCache(tmp_path))
-        assert reopened.start(second, prompt_for()).finish().text == "Non-Functional"
+        assert reopened.start(second, prompt_for()).finish() == "Non-Functional"
 
     def test_rows_without_fingerprint_are_misses(self, tmp_path):
         legacy = {
@@ -220,7 +224,7 @@ class TestCompleteAndCache:
         assert (len(cache), cache.torn_lines) == (0, 0)  # skipped, not torn
         backend = ConstantBackend("FR")
         client = Client(cache=cache, mocks={"test": backend})
-        assert client.start(mock_profile(), prompt_for("one")).finish().text == "FR"
+        assert client.start(mock_profile(), prompt_for("one")).finish() == "FR"
         assert backend.calls == 1
 
     def test_torn_final_line_counted_and_skipped(self, tmp_path):
@@ -238,8 +242,7 @@ class TestCompleteAndCache:
     def test_echo_gold_returns_wired_label(self):
         backend = EchoGoldBackend({"classify this": "Functional"})
         client = Client(mocks={"gold": backend})
-        record = client.start(mock_profile(backend="gold"), prompt_for()).finish()
-        assert record.text == "Functional"
+        assert client.start(mock_profile(backend="gold"), prompt_for()).finish() == "Functional"
 
     def test_context_overflow_refused_locally(self):
         backend = ConstantBackend("FR")
@@ -263,16 +266,22 @@ class TestCompleteAndCache:
 
 
 def cached_row(content_hash, text="FR"):
-    return CompletionRecord(
-        content_hash=content_hash, text=text, latency_ms=1.0, attempts=1,
-        model="mock-model", created_at="2025-01-01T00:00:00", fingerprint="f" * 16,
-    )
+    """A completions row as the cache writes it."""
+    return {"attempts": 1, "content_hash": content_hash, "created_at": "2025-01-01T00:00:00",
+            "fingerprint": "f" * 16, "latency_ms": 1.0, "model": "mock-model", "text": text}
+
+
+def put_row(cache, content_hash, text="FR"):
+    """Put cached_row's answer; put_completion stamps created_at itself."""
+    row = cached_row(content_hash, text)
+    del row["created_at"]
+    cache.put_completion(**row)
 
 
 class TestCacheSegments:
     def test_row_put_after_a_torn_tail_is_served_on_reload(self, tmp_path):
         first = ResponseCache(tmp_path)
-        first.put_completion(cached_row("ab" + "0" * 62, "kept"))
+        put_row(first, "ab" + "0" * 62, "kept")
         del first  # its run is over
         (segment,) = (tmp_path / "completions").glob("*.jsonl")
         with segment.open("a", encoding="utf-8") as handle:
@@ -280,16 +289,16 @@ class TestCacheSegments:
         resumed = ResponseCache(tmp_path)
         assert resumed.torn_lines == 1
         # same leading hash byte as the torn row, so a shard per byte would glue it on
-        resumed.put_completion(cached_row("ab" + "2" * 62, "resumed"))
+        put_row(resumed, "ab" + "2" * 62, "resumed")
         del resumed
         reloaded = ResponseCache(tmp_path)
         assert reloaded.torn_lines == 1
-        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "2" * 62).text == "resumed"
-        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "0" * 62).text == "kept"
+        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "2" * 62) == "resumed"
+        assert reloaded.get_completion("mock-model", "f" * 16, "ab" + "0" * 62) == "kept"
 
     @pytest.mark.parametrize("bucket, line", [
-        ("completions", json.dumps({**dataclasses.asdict(cached_row("ab" * 32)), "extra": 1})),
-        ("completions", json.dumps({**dataclasses.asdict(cached_row("ab" * 32)), "model": ["m"]})),
+        ("completions", json.dumps({**cached_row("ab" * 32), "extra": 1})),
+        ("completions", json.dumps({**cached_row("ab" * 32), "model": ["m"]})),
         ("completions", "5"),
         ("completions", "[1, 2]"),
         ("completions", '"a string"'),
@@ -297,12 +306,20 @@ class TestCacheSegments:
         ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t"})),
         ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t", "vector": 5})),
         ("embeddings", "5"),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t", "vector": "ab"})),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t",
+                                   "vector": ["a", "b"]})),
+        ("embeddings", json.dumps({"fingerprint": "f", "text": "a", "tag": "t",
+                                   "vector": [True, 1]})),
+        ("embeddings", '{"fingerprint": "f", "text": "a", "tag": "t", "vector": [1%s]}'
+         % ("0" * 400)),
     ], ids=["unknown-field", "unhashable-model", "int", "list", "string",
-            "no-tag", "no-vector", "vector-int", "embedding-int"])
+            "no-tag", "no-vector", "vector-int", "embedding-int", "vector-string",
+            "vector-of-strings", "vector-with-bool", "vector-past-float"])
     def test_json_line_that_is_not_a_row_counts_as_torn(self, tmp_path, bucket, line):
         (tmp_path / bucket).mkdir()
         segment = tmp_path / bucket / "00.jsonl"
-        kept = json.dumps(dataclasses.asdict(cached_row("cd" * 32, "kept")))
+        kept = json.dumps(cached_row("cd" * 32, "kept"))
         segment.write_text(line + "\n" + (kept + "\n" if bucket == "completions" else ""))
         loaded = ResponseCache(tmp_path)
         assert (loaded.torn_lines, loaded.torn_segments) == (1, [segment])
@@ -311,20 +328,20 @@ class TestCacheSegments:
     def test_line_that_is_not_utf8_counts_as_torn(self, tmp_path):
         (tmp_path / "completions").mkdir()
         segment = tmp_path / "completions" / "00.jsonl"
-        rows = [json.dumps(dataclasses.asdict(cached_row(h * 32, "kept"))) for h in ("ab", "cd")]
+        rows = [json.dumps(cached_row(h * 32, "kept")) for h in ("ab", "cd")]
         segment.write_bytes(
             (rows[0] + "\n").encode() + b'\xff\xfe{"x": 1}\n' + (rows[1] + "\n").encode()
         )
         loaded = ResponseCache(tmp_path)
         assert (loaded.torn_lines, loaded.torn_segments) == (1, [segment])
         for h in ("ab", "cd"):
-            assert loaded.get_completion("mock-model", "f" * 16, h * 32).text == "kept"
+            assert loaded.get_completion("mock-model", "f" * 16, h * 32) == "kept"
 
     def test_puts_go_to_one_segment_per_bucket(self, tmp_path):
         cache = ResponseCache(tmp_path)
         hashes = [f"{i:02x}" + "0" * 62 for i in range(40)]
         for content_hash in hashes:
-            cache.put_completion(cached_row(content_hash))
+            put_row(cache, content_hash)
         for text in ("alpha", "beta", "gamma"):
             cache.put_embedding("hashbag-4-v1", "f" * 16, text, [1.0, 0.0, 0.0, 0.0])
         cache.close()
@@ -339,19 +356,19 @@ class TestCacheSegments:
         (tmp_path / "completions").mkdir()
         # a shard named by the older per-hash-byte layout sorts first
         (tmp_path / "completions" / "ff.jsonl").write_text(
-            json.dumps(dataclasses.asdict(cached_row("9" * 64, "oldest"))) + "\n"
+            json.dumps(cached_row("9" * 64, "oldest")) + "\n"
         )
         first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-        first.put_completion(cached_row("9" * 64, "first"))  # already held by ff.jsonl
-        first.put_completion(cached_row("1" * 64, "first"))
-        second.put_completion(cached_row("1" * 64, "second"))
-        second.put_completion(cached_row("2" * 64, "second"))
+        put_row(first, "9" * 64, "first")  # already held by ff.jsonl
+        put_row(first, "1" * 64, "first")
+        put_row(second, "1" * 64, "second")
+        put_row(second, "2" * 64, "second")
         first.close()
         second.close()
         names = sorted(p.name for p in (tmp_path / "completions").glob("*.jsonl"))
         assert names == ["ff.jsonl", "seg-00000001.jsonl", "seg-00000002.jsonl"]
         reloaded = ResponseCache(tmp_path)
-        texts = {h[0]: reloaded.get_completion("mock-model", "f" * 16, h).text
+        texts = {h[0]: reloaded.get_completion("mock-model", "f" * 16, h)
                  for h in ("9" * 64, "1" * 64, "2" * 64)}
         assert texts == {"9": "oldest", "1": "first", "2": "second"}
 
@@ -370,34 +387,189 @@ class TestCacheSegments:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             cache = ResponseCache(tmp_path)
-            cache.put_completion(cached_row("0" * 64))
+            put_row(cache, "0" * 64)
             del cache
             gc.collect()
         assert unraisable == []
         assert len(ResponseCache(tmp_path)) == 1
 
-    def test_records_are_slotted_and_share_model_and_answer_strings(self, tmp_path):
-        """A cache repeats a few model names and labels over many rows; new and
-        reloaded records keep one string of each, and no record has a dict."""
+    def test_new_and_reloaded_answers_share_one_string_per_text(self, tmp_path):
+        """A cache repeats a few labels over many rows; new and reloaded
+        answers keep one string of each, and every row keeps its seven fields."""
         profiles = [mock_profile(name) for name in ("model-a", "model-b")]
         backend = gateway.CallableBackend(  # a new string object per answer
             lambda profile, prompt: "".join(("N" if int(prompt.query_text) % 2 else "", "FR"))
         )
         with Client(cache=ResponseCache(tmp_path), mocks={"test": backend}) as client:
-            written = [client.start(profile, prompt_for(str(i))).finish()
+            pending = [client.start(profile, prompt_for(str(i)))
                        for profile in profiles for i in range(20)]
+            written = [p.finish() for p in pending]
         (segment,) = (tmp_path / "completions").glob("*.jsonl")
-        assert len(segment.read_text(encoding="utf-8").splitlines()) == 40
+        rows = [json.loads(line) for line in segment.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 40
+        assert [row["text"] for row in rows] == written
+        for i, row in enumerate(rows):
+            assert set(row) == set(cached_row("")) and row["created_at"]
+            assert (row["model"], row["fingerprint"]) == (
+                profiles[i // 20].name, profiles[0].request_fingerprint)
+            assert row["content_hash"] == f"hash-{i % 20}"
+            assert (row["attempts"], row["latency_ms"]) == (1, pending[i].latency_ms)
         reloaded = ResponseCache(tmp_path)
-        loaded = [reloaded.get_completion(r.model, r.fingerprint, r.content_hash)
-                  for r in written]
-        for record, twin in zip(written, loaded):
-            for name in (f.name for f in dataclasses.fields(CompletionRecord)):
-                assert getattr(twin, name) == getattr(record, name)
-        for records in (written, loaded):
-            assert len({id(r.model) for r in records}) == 2
-            assert len({id(r.text) for r in records}) == 2
-            assert not any(hasattr(r, "__dict__") for r in records)
+        loaded = [reloaded.get_completion(r["model"], r["fingerprint"], r["content_hash"])
+                  for r in rows]
+        assert loaded == written
+        for answers in (written, loaded):
+            assert len({id(text) for text in answers}) == 2
+
+
+def write_segments(directory, segments):
+    """Write each {name: [line, ...]} segment under directory/completions."""
+    (directory / "completions").mkdir(parents=True)
+    for name, lines in segments.items():
+        (directory / "completions" / name).write_bytes(
+            b"".join(line if isinstance(line, bytes) else (line + "\n").encode() for line in lines)
+        )
+
+
+def row_line(content_hash, text="FR", drop=(), **changes):
+    """A completions row as one JSON line, with changed fields and without dropped ones."""
+    row = {**cached_row(content_hash, text), **changes}
+    return json.dumps({name: value for name, value in row.items() if name not in drop})
+
+
+# Segment sets of a completions bucket, named by what they hold.
+CRAFTED_SEGMENTS = {
+    "duplicates-across-segments": {
+        "ab.jsonl": [row_line("1" * 64, "oldest")],
+        "seg-00000001.jsonl": [row_line("1" * 64, "first"), row_line("2" * 64, "first")],
+        "seg-00000002.jsonl": [row_line("2" * 64, "second"), row_line("3" * 64, "second"),
+                               row_line("3" * 64, "second again", model="model-b")],
+    },
+    "torn-tail": {
+        "seg-00000001.jsonl": [row_line("1" * 64), b'{"content_hash": "22", "te'],
+        "seg-00000002.jsonl": [row_line("2" * 64, "after")],
+    },
+    "unknown-or-missing-fields": {
+        "seg-00000001.jsonl": [
+            row_line("1" * 64, extra=1), row_line("2" * 64, drop=["created_at"]),
+            row_line("3" * 64, drop=["latency_ms"]), row_line("4" * 64, drop=["model"]),
+            row_line("5" * 64, drop=["text"]), row_line("6" * 64, drop=["content_hash"]),
+            row_line("1" * 64, "after the torn one"), row_line("7" * 64),
+        ],
+    },
+    "non-string-fields": {
+        "seg-00000001.jsonl": [
+            row_line("1" * 64, model=5), row_line("2" * 64, model=["m"]),
+            row_line("3" * 64, 7), row_line("4" * 64, None),
+            row_line("5" * 64, fingerprint=5), row_line("6" * 64, fingerprint=["f"]),
+            row_line(7), row_line(["8"]), row_line("9" * 64, attempts="1", latency_ms="x"),
+        ],
+    },
+    "null-fingerprint": {
+        "seg-00000001.jsonl": [
+            row_line("1" * 64, "stale", fingerprint=None),
+            row_line("2" * 64, fingerprint=None, extra=1),
+            row_line("3" * 64, drop=["fingerprint"]), '{"text": 5}', "{}",
+            row_line("1" * 64, "fresh"),
+        ],
+    },
+    "not-objects": {
+        "seg-00000001.jsonl": ["5", "[1, 2]", '"a string"', "null", "true", "", "1.5"],
+        "seg-00000002.jsonl": [row_line("1" * 64), b"\xff\xfe{}\n", "[]"],
+    },
+}
+
+
+class TestCacheIndex:
+    @staticmethod
+    def probe_keys(directory):
+        """Every (model, fingerprint, content hash) of string fields in the
+        bucket's object rows, torn or not."""
+        keys = set()
+        for segment in (directory / "completions").glob("*.jsonl"):
+            for line in segment.read_bytes().splitlines():
+                try:
+                    row = json.loads(line)
+                except ValueError:
+                    continue
+                fields = [row.get(n) if isinstance(row, dict) else None
+                          for n in ("model", "fingerprint", "content_hash")]
+                if all(isinstance(value, str) for value in fields):
+                    keys.add(tuple(fields))
+        return keys
+
+    def assert_served_as_by_record_loader(self, directory):
+        served, torn_lines, torn_segments = oracle_load_completions(directory)
+        assert served  # every set holds a row that loads
+        cache = ResponseCache(directory)
+        assert (cache.torn_lines, cache.torn_segments) == (torn_lines, torn_segments)
+        assert len(cache) == len(served)
+        for key in self.probe_keys(directory) | set(served):
+            assert cache.get_completion(*key) == served.get(key), key
+
+    @pytest.mark.parametrize("name", list(CRAFTED_SEGMENTS))
+    def test_crafted_segments_served_as_by_the_record_loader(self, tmp_path, name):
+        write_segments(tmp_path, CRAFTED_SEGMENTS[name])
+        self.assert_served_as_by_record_loader(tmp_path)
+
+    def test_mixed_segments_served_as_by_the_record_loader(self, tmp_path):
+        rng = random.Random(29)
+        lines = [line for segments in CRAFTED_SEGMENTS.values()
+                 for segment in segments.values() for line in segment if isinstance(line, str)]
+        segments = {f"seg-{n:08d}.jsonl": rng.choices(lines, k=40) for n in range(1, 6)}
+        write_segments(tmp_path, segments)
+        self.assert_served_as_by_record_loader(tmp_path)
+
+    def test_rows_written_by_put_are_the_record_rows(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        put_row(cache, "1" * 64, "kept")
+        put_row(cache, "1" * 64, "dropped")  # the key has its answer
+        cache.close()
+        (segment,) = (tmp_path / "completions").glob("*.jsonl")
+        (line,) = segment.read_text(encoding="utf-8").splitlines()
+        row = json.loads(line)
+        assert list(row) == sorted(cached_row(""))
+        assert {**row, "created_at": None} == {**cached_row("1" * 64, "kept"), "created_at": None}
+        self.assert_served_as_by_record_loader(tmp_path)
+
+
+def traced_bytes(load):
+    """The bytes held, by tracemalloc's count, by what load() returns, on a
+    second call, so that caches a first call fills are not counted."""
+    load()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = load()
+        return tracemalloc.get_traced_memory()[0] - before, held
+    finally:
+        tracemalloc.stop()
+
+
+class TestCacheFootprint:
+    def test_a_loaded_completion_costs_at_most_200_bytes(self, tmp_path):
+        rows = [row_line(hashlib.sha256(b"%d" % i).hexdigest(), ("FR", "NFR")[i % 2],
+                         model=("model-a", "model-b")[i // 2500]) for i in range(5000)]
+        write_segments(tmp_path, {"seg-00000001.jsonl": rows})
+        del rows
+        size, cache = traced_bytes(lambda: ResponseCache(tmp_path))
+        assert (len(cache), cache.torn_lines) == (5000, 0)
+        assert size / 5000 <= 200
+
+    def test_a_cached_1536_dim_vector_costs_at_most_16_kb(self, tmp_path):
+        rng = random.Random(1536)
+        vectors = {f"requirement {i}": [rng.uniform(-1.0, 1.0) for _ in range(1536)]
+                   for i in range(10)}
+        (tmp_path / "embeddings").mkdir()
+        (tmp_path / "embeddings" / "seg-00000001.jsonl").write_text("".join(
+            json.dumps({"fingerprint": "f" * 16, "tag": "e", "text": text, "vector": vector})
+            + "\n" for text, vector in vectors.items()
+        ))
+        size, cache = traced_bytes(lambda: ResponseCache(tmp_path))
+        assert (len(cache), cache.torn_lines) == (10, 0)
+        for text, vector in vectors.items():
+            assert list(cache.get_embedding("e", "f" * 16, text)) == vector
+        assert size / 10 <= 16 * 1024
 
 
 class FlakyHandler(BaseHTTPRequestHandler):
@@ -448,15 +620,19 @@ def http_server():
     server.server_close()
 
 
+def answer_and_attempts(client, profile, prompt):
+    """A completion's answer text and the attempts its request took."""
+    pending = client.start(profile, prompt)
+    return pending.finish(), pending.attempt
+
+
 class TestHttpTransport:
     def test_retry_after_429_succeeds_with_attempt_count(self, http_server):
         client = Client(sleeper=lambda s: None)
         profile = ModelProfile(
             name="retry-model", base_url=http_server, backoff_base_s=0.0
         )
-        record = client.start(profile, prompt_for("retry me")).finish()
-        assert record.text == "FR"
-        assert record.attempts == 3
+        assert answer_and_attempts(client, profile, prompt_for("retry me")) == ("FR", 3)
         assert FlakyHandler.payload["temperature"] == 0.0
 
     def test_exhausted_retries_raise_transport_error(self, http_server):
@@ -536,7 +712,7 @@ class TestConnectionReuse:
         endpoint = loopback(ChatEndpoint)
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(5)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(5)]
         assert texts == ["FR"] * 5
         assert endpoint.targets == ["/v1/chat/completions"] * 5
         assert endpoint.connections == 1
@@ -553,9 +729,9 @@ class TestConnectionReuse:
         chat = ModelProfile(name="m", base_url=endpoint.base_url)
         embedder = ModelProfile(name="e", kind="embedding", base_url=endpoint.base_url)
         with Client() as client:
-            assert client.start(chat, prompt_for("q1")).finish().text == "FR"
+            assert client.start(chat, prompt_for("q1")).finish() == "FR"
             assert client.embed_batch(embedder, ["a", "b"]) == [[0.0, 1.0], [1.0, 1.0]]
-            assert client.start(chat, prompt_for("q2")).finish().text == "FR"
+            assert client.start(chat, prompt_for("q2")).finish() == "FR"
         assert endpoint.targets == [
             "/v1/chat/completions", "/v1/embeddings", "/v1/chat/completions"
         ]
@@ -567,8 +743,8 @@ class TestConnectionReuse:
         waits = []
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client(sleeper=waits.append) as client:
-            records = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(4)]
-        assert [r.attempts for r in records] == [1, 1, 1, 1]
+            answers = [answer_and_attempts(client, profile, prompt_for(f"q{i}")) for i in range(4)]
+        assert answers == [("FR", 1)] * 4
         assert waits == []
         assert len(endpoint.targets) == 4
         assert endpoint.connections == 4
@@ -579,14 +755,14 @@ class TestConnectionReuse:
         clean_proxy_env.setenv("http_proxy", proxy.url.replace("//", "//user:p%40ss@"))
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            assert client.start(profile, prompt_for("via proxy")).finish().text == "NFR"
+            assert client.start(profile, prompt_for("via proxy")).finish() == "NFR"
         assert proxy.targets == [endpoint.base_url + "/chat/completions"]
         assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
         assert endpoint.targets == ["/v1/chat/completions"]
 
         clean_proxy_env.setenv("no_proxy", "127.0.0.1")
         with Client() as client:
-            assert client.start(profile, prompt_for("direct")).finish().text == "NFR"
+            assert client.start(profile, prompt_for("direct")).finish() == "NFR"
         assert len(proxy.targets) == 1
         assert len(endpoint.targets) == 2
 
@@ -619,11 +795,20 @@ class TestBadReplies:
           "malformed embeddings response"),
          ("chat", 200, b"[" * 100_000 + b"]" * 100_000, "non-JSON response"),
          ("embedding", 200, embeddings_reply(b"[%s]" % b", ".join([b"0.5"] * 5000), b'"x"'),
-          "malformed embeddings response")],
+          "malformed embeddings response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": "FR"}}], "score": NaN}',
+          "non-JSON response"),
+         ("chat", 200, b'{"choices": [{"message": {"content": "FR"}}], "score": -Infinity}',
+          "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[NaN, Infinity]", b"[1.0, 2.0]"),
+          "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[1.0, 2.0]", b"[-Infinity, 1.0]"),
+          "non-JSON response")],
         ids=["404", "not-json", "no-content", "no-index", "null-content", "number-content",
              "list-content", "chat-not-utf8", "embeddings-not-utf8", "digit-string-embedding",
              "bool-in-embedding", "embedding-past-float", "nested-too-deep",
-             "long-and-malformed"],
+             "long-and-malformed", "nan-beside-chat", "minus-infinity-beside-chat",
+             "nan-and-infinity-embedding", "minus-infinity-embedding"],
     )
     def test_refused_after_one_request(self, loopback, tmp_path, kind, status, raw, needle):
         endpoint = loopback(CannedEndpoint, status=status, raw=raw)
@@ -672,7 +857,7 @@ class TestWireBytes:
         with Client(sleeper=lambda s: None) as client:
             if kind == "chat":
                 prompt = dataclasses.replace(prompt_for(TRICKY), system_message=TRICKY)
-                assert client.start(profile, prompt).finish().attempts == 2
+                assert answer_and_attempts(client, profile, prompt) == ("FR", 2)
                 expected = oracle_chat_body("m", TRICKY, prompt.user_message, 0.0, 16)
             else:
                 assert client.embed_batch(profile, [TRICKY, "b"]) == [[0.0, 1.0], [1.0, 1.0]]
@@ -704,30 +889,30 @@ class TestReplyFraming:
             **profile_fields,
         )
         with Client(sleeper=waits.append) as client:
-            records = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(n)]
-        return records, waits
+            answers = [answer_and_attempts(client, profile, prompt_for(f"q{i}")) for i in range(n)]
+        return answers, waits
 
     @pytest.mark.parametrize("framing", ["chunked", "continue", "100-headers"])
     def test_reply_decoded_and_connection_kept(self, loopback, framing):
         reply = "Non-Functional, judging by the wording of the requirement"
         endpoint = loopback(ChatEndpoint, reply=reply, framing=framing)
-        records, _ = self.complete_all(endpoint)
-        assert [r.text for r in records] == [reply] * 3
+        answers, _ = self.complete_all(endpoint)
+        assert [text for text, _ in answers] == [reply] * 3
         assert endpoint.connections == 1
 
     @pytest.mark.parametrize("framing", ["close", "http10", "eof"])
     def test_reply_that_ends_the_connection_is_not_reused(self, loopback, client_writes, framing):
         endpoint = loopback(ChatEndpoint, framing=framing)
-        records, waits = self.complete_all(endpoint)
-        assert [(r.text, r.attempts) for r in records] == [("FR", 1)] * 3
+        answers, waits = self.complete_all(endpoint)
+        assert answers == [("FR", 1)] * 3
         assert waits == []
         assert len(client_writes) == 3  # nothing was sent on a closed connection
         assert endpoint.connections == 3
 
     def test_short_body_is_a_transport_error_retried_as_an_attempt(self, loopback):
         endpoint = loopback(ChatEndpoint, framing=["short", "length"])
-        (record,), waits = self.complete_all(endpoint, n=1, max_attempts=2)
-        assert (record.text, record.attempts) == ("FR", 2)
+        answers, waits = self.complete_all(endpoint, n=1, max_attempts=2)
+        assert answers == [("FR", 2)]
         assert len(waits) == 1
         endpoint.framings = ["short"]
         with pytest.raises(TransportError) as err:
@@ -779,7 +964,7 @@ class TestTls:
         endpoint = loopback(ChatEndpoint, reply="NFR", tls=True)
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(3)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(3)]
         assert texts == ["NFR"] * 3
         assert endpoint.connections == 1
 
@@ -789,7 +974,7 @@ class TestTls:
         clean_proxy_env.setenv("https_proxy", proxy.url.replace("//", "//user:p%40ss@"))
         profile = ModelProfile(name="m", base_url=endpoint.base_url)
         with Client() as client:
-            texts = [client.start(profile, prompt_for(f"q{i}")).finish().text for i in range(2)]
+            texts = [client.start(profile, prompt_for(f"q{i}")).finish() for i in range(2)]
         assert texts == ["NFR"] * 2
         assert proxy.targets == [f"127.0.0.1:{endpoint.server_port}"]  # one CONNECT
         assert proxy.credentials == ["Basic " + base64.b64encode(b"user:p@ss").decode()]
@@ -827,7 +1012,7 @@ _ONE_LIVE_REQUEST = (
     "prompt = PromptSpec(system_message='s', user_message='u', example_provenance=(),"
     " content_hash='h', query_text='q')\n"
     "with Client() as client:\n"
-    "    print(client.start(ModelProfile(name='m', base_url=sys.argv[1]), prompt).finish().text)\n"
+    "    print(client.start(ModelProfile(name='m', base_url=sys.argv[1]), prompt).finish())\n"
     "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl', 'email')"
     " if m in sys.modules))\n"
 )
@@ -1054,6 +1239,32 @@ class TestEmbedBatch:
         provider = HashEmbeddingProvider(8)
         client = Client(cache=ResponseCache(tmp_path), mocks={"hash": provider})
         profile = ModelProfile(name="emb", kind="embedding", base_url="mock://hash")
+        assert client.embed_batch(profile, ["text"]) == provider.embed_batch(["text"])
+
+    def test_reloaded_vectors_are_the_floats_put(self, tmp_path):
+        tricky = [0.1, -0.0, 1 / 3, 5e-324, -1.7976931348623157e308, 1e-310]
+
+        class Scripted:
+            def embed_batch(self, texts):
+                return [list(tricky) for _ in texts]
+
+        profile = ModelProfile(name="e", kind="embedding", base_url="mock://scripted")
+        with Client(cache=ResponseCache(tmp_path), mocks={"scripted": Scripted()}) as client:
+            first = client.embed_batch(profile, ["a", "b", "a"])
+        reloaded = Client(cache=ResponseCache(tmp_path)).embed_batch(profile, ["b", "a"])
+        for vector in (*first, *reloaded):
+            assert [x.hex() for x in vector] == [x.hex() for x in tricky]
+
+    @pytest.mark.parametrize("vector", [["a", "b"], [True, 1]], ids=["strings", "bool"])
+    def test_cached_vector_not_of_numbers_is_torn_and_asked_again(self, tmp_path, vector):
+        provider = HashEmbeddingProvider(2)
+        profile = ModelProfile(name="emb", kind="embedding", base_url="mock://hash")
+        row = {"fingerprint": profile.request_fingerprint, "tag": "emb", "text": "text",
+               "vector": vector}
+        (tmp_path / "embeddings").mkdir()
+        (tmp_path / "embeddings" / "seg-00000001.jsonl").write_text(json.dumps(row) + "\n")
+        client = Client(cache=ResponseCache(tmp_path), mocks={"hash": provider})
+        assert client.cache.torn_lines == 1
         assert client.embed_batch(profile, ["text"]) == provider.embed_batch(["text"])
 
     def test_deterministic_vectors(self):

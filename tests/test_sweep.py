@@ -686,13 +686,14 @@ class TestConcurrentDispatch:
                     dispatch(corpus, profiles, client, 1)
                 assert len(connects) == 1
                 # m1's reply was never read: its connection was closed, not made idle
-                record = client.start(profiles["m1"], PromptSpec(
+                pending = client.start(profiles["m1"], PromptSpec(
                     "system", "Input: another query\nCategory:", (), "hash-2",
                     "another query",
-                )).finish()
+                ))
+                text = pending.finish()
         finally:
             endpoint.stop()
-        assert record.text == "Functional" and record.attempts == 1
+        assert text == "Functional" and pending.attempt == 1
         assert len(connects) == 2
 
     def test_results_do_not_depend_on_response_timing(self, tmp_path):

@@ -388,6 +388,22 @@ class TestEmbeddingMatrix:
         for neighbor in got:
             assert abs(neighbor.similarity - sims[neighbor.record_id]) < 1e-9
 
+    def test_row_norms_computed_once_per_space(self, monkeypatch):
+        provider = HashEmbeddingProvider(8)
+        records = make_records([("a b", "X"), ("c", "X"), ("d e", "X")])
+        matrix = build_embedding_matrix(records, provider)
+        norm, axes = np.linalg.norm, []
+
+        def counted_norm(x, *args, **kwargs):
+            axes.append(kwargs.get("axis"))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        for query in provider.embed_batch(["a", "c d", "e"]):
+            knn(matrix, query, 2)
+        assert axes.count(1) == 1  # the rows' norms; each query takes its own
+        assert np.array_equal(matrix.row_norms, norm(matrix.rows, axis=1))
+
     def test_non_finite_query_refused(self):
         matrix = build_embedding_matrix(make_records([("a b", "X")]), HashEmbeddingProvider(4))
         with pytest.raises(VectorSpaceError, match="non-finite"):
