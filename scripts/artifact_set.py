@@ -19,6 +19,14 @@ all from one response cache:
 - orderings/<policy>/  for each example ordering other than the default
            ascending (descending, pool_order, shuffle), a mock-gold sweep
            of random and tfidf at k in [0, 5, 20], pool 200, holdout split
+- scoring/<policy>/    for strict and first_match, a promise12 3-fold sweep
+           of random and tfidf at k in [0, 5], pool 200, over four mocks:
+           echo-gold, an alias (`look & feel`), a multi-label answer
+           (`Security / Performance`) and an unparseable one; so every
+           scoring outcome (a label, an alias, invalid, multi-label under
+           either policy) reaches the diff, per fold report and per curve
+- scoring/cv/          3-fold promise12 `cv` of the multi-label mock, tfidf
+           k=5, under first_match: its fold reports hold such answers
 - replay.json          `replay` of run/trace.jsonl under first_match
 - report.txt, .csv     `report` over run/report.json and cv/aggregate.json
 - cache_rows.jsonl     the cache's rows, sorted, without `created_at` and
@@ -91,6 +99,38 @@ ORDERING_SWEEP = {
     "methods": ["random", "tfidf"],
     "grid": [0, 5, 20],
     "profiles": {"mock-gold": SWEEP["profiles"]["mock-gold"]},
+}
+# Every scoring outcome: a canonical name, an alias, a multi-label answer
+# (scored as its first label only under first_match) and an unparseable one.
+SCORING_POLICIES = ("strict", "first_match")
+SCORING_MODELS = {
+    "mock-gold": "mock://echo-gold",
+    "mock-alias": "mock://constant/look & feel",
+    "mock-multi": "mock://constant/Security / Performance",
+    "mock-unparseable": "mock://unparseable",
+}
+SCORING_SWEEP = {
+    "data": "promise_nfr.csv",
+    "scheme": "promise12",
+    "models": list(SCORING_MODELS),
+    "methods": ["random", "tfidf"],
+    "grid": [0, 5],
+    "pool_size": 200,
+    "split": {"kind": "kfold", "folds": 3, "seed": 0},
+    "on_small_class": "allow",
+    "profiles": {name: {"base_url": url} for name, url in SCORING_MODELS.items()},
+}
+SCORING_CV = {
+    "data": "promise_nfr.csv",
+    "scheme": "promise12",
+    "model": "mock-multi",
+    "method": "tfidf",
+    "k": 5,
+    "k_folds": 3,
+    "pool_size": 200,
+    "on_small_class": "allow",
+    "scoring_policy": "first_match",
+    "profiles": {"mock-multi": {"base_url": SCORING_MODELS["mock-multi"]}},
 }
 VARYING_ROW_FIELDS = ("created_at", "latency_ms")
 # Run with SRC's shotsweep on the path over a cache directory: every on-disk
@@ -174,6 +214,9 @@ def build(src: Path, out: Path) -> None:
         shutil.copyfile(src / "data" / "promise_nfr.csv", work_dir / "promise_nfr.csv")
         configs = [("sweep", SWEEP), ("sweep-http", sweep_http), ("run", RUN), ("cv", CV)]
         configs += [(f"orderings-{o}", {**ORDERING_SWEEP, "ordering": o}) for o in ORDERINGS]
+        configs += [(f"scoring-{p}", {**SCORING_SWEEP, "scoring_policy": p})
+                    for p in SCORING_POLICIES]
+        configs.append(("scoring-cv", SCORING_CV))
         for name, config in configs:
             (work_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 
@@ -206,6 +249,12 @@ def build(src: Path, out: Path) -> None:
                 "sweep", "--config", f"orderings-{ordering}.json",
                 "--out", str(out / "orderings" / ordering), *cache,
             )
+        for policy in SCORING_POLICIES:
+            shotsweep(
+                "sweep", "--config", f"scoring-{policy}.json",
+                "--out", str(out / "scoring" / policy), *cache,
+            )
+        shotsweep("cv", "--config", "scoring-cv.json", "--out", str(out / "scoring" / "cv"), *cache)
         shotsweep(
             "replay", "--trace", str(out / "run" / "trace.jsonl"), "--scheme", "frnfr",
             "--policy", "first_match", "--out", str(out / "replay.json"),
