@@ -21,7 +21,6 @@ from .corpus import (
 from .evaluation import (
     EvalReport,
     ParsedLabel,
-    Prediction,
     compute_report,
     parse_label,
     score_prediction,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import functools
 import json
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -15,6 +18,8 @@ INVALID_COLUMN = "__invalid__"
 
 SCORING_POLICIES = ("strict", "first_match")
 
+PARSE_KINDS = ("label", "multi_label", "unparseable")  # what a kinds column indexes
+
 
 class EvaluationError(Exception):
     pass
@@ -22,7 +27,7 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class ParsedLabel:
-    kind: str  # "label" | "multi_label" | "unparseable"
+    kind: str  # one of PARSE_KINDS
     labels: tuple[str, ...] = ()
 
 
@@ -73,15 +78,6 @@ def parse_label(completion: str, scheme: LabelScheme) -> ParsedLabel:
     return ParsedLabel("multi_label", tuple(ordered_labels))
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
-    record_id: int
-    gold: str
-    parsed: ParsedLabel
-    scored_as: str | None
-    content_hash: str
-
-
 def score_prediction(parsed: ParsedLabel, policy: str = "strict") -> str | None:
     """strict scores single labels only; first_match also takes the first of many."""
     if policy not in SCORING_POLICIES:
@@ -118,47 +114,33 @@ class EvalReport:
 
 
 def compute_report(
-    predictions: Sequence[Prediction],
+    gold: Sequence[int],
+    scored: Sequence[int],
+    kinds: Sequence[int],
     scheme: LabelScheme,
     metadata: dict[str, object] | None = None,
 ) -> EvalReport:
-    """Per-class P/R/F1 with 0/0 -> 0, weighted and macro F1, confusion matrix.
+    """Per-class P/R/F1 with 0/0 -> 0, weighted and macro F1, confusion matrix,
+    counted from class-index columns in step: gold indexes scheme.label_ids,
+    scored does too or is -1, and kinds indexes PARSE_KINDS.
 
-    Predictions that scored as None (unparseable, or multi-label under the
-    strict policy) count as false negatives for their gold class and land in
-    the invalid confusion column.
+    An answer scored -1 (unparseable, or multi-label under the strict policy)
+    counts as a false negative for its gold class and lands in the invalid
+    confusion column.
     """
-    if not predictions:
+    if not gold:
         raise EvaluationError("cannot compute a report over zero predictions")
     label_ids = scheme.label_ids
-    confusion: dict[str, dict[str, int]] = {
-        gold: {col: 0 for col in (*label_ids, INVALID_COLUMN)} for gold in label_ids
-    }
-    n_unparseable = 0
-    n_multilabel = 0
-    for pred in predictions:
-        if pred.gold not in confusion:
-            raise EvaluationError(
-                f"prediction for record {pred.record_id}: gold {pred.gold!r} "
-                f"not in scheme {scheme.name!r}"
-            )
-        column = pred.scored_as if pred.scored_as is not None else INVALID_COLUMN
-        if column != INVALID_COLUMN and column not in confusion:
-            raise EvaluationError(
-                f"prediction for record {pred.record_id}: scored label "
-                f"{column!r} not in scheme {scheme.name!r}"
-            )
-        confusion[pred.gold][column] += 1
-        if pred.parsed.kind == "unparseable":
-            n_unparseable += 1
-        elif pred.parsed.kind == "multi_label":
-            n_multilabel += 1
+    columns = (*label_ids, INVALID_COLUMN)  # scored -1 is the invalid column
+    confusion = {lid: dict.fromkeys(columns, 0) for lid in label_ids}
+    for (g, c), count in Counter(zip(gold, scored)).items():
+        confusion[label_ids[g]][columns[c]] += count
 
     per_class: dict[str, ClassMetrics] = {}
     for lid in label_ids:
         support = sum(confusion[lid].values())
         tp = confusion[lid][lid]
-        fp = sum(confusion[gold][lid] for gold in label_ids if gold != lid)
+        fp = sum(confusion[other][lid] for other in label_ids if other != lid)
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / support if support > 0 else 0.0
         f1 = (
@@ -176,9 +158,9 @@ def compute_report(
         weighted_f1=weighted_f1,
         macro_f1=macro_f1,
         confusion=confusion,
-        n_predictions=len(predictions),
-        n_unparseable=n_unparseable,
-        n_multilabel=n_multilabel,
+        n_predictions=len(gold),
+        n_unparseable=kinds.count(PARSE_KINDS.index("unparseable")),
+        n_multilabel=kinds.count(PARSE_KINDS.index("multi_label")),
         metadata=dict(metadata or {}),
     )
 
@@ -194,23 +176,33 @@ class TraceRow:
 
 
 def score_rows(
-    rows: Sequence[TraceRow], scheme: LabelScheme, policy: str, metadata: dict[str, object],
-    parsed_by_text: dict[str, ParsedLabel] | None = None,
-) -> EvalReport:
-    """The report over rows: each distinct completion parsed once, scored under
-    policy, and metadata's scoring_policy set to policy. The parses are kept in
-    parsed_by_text, when given, for the next call over the same completions."""
-    parsed_by_text = {} if parsed_by_text is None else parsed_by_text
-    predictions = []
-    for row in rows:
-        parsed = parsed_by_text.get(row.completion)
-        if parsed is None:
-            parsed = parsed_by_text[row.completion] = parse_label(row.completion, scheme)
-        scored_as = score_prediction(parsed, policy)
-        predictions.append(
-            Prediction(row.record_id, row.gold, parsed, scored_as, row.content_hash)
-        )
-    return compute_report(predictions, scheme, {**metadata, "scoring_policy": policy})
+    per_partition: Sequence[list[TraceRow]], scheme: LabelScheme, policy: str,
+    metadata: dict[str, object],
+) -> CellRun:
+    """The run of a cell over its rows, partition by partition: each distinct
+    completion parsed once and scored under policy, and the report over every
+    partition, its metadata's scoring_policy set to policy."""
+    index = {lid: i for i, lid in enumerate(scheme.label_ids)}
+    by_completion: dict[str, tuple[int, int]] = {}  # completion -> (scored, kind)
+    gold, scored, kinds = array("i"), array("i"), array("i")
+    for row in chain.from_iterable(per_partition):
+        if row.completion not in by_completion:
+            parsed = parse_label(row.completion, scheme)
+            label = score_prediction(parsed, policy)
+            by_completion[row.completion] = (
+                -1 if label is None else index[label], PARSE_KINDS.index(parsed.kind)
+            )
+        if row.gold not in index:
+            raise EvaluationError(
+                f"prediction for record {row.record_id}: gold {row.gold!r} "
+                f"not in scheme {scheme.name!r}"
+            )
+        gold.append(index[row.gold])
+        scored_as, kind = by_completion[row.completion]
+        scored.append(scored_as)
+        kinds.append(kind)
+    report = compute_report(gold, scored, kinds, scheme, {**metadata, "scoring_policy": policy})
+    return CellRun(report, tuple(per_partition), gold, scored, kinds)
 
 
 class TraceWriter:
@@ -245,18 +237,27 @@ class TraceWriter:
 
 @dataclass(frozen=True)
 class CellRun:
+    """A cell's report and rows, and its class-index columns (see
+    compute_report) over every partition's rows in test order. Every cell of
+    a partition has the same record order, so a (model, method)'s scored
+    columns over k are its records x k outcome matrix."""
+
     report: EvalReport  # over the rows of every partition
     per_partition: tuple[list[TraceRow], ...]
-    # each distinct completion's parse, which fold_reports reuses
-    parsed: dict[str, ParsedLabel] = field(default_factory=dict, repr=False, compare=False)
+    gold: array
+    scored: array
+    kinds: array
 
 
 def fold_reports(run: CellRun, scheme: LabelScheme) -> list[EvalReport]:
-    """One report per partition of run, under its policy, its metadata tagged with the fold."""
-    metadata = run.report.metadata
-    return [
-        score_rows(
-            rows, scheme, str(metadata["scoring_policy"]), {**metadata, "fold": fold}, run.parsed
-        )
-        for fold, rows in enumerate(run.per_partition)
-    ]
+    """One report per partition of run, from its slice of run's columns, its
+    metadata tagged with the fold."""
+    reports, start = [], 0
+    for fold, rows in enumerate(run.per_partition):
+        end = start + len(rows)
+        reports.append(compute_report(
+            run.gold[start:end], run.scored[start:end], run.kinds[start:end], scheme,
+            {**run.report.metadata, "fold": fold},
+        ))
+        start = end
+    return reports

@@ -6,6 +6,7 @@ import base64
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -541,8 +542,10 @@ def _content(response) -> str:
 
 
 def _is_numbers(vector) -> bool:
-    """Whether a decoded JSON value is a list of numbers (a bool is not one)."""
-    return type(vector) is list and {*map(type, vector)} <= {int, float}
+    """Whether a decoded JSON value is a list of finite numbers (a bool is not
+    one); an int past the float range raises OverflowError."""
+    return type(vector) is list and {*map(type, vector)} <= {int, float} and all(
+        map(math.isfinite, vector))
 
 
 def _vectors(response) -> list[list[float]]:

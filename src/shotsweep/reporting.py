@@ -261,4 +261,4 @@ def replay(
     """
     meta, rows = read_trace(trace_path)
     effective_policy = policy if policy is not None else str(meta.get("scoring_policy", "strict"))
-    return score_rows(rows, scheme, effective_policy, meta)
+    return score_rows([rows], scheme, effective_policy, meta).report

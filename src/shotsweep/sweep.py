@@ -14,7 +14,6 @@ from .evaluation import (
     CellRun,
     EvalReport,
     EvaluationError,
-    ParsedLabel,
     TraceRow,
     TraceWriter,
     score_rows,
@@ -267,10 +266,11 @@ def run_sweep(
     An exception in CELL_ERRORS fails the cells that share the step that
     raised it (every cell, a method's k > 0, a (method, k) or one model's
     cell) and the rest go on; any other exception propagates. outcomes keeps
-    each cell's report and per-partition rows, or its first failure,
-    in plan.cells() order, keyed by the plan's model whatever the profile's
-    name. Completions are cache-backed, so a rerun only executes what is
-    missing.
+    each cell's CellRun (report, per-partition rows and class-index columns)
+    or its first failure, in plan.cells() order, keyed by the plan's model
+    whatever the profile's name; a failed cell is a missing column of its
+    (model, method)'s outcome matrix. Completions are cache-backed, so a
+    rerun only executes what is missing.
     """
     missing = [m for m in plan.models if m not in profiles]
     if missing:
@@ -328,12 +328,8 @@ def run_sweep(
     def finish(cell: Cell) -> CellRun | Exception:
         if cell in failed:
             return failed[cell]
-        per_partition = collected[cell]
-        pooled = [row for rows in per_partition for row in rows]
-        parsed: dict[str, ParsedLabel] = {}  # fold_reports parses nothing again
         try:
-            report = score_rows(pooled, scheme, plan.scoring_policy, metadata(cell), parsed)
-            return CellRun(report, tuple(per_partition), parsed)
+            return score_rows(collected[cell], scheme, plan.scoring_policy, metadata(cell))
         except CELL_ERRORS as exc:
             return exc
 

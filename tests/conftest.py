@@ -11,9 +11,11 @@ from shotsweep import (
     LabelScheme,
     RequirementRecord,
     SweepPlan,
+    compute_report,
     load_corpus,
     run_sweep,
 )
+from shotsweep.evaluation import PARSE_KINDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROMISE_CSV = REPO_ROOT / "data" / "promise_nfr.csv"
@@ -24,6 +26,18 @@ def make_records(texts_labels, dataset="test"):
         RequirementRecord(i, text, label, dataset)
         for i, (text, label) in enumerate(texts_labels)
     ]
+
+
+def report_of(scheme, outcomes, metadata=None):
+    """compute_report over (gold label, scored label or None, parse kind)
+    triples, as class-index columns."""
+    index = {lid: i for i, lid in enumerate(scheme.label_ids)}
+    return compute_report(
+        [index[gold] for gold, _, _ in outcomes],
+        [-1 if scored is None else index[scored] for _, scored, _ in outcomes],
+        [PARSE_KINDS.index(kind) for _, _, kind in outcomes],
+        scheme, metadata,
+    )
 
 
 def evaluate_one_cell(corpus, split, profile, cfg, client, provider=None, trace_path=None):

@@ -353,3 +353,39 @@ def oracle_metrics(
     weighted = sum(m["support"] / total * m["f1"] for m in per_class.values())
     macro = sum(m["f1"] for m in per_class.values()) / len(labels)
     return {"per_class": per_class, "weighted_f1": weighted, "macro_f1": macro}
+
+
+def oracle_compute_report(
+    golds: list[str], scored: list[str | None], kinds: list[str], labels: list[str]
+) -> dict:
+    """The per-prediction loop that evaluation.compute_report replaced, over
+    gold labels, scored labels (None: invalid) and parse kinds: an EvalReport's
+    fields but its metadata, each ClassMetrics as a dict. Its float
+    expressions and left-to-right sums are the replaced code's."""
+    confusion = {gold: {col: 0 for col in (*labels, "__invalid__")} for gold in labels}
+    n_unparseable = n_multilabel = 0
+    for gold, label, kind in zip(golds, scored, kinds):
+        confusion[gold][label if label is not None else "__invalid__"] += 1
+        if kind == "unparseable":
+            n_unparseable += 1
+        elif kind == "multi_label":
+            n_multilabel += 1
+    per_class = {}
+    for lid in labels:
+        support = sum(confusion[lid].values())
+        tp = confusion[lid][lid]
+        fp = sum(confusion[gold][lid] for gold in labels if gold != lid)
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / support if support > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class[lid] = {"precision": precision, "recall": recall, "f1": f1, "support": support}
+    total = sum(m["support"] for m in per_class.values())
+    return {
+        "per_class": per_class,
+        "weighted_f1": sum(m["support"] / total * m["f1"] for m in per_class.values()),
+        "macro_f1": sum(m["f1"] for m in per_class.values()) / len(labels),
+        "confusion": confusion,
+        "n_predictions": len(golds),
+        "n_unparseable": n_unparseable,
+        "n_multilabel": n_multilabel,
+    }

@@ -27,7 +27,6 @@ from shotsweep import (
     SelectionConfig,
     SweepPlan,
     build_pool,
-    compute_report,
     embed_query_tfidf,
     fit_tfidf,
     knn,
@@ -39,13 +38,13 @@ from shotsweep import (
 )
 from shotsweep.cli import EXIT_OK, main
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import ParsedLabel, Prediction
+from shotsweep.evaluation import ParsedLabel
 from shotsweep.gateway import ResponseCache
 from shotsweep.reporting import emit_table
 from shotsweep.selection import rank
 from shotsweep.sweep import CurvePoint, detect_overprompting, find_optimum
 
-from conftest import PROMISE_CSV, evaluate_one_cell
+from conftest import PROMISE_CSV, evaluate_one_cell, report_of
 from hillmock import HILL_SCHEDULE, hill_setup
 from oracles import oracle_metrics, oracle_tfidf_ranking, simulate_round_robin
 
@@ -152,10 +151,10 @@ def test_criterion_3_metrics_oracle_equivalence():
             else:
                 parsed = ParsedLabel("label", (rng.choice(labels),))
             s = score_prediction(parsed, policy)
-            predictions.append(Prediction(i, gold, parsed, s, f"h{i}"))
+            predictions.append((gold, s, parsed.kind))
             golds.append(gold)
             scored.append(s)
-        report = compute_report(predictions, scheme)
+        report = report_of(scheme, predictions)
         expected = oracle_metrics(golds, scored, labels)
         for lid in labels:
             got = report.per_class[lid]
@@ -169,12 +168,12 @@ def test_criterion_3_metrics_oracle_equivalence():
 
     # worked binary example: gold FR,FR,NFR,NFR / predicted FR,NFR,NFR,NFR
     worked = [
-        Prediction(0, "FR", ParsedLabel("label", ("FR",)), "FR", "h0"),
-        Prediction(1, "FR", ParsedLabel("label", ("NFR",)), "NFR", "h1"),
-        Prediction(2, "NFR", ParsedLabel("label", ("NFR",)), "NFR", "h2"),
-        Prediction(3, "NFR", ParsedLabel("label", ("NFR",)), "NFR", "h3"),
+        ("FR", "FR", "label"),
+        ("FR", "NFR", "label"),
+        ("NFR", "NFR", "label"),
+        ("NFR", "NFR", "label"),
     ]
-    report = compute_report(worked, BINARY_FRNFR)
+    report = report_of(BINARY_FRNFR, worked)
     assert abs(report.weighted_f1 - 11 / 15) < 1e-9  # 0.733...
     assert round(report.weighted_f1, 3) == 0.733
     _pass(3, "metrics oracle equivalence", budget.check())

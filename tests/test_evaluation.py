@@ -2,33 +2,41 @@ from __future__ import annotations
 
 import ast
 import random
+import zlib
+from dataclasses import asdict
 
 import pytest
 
 from shotsweep import (
     BINARY_FRNFR,
+    PROMISE_12,
     Client,
     ConstantBackend,
     HashEmbeddingProvider,
     LabelDef,
     LabelScheme,
     ModelProfile,
+    SweepPlan,
     compute_report,
+    load_corpus,
     make_split,
+    run_sweep,
     score_prediction,
 )
 from shotsweep.corpus import Corpus, SplitError
 from shotsweep.evaluation import (
     INVALID_COLUMN,
+    SCORING_POLICIES,
     EvaluationError,
     ParsedLabel,
-    Prediction,
+    TraceRow,
     fold_reports,
+    score_rows,
 )
 from shotsweep.gateway import CallableBackend, GatewayError
 
-from conftest import REPO_ROOT, evaluate_one_cell, make_records
-from oracles import oracle_metrics
+from conftest import PROMISE_CSV, REPO_ROOT, evaluate_one_cell, make_records, report_of
+from oracles import oracle_compute_report, oracle_metrics
 
 
 def parsed(label=None, multi=None):
@@ -39,10 +47,11 @@ def parsed(label=None, multi=None):
     return ParsedLabel("unparseable")
 
 
-def prediction(gold, scored, parsed_value=None, rid=0):
+def prediction(gold, scored, parsed_value=None):
+    """A (gold, scored label or None, parse kind) triple, as report_of takes."""
     if parsed_value is None:
         parsed_value = parsed(label=scored) if scored else parsed()
-    return Prediction(rid, gold, parsed_value, scored, f"hash{rid}")
+    return gold, scored, parsed_value.kind
 
 
 class TestScorePrediction:
@@ -68,8 +77,8 @@ class TestScorePrediction:
 
 class TestComputeReport:
     def test_all_correct(self):
-        preds = [prediction("FR", "FR", rid=0), prediction("NFR", "NFR", rid=1)]
-        report = compute_report(preds, BINARY_FRNFR)
+        preds = [prediction("FR", "FR"), prediction("NFR", "NFR")]
+        report = report_of(BINARY_FRNFR, preds)
         assert report.weighted_f1 == 1.0
         assert report.macro_f1 == 1.0
         for metrics in report.per_class.values():
@@ -78,12 +87,12 @@ class TestComputeReport:
     def test_worked_binary_example(self):
         # gold FR,FR,NFR,NFR; predicted FR,NFR,NFR,NFR
         preds = [
-            prediction("FR", "FR", rid=0),
-            prediction("FR", "NFR", rid=1),
-            prediction("NFR", "NFR", rid=2),
-            prediction("NFR", "NFR", rid=3),
+            prediction("FR", "FR"),
+            prediction("FR", "NFR"),
+            prediction("NFR", "NFR"),
+            prediction("NFR", "NFR"),
         ]
-        report = compute_report(preds, BINARY_FRNFR)
+        report = report_of(BINARY_FRNFR, preds)
         fr = report.per_class["FR"]
         nfr = report.per_class["NFR"]
         assert abs(fr.precision - 1.0) < 1e-9
@@ -97,11 +106,11 @@ class TestComputeReport:
 
     def test_invalid_counts_as_fn_only(self):
         preds = [
-            prediction("FR", "FR", rid=0),
-            prediction("FR", None, rid=1),  # unparseable, gold FR
-            prediction("NFR", "NFR", rid=2),
+            prediction("FR", "FR"),
+            prediction("FR", None),  # unparseable, gold FR
+            prediction("NFR", "NFR"),
         ]
-        report = compute_report(preds, BINARY_FRNFR)
+        report = report_of(BINARY_FRNFR, preds)
         assert report.confusion["FR"][INVALID_COLUMN] == 1
         assert report.per_class["FR"].precision == 1.0  # no false positives added
         assert abs(report.per_class["FR"].recall - 0.5) < 1e-9
@@ -113,10 +122,10 @@ class TestComputeReport:
         rng = random.Random(1)
         labels = ["FR", "NFR"]
         preds = [
-            prediction(rng.choice(labels), rng.choice(labels + [None]), rid=i)
-            for i in range(60)
+            prediction(rng.choice(labels), rng.choice(labels + [None]))
+            for _ in range(60)
         ]
-        report = compute_report(preds, BINARY_FRNFR)
+        report = report_of(BINARY_FRNFR, preds)
         for lid, metrics in report.per_class.items():
             assert sum(report.confusion[lid].values()) == metrics.support
         assert sum(m.support for m in report.per_class.values()) == 60
@@ -125,13 +134,13 @@ class TestComputeReport:
         rng = random.Random(2)
         labels = ["FR", "NFR"]
         preds = [
-            prediction(rng.choice(labels), rng.choice(labels + [None]), rid=i)
-            for i in range(40)
+            prediction(rng.choice(labels), rng.choice(labels + [None]))
+            for _ in range(40)
         ]
-        report_a = compute_report(preds, BINARY_FRNFR)
+        report_a = report_of(BINARY_FRNFR, preds)
         shuffled = preds[:]
         rng.shuffle(shuffled)
-        report_b = compute_report(shuffled, BINARY_FRNFR)
+        report_b = report_of(BINARY_FRNFR, shuffled)
         assert report_a.per_class == report_b.per_class
         assert report_a.weighted_f1 == report_b.weighted_f1
         assert report_a.confusion == report_b.confusion
@@ -151,7 +160,7 @@ class TestComputeReport:
             policy = rng.choice(["strict", "first_match"])
             preds = []
             scored = []
-            for i, gold in enumerate(golds):
+            for gold in golds:
                 roll = rng.random()
                 if roll < 0.1:
                     p = parsed()
@@ -160,9 +169,9 @@ class TestComputeReport:
                 else:
                     p = parsed(label=rng.choice(labels))
                 s = score_prediction(p, policy)
-                preds.append(Prediction(i, gold, p, s, f"h{i}"))
+                preds.append((gold, s, p.kind))
                 scored.append(s)
-            report = compute_report(preds, scheme)
+            report = report_of(scheme, preds)
             expected = oracle_metrics(golds, scored, labels)
             for lid in labels:
                 got = report.per_class[lid]
@@ -176,20 +185,90 @@ class TestComputeReport:
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(EvaluationError):
-            compute_report([], BINARY_FRNFR)
+            compute_report([], [], [], BINARY_FRNFR)
 
     def test_gold_outside_scheme_rejected(self):
-        with pytest.raises(EvaluationError, match="gold"):
-            compute_report([prediction("ZZ", "FR")], BINARY_FRNFR)
+        rows = [TraceRow(0, "FR", "FR", "h0"), TraceRow(7, "ZZ", "FR", "h7")]
+        with pytest.raises(
+            EvaluationError, match="^prediction for record 7: gold 'ZZ' not in scheme 'frnfr'$"
+        ):
+            score_rows([rows], BINARY_FRNFR, "strict", {})
 
     def test_report_json_roundtrip(self, tmp_path):
         from shotsweep.reporting import artifact_json, read_report
 
-        preds = [prediction("FR", "FR", rid=0), prediction("NFR", "FR", rid=1)]
-        report = compute_report(preds, BINARY_FRNFR, {"model": "m"})
+        preds = [prediction("FR", "FR"), prediction("NFR", "FR")]
+        report = report_of(BINARY_FRNFR, preds, {"model": "m"})
         path = tmp_path / "report.json"
         path.write_text(artifact_json(report))
         assert read_report(path) == report
+
+    def test_equals_the_per_prediction_oracle(self):
+        """1,002 seeded answer sets under frnfr and promise12, at 20, 125 and
+        625 records, with invalid and multi-label answers: the report counted
+        from class-index columns is the replaced per-prediction loop's, float
+        for float."""
+        rng = random.Random(16)
+        n_sets = 0
+        for scheme in (BINARY_FRNFR, PROMISE_12):
+            labels = list(scheme.label_ids)
+            for n in (20, 125, 625):
+                for _ in range(167):
+                    policy = rng.choice(SCORING_POLICIES)
+                    accuracy = rng.random()
+                    p_unparseable, p_multi = rng.random() / 4, rng.random() / 4
+                    outcomes = []
+                    for _ in range(n):
+                        gold = rng.choice(labels)
+                        roll = rng.random()
+                        if roll < p_unparseable:
+                            answer = parsed()
+                        elif roll < p_unparseable + p_multi:
+                            answer = parsed(multi=rng.sample(labels, 2))
+                        else:
+                            answer = parsed(label=gold if rng.random() < accuracy
+                                            else rng.choice(labels))
+                        outcomes.append((gold, score_prediction(answer, policy), answer.kind))
+                    got = asdict(report_of(scheme, outcomes))
+                    want = oracle_compute_report(*map(list, zip(*outcomes)), labels)
+                    for key in ("per_class", "weighted_f1", "macro_f1", "confusion",
+                                "n_predictions", "n_unparseable", "n_multilabel"):
+                        assert got[key] == want[key], (scheme.name, n, key)
+                    n_sets += 1
+        assert n_sets >= 1000
+
+    @pytest.mark.parametrize("policy", SCORING_POLICIES)
+    def test_a_scheme_with_more_labels_than_a_byte_holds(self, policy):
+        labels = [f"X{i}" for i in range(300)]
+        scheme = LabelScheme(
+            "wide", tuple(LabelDef(lid, f"Class {i}") for i, lid in enumerate(labels)),
+            "multiclass",
+        )
+        rng = random.Random(300)
+        rows, golds, scored, kinds = [], [], [], []
+        for rid in range(900):
+            gold = rng.choice(labels)
+            roll = rng.random()
+            if roll < 0.1:
+                completion, label, kind = "No idea.", None, "unparseable"
+            elif roll < 0.2:
+                first, second = rng.sample(labels, 2)
+                completion, kind = f"{first}, or maybe {second}", "multi_label"
+                label = first if policy == "first_match" else None
+            else:
+                label = gold if rng.random() < 0.5 else rng.choice(labels)
+                completion = rng.choice([label, scheme.canonical_name(label)])
+                kind = "label"
+            rows.append(TraceRow(rid, gold, completion, f"h{rid}"))
+            golds.append(gold)
+            scored.append(label)
+            kinds.append(kind)
+        report = score_rows([rows], scheme, policy, {}).report
+        got = asdict(report)
+        del got["metadata"]
+        assert got == oracle_compute_report(golds, scored, kinds, labels)
+        assert report.n_multilabel and report.n_unparseable
+        assert report.per_class["X299"].support == golds.count("X299") > 0
 
 
 def small_corpus(n_per_class=8):
@@ -391,6 +470,43 @@ class TestRunKfold:
                 corpus, make_split(corpus, "kfold", 1, 0), profile_for(),
                 {"method": "random", "k": 1}, client,
             )
+
+
+class TestFoldReports:
+    @pytest.mark.parametrize("policy", SCORING_POLICIES)
+    def test_each_fold_is_its_partitions_rows_scored_fresh(self, policy):
+        """A promise12 3-fold sweep whose answers are canonical names, aliases,
+        multi-label and unparseable texts, and wrong labels: each fold report,
+        sliced from the cell's columns, is score_rows over that partition's
+        rows alone, and the folds' confusions sum to the pooled one."""
+        corpus = load_corpus(PROMISE_CSV, PROMISE_12)
+        gold = {r.text: corpus.scheme.canonical_name(r.label) for r in corpus.records}
+
+        def respond(profile, prompt):
+            pick = zlib.crc32(prompt.user_message.encode("utf-8")) % 5
+            return (gold[prompt.query_text], "look & feel", "Security / Performance",
+                    "I cannot classify this.", "Usability")[pick]
+
+        client = Client(mocks={"mixed": CallableBackend(respond)})
+        plan = SweepPlan(
+            ("m",), ("random", "tfidf"), (0, 5), split_kind="kfold", split_param=3,
+            on_small_class="allow", pool_size=60, scoring_policy=policy,
+        )
+        run = run_sweep(plan, corpus, {"m": profile_for("mixed")}, client)
+        assert not run.failures
+        for outcome in run.outcomes.values():
+            metadata = outcome.report.metadata
+            folds = fold_reports(outcome, corpus.scheme)
+            assert len(folds) == len(outcome.per_partition) == 3
+            for fold, (report, rows) in enumerate(zip(folds, outcome.per_partition)):
+                fresh = score_rows([rows], corpus.scheme, policy, {**metadata, "fold": fold})
+                assert report == fresh.report
+            for gold_id in corpus.scheme.label_ids:
+                for col in (*corpus.scheme.label_ids, INVALID_COLUMN):
+                    fold_sum = sum(r.confusion[gold_id][col] for r in folds)
+                    assert outcome.report.confusion[gold_id][col] == fold_sum
+            assert outcome.report.n_multilabel and outcome.report.n_unparseable
+            assert outcome.report.confusion["LF"]["LF"] > 0  # an alias scores
 
 
 def test_scoring_imports_nothing_of_the_run_loop():

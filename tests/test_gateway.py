@@ -313,9 +313,14 @@ class TestCacheSegments:
                                    "vector": [True, 1]})),
         ("embeddings", '{"fingerprint": "f", "text": "a", "tag": "t", "vector": [1%s]}'
          % ("0" * 400)),
+        ("embeddings", '{"fingerprint": "f", "text": "a", "tag": "t", "vector": [NaN, 1.0]}'),
+        ("embeddings", '{"fingerprint": "f", "text": "a", "tag": "t", '
+                       '"vector": [Infinity, 1.0]}'),
+        ("embeddings", '{"fingerprint": "f", "text": "a", "tag": "t", "vector": [1e400, 1.0]}'),
     ], ids=["unknown-field", "unhashable-model", "int", "list", "string",
             "no-tag", "no-vector", "vector-int", "embedding-int", "vector-string",
-            "vector-of-strings", "vector-with-bool", "vector-past-float"])
+            "vector-of-strings", "vector-with-bool", "vector-past-float", "vector-nan",
+            "vector-infinity", "vector-float-past-range"])
     def test_json_line_that_is_not_a_row_counts_as_torn(self, tmp_path, bucket, line):
         (tmp_path / bucket).mkdir()
         segment = tmp_path / bucket / "00.jsonl"
@@ -803,12 +808,15 @@ class TestBadReplies:
          ("embedding", 200, embeddings_reply(b"[NaN, Infinity]", b"[1.0, 2.0]"),
           "non-JSON response"),
          ("embedding", 200, embeddings_reply(b"[1.0, 2.0]", b"[-Infinity, 1.0]"),
-          "non-JSON response")],
+          "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[1e400, 1.0]", b"[1.0, 2.0]"),
+          "malformed embeddings response")],
         ids=["404", "not-json", "no-content", "no-index", "null-content", "number-content",
              "list-content", "chat-not-utf8", "embeddings-not-utf8", "digit-string-embedding",
              "bool-in-embedding", "embedding-past-float", "nested-too-deep",
              "long-and-malformed", "nan-beside-chat", "minus-infinity-beside-chat",
-             "nan-and-infinity-embedding", "minus-infinity-embedding"],
+             "nan-and-infinity-embedding", "minus-infinity-embedding",
+             "float-past-range-embedding"],
     )
     def test_refused_after_one_request(self, loopback, tmp_path, kind, status, raw, needle):
         endpoint = loopback(CannedEndpoint, status=status, raw=raw)

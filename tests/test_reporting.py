@@ -10,11 +10,9 @@ from shotsweep import (
     ConstantBackend,
     EchoGoldBackend,
     ModelProfile,
-    compute_report,
     make_split,
 )
 from shotsweep.corpus import PROMISE_12
-from shotsweep.evaluation import ParsedLabel, Prediction
 from shotsweep.reporting import (
     ReportingError,
     RunManifest,
@@ -29,16 +27,13 @@ from shotsweep.reporting import (
 )
 from shotsweep.sweep import CurvePoint, OverpromptingVerdict, SweepCurve
 
-from conftest import evaluate_one_cell
+from conftest import evaluate_one_cell, report_of
 from hillmock import balanced_corpus
 
 
 def all_correct_report(metadata=None):
-    preds = [
-        Prediction(0, "FR", ParsedLabel("label", ("FR",)), "FR", "h0"),
-        Prediction(1, "NFR", ParsedLabel("label", ("NFR",)), "NFR", "h1"),
-    ]
-    return compute_report(preds, BINARY_FRNFR, metadata or {"model": "perfect"})
+    preds = [("FR", "FR", "label"), ("NFR", "NFR", "label")]
+    return report_of(BINARY_FRNFR, preds, metadata or {"model": "perfect"})
 
 
 class TestManifest:
@@ -103,11 +98,8 @@ class TestEmitTable:
         assert "1.00" in row  # NFR recall
 
     def test_multiclass_zero_rows_render(self):
-        preds = [
-            Prediction(0, "PE", ParsedLabel("label", ("PE",)), "PE", "h0"),
-            Prediction(1, "US", ParsedLabel("label", ("PE",)), "PE", "h1"),
-        ]
-        report = compute_report(preds, PROMISE_12, {"model": "sparse"})
+        preds = [("PE", "PE", "label"), ("US", "PE", "label")]
+        report = report_of(PROMISE_12, preds, {"model": "sparse"})
         table = emit_table([report], "multiclass")
         row = table.text.splitlines()[2]
         assert "0.00" in row  # absent classes render as zeros
@@ -138,18 +130,12 @@ class TestEmitTable:
             emit_table([all_correct_report()], "wide")
 
     def test_scheme_mismatch_rejected(self):
-        multi = compute_report(
-            [Prediction(0, "PE", ParsedLabel("label", ("PE",)), "PE", "h")],
-            PROMISE_12,
-        )
+        multi = report_of(PROMISE_12, [("PE", "PE", "label")])
         with pytest.raises(ReportingError, match="share a label scheme"):
             emit_table([all_correct_report(), multi], "binary")
 
     def test_binary_layout_needs_two_classes(self):
-        multi = compute_report(
-            [Prediction(0, "PE", ParsedLabel("label", ("PE",)), "PE", "h")],
-            PROMISE_12,
-        )
+        multi = report_of(PROMISE_12, [("PE", "PE", "label")])
         with pytest.raises(ReportingError, match="exactly 2"):
             emit_table([multi], "binary")
 

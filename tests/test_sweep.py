@@ -10,8 +10,10 @@ from dataclasses import replace
 import pytest
 
 from shotsweep import (
+    DEFAULT_GRID,
     DEFAULT_TEMPLATE,
     Client,
+    ConstantBackend,
     EchoGoldBackend,
     HashEmbeddingProvider,
     ModelProfile,
@@ -19,6 +21,7 @@ from shotsweep import (
     SelectionConfig,
     SweepPlan,
     build_pool,
+    compute_report,
     detect_overprompting,
     find_optimum,
     make_split,
@@ -495,6 +498,38 @@ class TestKfoldSweep:
         assert backend.calls == 0 and not (tmp_path / "trace.jsonl").exists()
 
 
+class TestOutcomeMatrix:
+    @pytest.mark.parametrize("split_kind, split_param", [("holdout", 0.8), ("kfold", 3)])
+    def test_each_cells_own_columns_give_its_report(self, promise_binary, split_kind,
+                                                   split_param):
+        """The README sweep and its 3-fold version: compute_report over a
+        cell's own columns is the cell's report, and every cell tests the same
+        records in the same order, so the scored columns of a (model, method)
+        over k line up as its records x k outcome matrix."""
+        gold = {r.text: promise_binary.scheme.canonical_name(r.label)
+                for r in promise_binary.records}
+        client = Client(mocks={"echo-gold": EchoGoldBackend(gold),
+                               "constant": ConstantBackend("Functional")})
+        profiles = {"mock-gold": ModelProfile("mock-gold", base_url="mock://echo-gold"),
+                    "mock-constant": ModelProfile("mock-constant", base_url="mock://constant")}
+        plan = SweepPlan(tuple(profiles), ("random", "embedding", "tfidf"), DEFAULT_GRID,
+                         split_kind=split_kind, split_param=split_param, pool_size=200)
+        run = run_sweep(plan, promise_binary, profiles, client, HashEmbeddingProvider(64))
+        assert len(run.reports) == 48 and not run.failures
+        first = next(iter(run.outcomes.values()))
+        for outcome in run.outcomes.values():
+            assert compute_report(
+                outcome.gold, outcome.scored, outcome.kinds, promise_binary.scheme,
+                outcome.report.metadata,
+            ) == outcome.report
+            assert outcome.gold == first.gold
+            assert [[row.record_id for row in rows] for rows in outcome.per_partition] == [
+                [row.record_id for row in rows] for rows in first.per_partition
+            ]
+        gold_matrix = [run.outcomes[("mock-gold", "tfidf", k)].scored for k in DEFAULT_GRID]
+        assert all(column == first.gold for column in gold_matrix)
+
+
 class TestBuildCurve:
     def test_annotations_consistent(self):
         corpus = balanced_corpus(6)
@@ -751,7 +786,7 @@ class TestConcurrentDispatch:
             assert replay(trace, corpus.scheme, metadata["scoring_policy"]) == outcome.report
             first = replay(trace, corpus.scheme, "first_match")
             rows = outcome.per_partition[0]
-            assert first == score_rows(rows, corpus.scheme, "first_match", metadata)
+            assert first == score_rows([rows], corpus.scheme, "first_match", metadata).report
             rescored += first != outcome.report
         assert len(run.outcomes) == 18 and rescored > 0
 
