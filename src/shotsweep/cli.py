@@ -9,6 +9,7 @@ import sys
 import traceback
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -47,6 +48,7 @@ from .reporting import (
     read_report,
     replay,
     split_payload,
+    trace_jsonl,
 )
 from .selection import METHODS, SelectionConfig, SelectionError, build_pool, rank
 from .sweep import (
@@ -268,13 +270,11 @@ def _write_artifacts(
     out_dir: Path, cfg: dict, started: str, artifacts: dict[str, tuple[str, object]]
 ) -> None:
     """Write each {name: (path relative to out_dir, content)} artifact, then the
-    manifest listing them all. A str content is written as it is, None is a
-    file already written (the trace), and anything else goes through
-    artifact_json."""
+    manifest listing them all. A str content is written as it is, and anything
+    else goes through artifact_json."""
     for rel, content in artifacts.values():
-        if content is not None:
-            text = content if isinstance(content, str) else artifact_json(content)
-            atomic_write(out_dir / rel, text)
+        text = content if isinstance(content, str) else artifact_json(content)
+        atomic_write(out_dir / rel, text)
     manifest_cfg = {k: v for k, v in cfg.items() if k not in ("out_dir", "cache_dir")}
     manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
     listed = {name: rel for name, (rel, _) in artifacts.items()}
@@ -301,7 +301,8 @@ def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
     _write_artifacts), a --json payload and a summary line, both given out_dir,
     and the lines after it; return the exit code. A dry run prints what would
     run. run and cv are one-cell plans of cfg's model, method and k: their dry
-    run prints cfg, their trace goes to out_dir, and their failure is raised.
+    run prints cfg, their failure is raised before anything is written, and
+    their artifacts add the cell's trace.
     """
     started = _now()
     one_cell = args.command != "sweep"
@@ -331,14 +332,16 @@ def _run_plan(args: argparse.Namespace, cfg: dict, outputs, **fields) -> int:
         return EXIT_OK
     corpus, client, provider = _open_session(cfg, profiles)
     out_dir = Path(cfg["out_dir"])
-    trace_path = out_dir / "trace.jsonl" if one_cell else None
     with client:
-        run = run_sweep(plan, corpus, profiles, client, provider, trace_path)
+        run = run_sweep(plan, corpus, profiles, client, provider)
     if one_cell:
         (outcome,) = run.outcomes.values()
         if isinstance(outcome, Exception):
             raise outcome
     artifacts, payload, line, after = outputs(corpus, run)
+    if one_cell:
+        trace = trace_jsonl(outcome.report.metadata, chain(*outcome.per_partition))
+        artifacts["trace"] = ("trace.jsonl", trace)
     _write_artifacts(out_dir, cfg, started, artifacts)
     payload["out_dir"] = str(out_dir)
     _print(args, payload, "\n".join([f"{line} -> {out_dir}", *after]))
@@ -443,7 +446,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def outputs(corpus: Corpus, run: SweepRun):
         (report,) = run.reports.values()
-        artifacts = {"report": ("report.json", report), "trace": ("trace.jsonl", None)}
+        artifacts = {"report": ("report.json", report)}
         if run.split is not None:
             artifacts["split"] = ("split.json", split_payload(run.split))
         payload = {
@@ -542,7 +545,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
             "split": ("split.json", split_payload(run.split)),
             "table_txt": ("table.txt", table.text),
             "table_csv": ("table.csv", table.csv_text),
-            "trace": ("trace.jsonl", None),
         }
         for i, fold_report in enumerate(fold_reports(cell_run, corpus.scheme)):
             artifacts[f"fold:{i}"] = (f"folds/fold{i:02d}.json", fold_report)

@@ -192,10 +192,15 @@ def load_scheme(source: str | Path) -> LabelScheme:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise CorpusError(f"scheme file {path}: not a readable JSON file ({exc})") from exc
+
+    def aliases(item: dict) -> tuple[str, ...]:
+        if type(listed := item.get("aliases", [])) is not list:  # a str: one alias per letter
+            raise CorpusError(f"scheme file {path}: aliases must be a JSON list, got {listed!r}")
+        return tuple(listed)
+
     try:
         labels = tuple(
-            LabelDef(item["id"], item["name"], tuple(item.get("aliases", ())))
-            for item in payload["labels"]
+            LabelDef(item["id"], item["name"], aliases(item)) for item in payload["labels"]
         )
         return LabelScheme(payload["name"], labels, payload["task_kind"])
     except KeyError as exc:

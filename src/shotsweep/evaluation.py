@@ -1,16 +1,14 @@
-"""Parse completions and score them against gold labels: metrics, reports, traces."""
+"""Parse completions and score them against gold labels: metrics and reports."""
 
 from __future__ import annotations
 
 import functools
-import json
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from .corpus import LabelScheme, normalize_completion
 
@@ -131,6 +129,14 @@ def compute_report(
     if not gold:
         raise EvaluationError("cannot compute a report over zero predictions")
     label_ids = scheme.label_ids
+    if not len(gold) == len(scored) == len(kinds):
+        raise EvaluationError(f"columns of {len(gold)}, {len(scored)} and {len(kinds)} rows")
+    n = len(label_ids)
+    for name, column, low, end in (
+        ("gold", gold, 0, n), ("scored", scored, -1, n), ("kinds", kinds, 0, len(PARSE_KINDS))
+    ):
+        if min(column) < low or max(column) >= end:  # min and max loop in C
+            raise EvaluationError(f"{name} column holds an index outside [{low}, {end})")
     columns = (*label_ids, INVALID_COLUMN)  # scored -1 is the invalid column
     confusion = {lid: dict.fromkeys(columns, 0) for lid in label_ids}
     for (g, c), count in Counter(zip(gold, scored)).items():
@@ -203,36 +209,6 @@ def score_rows(
         kinds.append(kind)
     report = compute_report(gold, scored, kinds, scheme, {**metadata, "scoring_policy": policy})
     return CellRun(report, tuple(per_partition), gold, scored, kinds)
-
-
-class TraceWriter:
-    """JSONL trace made by its first prediction; flushed per row so aborted runs keep data."""
-
-    def __init__(self, path: str | Path, meta: dict[str, object]):
-        self.path = Path(path)
-        self._meta = {"kind": "meta", **meta}
-        self._handle: IO[str] | None = None
-
-    def _write(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def write_prediction(self, row: TraceRow) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("w", encoding="utf-8")
-            self._write(self._meta)
-        self._write({"kind": "prediction", **{f: getattr(row, f) for f in TraceRow.__slots__}})
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)

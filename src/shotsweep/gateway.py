@@ -65,18 +65,21 @@ class ModelProfile:
                 raise GatewayError(f"{field} must be a string, got {value!r}")
         if self.kind not in ("chat", "embedding"):
             raise GatewayError(f"unknown endpoint kind {self.kind!r}")
-        if self.context_window <= 0:
-            raise GatewayError("context_window must be positive")
-        if isinstance(self.max_attempts, bool) or not isinstance(self.max_attempts, int):
-            raise GatewayError(f"max_attempts must be an int, got {self.max_attempts!r}")
-        if self.max_attempts < 1:
-            raise GatewayError("max_attempts must be at least 1")
+        scheme = self.base_url.partition("://")[0].lower()
+        if scheme not in ("http", "https") and mock_name(self.base_url) is None:
+            raise GatewayError(f"base_url must be http(s):// or mock://, got {self.base_url!r}")
+        for field in ("context_window", "max_output_tokens", "max_attempts", "embedding_dim"):
+            n = getattr(self, field)  # type() refuses a bool, and a float such as NaN
+            if not (type(n) is int and n > 0) and (field, n) != ("embedding_dim", None):
+                raise GatewayError(f"{field} must be a positive int, got {n!r}")
+        if type(self.temperature) not in (int, float) or not math.isfinite(self.temperature):
+            raise GatewayError(f"temperature must be a finite number, got {self.temperature!r}")
         if self.rate_limit_per_s is not None and not self.rate_limit_per_s > 0:
             raise GatewayError("rate_limit_per_s must be null or above 0")
-        if not self.timeout_s > 0:
-            raise GatewayError("timeout_s must be above 0")
-        if not self.backoff_base_s >= 0:
-            raise GatewayError("backoff_base_s must be at least 0")
+        if not 0 < self.timeout_s < math.inf:  # a socket or a sleep refuses inf
+            raise GatewayError("timeout_s must be finite and above 0")
+        if not 0 <= self.backoff_base_s < math.inf:
+            raise GatewayError("backoff_base_s must be finite and at least 0")
 
     @functools.cached_property
     def request_fingerprint(self) -> str:

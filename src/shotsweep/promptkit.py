@@ -90,6 +90,8 @@ def load_template(path: str | Path) -> PromptTemplate:
             current = marker[1:-1]
             if current not in _TEMPLATE_SECTIONS:
                 raise PromptError(f"{path}:{line_no}: unknown section {current!r}")
+            if current in sections:  # a later one would replace it
+                raise PromptError(f"{path}:{line_no}: repeated section [{current}]")
             sections[current] = []
         elif current is not None:
             sections[current].append(line)

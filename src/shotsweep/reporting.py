@@ -8,7 +8,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import LabelScheme, SplitPlan
 from .evaluation import ClassMetrics, EvalReport, TraceRow, score_rows
@@ -209,8 +209,16 @@ def curves_csv(curves: Sequence[SweepCurve]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trace_jsonl(meta: dict[str, object], rows: Iterable[TraceRow]) -> str:
+    """A cell's trace, as read_trace reads it: a meta line, then a line per row."""
+    lines = [{"kind": "meta", **meta}]
+    lines += ({"kind": "prediction", **{f: getattr(row, f) for f in TraceRow.__slots__}}
+              for row in rows)
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
 def read_trace(path: str | Path) -> tuple[dict, list[TraceRow]]:
-    """Parse a per-prediction trace; corrupt rows fail with their line number."""
+    """Parse a trace_jsonl file; corrupt rows fail with their line number."""
     path = Path(path)
     if not path.exists():
         raise ReportingError(f"no such trace: {path}")

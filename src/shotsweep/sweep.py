@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import SMALL_CLASS_POLICIES, Corpus, SplitPlan, make_split
@@ -15,7 +13,6 @@ from .evaluation import (
     EvalReport,
     EvaluationError,
     TraceRow,
-    TraceWriter,
     score_rows,
 )
 from .gateway import Client, GatewayError, ModelProfile, PendingCompletion
@@ -241,7 +238,6 @@ def run_sweep(
     profiles: dict[str, ModelProfile],
     client: Client,
     provider: EmbeddingProvider | None = None,
-    trace_path: str | Path | None = None,
 ) -> SweepRun:
     """Run every (model, method, shot_count) cell of plan and assemble curves.
 
@@ -260,8 +256,7 @@ def run_sweep(
     reply is cached and recorded as a TraceRow in test order, and the prompt
     after it is rendered. A repeat of the prompt just answered waits for its
     cache row; a failed attempt is retried once every other reply in flight
-    is read. A one-cell plan may write every row to a trace at trace_path,
-    made by its first row. Each cell's rows are scored once it is done.
+    is read. Each cell's rows are scored once it is done; no file is written.
 
     An exception in CELL_ERRORS fails the cells that share the step that
     raised it (every cell, a method's k > 0, a (method, k) or one model's
@@ -275,8 +270,6 @@ def run_sweep(
     missing = [m for m in plan.models if m not in profiles]
     if missing:
         raise SweepError(f"no profile for model(s): {', '.join(missing)}")
-    if trace_path is not None and plan.n_cells != 1:
-        raise SweepError(f"a trace needs a one-cell plan, not {plan.n_cells} cells")
     scheme = corpus.scheme
     methods, grid = plan.methods, plan.shot_grid
     failed: dict[Cell, Exception] = {}
@@ -333,98 +326,89 @@ def run_sweep(
         except CELL_ERRORS as exc:
             return exc
 
-    with ExitStack() as stack:
-        writer = None
-        if trace_path is not None:
-            writer = stack.enter_context(TraceWriter(trace_path, metadata(plan.cells()[0])))
-        for train, test in parts:
-            for rows in collected.values():
-                rows.append([])
-            # the last partition's pool, rankings and prompts go before the next pool
-            pool = rankings = zero_shot = None
-            try:
-                pool_size = plan.pool_size if plan.pool_size is not None else len(train)
-                pool = build_pool(train, scheme, pool_size, plan.pool_seed)
-            except CELL_ERRORS as exc:
-                for method in methods:
-                    fail(exc, method, grid, plan.models)
-                continue
-            # a zero-shot prompt does not depend on the method: render it once
-            zero_shot: dict[int, PromptSpec | Exception] = {}
+    for train, test in parts:
+        for rows in collected.values():
+            rows.append([])
+        # the last partition's pool, rankings and prompts go before the next pool
+        pool = rankings = zero_shot = None
+        try:
+            pool_size = plan.pool_size if plan.pool_size is not None else len(train)
+            pool = build_pool(train, scheme, pool_size, plan.pool_seed)
+        except CELL_ERRORS as exc:
             for method in methods:
-                sel_cfg = SelectionConfig(
-                    method, max((k for k in grid if live(method, k)), default=0),
-                    plan.selection_seed,
-                )
+                fail(exc, method, grid, plan.models)
+            continue
+        # a zero-shot prompt does not depend on the method: render it once
+        zero_shot: dict[int, PromptSpec | Exception] = {}
+        for method in methods:
+            sel_cfg = SelectionConfig(
+                method, max((k for k in grid if live(method, k)), default=0),
+                plan.selection_seed,
+            )
+            try:
+                rankings = rank(pool, test, sel_cfg, provider)
+            except CELL_ERRORS as exc:
+                fail(exc, method, [k for k in grid if k > 0], plan.models)
+                rankings = rank(pool, test, replace(sel_cfg, k=0))
+
+            for k in grid:
+                prompts = zero_shot if k == 0 else {}
+                in_flight: deque[tuple[str, int, PromptSpec, PendingCompletion]] = deque()
+
+                def prompt_at(position: int) -> PromptSpec | Exception | None:
+                    if position < len(test) and position not in prompts:
+                        try:
+                            prompts[position] = render_prompt(
+                                plan.template, scheme, rankings[position], k, pool,
+                                test[position].text, plan.ordering,
+                            )
+                        except CELL_ERRORS as exc:
+                            prompts[position] = exc
+                    return prompts.get(position)  # None past the last record
+
+                def send(model: str, position: int, prompt: PromptSpec | Exception | None) -> None:
+                    if isinstance(prompt, Exception):
+                        fail(prompt, method, [k], [model])
+                    elif prompt is not None:
+                        pending = client.start(profiles[model], prompt)
+                        in_flight.append((model, position, prompt, pending))
+
                 try:
-                    rankings = rank(pool, test, sel_cfg, provider)
-                except CELL_ERRORS as exc:
-                    fail(exc, method, [k for k in grid if k > 0], plan.models)
-                    rankings = rank(pool, test, replace(sel_cfg, k=0))
-
-                for k in grid:
-                    prompts = zero_shot if k == 0 else {}
-                    in_flight: deque[tuple[str, int, PromptSpec, PendingCompletion]] = deque()
-
-                    def prompt_at(position: int) -> PromptSpec | Exception | None:
-                        if position < len(test) and position not in prompts:
-                            try:
-                                prompts[position] = render_prompt(
-                                    plan.template, scheme, rankings[position], k, pool,
-                                    test[position].text, plan.ordering,
-                                )
-                            except CELL_ERRORS as exc:
-                                prompts[position] = exc
-                        return prompts.get(position)  # None past the last record
-
-                    def send(
-                        model: str, position: int, prompt: PromptSpec | Exception | None
-                    ) -> None:
-                        if isinstance(prompt, Exception):
-                            fail(prompt, method, [k], [model])
-                        elif prompt is not None:
-                            pending = client.start(profiles[model], prompt)
-                            in_flight.append((model, position, prompt, pending))
-
-                    try:
-                        for model in live(method, k):
-                            send(model, 0, prompt_at(0))
-                        while in_flight:
-                            model, position, prompt, pending = in_flight.popleft()
-                            if k:  # every live model has started it; zero_shot is kept
-                                prompts.pop(position, None)
-                            pending.read()
-                            if pending.failed:  # a retry waits for every other reply
-                                for *_, other in in_flight:
-                                    other.read()
-                            following = prompt_at(position + 1)
-                            # a repeat of this prompt waits for its cache row, so it is sent once
-                            repeat = (
-                                isinstance(following, PromptSpec)
-                                and following.content_hash == prompt.content_hash
-                            )
-                            early = not (pending.failed or repeat)
-                            if early:
-                                send(model, position + 1, following)
-                            try:
-                                completion = pending.finish()
-                            except CELL_ERRORS as exc:
-                                fail(exc, method, [k], [model])
-                                continue
-                            record = test[position]
-                            row = TraceRow(
-                                record.record_id, record.label, completion,
-                                prompt.content_hash,
-                            )
-                            if writer is not None:
-                                writer.write_prediction(row)
-                            collected[(model, method, k)][-1].append(row)
-                            if not early:
-                                send(model, position + 1, following)
-                            prompt_at(position + 2)  # rendered while requests are in flight
-                    finally:
-                        for *_, pending in in_flight:
-                            pending.close()
+                    for model in live(method, k):
+                        send(model, 0, prompt_at(0))
+                    while in_flight:
+                        model, position, prompt, pending = in_flight.popleft()
+                        if k:  # every live model has started it; zero_shot is kept
+                            prompts.pop(position, None)
+                        pending.read()
+                        if pending.failed:  # a retry waits for every other reply
+                            for *_, other in in_flight:
+                                other.read()
+                        following = prompt_at(position + 1)
+                        # a repeat of this prompt waits for its cache row, so it is sent once
+                        repeat = (
+                            isinstance(following, PromptSpec)
+                            and following.content_hash == prompt.content_hash
+                        )
+                        early = not (pending.failed or repeat)
+                        if early:
+                            send(model, position + 1, following)
+                        try:
+                            completion = pending.finish()
+                        except CELL_ERRORS as exc:
+                            fail(exc, method, [k], [model])
+                            continue
+                        record = test[position]
+                        row = TraceRow(
+                            record.record_id, record.label, completion, prompt.content_hash
+                        )
+                        collected[(model, method, k)][-1].append(row)
+                        if not early:
+                            send(model, position + 1, following)
+                        prompt_at(position + 2)  # rendered while requests are in flight
+                finally:
+                    for *_, pending in in_flight:
+                        pending.close()
     outcomes = {cell: finish(cell) for cell in plan.cells()}
     curves = []
     for model in plan.models:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from shotsweep import (
     run_sweep,
 )
 from shotsweep.evaluation import PARSE_KINDS
+from shotsweep.reporting import atomic_write, trace_jsonl
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROMISE_CSV = REPO_ROOT / "data" / "promise_nfr.csv"
@@ -43,7 +45,8 @@ def report_of(scheme, outcomes, metadata=None):
 def evaluate_one_cell(corpus, split, profile, cfg, client, provider=None, trace_path=None):
     """cfg's (method, k) cell for profile over split (None: the full corpus),
     as a one-cell run_sweep: its CellRun, or its failure raised. cfg is a dict
-    of method, k and any other SweepPlan settings."""
+    of method, k and any other SweepPlan settings. With a trace_path, a cell
+    that completes writes its trace there, as the run command does."""
     settings = {key: value for key, value in cfg.items() if key not in ("method", "k")}
     plan = SweepPlan(
         (profile.name,), (cfg["method"],), (cfg["k"],),
@@ -52,10 +55,13 @@ def evaluate_one_cell(corpus, split, profile, cfg, client, provider=None, trace_
         split_seed=0 if split is None else split.seed,
         **settings,
     )
-    run = run_sweep(plan, corpus, {profile.name: profile}, client, provider, trace_path)
+    run = run_sweep(plan, corpus, {profile.name: profile}, client, provider)
     (outcome,) = run.outcomes.values()
     if isinstance(outcome, Exception):
         raise outcome
+    if trace_path is not None:
+        rows = chain(*outcome.per_partition)
+        atomic_write(trace_path, trace_jsonl(outcome.report.metadata, rows))
     return outcome
 
 

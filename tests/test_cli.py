@@ -561,6 +561,29 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("context_window", float("nan")), ("temperature", "hot"), ("max_output_tokens", -5),
+         ("embedding_dim", "x"), ("base_url", "ftp://x"), ("timeout_s", float("inf"))],
+        ids=["window-nan", "temperature", "output-tokens", "embedding-dim", "scheme",
+             "timeout-inf"],
+    )
+    def test_profile_value_it_cannot_send_is_refused_by_a_dry_run(self, tmp_path, capsys,
+                                                                  field, value):
+        """A JSON config may hold NaN and Infinity: a NaN window would switch
+        the context guard off, an infinite timeout would abort the run at its
+        first request with exit 5, and each other value would fail every cell
+        at send time."""
+        config = write_config(
+            tmp_path, data=str(PROMISE_CSV), scheme="frnfr", model="mock-gold",
+            method="random", k=160, profiles={"mock-gold": {**GOLD_PROFILES["mock-gold"],
+                                                            field: value}},
+        )
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out"), "--dry-run"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert f"config error: profile 'mock-gold': {field} must be" in err
+
+    @pytest.mark.parametrize(
         "command, key, value",
         [
             ("run", "data", 5), ("run", "scheme", 5), ("run", "text_col", 5),
@@ -1336,6 +1359,64 @@ class TestTransportFailure:
         assert code == EXIT_TRANSPORT, err
         assert "gave up after 1 attempts; last: " in err
         assert "127.0.0.1:9" in err and "unreachable" in err
+
+
+class Relapsing(ChatEndpoint):
+    """Answers "Functional" to its first `good` requests and HTTP 400 to the
+    rest; None answers every request."""
+
+    def __init__(self, good: int | None):
+        super().__init__(reply="Functional")
+        self.good = good
+
+    def respond(self, target, headers, body):
+        if self.good is not None and len(self.targets) > self.good:
+            return 400, b'{"error": "bad request"}'
+        return super().respond(target, headers, body)
+
+
+class TestFailedOneCellRun:
+    @pytest.mark.parametrize(
+        "argv, good", [(["run"], 40), (["cv", "--folds", "3"], 300)], ids=["run", "cv"]
+    )
+    def test_writes_nothing_and_a_rerun_sends_only_what_was_never_answered(
+        self, tmp_path, capsys, monkeypatch, argv, good
+    ):
+        """A 400 fails the cell (cv: in its second fold), so --out is never
+        made; the answers before it are cached, and once the endpoint heals a
+        rerun sends every other prompt and writes a clean run's trace."""
+        for scheme in ("http", "https", "all", "no"):
+            monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+        endpoint = Relapsing(None)
+        sent: list[list[bytes]] = []  # the request bodies of each run
+
+        def run(out: str, cache: str) -> int:
+            before = len(endpoint.received)
+            code = main([*argv, "--config", config, "--out", str(tmp_path / out),
+                         "--cache-dir", str(tmp_path / cache)])
+            sent.append([body for _, body in endpoint.received[before:]])
+            return code
+
+        try:
+            config = one_cell_or_sweep_config(
+                tmp_path, argv[0], profiles={"remote": {"base_url": endpoint.base_url}},
+                model="remote",
+            )
+            assert run("clean", "clean-cache") == EXIT_OK
+            endpoint.good = len(endpoint.received) + good
+            assert run("out", "cache") == EXIT_TRANSPORT
+            assert "transport error: HTTP 400" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+            endpoint.good = None
+            assert run("out", "cache") == EXIT_OK
+        finally:
+            endpoint.stop()
+        clean, failed, rerun = sent
+        assert len(failed) == good + 1  # the last one was refused, so not cached
+        assert sorted(clean) == sorted(failed[:good] + rerun)
+        trace = (tmp_path / "out" / "trace.jsonl").read_bytes()
+        assert trace == (tmp_path / "clean" / "trace.jsonl").read_bytes()
 
 
 class TestProtocolFailure:

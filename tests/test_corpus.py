@@ -79,6 +79,19 @@ class TestLabelScheme:
         assert scheme.resolve("YES") == "P"
         assert scheme.resolve("neg") == "N"
 
+    @pytest.mark.parametrize("aliases", ['"feature"', '{"feat": 1}', "3"])
+    def test_aliases_that_are_not_a_list_are_refused(self, tmp_path, aliases):
+        """A string would be read as one alias per letter: "i think e" would parse as FR."""
+        path = tmp_path / "scheme.json"
+        path.write_text(
+            '{"name": "demo", "task_kind": "binary", "labels": ['
+            f'{{"id": "FR", "name": "Functional", "aliases": {aliases}}},'
+            '{"id": "NFR", "name": "Non-Functional"}]}',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError, match="aliases must be a JSON list"):
+            load_scheme(path)
+
     def test_unknown_scheme_name(self):
         with pytest.raises(CorpusError, match="unknown scheme"):
             load_scheme("nope")

@@ -187,6 +187,25 @@ class TestComputeReport:
         with pytest.raises(EvaluationError):
             compute_report([], [], [], BINARY_FRNFR)
 
+    @pytest.mark.parametrize(
+        "gold, scored, kinds, scheme, needle",
+        [([0], [-2], [0], PROMISE_12, r"scored column .* \[-1, 12\)"),
+         ([0], [12], [0], PROMISE_12, r"scored column .* \[-1, 12\)"),
+         ([2], [0], [0], BINARY_FRNFR, r"gold column .* \[0, 2\)"),
+         ([-1], [0], [0], BINARY_FRNFR, r"gold column .* \[0, 2\)"),
+         ([0], [0], [7], BINARY_FRNFR, r"kinds column .* \[0, 3\)"),
+         ([0, 1], [0], [0], BINARY_FRNFR, "columns of 2, 1 and 1 rows"),
+         ([0, 1], [0, 1], [0], BINARY_FRNFR, "columns of 2, 2 and 1 rows")],
+        ids=["scored-below", "scored-past-end", "gold-past-end", "gold-negative", "kind",
+             "short-scored", "short-kinds"],
+    )
+    def test_column_out_of_step_or_range_rejected(self, gold, scored, kinds, scheme, needle):
+        """An index outside its column's range would be filed under another
+        class (a negative one counts from the end) or raise a bare IndexError;
+        columns of unequal length would be cut short by zip."""
+        with pytest.raises(EvaluationError, match=needle):
+            compute_report(gold, scored, kinds, scheme)
+
     def test_gold_outside_scheme_rejected(self):
         rows = [TraceRow(0, "FR", "FR", "h0"), TraceRow(7, "ZZ", "FR", "h7")]
         with pytest.raises(
@@ -357,13 +376,15 @@ class TestRunHoldout:
         trace_path = tmp_path / "trace.jsonl"
         with pytest.raises(GatewayError):
             evaluate_one_cell(corpus, split, profile, cfg, client, trace_path=trace_path)
-        lines = trace_path.read_text().splitlines()
-        assert len(lines) == 2  # meta + the one prediction that completed
+        assert not trace_path.exists()
+        assert len(client.cache) == 1  # the one prediction that completed
         backend.fail_on = -1  # heal; cached first completion is not re-charged
         report = evaluate_one_cell(
             corpus, split, profile, cfg, client, trace_path=trace_path
         ).report
         assert report.weighted_f1 == 1.0
+        assert backend.calls == 2 + report.n_predictions - 1
+        assert len(trace_path.read_text().splitlines()) == 1 + report.n_predictions
 
 
 class TestRunFull:

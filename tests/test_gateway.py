@@ -659,13 +659,9 @@ class TestHttpTransport:
             client.start(profile, prompt_for()).finish()
 
     def test_unsupported_scheme_refused_without_retry(self):
-        waits = []
-        client = Client(sleeper=waits.append)
-        profile = ModelProfile(name="m", base_url="ftp://127.0.0.1/v1")
-        with pytest.raises(GatewayError, match="unsupported URL scheme") as err:
-            client.start(profile, prompt_for()).finish()
+        with pytest.raises(GatewayError, match="base_url must be http") as err:
+            ModelProfile(name="m", base_url="ftp://127.0.0.1/v1")  # refused before any send
         assert not isinstance(err.value, TransportError)
-        assert waits == []
 
     def test_http_embeddings(self, http_server):
         FlakyHandler.fail_first = 0
@@ -1366,11 +1362,27 @@ class TestProfiles:
             ("max_attempts", True), ("max_attempts", 2.0), ("rate_limit_per_s", 0),
             ("rate_limit_per_s", -1.0), ("timeout_s", -1), ("timeout_s", 0),
             ("timeout_s", float("nan")), ("backoff_base_s", -1),
+            ("context_window", float("nan")), ("context_window", True),
+            ("context_window", 100.0), ("max_output_tokens", -5), ("max_output_tokens", 0),
+            ("max_output_tokens", False), ("embedding_dim", "x"), ("embedding_dim", 0),
+            ("temperature", "hot"), ("temperature", float("inf")), ("temperature", None),
+            ("temperature", True), ("base_url", "ftp://x"), ("base_url", "localhost:8000"),
+            ("base_url", "MOCK://echo-gold"), ("timeout_s", float("inf")),
+            ("backoff_base_s", float("inf")),
         ],
     )
     def test_bad_number_rejected(self, field, value):
         with pytest.raises(GatewayError, match=field):
             ModelProfile(name="x", **{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"temperature": 1}, {"temperature": 0.7}, {"embedding_dim": None},
+         {"embedding_dim": 3}, {"base_url": "HTTP://127.0.0.1:8000/v1"},
+         {"base_url": "mock://echo-gold"}, {"context_window": 1, "max_output_tokens": 1}],
+    )
+    def test_sendable_values_accepted(self, fields):
+        assert ModelProfile(name="x", **fields).request_fingerprint
 
     @pytest.mark.parametrize(
         "field", ["name", "kind", "base_url", "api_key_env"]

@@ -382,8 +382,10 @@ class TestTemplateFiles:
     @pytest.mark.parametrize(
         "text, needle",
         [("[system]\nrole\n[footer]\nbye\n", r":3: unknown section 'footer'"),
-         ("role\n[system]\nrole\n", r":1: content before any \[section\]")],
-        ids=["unknown-section", "content-before-sections"],
+         ("role\n[system]\nrole\n", r":1: content before any \[section\]"),
+         ("[system]\nrole\n[task]\nt\n[example]\ne\n[input]\ni\n[system]\n",
+          r"bad.txt:9: repeated section \[system\]")],
+        ids=["unknown-section", "content-before-sections", "repeated-section"],
     )
     def test_malformed_template_rejected(self, tmp_path, text, needle):
         path = tmp_path / "bad.txt"

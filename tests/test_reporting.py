@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from shotsweep import (
     make_split,
 )
 from shotsweep.corpus import PROMISE_12
+from shotsweep.gateway import CallableBackend
 from shotsweep.reporting import (
     ReportingError,
     RunManifest,
@@ -24,6 +26,7 @@ from shotsweep.reporting import (
     file_digest,
     read_trace,
     replay,
+    trace_jsonl,
 )
 from shotsweep.sweep import CurvePoint, OverpromptingVerdict, SweepCurve
 
@@ -194,6 +197,26 @@ class TestReplay:
             trace_path=trace,
         ).report
         return corpus, trace, report
+
+    def test_trace_jsonl_round_trips_through_read_trace(self, tmp_path):
+        """Completions holding a newline, quotes, non-ASCII text or nothing
+        come back from a trace as they went in, and so does the meta line."""
+        corpus = balanced_corpus(6)
+        texts = ["Functional\nor not", 'say "NFR"', "Fonctionnel — é ✓ 非", "",
+                 "Non-Functional\t\\"]
+        answers = itertools.cycle(texts)
+        client = Client(mocks={"b": CallableBackend(lambda profile, prompt: next(answers))})
+        profile = ModelProfile(name="b", base_url="mock://b")
+        split = make_split(corpus, "holdout", 0.5, seed=0)
+        trace = tmp_path / "trace.jsonl"
+        run = evaluate_one_cell(corpus, split, profile, {"method": "tfidf", "k": 2}, client,
+                                trace_path=trace)
+        meta, rows = read_trace(trace)
+        assert meta == run.report.metadata
+        assert rows == run.per_partition[0]
+        assert {row.completion for row in rows} == set(texts)
+        assert trace_jsonl(meta, rows) == trace.read_text(encoding="utf-8")
+        assert replay(trace, corpus.scheme) == run.report
 
     def test_replay_reproduces_original_report(self, tmp_path):
         corpus, trace, original = self.run_with_trace(tmp_path)

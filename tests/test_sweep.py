@@ -30,11 +30,11 @@ from shotsweep import (
     tokenize,
 )
 from shotsweep.corpus import Corpus
-from shotsweep.evaluation import CellRun, TraceWriter, score_rows
+from shotsweep.evaluation import CellRun, score_rows
 from shotsweep import gateway, vectorspace
 from shotsweep.gateway import CallableBackend, GatewayError, ResponseCache, _ConnectionPool
 from shotsweep.promptkit import PromptError
-from shotsweep.reporting import artifact_json, replay
+from shotsweep.reporting import artifact_json, replay, trace_jsonl
 from shotsweep.selection import rank
 from shotsweep.sweep import (
     CurvePoint,
@@ -488,15 +488,6 @@ class TestKfoldSweep:
         with pytest.raises(SweepError, match=needle):
             SweepPlan(("m1",), ("random",), (0,), **fields)
 
-    def test_only_a_one_cell_plan_writes_a_trace(self, tmp_path):
-        corpus = balanced_corpus(4)
-        client, backend = echo_gold_client(corpus)
-        plan = SweepPlan(("m1",), ("random",), (0, 1), split_param=0.5)
-        with pytest.raises(SweepError, match="one-cell plan"):
-            run_sweep(plan, corpus, mock_profiles(["m1"]), client,
-                      trace_path=tmp_path / "trace.jsonl")
-        assert backend.calls == 0 and not (tmp_path / "trace.jsonl").exists()
-
 
 class TestOutcomeMatrix:
     @pytest.mark.parametrize("split_kind, split_param", [("holdout", 0.8), ("kfold", 3)])
@@ -731,18 +722,18 @@ class TestConcurrentDispatch:
         assert text == "Functional" and pending.attempt == 1
         assert len(connects) == 2
 
-    def test_results_do_not_depend_on_response_timing(self, tmp_path):
+    def test_results_do_not_depend_on_response_timing(self):
         corpus = balanced_corpus(10)
         provider = HashEmbeddingProvider(16)
         plan = SweepPlan(
             ("m1", "m2"), ("random", "embedding", "tfidf"), (0, 2, 5), split_param=0.5
         )
 
-        def artifacts(models, seed, trace_path=None, **cells):
+        def artifacts(models, seed, **cells):
             profiles = mock_profiles(models, "jitter")
             client = Client(mocks={"jitter": jittered_backend(seed)})
             run = run_sweep(replace(plan, models=models, **cells), corpus, profiles, client,
-                            provider, trace_path)
+                            provider)
             for (model, _, _), outcome in run.outcomes.items():
                 assert isinstance(outcome, CellRun)
                 for row in outcome.per_partition[0]:
@@ -759,9 +750,8 @@ class TestConcurrentDispatch:
         assert reports == alone
         traces = []
         for seed in (5, 6):
-            trace_path = tmp_path / f"trace-{seed}.jsonl"
-            artifacts(("m2",), seed, trace_path, methods=("tfidf",), shot_grid=(5,))
-            traces.append(trace_path.read_text())
+            (outcome,) = artifacts(("m2",), seed, methods=("tfidf",), shot_grid=(5,))[2].values()
+            traces.append(trace_jsonl(outcome.report.metadata, outcome.per_partition[0]))
         assert traces[0] == traces[1] and len(traces[0].splitlines()) == 1 + 10
 
     def test_kept_rows_replay_to_each_cells_report(self, tmp_path):
@@ -780,9 +770,7 @@ class TestConcurrentDispatch:
             assert isinstance(outcome, CellRun)
             trace = tmp_path / f"{model}-{method}-{k}.jsonl"
             metadata = outcome.report.metadata
-            with TraceWriter(trace, metadata) as writer:
-                for row in outcome.per_partition[0]:
-                    writer.write_prediction(row)
+            trace.write_text(trace_jsonl(metadata, outcome.per_partition[0]), encoding="utf-8")
             assert replay(trace, corpus.scheme, metadata["scoring_policy"]) == outcome.report
             first = replay(trace, corpus.scheme, "first_match")
             rows = outcome.per_partition[0]
