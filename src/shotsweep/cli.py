@@ -179,7 +179,7 @@ def _load_data(cfg: dict) -> Corpus:
 
 def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelProfile]:
     """Built-in profiles overlaid with the config's; check each of models has
-    one, each mock:// profile's backend (see _mock) and the provider spec."""
+    a chat one, each mock:// profile's backend (see _mock) and the provider spec."""
     profiles = dict(DEFAULT_PROFILES)
     spec = cfg.get("profiles") or {}
     if isinstance(spec, str):
@@ -199,6 +199,9 @@ def _build_profiles(cfg: dict, models: tuple[str, ...] = ()) -> dict[str, ModelP
     missing = [model for model in models if model not in profiles]
     if missing:
         raise ConfigError(f"no profile for model(s): {', '.join(missing)}")
+    embedding = [model for model in models if profiles[model].kind != "chat"]
+    if embedding:
+        raise ConfigError(f"model(s) {', '.join(embedding)}: an embedding profile cannot classify")
     for profile in profiles.values():
         _mock(profile)
     _provider(cfg, profiles)
@@ -271,7 +274,13 @@ def _write_artifacts(
 ) -> None:
     """Write each {name: (path relative to out_dir, content)} artifact, then the
     manifest listing them all. A str content is written as it is, and anything
-    else goes through artifact_json."""
+    else goes through artifact_json. Then each file that out_dir's previous
+    manifest listed and this one does not is removed, if it lies inside out_dir."""
+    manifest_path = out_dir / "manifest.json"
+    try:
+        previous = list(json.loads(manifest_path.read_bytes())["artifacts"].values())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):  # none, or not a manifest
+        previous = []
     for rel, content in artifacts.values():
         text = content if isinstance(content, str) else artifact_json(content)
         atomic_write(out_dir / rel, text)
@@ -279,7 +288,13 @@ def _write_artifacts(
     manifest_cfg["dataset_sha256"] = file_digest(cfg["data"])
     listed = {name: rel for name, (rel, _) in artifacts.items()}
     manifest = RunManifest(manifest_cfg, listed, __version__, started, _now())
-    atomic_write(out_dir / "manifest.json", artifact_json(manifest))
+    atomic_write(manifest_path, artifact_json(manifest))
+    root, written = out_dir.resolve(), set(listed.values())
+    for rel in previous:
+        if isinstance(rel, str) and rel not in written and not Path(rel).is_absolute():
+            stale = (out_dir / rel).resolve()
+            if root in stale.parents and stale.is_file() and stale != root / "manifest.json":
+                stale.unlink()
 
 
 def _check_output(name: str, path: str, directory: bool = False) -> None:

@@ -17,7 +17,7 @@ class PromptError(Exception):
     pass
 
 
-_PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+_PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 
 # How rendered examples are ordered: ascending puts the most similar example
 # last, next to the input; descending reverses that; pool_order keeps pool
@@ -26,12 +26,16 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 ORDERING_POLICIES = ("ascending", "descending", "pool_order", "shuffle")
 
 
-def _check_placeholders(template_text: str, allowed: set[str], where: str) -> None:
-    for match in _PLACEHOLDER_RE.finditer(template_text):
-        if match.group(1) not in allowed:
-            raise PromptError(
-                f"{where}: unresolved placeholder {{{match.group(1)}}}"
-            )
+def _check_format(template_text: str, names: tuple[str, ...], where: str) -> None:
+    """Refuse a block that str.format cannot render with only these names."""
+    try:
+        template_text.format(**dict.fromkeys(names, ""))
+        return
+    except KeyError as exc:
+        problem = f"unresolved placeholder {{{exc.args[0]}}}"
+    except (IndexError, ValueError, AttributeError) as exc:
+        problem = str(exc)
+    raise PromptError(f"{where}: {problem}; a literal brace is written {{{{ or }}}}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,13 @@ class PromptTemplate:
     version: str = "custom-v0"
 
     def __post_init__(self) -> None:
-        _check_placeholders(self.system_role_text, set(), "system block")
-        _check_placeholders(self.task_description_text, {"classes"}, "task block")
+        if match := _PLACEHOLDER_RE.search(self.system_role_text):  # never formatted
+            raise PromptError(f"system block: unresolved placeholder {match.group()}")
+        _check_format(self.task_description_text, ("classes",), "task block")
         if "{classes}" not in self.task_description_text:
             raise PromptError("task block must contain the {classes} placeholder")
-        _check_placeholders(self.example_block_format, {"text", "label"}, "example block")
-        _check_placeholders(self.input_block_format, {"text"}, "input block")
+        _check_format(self.example_block_format, ("text", "label"), "example block")
+        _check_format(self.input_block_format, ("text",), "input block")
         if "{text}" not in self.input_block_format:
             raise PromptError("input block must contain the {text} placeholder")
 

@@ -1,18 +1,20 @@
-"""Artifact JSON, run manifests, paper-shaped tables, curve CSV, trace replay."""
+"""Artifact JSON and CSV, run manifests, paper-shaped tables, trace replay."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import LabelScheme, SplitPlan
 from .evaluation import ClassMetrics, EvalReport, TraceRow, score_rows
-from .sweep import SweepCurve
+from .sweep import CurvePoint, SweepCurve
 
 
 class ReportingError(Exception):
@@ -64,9 +66,21 @@ def read_report(path: str | Path) -> EvalReport:
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
         per_class = {lid: ClassMetrics(**m) for lid, m in payload.pop("per_class").items()}
-        return EvalReport(per_class=per_class, **payload)
+        report = EvalReport(per_class=per_class, **payload)
     except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ReportingError(f"{file}: not a report ({type(exc).__name__}: {exc})") from exc
+    confusion = report.confusion
+    if not (isinstance(report.metadata, dict) and isinstance(confusion, dict)
+            and all(isinstance(row, dict) for row in confusion.values())):
+        raise ReportingError(f"{file}: metadata must be an object, confusion an object of objects")
+    scores = [report.weighted_f1, report.macro_f1,
+              *(v for m in per_class.values() for v in (m.precision, m.recall, m.f1))]
+    counts = [report.n_predictions, report.n_unparseable, report.n_multilabel,
+              *(m.support for m in per_class.values()),
+              *(n for row in confusion.values() for n in row.values())]
+    if not (all(type(v) in (int, float) for v in scores) and all(type(n) is int for n in counts)):
+        raise ReportingError(f"{file}: a score is not a number, or a count not an integer")
+    return report
 
 
 def config_digest(config: dict) -> str:
@@ -135,78 +149,42 @@ def emit_table(reports: Sequence[EvalReport], layout: str) -> TableOutput:
         raise ReportingError(f"unknown table layout {layout!r}")
     labels = _check_shared_scheme(reports)
     if layout == "binary" and len(labels) != 2:
-        raise ReportingError(
-            f"binary layout needs exactly 2 classes, got {len(labels)}"
-        )
+        raise ReportingError(f"binary layout needs exactly 2 classes, got {len(labels)}")
 
-    name_width = max(len(_row_name(r)) for r in reports)
-    name_width = max(name_width, len("Model"))
-    header_cells = [f"{'Model':<{name_width}}"]
-    for lid in labels:
-        header_cells.append(f"{lid + ' P':>8}{'R':>6}{'F1':>6}")
+    name_width = max(len("Model"), *(len(_row_name(r)) for r in reports))
     overall = "Overall F1" if layout == "binary" else "Ave."
-    header_cells.append(f"{overall:>12}")
-    lines = ["  ".join(header_cells)]
+    lines = ["  ".join([f"{'Model':<{name_width}}",
+                        *(f"{lid + ' P':>8}{'R':>6}{'F1':>6}" for lid in labels),
+                        f"{overall:>12}"])]
     lines.append("-" * len(lines[0]))
+    csv_rows: list[list[object]] = [
+        ["model", *(f"{lid}_{f.name}" for lid in labels for f in fields(ClassMetrics)),
+         "weighted_f1", "macro_f1", "n_predictions"]]
     for report in reports:
         cells = [f"{_row_name(report):<{name_width}}"]
+        row: list[object] = [_row_name(report)]
         for lid in labels:
             m = report.per_class[lid]
-            cells.append(
-                f"{_display(m.precision):>8}{_display(m.recall):>6}{_display(m.f1):>6}"
-            )
+            cells.append(f"{_display(m.precision):>8}{_display(m.recall):>6}{_display(m.f1):>6}")
+            row += vars(m).values()
         cells.append(f"{_display(report.weighted_f1):>12}")
         lines.append("  ".join(cells))
-    text = "\n".join(lines) + "\n"
-
-    csv_header = ["model"]
-    for lid in labels:
-        csv_header += [
-            f"{lid}_precision",
-            f"{lid}_recall",
-            f"{lid}_f1",
-            f"{lid}_support",
-        ]
-    csv_header += ["weighted_f1", "macro_f1", "n_predictions"]
-    csv_lines = [",".join(csv_header)]
-    for report in reports:
-        row = [_csv_quote(_row_name(report))]
-        for lid in labels:
-            m = report.per_class[lid]
-            row += [repr(m.precision), repr(m.recall), repr(m.f1), str(m.support)]
-        row += [
-            repr(report.weighted_f1),
-            repr(report.macro_f1),
-            str(report.n_predictions),
-        ]
-        csv_lines.append(",".join(row))
-    return TableOutput(text=text, csv_text="\n".join(csv_lines) + "\n")
+        csv_rows.append([*row, report.weighted_f1, report.macro_f1, report.n_predictions])
+    return TableOutput(text="\n".join(lines) + "\n", csv_text=_csv(csv_rows))
 
 
-def _csv_quote(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+def _csv(rows: Iterable[Iterable[object]]) -> str:
+    """CSV text: a field holding a comma, quote or newline is quoted; a float is its repr."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def curves_csv(curves: Sequence[SweepCurve]) -> str:
     """One row per curve point; curves.json is artifact_json({"series": curves})."""
-    lines = ["model,method,shot_count,weighted_f1,macro_f1,n_invalid"]
-    for curve in curves:
-        for point in curve.points:
-            lines.append(
-                ",".join(
-                    [
-                        _csv_quote(curve.model),
-                        curve.method,
-                        str(point.shot_count),
-                        repr(point.weighted_f1),
-                        repr(point.macro_f1),
-                        str(point.n_invalid),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    header = ["model", "method", *(f.name for f in fields(CurvePoint))]
+    return _csv([header, *([c.model, c.method, *vars(p).values()]
+                           for c in curves for p in c.points)])
 
 
 def trace_jsonl(meta: dict[str, object], rows: Iterable[TraceRow]) -> str:

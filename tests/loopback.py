@@ -1,7 +1,8 @@
 """Loopback HTTP/1.1 servers for transport tests: a chat (and embeddings)
 endpoint that counts the connections and requests it serves and can frame
-its replies in several ways (and serve them over TLS), and a forwarding
-proxy that also tunnels CONNECT requests."""
+its replies in several ways (and serve them over TLS), a forwarding
+proxy that also tunnels CONNECT requests, and a listener that closes every
+connection before any reply."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import select
 import socket
 import ssl
 import threading
+import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -241,3 +243,51 @@ class ForwardingProxy(_Loopback):
             return response.status, response.read()
         finally:
             upstream.close()
+
+
+class SlowEndpoint(ChatEndpoint):
+    """A ChatEndpoint that waits delay_s before each reply."""
+
+    def __init__(self, delay_s: float):
+        super().__init__()
+        self.delay_s = delay_s
+
+    def respond(self, target, headers, body):
+        time.sleep(self.delay_s)
+        return super().respond(target, headers, body)
+
+    def handle_error(self, request, client_address):
+        pass  # a client that stopped waiting closed the connection
+
+
+class ClosingListener:
+    """Accepts each connection, waits for the first byte of its request and
+    closes it unanswered; counts the connections it accepted."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)
+        self.connections = 0
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self.sock.getsockname()[1]}/v1"
+
+    def _serve(self) -> None:
+        while not self._stopping.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                self.connections += 1
+                conn.settimeout(5)
+                conn.recv(1)
+
+    def stop(self) -> None:
+        self._stopping.set()
+        self._thread.join(timeout=5)
+        self.sock.close()

@@ -21,9 +21,10 @@ from shotsweep.cli import (
     main,
 )
 
-from shotsweep import HashEmbeddingProvider, build_embedding_matrix, build_pool
+from shotsweep import BINARY_FRNFR, HashEmbeddingProvider, build_embedding_matrix, build_pool
+from shotsweep.reporting import artifact_json
 
-from conftest import PROMISE_CSV, REPO_ROOT
+from conftest import PROMISE_CSV, REPO_ROOT, report_of
 from loopback import CannedEndpoint, ChatEndpoint
 from oracles import oracle_knn_embedding
 
@@ -403,6 +404,46 @@ class TestManifestArtifacts:
         assert listed == on_disk
         assert len(listed) == 3 + 4  # curves.json, curves.csv, sweep.json, 4 cells
 
+    def test_rerun_removes_what_the_previous_manifest_listed_and_it_does_not(self, tmp_path,
+                                                                             capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("not an artifact")
+        for folds in (5, 3):
+            config = one_cell_or_sweep_config(tmp_path, "cv", k_folds=folds)
+            code = main(["cv", "--config", config, "--shots", "1", "--out", str(out_dir)])
+            assert code == EXIT_OK
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert "folds/fold02.json" in listed and "folds/fold03.json" not in listed
+        assert on_disk == sorted([*listed, "notes.txt"])
+
+    def test_rerun_removes_nothing_outside_out_and_keeps_its_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        outside = tmp_path / "outside.txt"
+        absolute = out_dir / "absolute.txt"  # inside --out, but listed by absolute path
+        for kept in (outside, absolute):
+            kept.write_text("kept")
+        old = {"a": "../outside.txt", "b": str(outside), "c": str(absolute),
+               "d": "folds/../../outside.txt", "e": "manifest.json", "f": ["x"]}
+        (out_dir / "manifest.json").write_text(json.dumps({"artifacts": old}))
+        config = one_cell_or_sweep_config(tmp_path, "run")
+        assert main(["run", "--config", config, "--out", str(out_dir)]) == EXIT_OK
+        assert outside.read_text() == "kept" and absolute.read_text() == "kept"
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert on_disk == sorted([*listed, "absolute.txt"])
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["k"] == 1
+
+    @pytest.mark.parametrize("old", ["{", "[]", '{"artifacts": [1]}'])
+    def test_rerun_over_a_manifest_that_does_not_parse(self, tmp_path, capsys, old):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "manifest.json").write_text(old)
+        config = one_cell_or_sweep_config(tmp_path, "run")
+        assert main(["run", "--config", config, "--out", str(out_dir)]) == EXIT_OK
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+
 
 CURVES = {"artifacts": {"curves_json": "curves.json"}}
 
@@ -779,6 +820,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert "config error" in err and str(template) in err
+
+    @pytest.mark.parametrize("task", ['{classes} as {"label": x}', "{classes} }"],
+                             ids=["json-braces", "stray-close"])
+    def test_template_that_cannot_render_is_refused_by_a_dry_run(self, tmp_path, capsys, task):
+        template = tmp_path / "template.txt"
+        template.write_text(
+            f"[system]\nrole\n[task]\n{task}\n[example]\n{{text}} {{label}}\n[input]\n{{text}}\n"
+        )
+        config = one_cell_or_sweep_config(tmp_path, "run", template=str(template))
+        code = main(["run", "--dry-run", "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error: task block:" in err and "literal brace is written {{" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_model_with_an_embedding_profile_is_refused_by_a_dry_run(self, tmp_path, capsys,
+                                                                      command):
+        model = {"models": ["mock-gold", "emb"]} if command == "sweep" else {"model": "emb"}
+        emb = {"kind": "embedding", "base_url": "http://127.0.0.1:9"}
+        profiles = {**GOLD_PROFILES, "emb": emb}
+        config = one_cell_or_sweep_config(tmp_path, command, profiles=profiles, **model)
+        code = main([command, "--dry-run", "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "config error: model(s) emb: an embedding profile cannot classify" in err
 
     def test_integral_float_is_an_int(self, tmp_path, capsys):
         config = write_config(
@@ -1516,6 +1582,19 @@ class TestReportReplay:
         err = capsys.readouterr().err
         assert code == EXIT_DATA, err
         assert str(path) in err and needle in err
+
+    def test_mistyped_report_value_is_a_data_error_and_writes_no_table(self, tmp_path,
+                                                                      capsys):
+        payload = json.loads(artifact_json(report_of(BINARY_FRNFR, [("FR", "FR", "label")])))
+        payload["per_class"]["FR"]["support"] = "9"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        code = main(["report", "--reports", str(path), "--layout", "binary",
+                     "--out-base", str(tmp_path / "table")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert f"data error: {path}: a score is not a number, or a count not an integer" in err
+        assert not (tmp_path / "table.csv").exists()
 
     def test_replay_non_object_line_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

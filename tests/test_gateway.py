@@ -12,6 +12,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -40,7 +41,14 @@ from shotsweep.gateway import (
 )
 
 from conftest import REPO_ROOT
-from loopback import TLS_CERT, CannedEndpoint, ChatEndpoint, ForwardingProxy
+from loopback import (
+    TLS_CERT,
+    CannedEndpoint,
+    ChatEndpoint,
+    ClosingListener,
+    ForwardingProxy,
+    SlowEndpoint,
+)
 from oracles import (
     oracle_chat_body,
     oracle_embeddings_body,
@@ -749,6 +757,30 @@ class TestConnectionReuse:
         assert waits == []
         assert len(endpoint.targets) == 4
         assert endpoint.connections == 4
+
+    def test_reused_connection_takes_the_timeout_of_its_new_profile(self, loopback):
+        endpoint = loopback(SlowEndpoint, delay_s=0.5)
+        patient = ModelProfile(name="a", base_url=endpoint.base_url, timeout_s=5.0)
+        hasty = ModelProfile(name="b", base_url=endpoint.base_url, timeout_s=0.2,
+                             max_attempts=1)
+        with Client() as client:
+            assert client.start(patient, prompt_for("q1")).finish() == "FR"
+            began = time.monotonic()
+            with pytest.raises(TransportError, match="b: gave up after 1 attempts"):
+                client.start(hasty, prompt_for("q2")).finish()
+            assert time.monotonic() - began < 2.5
+        assert endpoint.connections == 1
+
+    def test_fresh_connection_closed_before_a_status_line_is_a_failed_attempt(
+            self, loopback):
+        listener = loopback(ClosingListener)
+        profile = ModelProfile(name="m", base_url=listener.base_url, max_attempts=2)
+        waits = []
+        with Client(sleeper=waits.append) as client:
+            with pytest.raises(TransportError, match="m: gave up after 2 attempts"):
+                client.start(profile, prompt_for("q")).finish()
+        assert len(waits) == 1
+        assert listener.connections == 2
 
     def test_http_proxy_carries_requests(self, loopback, clean_proxy_env):
         endpoint = loopback(ChatEndpoint, reply="NFR")

@@ -73,6 +73,34 @@ class TestTemplateValidation:
                 input_block_format="{text}",
             )
 
+    @pytest.mark.parametrize(
+        "task, example, input_block, block",
+        [
+            ('{classes} as {"label": x}', "{text} {label}", "{text}", "task block"),
+            ("{classes} }", "{text} {label}", "{text}", "task block"),
+            ("{classes}", "{0} {text} {label}", "{text}", "example block"),
+            ("{classes}", "{text} {label}", "{ {text}", "input block"),
+            ("{classes}", "{text} {label}", "{text.x}", "input block"),
+        ],
+        ids=["json-braces", "stray-close", "positional", "lone-open", "attribute"],
+    )
+    def test_block_that_cannot_render_is_refused(self, task, example, input_block, block):
+        with pytest.raises(PromptError, match=f"^{block}: .*literal brace is written {{{{"):
+            PromptTemplate("role", task, example, input_block)
+
+    def test_doubled_braces_render_as_single_ones(self):
+        template = PromptTemplate(
+            system_role_text='Reply as JSON: {"label": "<id>"}',  # never formatted
+            task_description_text='{classes}\nAnswer {{"label": x}}',
+            example_block_format="{text} -> {{{label}}}",
+            input_block_format="{text} ->",
+        )
+        pool = small_pool()
+        prompt = render_prompt(template, BINARY_FRNFR, ranking_of(((0, 0.9),)), 1, pool, "q")
+        assert prompt.system_message == 'Reply as JSON: {"label": "<id>"}'
+        assert 'Answer {"label": x}' in prompt.user_message
+        assert f"{pool.record(0).text} -> {{Functional}}" in prompt.user_message
+
     def test_ordering_policy_names(self):
         ranking = ranking_of(((0, 0.9),))
         with pytest.raises(PromptError, match="unknown ordering policy 'sideways'"):

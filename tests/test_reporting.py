@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 
@@ -13,7 +15,7 @@ from shotsweep import (
     ModelProfile,
     make_split,
 )
-from shotsweep.corpus import PROMISE_12
+from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
 from shotsweep.gateway import CallableBackend
 from shotsweep.reporting import (
     ReportingError,
@@ -24,6 +26,7 @@ from shotsweep.reporting import (
     curves_csv,
     emit_table,
     file_digest,
+    read_report,
     read_trace,
     replay,
     trace_jsonl,
@@ -128,6 +131,32 @@ class TestEmitTable:
         assert abs(recomputed - float(cols["weighted_f1"])) < 1e-12
         assert f"{recomputed:.2f}" in table.text
 
+    def test_csv_fields_parse_back_exactly(self):
+        """A model name holding a comma, a quote and a newline, and a label id
+        holding a comma, come back from csv.reader as they went in: both CSVs
+        quote such fields, the header's too."""
+        scheme = LabelScheme("odd", (LabelDef("A,B", "Alpha"), LabelDef("C", "Gamma")), "binary")
+        model = 'gpt, "the big one"\nv2'
+        report = report_of(scheme, [("A,B", "A,B", "label"), ("C", "A,B", "label")],
+                           {"model": model})
+        header, row = csv.reader(io.StringIO(emit_table([report], "binary").csv_text))
+        assert header == ["model", "A,B_precision", "A,B_recall", "A,B_f1", "A,B_support",
+                          "C_precision", "C_recall", "C_f1", "C_support",
+                          "weighted_f1", "macro_f1", "n_predictions"]
+        a, c = report.per_class["A,B"], report.per_class["C"]
+        assert row == [model, *map(str, [a.precision, a.recall, a.f1, a.support,
+                                         c.precision, c.recall, c.f1, c.support,
+                                         report.weighted_f1, report.macro_f1, 2])]
+        assert float(row[1]) == 0.5 and float(row[3]) == 2 / 3  # repr round-trips
+
+        point = CurvePoint(5, 1 / 3, 0.1, 2)
+        curve = SweepCurve(model, "tfidf", (point,), 5, 1 / 3,
+                           OverpromptingVerdict(False, 5, 0.0, 0.02))
+        header, row = csv.reader(io.StringIO(curves_csv([curve])))
+        assert header == ["model", "method", "shot_count", "weighted_f1", "macro_f1",
+                          "n_invalid"]
+        assert row == [model, "tfidf", "5", repr(1 / 3), "0.1", "2"]
+
     def test_layout_validation(self):
         with pytest.raises(ReportingError, match="layout"):
             emit_table([all_correct_report()], "wide")
@@ -179,6 +208,50 @@ class TestEmitCurveData:
             for p in series["points"]
         ]
         assert series["optimal_shots"] == find_optimum(points)
+
+
+class TestReadReport:
+    def write(self, tmp_path, edit=None):
+        payload = json.loads(artifact_json(all_correct_report()))
+        if edit is not None:
+            keys, value = edit
+            *outer, last = keys
+            target = payload
+            for key in outer:
+                target = target[key]
+            target[last] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_round_trips(self, tmp_path):
+        assert read_report(self.write(tmp_path)) == all_correct_report()
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("weighted_f1",), "x"),
+            (("macro_f1",), True),
+            (("per_class", "FR", "precision"), "1.0"),
+            (("per_class", "FR", "recall"), None),
+            (("per_class", "NFR", "f1"), None),
+            (("per_class", "FR", "support"), "9"),
+            (("n_predictions",), 2.0),
+            (("n_unparseable",), None),
+            (("n_multilabel",), False),
+            (("confusion",), [[1, 0]]),
+            (("confusion", "FR"), [1, 0]),
+            (("confusion", "FR", "NFR"), "0"),
+            (("metadata",), [1]),
+        ],
+        ids=["weighted-f1", "macro-f1-bool", "precision", "recall", "f1", "support",
+             "n-predictions", "n-unparseable", "n-multilabel-bool", "confusion-list",
+             "confusion-row-list", "confusion-cell", "metadata-list"],
+    )
+    def test_mistyped_value_is_refused(self, tmp_path, keys, value):
+        path = self.write(tmp_path, (keys, value))
+        with pytest.raises(ReportingError, match=f"^{path}: "):
+            read_report(path)
 
 
 class TestReplay:
