@@ -27,6 +27,10 @@ all from one response cache:
            either policy) reaches the diff, per fold report and per curve
 - scoring/cv/          3-fold promise12 `cv` of the multi-label mock, tfidf
            k=5, under first_match: its fold reports hold such answers
+- select/<method>-k<k>.json  `select --json` of the README query for each
+           method at k 5 and 160, with every other flag off its default
+           (`--seed 3 --pool-size 200 --pool-seed 1 --hash-dim 16`): the
+           one command that ranks a text query and builds its own encoder
 - replay.json          `replay` of run/trace.jsonl under first_match
 - report.txt, .csv     `report` over run/report.json and cv/aggregate.json
 - cache_rows.jsonl     the cache's rows, sorted, without `created_at` and
@@ -132,6 +136,9 @@ SCORING_CV = {
     "scoring_policy": "first_match",
     "profiles": {"mock-multi": {"base_url": SCORING_MODELS["mock-multi"]}},
 }
+# The README's select example, ranked by every method with every flag set.
+SELECT_QUERY = "The system shall encrypt all stored data."
+SELECT_FLAGS = ("--seed", "3", "--pool-size", "200", "--pool-seed", "1", "--hash-dim", "16")
 VARYING_ROW_FIELDS = ("created_at", "latency_ms")
 # Run with SRC's shotsweep on the path over a cache directory: every on-disk
 # row's bucket and key with the answer ResponseCache serves for it (a record's
@@ -220,11 +227,11 @@ def build(src: Path, out: Path) -> None:
         for name, config in configs:
             (work_dir / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 
-        def shotsweep(*argv: str) -> None:
-            subprocess.run(
+        def shotsweep(*argv: str) -> str:
+            return subprocess.run(
                 [sys.executable, "-m", "shotsweep.cli", *argv],
-                cwd=work_dir, env=env, check=True, stdout=subprocess.DEVNULL,
-            )
+                cwd=work_dir, env=env, check=True, stdout=subprocess.PIPE, text=True,
+            ).stdout
 
         cache = ["--cache-dir", "cache"]
         shotsweep("sweep", "--config", "sweep.json", "--out", str(out / "sweep"), *cache)
@@ -255,6 +262,13 @@ def build(src: Path, out: Path) -> None:
                 "--out", str(out / "scoring" / policy), *cache,
             )
         shotsweep("cv", "--config", "scoring-cv.json", "--out", str(out / "scoring" / "cv"), *cache)
+        (out / "select").mkdir()
+        for method in SWEEP["methods"]:
+            for k in (5, 160):
+                (out / "select" / f"{method}-k{k}.json").write_text(shotsweep(
+                    "select", "--json", "--data", "promise_nfr.csv", "--scheme", "frnfr",
+                    "--method", method, "--k", str(k), "--query", SELECT_QUERY, *SELECT_FLAGS,
+                ), encoding="utf-8")
         shotsweep(
             "replay", "--trace", str(out / "run" / "trace.jsonl"), "--scheme", "frnfr",
             "--policy", "first_match", "--out", str(out / "replay.json"),
