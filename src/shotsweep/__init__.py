@@ -41,7 +41,6 @@ from .promptkit import (
 )
 from .selection import (
     FewShotPool,
-    SelectionConfig,
     build_pool,
 )
 from .sweep import (

@@ -50,7 +50,7 @@ from .reporting import (
     split_payload,
     trace_jsonl,
 )
-from .selection import METHODS, SelectionConfig, SelectionError, build_pool, rank
+from .selection import METHODS, SelectionError, build_pool, rank
 from .sweep import (
     DEFAULT_GRID,
     DEFAULT_OVERPROMPTING_THRESHOLD,
@@ -406,8 +406,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         args.pool_size if args.pool_size is not None else len(corpus),
         args.pool_seed,
     )
-    sel_cfg = SelectionConfig(args.method, args.k, args.seed)
-    ranking = rank(pool, [args.query], sel_cfg, HashEmbeddingProvider(args.hash_dim))[0]
+    provider = HashEmbeddingProvider(args.hash_dim)
+    ranking = rank(pool, [args.query], args.method, args.k, args.seed, provider)[0]
     chosen = [
         {
             "record_id": rid,

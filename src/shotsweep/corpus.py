@@ -296,7 +296,7 @@ def make_split(
     """Build a deterministic stratified split plan.
 
     holdout: param is the train fraction; partition 0 is train, 1 is test.
-    kfold: param is the fold count; partitions are fold indices. Classes
+    kfold: param is the fold count, an int; partitions are fold indices. Classes
     smaller than k are an error unless on_small_class="allow".
     """
     if on_small_class not in SMALL_CLASS_POLICIES:
@@ -324,9 +324,9 @@ def make_split(
         return SplitPlan("holdout", fraction, seed, assignments)
 
     if kind == "kfold":
-        k = int(param)
-        if not 2 <= k <= len(corpus.records):
-            raise SplitError(f"k must be in [2, {len(corpus.records)}], got {k}")
+        k = param
+        if type(k) is not int or not 2 <= k <= len(corpus.records):
+            raise SplitError(f"k must be an integer in [2, {len(corpus.records)}], got {k!r}")
         small = [lid for lid in corpus.scheme.label_ids if len(grouped[lid]) < k]
         if small and on_small_class != "allow":
             raise SplitError(

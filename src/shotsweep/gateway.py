@@ -182,8 +182,8 @@ class ResponseCache:
         """Pass each row of a bucket's segments to add, in name order, a line at
         a time (one segment can hold a whole run). A line that is not JSON, or a
         row add cannot take (not an object, a field missing or unknown, a vector
-        that is not a list of numbers), is torn, and so is a line that is not
-        UTF-8: it is decoded strictly, line by line."""
+        that is empty or not a list of numbers), is torn, and so is a line that
+        is not UTF-8: it is decoded strictly, line by line."""
         assert self._dir is not None
         for segment in sorted((self._dir / bucket).glob("*.jsonl")):
             with segment.open("rb") as handle:
@@ -208,7 +208,7 @@ class ResponseCache:
         if row.get("fingerprint") is None:
             return
         if not _is_numbers(vector := row["vector"]):
-            raise TypeError("a cached embedding is not a list of numbers")
+            raise TypeError("a cached embedding is empty or not a list of numbers")
         vectors = self._embeddings.setdefault((row["tag"], sys.intern(row["fingerprint"])), {})
         vectors.setdefault(row["text"], array("d", vector))
 
@@ -545,17 +545,17 @@ def _content(response) -> str:
 
 
 def _is_numbers(vector) -> bool:
-    """Whether a decoded JSON value is a list of finite numbers (a bool is not
-    one); an int past the float range raises OverflowError."""
-    return type(vector) is list and {*map(type, vector)} <= {int, float} and all(
-        map(math.isfinite, vector))
+    """Whether a decoded JSON value is a non-empty list of finite numbers (a
+    bool is not one); an int past the float range raises OverflowError."""
+    return (type(vector) is list and len(vector) > 0
+            and {*map(type, vector)} <= {int, float} and all(map(math.isfinite, vector)))
 
 
 def _vectors(response) -> list[list[float]]:
     """The vectors of an embeddings reply, in input order."""
     vectors = [row["embedding"] for row in sorted(response["data"], key=lambda r: r["index"])]
     if not all(map(_is_numbers, vectors)):
-        raise TypeError("an embedding is not a list of numbers")
+        raise TypeError("an embedding is empty or not a list of numbers")
     return [list(map(float, vector)) for vector in vectors]
 
 
@@ -839,10 +839,6 @@ class GatewayEmbeddingProvider:
             raise GatewayError(f"profile {profile.name} is not an embedding profile")
         self.client = client
         self.profile = profile
-        self.dim = profile.embedding_dim or 0
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        vectors = self.client.embed_batch(self.profile, texts)
-        if vectors and not self.dim:
-            self.dim = len(vectors[0])
-        return vectors
+        return self.client.embed_batch(self.profile, texts)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import string
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -26,15 +27,17 @@ _PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 ORDERING_POLICIES = ("ascending", "descending", "pool_order", "shuffle")
 
 
-def _check_format(template_text: str, names: tuple[str, ...], where: str) -> None:
-    """Refuse a block that str.format cannot render with only these names."""
+def _check_format(template_text: str, names: tuple[str, ...], where: str) -> set[str | None]:
+    """Refuse a block that str.format cannot render with only these names;
+    give the names it does format (a doubled brace formats none)."""
     try:
         template_text.format(**dict.fromkeys(names, ""))
-        return
     except KeyError as exc:
         problem = f"unresolved placeholder {{{exc.args[0]}}}"
-    except (IndexError, ValueError, AttributeError) as exc:
+    except (IndexError, ValueError, AttributeError, TypeError) as exc:
         problem = str(exc)
+    else:
+        return {name for _, name, _, _ in string.Formatter().parse(template_text)}
     raise PromptError(f"{where}: {problem}; a literal brace is written {{{{ or }}}}")
 
 
@@ -50,12 +53,10 @@ class PromptTemplate:
     def __post_init__(self) -> None:
         if match := _PLACEHOLDER_RE.search(self.system_role_text):  # never formatted
             raise PromptError(f"system block: unresolved placeholder {match.group()}")
-        _check_format(self.task_description_text, ("classes",), "task block")
-        if "{classes}" not in self.task_description_text:
+        if "classes" not in _check_format(self.task_description_text, ("classes",), "task block"):
             raise PromptError("task block must contain the {classes} placeholder")
         _check_format(self.example_block_format, ("text", "label"), "example block")
-        _check_format(self.input_block_format, ("text",), "input block")
-        if "{text}" not in self.input_block_format:
+        if "text" not in _check_format(self.input_block_format, ("text",), "input block"):
             raise PromptError("input block must contain the {text} placeholder")
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .corpus import LabelScheme, SplitPlan
@@ -174,10 +174,12 @@ def emit_table(reports: Sequence[EvalReport], layout: str) -> TableOutput:
 
 
 def _csv(rows: Iterable[Iterable[object]]) -> str:
-    """CSV text: a field holding a comma, quote or newline is quoted; a float is its repr."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """CSV text, each record ending in a line feed: a field holding a comma, a
+    quote, a carriage return or a line feed is quoted; a float is its repr."""
+    records: list[str] = []  # the writer makes one write call per record
+    # and quotes a field holding any character of its line terminator
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
+    return "".join(record[:-2] + "\n" for record in records)
 
 
 def curves_csv(curves: Sequence[SweepCurve]) -> str:

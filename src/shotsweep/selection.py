@@ -32,8 +32,7 @@ class SelectionError(Exception):
 class FewShotPool:
     candidates: tuple[RequirementRecord, ...]
     per_class: dict[str, tuple[int, ...]]
-    candidate_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # record id -> index in candidates
+    # record id -> index in candidates, in candidate order
     positions: dict[int, int] = field(init=False, repr=False, compare=False)
     # promptkit's text formatted from this pool, so it lives and dies with it
     render_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -45,7 +44,6 @@ class FewShotPool:
                 raise SelectionError(f"duplicate pool candidate {record.record_id}")
             positions[record.record_id] = index
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "candidate_ids", tuple(positions))
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -107,26 +105,6 @@ def build_pool(
     )
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    method: str  # one of METHODS
-    k: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise SelectionError(f"unknown selection method {self.method!r}")
-        if self.k < 0:
-            raise SelectionError(f"shot count must be >= 0, got {self.k}")
-
-
-def query_key_for(query: str | RequirementRecord) -> str:
-    if isinstance(query, RequirementRecord):
-        return f"record:{query.record_id}"
-    digest = hashlib.sha256(query.encode("utf-8")).hexdigest()[:16]
-    return f"text:{digest}"
-
-
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """One query's selection order over a pool: the k-shot selection is its
@@ -157,48 +135,56 @@ class Ranking:
 def rank(
     pool: FewShotPool,
     queries: Sequence[str | RequirementRecord],
-    cfg: SelectionConfig,
+    method: str,
+    depth: int,
+    seed: int = 0,
     provider: EmbeddingProvider | None = None,
 ) -> list[Ranking]:
-    """Rank the pool for each query, deep enough for any selection up to cfg.k.
+    """Rank the pool for each query by method (one of METHODS), deep enough
+    for any selection of up to depth shots.
 
     random draws one permutation of the whole pool per query, seeded from
-    cfg.seed and the query, so its order does not depend on cfg.k.
-    tfidf/embedding fit their space over the pool once (not for k == 0 or an
+    seed and the query's key (`record:<id>`, or `text:` and the first 16
+    hex digits of the text's sha256), so its order does not depend on depth.
+    tfidf/embedding fit their space over the pool once (not for depth 0 or an
     empty pool) and rank each query by cosine similarity, embedding each
     query with its own provider call. A record query that is a pool member
     never ranks its own record; a text query excludes nothing.
     """
+    if method not in METHODS:
+        raise SelectionError(f"unknown selection method {method!r}")
+    if depth < 0:
+        raise SelectionError(f"shot count must be >= 0, got {depth}")
     space: TfidfModel | EmbeddingMatrix | None = None
-    if cfg.k and len(pool) and cfg.method == "tfidf":
+    if depth and len(pool) and method == "tfidf":
         space = fit_tfidf(pool.candidates)
-    elif cfg.k and len(pool) and cfg.method == "embedding":
+    elif depth and len(pool) and method == "embedding":
         if provider is None:
             raise SelectionError("embedding method requires an embedding provider")
         space = build_embedding_matrix(pool.candidates, provider)
     rankings = []
     for query in queries:
-        member = isinstance(query, RequirementRecord) and query.record_id in pool
+        if isinstance(query, RequirementRecord):
+            key, text, member = f"record:{query.record_id}", query.text, query.record_id in pool
+        else:
+            digest = hashlib.sha256(query.encode("utf-8")).hexdigest()[:16]
+            key, text, member = f"text:{digest}", query, False
         excluded_id = query.record_id if member else None
-        key = query_key_for(query)
         available = len(pool) - member
-        depth = min(cfg.k, available)
+        n = min(depth, available)
         ids: list[int] = []
         sims: list[float] = []
-        if depth and cfg.method == "random":
-            others = [rid for rid in pool.candidate_ids if rid != excluded_id]
-            ids = derived_rng(cfg.seed, f"query:{key}").sample(others, available)
-        elif depth and space is not None:
-            text = query.text if isinstance(query, RequirementRecord) else query
+        if n and method == "random":
+            others = [rid for rid in pool.positions if rid != excluded_id]
+            ids = derived_rng(seed, f"query:{key}").sample(others, available)
+        elif n and space is not None:
             if isinstance(space, TfidfModel):
                 vector: dict[int, float] | list[float] = embed_query_tfidf(space, text)
             else:
                 vector = list(provider.embed_batch([text])[0])
-            ids, sims = nearest(space, vector, depth + member)
+            ids, sims = nearest(space, vector, n + member)
             if excluded_id in ids:
                 drop = ids.index(excluded_id)
                 del ids[drop], sims[drop]
-        rankings.append(
-            Ranking(key, available, array("q", ids[:depth]), array("d", sims[:depth]))
-        )
+        rankings.append(Ranking(key, available, array("q", ids[:n]), array("d", sims[:n])))
     return rankings

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import SMALL_CLASS_POLICIES, Corpus, SplitPlan, make_split
@@ -24,7 +24,7 @@ from .promptkit import (
     PromptTemplate,
     render_prompt,
 )
-from .selection import METHODS, SelectionConfig, SelectionError, build_pool, rank
+from .selection import METHODS, SelectionError, build_pool, rank
 from .vectorspace import EmbeddingProvider, VectorSpaceError
 
 DEFAULT_GRID = (0, 5, 10, 20, 40, 80, 120, 160)
@@ -56,7 +56,7 @@ class SweepPlan:
     methods: tuple[str, ...]
     shot_grid: tuple[int, ...] = DEFAULT_GRID
     split_kind: str = "holdout"  # "holdout" | "kfold" | "full"
-    split_param: float = 0.8  # holdout: the train fraction; kfold: the fold count
+    split_param: float = 0.8  # holdout: the train fraction; kfold: the fold count, an int
     split_seed: int = 0
     overprompting_threshold: float = DEFAULT_OVERPROMPTING_THRESHOLD
     on_small_class: str = "error"  # kfold: see corpus.make_split
@@ -88,6 +88,8 @@ class SweepPlan:
             raise SweepError(f"unsupported sweep split kind {self.split_kind!r}")
         if self.split_kind == "holdout" and not 0.0 < self.split_param < 1.0:
             raise SweepError(f"holdout fraction must be in (0, 1), got {self.split_param}")
+        if self.split_kind == "kfold" and type(self.split_param) is not int:
+            raise SweepError(f"k_folds must be an integer, got {self.split_param!r}")
         if self.split_kind == "kfold" and self.split_param < 2:
             raise SweepError(f"k_folds must be >= 2, got {self.split_param}")
         if self.on_small_class not in SMALL_CLASS_POLICIES:
@@ -341,15 +343,12 @@ def run_sweep(
         # a zero-shot prompt does not depend on the method: render it once
         zero_shot: dict[int, PromptSpec | Exception] = {}
         for method in methods:
-            sel_cfg = SelectionConfig(
-                method, max((k for k in grid if live(method, k)), default=0),
-                plan.selection_seed,
-            )
+            depth = max((k for k in grid if live(method, k)), default=0)
             try:
-                rankings = rank(pool, test, sel_cfg, provider)
+                rankings = rank(pool, test, method, depth, plan.selection_seed, provider)
             except CELL_ERRORS as exc:
                 fail(exc, method, [k for k in grid if k > 0], plan.models)
-                rankings = rank(pool, test, replace(sel_cfg, k=0))
+                rankings = rank(pool, test, method, 0)
 
             for k in grid:
                 prompts = zero_shot if k == 0 else {}

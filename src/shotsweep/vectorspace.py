@@ -134,8 +134,6 @@ def embed_query_tfidf(model: TfidfModel, text: str) -> dict[int, float]:
 
 
 class EmbeddingProvider(Protocol):
-    dim: int
-
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]: ...
 
 
@@ -210,8 +208,11 @@ def build_embedding_matrix(
         vectors.update(zip(batch, encoded))
 
     import numpy as np
-    first = vectors[candidates[0].text]
-    dim = provider.dim if getattr(provider, "dim", 0) else len(first)
+    dim = len(vectors[candidates[0].text])  # every vector must match the first
+    if not dim:
+        raise VectorSpaceError(
+            f"record {candidates[0].record_id}: provider returned an empty vector"
+        )
     matrix = np.zeros((len(candidates), dim), dtype=np.float64)
     for i, record in enumerate(candidates):
         vector = vectors[record.text]

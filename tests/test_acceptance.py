@@ -24,7 +24,6 @@ from shotsweep import (
     LabelScheme,
     ModelProfile,
     RequirementRecord,
-    SelectionConfig,
     SweepPlan,
     build_pool,
     embed_query_tfidf,
@@ -355,7 +354,7 @@ def test_criterion_8_prompt_contract():
         ]
         pool = build_pool(records, scheme, len(records), seed=case)
         k = rng.randint(0, 8)
-        ranking = rank(pool, [f"query {case} unique"], SelectionConfig("random", k, seed=case))[0]
+        ranking = rank(pool, [f"query {case} unique"], "random", k, seed=case)[0]
         prompt = render_prompt(
             DEFAULT_TEMPLATE, scheme, ranking, k, pool, f"query {case} unique"
         )

@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -144,6 +145,14 @@ class TestPoolSelect:
             ids[k] = [c["record_id"] for c in json.loads(capsys.readouterr().out)["chosen"]]
         assert len(ids[5]) == 5
         assert ids[5][:2] == ids[2]
+
+    def test_select_negative_k_is_a_config_error(self, capsys):
+        code = main(
+            ["select", "--data", str(PROMISE_CSV), "--scheme", "frnfr",
+             "--method", "random", "--k", "-1", "--query", "whatever"]
+        )
+        assert code == EXIT_CONFIG
+        assert "config error: shot count must be >= 0, got -1" in capsys.readouterr().err
 
     def test_select_random_zero_shot(self, capsys):
         code = main(
@@ -821,18 +830,26 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG, err
         assert "config error" in err and str(template) in err
 
-    @pytest.mark.parametrize("task", ['{classes} as {"label": x}', "{classes} }"],
-                             ids=["json-braces", "stray-close"])
-    def test_template_that_cannot_render_is_refused_by_a_dry_run(self, tmp_path, capsys, task):
+    @pytest.mark.parametrize(
+        "task, input_block, message",
+        [('{classes} as {"label": x}', "{text}", r"task block: .*literal brace is written \{\{"),
+         ("{classes} }", "{text}", r"task block: .*literal brace is written \{\{"),
+         ("{{classes}}", "{text}", r"task block must contain the \{classes\} placeholder"),
+         ("{classes}", "{{text}}", r"input block must contain the \{text\} placeholder")],
+        ids=["json-braces", "stray-close", "doubled-classes", "doubled-text"],
+    )
+    def test_template_that_cannot_render_is_refused_by_a_dry_run(self, tmp_path, capsys, task,
+                                                                 input_block, message):
         template = tmp_path / "template.txt"
         template.write_text(
-            f"[system]\nrole\n[task]\n{task}\n[example]\n{{text}} {{label}}\n[input]\n{{text}}\n"
+            f"[system]\nrole\n[task]\n{task}\n[example]\n{{text}} {{label}}\n"
+            f"[input]\n{input_block}\n"
         )
         config = one_cell_or_sweep_config(tmp_path, "run", template=str(template))
         code = main(["run", "--dry-run", "--config", config, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert "config error: task block:" in err and "literal brace is written {{" in err
+        assert re.search(f"config error: {message}", err), err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_model_with_an_embedding_profile_is_refused_by_a_dry_run(self, tmp_path, capsys,

@@ -271,6 +271,12 @@ class TestKfold:
                 counts = [per_fold.get(f, 0) for f in range(k)]
                 assert max(counts) - min(counts) <= 1
 
+    @pytest.mark.parametrize("folds", [2.5, 2.9, float("nan"), True],
+                             ids=["2.5", "2.9", "nan", "true"])
+    def test_fold_count_that_is_not_an_int_is_refused(self, folds):
+        with pytest.raises(SplitError, match="k must be an integer in"):
+            make_split(balanced_corpus(), "kfold", folds, seed=0)
+
     def test_small_class_reported(self):
         rows = [("only one,", "FR")] + [(f"n {i}", "NFR") for i in range(20)]
         corpus = Corpus(tuple(make_records(rows)), BINARY_FRNFR)

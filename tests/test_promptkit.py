@@ -16,7 +16,6 @@ from shotsweep import (
     build_pool,
     estimate_tokens,
     render_prompt,
-    SelectionConfig,
 )
 from shotsweep.corpus import PROMISE_12, LabelDef, LabelScheme
 from shotsweep.promptkit import (
@@ -64,14 +63,19 @@ class TestTemplateValidation:
                 input_block_format="{text}",
             )
 
-    def test_task_needs_classes(self):
-        with pytest.raises(PromptError, match="classes"):
-            PromptTemplate(
-                system_role_text="role",
-                task_description_text="no class list here",
-                example_block_format="{text} {label}",
-                input_block_format="{text}",
-            )
+    @pytest.mark.parametrize(
+        "task, input_block, message",
+        [
+            ("no class list here", "{text}", "task block must contain the {classes}"),
+            ("{{classes}}", "{text}", "task block must contain the {classes}"),
+            ("{classes}", "{{text}}", "input block must contain the {text}"),
+        ],
+        ids=["missing", "doubled-classes", "doubled-text"],
+    )
+    def test_block_needs_its_placeholder(self, task, input_block, message):
+        """A doubled brace formats as a literal one, so {{text}} is no placeholder."""
+        with pytest.raises(PromptError, match=re.escape(message)):
+            PromptTemplate("role", task, "{text} {label}", input_block)
 
     @pytest.mark.parametrize(
         "task, example, input_block, block",
@@ -81,8 +85,9 @@ class TestTemplateValidation:
             ("{classes}", "{0} {text} {label}", "{text}", "example block"),
             ("{classes}", "{text} {label}", "{ {text}", "input block"),
             ("{classes}", "{text} {label}", "{text.x}", "input block"),
+            ("{classes}", "{text} {label}", "{text[x]}", "input block"),
         ],
-        ids=["json-braces", "stray-close", "positional", "lone-open", "attribute"],
+        ids=["json-braces", "stray-close", "positional", "lone-open", "attribute", "key"],
     )
     def test_block_that_cannot_render_is_refused(self, task, example, input_block, block):
         with pytest.raises(PromptError, match=f"^{block}: .*literal brace is written {{{{"):
@@ -127,7 +132,7 @@ class TestRenderPrompt:
             render_prompt(
                 DEFAULT_TEMPLATE,
                 BINARY_FRNFR,
-                rank(pool, ["classify me"], SelectionConfig(method, 2), provider)[0],
+                rank(pool, ["classify me"], method, 2, provider=provider)[0],
                 0,
                 pool,
                 "classify me",
@@ -161,8 +166,7 @@ class TestRenderPrompt:
             DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "query",
             "pool_order",
         )
-        positions = {rid: i for i, rid in enumerate(pool.candidate_ids)}
-        rendered = [positions[rid] for rid in prompt.example_provenance]
+        rendered = [pool.positions[rid] for rid in prompt.example_provenance]
         assert rendered == sorted(rendered)
 
     def test_shuffle_is_seeded(self):
@@ -181,7 +185,7 @@ class TestRenderPrompt:
 
     def test_identical_inputs_identical_hash(self):
         pool = small_pool()
-        ranking = rank(pool, ["encrypt data"], SelectionConfig("tfidf", 2))[0]
+        ranking = rank(pool, ["encrypt data"], "tfidf", 2)[0]
         one = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "encrypt data")
         two = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 2, pool, "encrypt data")
         assert one == two
@@ -256,8 +260,7 @@ class TestRenderPrompt:
         """A ranking ranked to depth 5 cannot give 10 examples, although 11
         candidates are available; it must not render a 5-shot prompt."""
         pool = memo_corpus(12)
-        cfg = SelectionConfig(method, 5)
-        ranking = rank(pool, ["encrypt stored data"], cfg, HashEmbeddingProvider(8))[0]
+        ranking = rank(pool, ["encrypt stored data"], method, 5, 0, HashEmbeddingProvider(8))[0]
         assert (ranking.available, len(ranking.ids)) == (12, 5)
         with pytest.raises(CELL_ERRORS, match="selection of 10 asked of a ranking of depth 5"):
             render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 10, pool, "any query")
@@ -315,8 +318,7 @@ class TestRenderMemo:
             for query in queries:
                 for method in ("tfidf", "random"):
                     for k in range(len(pool) + 1):
-                        cfg = SelectionConfig(method, k, seed=2)
-                        ranking = rank(pool, [query], cfg)[0]
+                        ranking = rank(pool, [query], method, k, seed=2)[0]
                         assert_renders_as_oracle(
                             DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, k, pool, query, ordering
                         )
@@ -370,8 +372,7 @@ class TestBigPrompt:
         records = list(promise_binary.records)
         pool = build_pool(records, BINARY_FRNFR, 400, seed=0)
         query = records[0].text
-        cfg = SelectionConfig("tfidf", 160)
-        ranking = rank(pool, [query], cfg)[0]
+        ranking = rank(pool, [query], "tfidf", 160)[0]
         prompt = render_prompt(DEFAULT_TEMPLATE, BINARY_FRNFR, ranking, 160, pool, query)
         assert len(prompt.example_provenance) == 160
         chars = len(prompt.system_message) + len(prompt.user_message)

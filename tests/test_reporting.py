@@ -131,15 +131,15 @@ class TestEmitTable:
         assert abs(recomputed - float(cols["weighted_f1"])) < 1e-12
         assert f"{recomputed:.2f}" in table.text
 
-    def test_csv_fields_parse_back_exactly(self):
-        """A model name holding a comma, a quote and a newline, and a label id
-        holding a comma, come back from csv.reader as they went in: both CSVs
-        quote such fields, the header's too."""
+    @pytest.mark.parametrize("model", ['gpt, "the big one"\nv2', "gpt\rv2"])
+    def test_csv_fields_parse_back_exactly(self, model):
+        """A model name holding a comma, a quote and a newline, or a carriage
+        return, and a label id holding a comma, come back from csv.reader as
+        they went in: both CSVs quote such fields, the header's too."""
         scheme = LabelScheme("odd", (LabelDef("A,B", "Alpha"), LabelDef("C", "Gamma")), "binary")
-        model = 'gpt, "the big one"\nv2'
         report = report_of(scheme, [("A,B", "A,B", "label"), ("C", "A,B", "label")],
                            {"model": model})
-        header, row = csv.reader(io.StringIO(emit_table([report], "binary").csv_text))
+        header, row = csv.reader(io.StringIO(emit_table([report], "binary").csv_text, newline=""))
         assert header == ["model", "A,B_precision", "A,B_recall", "A,B_f1", "A,B_support",
                           "C_precision", "C_recall", "C_f1", "C_support",
                           "weighted_f1", "macro_f1", "n_predictions"]
@@ -152,7 +152,7 @@ class TestEmitTable:
         point = CurvePoint(5, 1 / 3, 0.1, 2)
         curve = SweepCurve(model, "tfidf", (point,), 5, 1 / 3,
                            OverpromptingVerdict(False, 5, 0.0, 0.02))
-        header, row = csv.reader(io.StringIO(curves_csv([curve])))
+        header, row = csv.reader(io.StringIO(curves_csv([curve]), newline=""))
         assert header == ["model", "method", "shot_count", "weighted_f1", "macro_f1",
                           "n_invalid"]
         assert row == [model, "tfidf", "5", repr(1 / 3), "0.1", "2"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from shotsweep import (
     HashEmbeddingProvider,
     LabelDef,
     LabelScheme,
-    SelectionConfig,
     build_pool,
     fit_tfidf,
     make_split,
@@ -97,14 +97,14 @@ class TestBuildPool:
         train = records_for([8, 8])
         one = build_pool(train, scheme, 10, seed=9)
         two = build_pool(train, scheme, 10, seed=9)
-        assert one.candidate_ids == two.candidate_ids
+        assert list(one.positions) == list(two.positions)
         other = build_pool(train, scheme, 10, seed=10)
-        assert other.candidate_ids != one.candidate_ids
+        assert list(other.positions) != list(one.positions)
 
 
-def selected(pool, query, cfg, provider=None):
-    """One query's cfg.k-shot selection: (id, similarity or None) pairs."""
-    return rank(pool, [query], cfg, provider)[0].take(cfg.k)
+def selected(pool, query, method, k, seed=0, provider=None):
+    """One query's k-shot selection: (id, similarity or None) pairs."""
+    return rank(pool, [query], method, k, seed, provider)[0].take(k)
 
 
 def ids_of(selection):
@@ -121,20 +121,19 @@ class TestSelect:
     def test_zero_shot_empty(self):
         pool = make_pool()
         for method in ("random", "tfidf", "embedding"):
-            assert selected(pool, "anything", SelectionConfig(method, 0)) == ()
+            assert selected(pool, "anything", method, 0) == ()
 
     def test_tfidf_exact_match_without_exclusion(self):
         pool = make_pool()
         target = pool.candidates[3]
-        cfg = SelectionConfig("tfidf", 1)
-        result = selected(pool, target.text, cfg)
+        result = selected(pool, target.text, "tfidf", 1)
         assert result[0][0] == target.record_id
         assert abs(result[0][1] - 1.0) < 1e-9
 
     def test_tfidf_top10_matches_bruteforce(self):
         pool = make_pool(30)
         query = "alpha beta item"
-        result = selected(pool, query, SelectionConfig("tfidf", 10))
+        result = selected(pool, query, "tfidf", 10)
         texts = [r.text for r in pool.candidates]
         expected = oracle_tfidf_ranking(texts, query)[:10]
         expected_ids = [pool.candidates[i].record_id for i, _ in expected]
@@ -143,7 +142,7 @@ class TestSelect:
     def test_exclusion_removes_query_record(self):
         pool = make_pool(12)
         for record in pool.candidates:
-            result = selected(pool, record, SelectionConfig("tfidf", len(pool)))
+            result = selected(pool, record, "tfidf", len(pool))
             assert record.record_id not in ids_of(result)
             assert len(result) == len(pool) - 1
 
@@ -151,16 +150,15 @@ class TestSelect:
         pool = make_pool(10)
         record = pool.candidates[0]
         for seed in range(20):
-            result = selected(pool, record, SelectionConfig("random", 9, seed=seed))
+            result = selected(pool, record, "random", 9, seed=seed)
             assert record.record_id not in ids_of(result)
             assert len(result) == 9
 
     def test_random_is_reproducible_but_varies_by_query(self):
         pool = make_pool(20)
-        cfg = SelectionConfig("random", 5, seed=7)
-        a1 = selected(pool, pool.candidates[0], cfg)
-        a2 = selected(pool, pool.candidates[0], cfg)
-        b = selected(pool, pool.candidates[1], cfg)
+        a1 = selected(pool, pool.candidates[0], "random", 5, seed=7)
+        a2 = selected(pool, pool.candidates[0], "random", 5, seed=7)
+        b = selected(pool, pool.candidates[1], "random", 5, seed=7)
         assert a1 == a2
         assert ids_of(a1) != ids_of(b)  # derived per-query seeds
 
@@ -168,7 +166,7 @@ class TestSelect:
         pool = make_pool(25)
         provider = HashEmbeddingProvider(16)
         for method in ("tfidf", "embedding"):
-            result = selected(pool, "alpha beta gamma", SelectionConfig(method, 10), provider)
+            result = selected(pool, "alpha beta gamma", method, 10, provider=provider)
             sims = [sim for _, sim in result]
             assert all(s is not None for s in sims)
             assert all(a >= b for a, b in zip(sims, sims[1:]))
@@ -178,9 +176,9 @@ class TestSelect:
         provider = HashEmbeddingProvider(8)
         for k in (0, 3, 15, 40):
             sizes = {
-                len(selected(pool, "beta gamma", SelectionConfig("random", k))),
-                len(selected(pool, "beta gamma", SelectionConfig("tfidf", k))),
-                len(selected(pool, "beta gamma", SelectionConfig("embedding", k), provider)),
+                len(selected(pool, "beta gamma", "random", k)),
+                len(selected(pool, "beta gamma", "tfidf", k)),
+                len(selected(pool, "beta gamma", "embedding", k, provider=provider)),
             }
             assert len(sizes) == 1
 
@@ -188,9 +186,9 @@ class TestSelect:
         pool = make_pool(14)
         provider = HashEmbeddingProvider(8)
         query = pool.candidates[2]
-        tfidf_runs = [selected(pool, query, SelectionConfig("tfidf", 5)) for _ in range(3)]
+        tfidf_runs = [selected(pool, query, "tfidf", 5) for _ in range(3)]
         embed_runs = [
-            selected(pool, query, SelectionConfig("embedding", 5), provider)
+            selected(pool, query, "embedding", 5, provider=provider)
             for _ in range(3)
         ]
         assert len(set(tfidf_runs)) == 1
@@ -201,19 +199,37 @@ class TestSelect:
         provider = HashEmbeddingProvider(8)
         queries = [pool.candidates[4], "alpha beta gamma", pool.candidates[0], "zeta"]
         for method in ("random", "tfidf", "embedding"):
-            rankings = rank(pool, queries, SelectionConfig(method, 25, seed=3), provider)
+            rankings = rank(pool, queries, method, 25, seed=3, provider=provider)
             assert len(rankings) == len(queries)
             for query, ranking in zip(queries, rankings):
                 for k in range(26):
-                    expected = selected(pool, query, SelectionConfig(method, k, seed=3), provider)
+                    expected = selected(pool, query, method, k, seed=3, provider=provider)
                     assert ranking.take(k) == expected
+
+    @pytest.mark.parametrize("method, depth, message", [
+        ("nearest", 5, "unknown selection method 'nearest'"),
+        ("tfidf", -1, "shot count must be >= 0, got -1"),
+    ], ids=["method", "depth"])
+    def test_bad_settings_are_refused(self, method, depth, message):
+        with pytest.raises(SelectionError, match=message):
+            rank(make_pool(6), ["alpha"], method, depth)
+
+    def test_text_query_is_keyed_by_its_sha256(self):
+        """A text query's key seeds its random draw, so it must not change."""
+        pool = make_pool(12)
+        text = "alpha beta gamma"
+        ranking = rank(pool, [text], "random", 5, seed=4)[0]
+        key = "text:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        ids = [record.record_id for record in pool.candidates]
+        assert ranking.query_key == key
+        assert list(ranking.ids) == selection.derived_rng(4, f"query:{key}").sample(ids, 12)[:5]
 
     def test_no_duplicate_ids(self):
         pool = make_pool(18)
         for seed in range(10):
             for method in ("random", "tfidf"):
                 result = selected(
-                    pool, pool.candidates[seed], SelectionConfig(method, 12, seed=seed)
+                    pool, pool.candidates[seed], method, 12, seed=seed
                 )
                 assert len(set(ids_of(result))) == len(result)
 
@@ -245,7 +261,7 @@ class TestRankFitsOncePerPool:
 
     def test_tfidf_fits_once_for_every_query(self, fits):
         pool = make_pool(40)
-        rankings = rank(pool, self.queries(pool), SelectionConfig("tfidf", 5))
+        rankings = rank(pool, self.queries(pool), "tfidf", 5)
         assert fits == [len(pool)]
         assert all(len(ranking.ids) == 5 for ranking in rankings)
 
@@ -253,7 +269,7 @@ class TestRankFitsOncePerPool:
         pool = make_pool(70)
         provider = CountingProvider(8)
         queries = self.queries(pool)
-        rank(pool, queries, SelectionConfig("embedding", 5), provider)
+        rank(pool, queries, "embedding", 5, provider=provider)
         assert provider.batches == [32, 32, 6] + [1] * len(queries)
         assert fits == []
 
@@ -268,14 +284,14 @@ class TestRankFitsOncePerPool:
             (empty, "tfidf", 5),
             (empty, "embedding", 5),
         ):
-            rankings = rank(target, self.queries(pool), SelectionConfig(method, k), provider)
+            rankings = rank(target, self.queries(pool), method, k, provider=provider)
             assert len(rankings) == len(self.queries(pool))
         assert fits == []
         assert provider.batches == []
 
     def test_embedding_without_provider_is_a_selection_error(self):
         with pytest.raises(SelectionError, match="requires an embedding provider"):
-            rank(make_pool(6), ["alpha"], SelectionConfig("embedding", 2))
+            rank(make_pool(6), ["alpha"], "embedding", 2)
 
 
 class TestNestedSelection:
@@ -292,7 +308,7 @@ class TestNestedSelection:
 
     def test_random_prompts_of_the_readme_sweep_are_prefixes(self, readme_holdout):
         pool, test = readme_holdout
-        rankings = rank(pool, test, SelectionConfig("random", max(DEFAULT_GRID), seed=0))
+        rankings = rank(pool, test, "random", max(DEFAULT_GRID), seed=0)
         not_nested = []
         for query, ranking in zip(test, rankings):
             chosen = {k: ids_of(ranking.take(k)) for k in DEFAULT_GRID}
@@ -308,7 +324,7 @@ class TestNestedSelection:
         provider = HashEmbeddingProvider(16)
         for method in ("random", "tfidf", "embedding"):
             shallow, deep = (
-                rank(pool, queries, SelectionConfig(method, depth, seed=0), provider)
+                rank(pool, queries, method, depth, seed=0, provider=provider)
                 for depth in (20, 160)
             )
             for a, b in zip(shallow, deep):

@@ -18,7 +18,6 @@ from shotsweep import (
     HashEmbeddingProvider,
     ModelProfile,
     PromptSpec,
-    SelectionConfig,
     SweepPlan,
     build_pool,
     compute_report,
@@ -267,7 +266,7 @@ class TestRunSweep:
         expected = set()
         for model, method, k in plan.cells():
             for record in test:
-                ranking = rank(pool, [record], SelectionConfig(method, k), provider)[0]
+                ranking = rank(pool, [record], method, k, provider=provider)[0]
                 prompt = render_prompt(
                     DEFAULT_TEMPLATE, corpus.scheme, ranking, k, pool, record.text
                 )
@@ -329,9 +328,9 @@ class TestRunSweep:
         corpus = balanced_corpus(10)  # 10 train records, so 10 are available at k=10
         client, _ = echo_gold_client(corpus)
 
-        def shallow_tfidf(pool, queries, cfg, provider=None):
-            depth = min(cfg.k, 5) if cfg.method == "tfidf" else cfg.k
-            return rank(pool, queries, replace(cfg, k=depth), provider)
+        def shallow_tfidf(pool, queries, method, depth, seed=0, provider=None):
+            depth = min(depth, 5) if method == "tfidf" else depth
+            return rank(pool, queries, method, depth, seed, provider)
 
         monkeypatch.setattr("shotsweep.sweep.rank", shallow_tfidf)
         plan = SweepPlan(("m1",), ("random", "tfidf"), (0, 5, 10), split_param=0.5)
@@ -481,8 +480,12 @@ class TestKfoldSweep:
         [({"split_kind": "kfold", "split_param": 1}, "k_folds must be >= 2, got 1"),
          ({"on_small_class": "sometimes"}, "on_small_class must be error or allow, got 'sometimes'"),
          ({"split_kind": "leave-one-out"}, "unsupported sweep split kind 'leave-one-out'"),
-         ({"split_param": 1.5}, r"holdout fraction must be in \(0, 1\), got 1.5")],
-        ids=["folds", "small-class", "kind", "fraction"],
+         ({"split_param": 1.5}, r"holdout fraction must be in \(0, 1\), got 1.5"),
+         ({"split_kind": "kfold", "split_param": 2.5}, "k_folds must be an integer, got 2.5"),
+         ({"split_kind": "kfold", "split_param": float("nan")}, "k_folds must be an integer"),
+         ({"split_kind": "kfold", "split_param": True}, "k_folds must be an integer, got True")],
+        ids=["folds", "small-class", "kind", "fraction", "fractional-folds", "nan-folds",
+             "bool-folds"],
     )
     def test_bad_split_is_refused_by_the_plan(self, fields, needle):
         with pytest.raises(SweepError, match=needle):

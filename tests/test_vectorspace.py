@@ -347,15 +347,18 @@ class TestEmbeddingMatrix:
         matrix = build_embedding_matrix(records, provider)
         assert np.array_equal(matrix.rows[0], matrix.rows[1])
 
-    def test_wrong_dimension_names_record(self):
+    @pytest.mark.parametrize("good, bad, message", [
+        (4, 3, "record 1: provider returned dimension 3, expected 4"),
+        (0, 0, "record 0: provider returned an empty vector"),
+    ], ids=["mismatch", "empty"])
+    def test_wrong_dimension_names_record(self, good, bad, message):
+        """The first vector's width is the space's; every other must match it."""
         class BrokenProvider:
-            dim = 4
-
             def embed_batch(self, texts):
-                return [[0.0] * (3 if t == "bad" else 4) for t in texts]
+                return [[0.0] * (bad if t == "bad" else good) for t in texts]
 
         records = make_records([("good", "X"), ("bad", "X")])
-        with pytest.raises(VectorSpaceError, match="record 1"):
+        with pytest.raises(VectorSpaceError, match=message):
             build_embedding_matrix(records, BrokenProvider())
 
     def test_provider_exception_propagates_unchanged(self):
@@ -364,8 +367,6 @@ class TestEmbeddingMatrix:
         boom = RuntimeError("boom")
 
         class FailingProvider:
-            dim = 4
-
             def embed_batch(self, texts):
                 raise boom
 
