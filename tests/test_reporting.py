@@ -131,7 +131,8 @@ class TestEmitTable:
         assert abs(recomputed - float(cols["weighted_f1"])) < 1e-12
         assert f"{recomputed:.2f}" in table.text
 
-    @pytest.mark.parametrize("model", ['gpt, "the big one"\nv2', "gpt\rv2"])
+    @pytest.mark.parametrize("model", ['gpt, "the big one"\nv2', "gpt\rv2"],
+                             ids=["comma-quote-newline", "carriage-return"])
     def test_csv_fields_parse_back_exactly(self, model):
         """A model name holding a comma, a quote and a newline, or a carriage
         return, and a label id holding a comma, come back from csv.reader as
