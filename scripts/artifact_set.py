@@ -13,7 +13,8 @@ all from one response cache:
            pure function of (model, user message); its
            `request_bodies.sha256` lists the sha256 of every request body the
            endpoint received, sorted, so a change to what goes over HTTP
-           shows in the diff too
+           shows in the diff too; the second model is sent temperature 0.7
+           and max_tokens 8, so bodies with fields off their defaults do too
 - run/     `run` tfidf k=5, pool 200, holdout split
 - cv/      10-fold `cv` at the sweep's optimum (`--shots-from`)
 - orderings/<policy>/  for each example ordering other than the default
@@ -215,7 +216,12 @@ def build(src: Path, out: Path) -> None:
     serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
     base_url = f"http://127.0.0.1:{HTTP_PORT}/v1"
-    sweep_http = {**SWEEP, "profiles": {m: {"base_url": base_url} for m in SWEEP["models"]}}
+    # the second model's temperature and output limit are off their defaults
+    first, second = SWEEP["models"]
+    sweep_http = {**SWEEP, "profiles": {
+        first: {"base_url": base_url},
+        second: {"base_url": base_url, "temperature": 0.7, "max_output_tokens": 8},
+    }}
     with tempfile.TemporaryDirectory() as work:
         work_dir = Path(work)
         shutil.copyfile(src / "data" / "promise_nfr.csv", work_dir / "promise_nfr.csv")
