@@ -17,7 +17,6 @@ import weakref
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
@@ -123,6 +122,7 @@ _COMPLETION_FIELDS = frozenset(
 
 
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.jsonl")
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _new_segment(bucket: Path) -> IO[str]:
@@ -218,7 +218,7 @@ class ResponseCache:
         handle = self._segments.get(bucket)
         if handle is None:
             handle = self._segments[bucket] = _new_segment(self._dir / bucket)
-        handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        handle.write(_ROW_ENCODER.encode(payload) + "\n")
         handle.flush()
 
     def close(self) -> None:
@@ -358,20 +358,29 @@ def _exact(rfile: IO[bytes], size: int) -> bytes:
 
 
 def _read_head(rfile: IO[bytes]) -> tuple[bytes, int, dict[bytes, bytes]]:
-    """HTTP version, status and lowercased headers of the next reply past any 1xx."""
+    """HTTP version, status and lowercased headers of the next reply past any 1xx.
+    A repeated header keeps its last value; Content-Length values that differ
+    are a framing error (RFC 9112 section 6.3)."""
     while True:
         line = _line(rfile)
         if not line:
             raise ConnectionResetError("connection closed before a status line")
         if (status := _STATUS_LINE.fullmatch(line)) is None:
             raise ValueError(f"malformed status line {line[:80]!r}")
+        headers: dict[bytes, bytes] = {}
         # header lines up to a blank line, or to EOF as http.client reads them
-        lines = list(islice(iter(lambda: _line(rfile).rstrip(b"\r\n"), b""), _MAX_HEADERS + 1))
-        if len(lines) > _MAX_HEADERS:
+        for _ in range(_MAX_HEADERS + 1):
+            if not (line := _line(rfile).rstrip(b"\r\n")):
+                break
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length" and headers.get(name, value) != value:
+                raise ValueError(f"conflicting Content-Length {headers[name]!r} and {value!r}")
+            headers[name] = value
+        else:
             raise ValueError(f"more than {_MAX_HEADERS} reply headers")
         if not status[2].startswith(b"1"):
-            pairs = (line.partition(b":") for line in lines)
-            return status[1], int(status[2]), {n.strip().lower(): v.strip() for n, _, v in pairs}
+            return status[1], int(status[2]), headers
 
 
 def _read_reply(rfile: IO[bytes]) -> tuple[int, bytes, bool]:
@@ -462,33 +471,42 @@ class _ConnectionPool:
     reads the reply and checks the connection back in. A connection is only
     made when none is idle, so no more are open than requests were in
     flight at once. Routes (proxy or direct) are resolved once per (scheme,
-    host). A request is one write; a connection its reply ends is closed
-    instead, and so is one whose reply is never read (discard()).
+    host), and a request head up to its Content-Length value once per (URL,
+    header set). A request is one write; a connection its reply ends is
+    closed instead, and so is one whose reply is never read (discard()).
     """
 
     def __init__(self) -> None:
         self._idle: dict[tuple[str, str], list[_Connection]] = {}
         self._routes: dict[tuple[str, str], _Route] = {}
+        # (url, header items) -> ((scheme, host), route, head up to the length)
+        self._heads: dict[tuple, tuple[tuple[str, str], _Route, bytes]] = {}
 
-    def send(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> _Sent:
-        """POST body to url; receive() reads the reply. Raises OSError."""
+    def _head(self, url: str, headers: dict[str, str]) -> tuple[tuple[str, str], _Route, bytes]:
         parts = urllib.parse.urlsplit(url)
         key = (parts.scheme, parts.netloc)
         route = self._routes.get(key)
         if route is None:
             route = self._routes[key] = _resolve_route(*key)
-        idle = self._idle.get(key)
-        conn = idle.pop() if idle else None
         if route.absolute_target:
             target = url
             headers = {**headers, **dict(route.proxy_headers)}
         else:
             target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-        request = (
-            f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
-            f"Accept-Encoding: identity\r\n{fields}Content-Length: {len(body)}\r\n\r\n"
-        ).encode("latin-1") + body
+        head = (f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+                f"Accept-Encoding: identity\r\n{fields}Content-Length: ")
+        return key, route, head.encode("latin-1")
+
+    def send(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> _Sent:
+        """POST body to url; receive() reads the reply. Raises OSError."""
+        head = self._heads.get(lookup := (url, tuple(headers.items())))
+        if head is None:
+            head = self._heads[lookup] = self._head(url, headers)
+        key, route, prefix = head
+        request = b"%s%d\r\n\r\n%s" % (prefix, len(body), body)
+        idle = self._idle.get(key)
+        conn = idle.pop() if idle else None
         if conn is None:
             conn = _write(_connect(route, timeout), request, timeout)
             return _Sent(key, route, request, timeout, conn, reused=False)
@@ -561,6 +579,19 @@ def _vectors(response) -> list[list[float]]:
 
 def _refuse_constant(name: str) -> None:
     raise ValueError(f"{name} is not JSON")
+
+
+def _quoted(raw: bytes) -> str:
+    """A reply's first 200 bytes, escaped (to 4 characters a byte at most), in 200 characters."""
+    return repr(raw[:200])[:200]
+
+
+_REPLY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _encode_messages(system: str, user: str) -> str:
+    """A chat request's messages, as json.dumps encodes them in its body."""
+    return json.dumps([{"role": "system", "content": system}, {"role": "user", "content": user}])
 
 
 # Each endpoint kind's path, its name in error messages, and the pick of its answer
@@ -686,6 +717,9 @@ class Client:
     sleeper: object = time.sleep
     _next_send_at: dict[str, float] = field(default_factory=dict)  # by profile name
     _pool: _ConnectionPool = field(default_factory=_ConnectionPool)
+    # (system, user) -> encoded messages, of the last 4 prompts sent: a prompt is
+    # encoded once for every model it goes to, which send it one after another
+    _messages: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def register_mock(self, name: str, backend: object) -> None:
         self.mocks[name] = backend
@@ -714,11 +748,12 @@ class Client:
         if next_at > now:
             self.sleeper(next_at - now)
 
-    def _request(self, profile: ModelProfile, payload: dict, ask_mock):
+    def _request(self, profile: ModelProfile, body: Callable[[], bytes], ask_mock):
         """The send and read steps of one attempt at profile's endpoint. A
         mock:// backend is asked by ask_mock(backend) when read. An HTTP endpoint
-        is sent payload as JSON encoded once (a retry resends the same bytes), and
-        read gives the answer its kind's pick finds in a reply, or a GatewayError."""
+        is sent body(), called once (a retry resends the same bytes), and read
+        gives the answer its kind's pick finds in a UTF-8 JSON reply, or a
+        GatewayError."""
         name = mock_name(profile.base_url)
         if name is not None:
             if name not in self.mocks:
@@ -727,14 +762,14 @@ class Client:
             return (lambda: None), (lambda _: ask_mock(backend))
         path, kind, pick = _ENDPOINTS[profile.kind]
         url = profile.base_url.rstrip("/") + path
-        body = json.dumps(payload).encode("utf-8")
+        data = body()
         headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
         if api_key := os.environ.get(profile.api_key_env):
             headers["Authorization"] = f"Bearer {api_key}"
 
         def send() -> _Sent:
             try:
-                return self._pool.send(url, body, headers, profile.timeout_s)
+                return self._pool.send(url, data, headers, profile.timeout_s)
             except OSError as exc:
                 raise TransportError(f"{url} unreachable: {exc}") from exc
 
@@ -746,15 +781,15 @@ class Client:
             if status == 429 or status >= 500:
                 raise TransportError(f"HTTP {status} from {url}")
             if not 200 <= status < 300:
-                raise ProtocolError(f"HTTP {status} from {url}: {raw[:200]!r}")
+                raise ProtocolError(f"HTTP {status} from {url}: {_quoted(raw)}")
             try:
-                response = json.loads(raw, parse_constant=_refuse_constant)
-            except (ValueError, RecursionError) as exc:  # not JSON (NaN too), not UTF-8, too deep
-                raise ProtocolError(f"non-JSON response from {url}: {raw[:200]!r}") from exc
+                response = _REPLY_DECODER.decode(raw.decode("utf-8-sig"))
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON (NaN too), too deep
+                raise ProtocolError(f"non-JSON response from {url}: {_quoted(raw)}") from exc
             try:
                 return pick(response)
             except (KeyError, IndexError, TypeError, OverflowError) as exc:
-                raise ProtocolError(f"malformed {kind} response: {raw[:200]!r}") from exc
+                raise ProtocolError(f"malformed {kind} response: {_quoted(raw)}") from exc
 
         return send, read
 
@@ -787,16 +822,18 @@ class Client:
         )
 
     def _chat_request(self, profile: ModelProfile, prompt: PromptSpec):
-        payload = {
-            "model": profile.name,
-            "messages": [
-                {"role": "system", "content": prompt.system_message},
-                {"role": "user", "content": prompt.user_message},
-            ],
-            "temperature": profile.temperature,
-            "max_tokens": profile.max_output_tokens,
-        }
-        return self._request(profile, payload, lambda backend: backend.respond(profile, prompt))
+        def body() -> bytes:  # json.dumps of the request, bytes for bytes
+            key = (prompt.system_message, prompt.user_message)
+            messages = self._messages.get(key)
+            if messages is None:
+                messages = self._messages[key] = _encode_messages(*key)
+                if len(self._messages) > 4:
+                    del self._messages[next(iter(self._messages))]
+            return (f'{{"model": {json.dumps(profile.name)}, "messages": {messages}, '
+                    f'"temperature": {json.dumps(profile.temperature)}, '
+                    f'"max_tokens": {profile.max_output_tokens}}}').encode("utf-8")
+
+        return self._request(profile, body, lambda backend: backend.respond(profile, prompt))
 
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
@@ -810,7 +847,8 @@ class Client:
         if missing:
             payload = {"model": profile.name, "input": missing}
             vectors = PendingCompletion(self, profile, lambda: self._request(
-                profile, payload, lambda backend: backend.embed_batch(missing)
+                profile, lambda: json.dumps(payload).encode("utf-8"),
+                lambda backend: backend.embed_batch(missing),
             )).result()
             if len(vectors) != len(missing):
                 raise ProtocolError(

@@ -65,6 +65,14 @@ FRAMINGS = {
               f"Content-Length: {len(raw)}") + raw,
         True,
     ),
+    # Content-Length twice with one value, and then with two (the second short)
+    "repeated-length": lambda raw: (
+        _head("HTTP/1.1 200 OK", *[f"Content-Length: {len(raw)}"] * 2) + raw, False
+    ),
+    "conflicting-length": lambda raw: (
+        _head("HTTP/1.1 200 OK", f"Content-Length: {len(raw)}", "Content-Length: 5") + raw,
+        False,
+    ),
 }
 
 

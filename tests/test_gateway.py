@@ -840,13 +840,17 @@ class TestBadReplies:
           "non-JSON response"),
          ("embedding", 200, embeddings_reply(b"[1e400, 1.0]", b"[1.0, 2.0]"),
           "malformed embeddings response"),
-         ("embedding", 200, embeddings_reply(b"[]", b"[]"), "malformed embeddings response")],
+         ("embedding", 200, embeddings_reply(b"[]", b"[]"), "malformed embeddings response"),
+         ("chat", 200, '{"choices": [{"message": {"content": "FR"}}]}'.encode("utf-16"),
+          "non-JSON response"),
+         ("embedding", 200, embeddings_reply(b"[1.0]", b"[2.0]").decode().encode("utf-32"),
+          "non-JSON response")],
         ids=["404", "not-json", "no-content", "no-index", "null-content", "number-content",
              "list-content", "chat-not-utf8", "embeddings-not-utf8", "digit-string-embedding",
              "bool-in-embedding", "embedding-past-float", "nested-too-deep",
              "long-and-malformed", "nan-beside-chat", "minus-infinity-beside-chat",
              "nan-and-infinity-embedding", "minus-infinity-embedding",
-             "float-past-range-embedding", "empty-embeddings"],
+             "float-past-range-embedding", "empty-embeddings", "chat-utf16", "embeddings-utf32"],
     )
     def test_refused_after_one_request(self, loopback, tmp_path, kind, status, raw, needle):
         endpoint = loopback(CannedEndpoint, status=status, raw=raw)
@@ -872,6 +876,14 @@ class TestBadReplies:
                 client.start(profile, prompt_for()).finish()
         assert len(err.value.attempts) == 3 and "HTTP 500" in err.value.attempts[0]
         assert len(endpoint.targets) == 3
+
+    def test_reply_after_a_utf8_bom_is_read(self, loopback):
+        raw = b'\xef\xbb\xbf{"choices": [{"message": {"content": "FR"}}]}'
+        endpoint = loopback(CannedEndpoint, status=200, raw=raw)
+        with Client() as client:
+            assert answer_and_attempts(
+                client, ModelProfile(name="m", base_url=endpoint.base_url), prompt_for()
+            ) == ("FR", 1)
 
 
 class FirstAttemptFails(ChatEndpoint):
@@ -903,6 +915,34 @@ class TestWireBytes:
         (_, first), (_, second) = endpoint.received
         assert first == second == expected
 
+    def test_one_prompt_to_two_models_encodes_its_messages_once(self, loopback, monkeypatch):
+        endpoint = loopback(ChatEndpoint)
+        encode, encoded = gateway._encode_messages, []
+
+        def counted_encode(*args):
+            encoded.append(args)
+            return encode(*args)
+
+        monkeypatch.setattr(gateway, "_encode_messages", counted_encode)
+        prompt = dataclasses.replace(
+            prompt_for(TRICKY), system_message=TRICKY, user_message=TRICKY
+        )
+        profiles = [
+            ModelProfile(name="m\u00fcller-\u65e5", base_url=endpoint.base_url,
+                         temperature=0.7, max_output_tokens=8),
+            ModelProfile(name="m", base_url=endpoint.base_url, temperature=1,
+                         max_output_tokens=16),
+        ]
+        with Client() as client:
+            pending = [client.start(profile, prompt) for profile in profiles]
+            assert [p.finish() for p in pending] == ["FR", "FR"]
+        received = {json.loads(body)["model"]: body for _, body in endpoint.received}
+        assert received == {
+            p.name: oracle_chat_body(p.name, TRICKY, TRICKY, p.temperature, p.max_output_tokens)
+            for p in profiles
+        }
+        assert len(encoded) == 1
+
 
 @pytest.fixture()
 def client_writes(monkeypatch):
@@ -930,7 +970,7 @@ class TestReplyFraming:
             answers = [answer_and_attempts(client, profile, prompt_for(f"q{i}")) for i in range(n)]
         return answers, waits
 
-    @pytest.mark.parametrize("framing", ["chunked", "continue", "100-headers"])
+    @pytest.mark.parametrize("framing", ["chunked", "continue", "100-headers", "repeated-length"])
     def test_reply_decoded_and_connection_kept(self, loopback, framing):
         reply = "Non-Functional, judging by the wording of the requirement"
         endpoint = loopback(ChatEndpoint, reply=reply, framing=framing)
@@ -956,6 +996,18 @@ class TestReplyFraming:
         with pytest.raises(TransportError) as err:
             self.complete_all(endpoint, n=1, max_attempts=1)
         assert "truncated" in err.value.attempts[0]
+
+    def test_conflicting_lengths_are_a_transport_error_that_closes_the_connection(
+            self, loopback):
+        endpoint = loopback(ChatEndpoint, framing=["conflicting-length", "length"])
+        answers, waits = self.complete_all(endpoint, n=2, max_attempts=2)
+        assert answers == [("FR", 2), ("FR", 1)]
+        assert len(waits) == 1
+        assert endpoint.connections == 2  # the retry went out on a new connection
+        endpoint.framings = ["conflicting-length"]
+        with pytest.raises(TransportError) as err:
+            self.complete_all(endpoint, n=1, max_attempts=1)
+        assert "conflicting Content-Length" in err.value.attempts[0]
 
     @pytest.mark.parametrize(
         "framing, reason",
