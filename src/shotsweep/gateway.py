@@ -717,9 +717,9 @@ class Client:
     sleeper: object = time.sleep
     _next_send_at: dict[str, float] = field(default_factory=dict)  # by profile name
     _pool: _ConnectionPool = field(default_factory=_ConnectionPool)
-    # (system, user) -> encoded messages, of the last 4 prompts sent: a prompt is
-    # encoded once for every model it goes to, which send it one after another
-    _messages: dict[tuple[str, str], str] = field(default_factory=dict)
+    # ((system, user), encoded messages) of the last prompt sent: a sweep sends
+    # each prompt to every model before the next, so it is encoded once for all
+    _last_messages: tuple[tuple[str, str], str] | None = None
 
     def register_mock(self, name: str, backend: object) -> None:
         self.mocks[name] = backend
@@ -822,16 +822,15 @@ class Client:
         )
 
     def _chat_request(self, profile: ModelProfile, prompt: PromptSpec):
-        def body() -> bytes:  # json.dumps of the request, bytes for bytes
+        def body() -> bytes:
+            """json.dumps of the request, bytes for bytes: the numbers, a finite
+            float or an int as ModelProfile checks, are their reprs in JSON."""
             key = (prompt.system_message, prompt.user_message)
-            messages = self._messages.get(key)
-            if messages is None:
-                messages = self._messages[key] = _encode_messages(*key)
-                if len(self._messages) > 4:
-                    del self._messages[next(iter(self._messages))]
-            return (f'{{"model": {json.dumps(profile.name)}, "messages": {messages}, '
-                    f'"temperature": {json.dumps(profile.temperature)}, '
-                    f'"max_tokens": {profile.max_output_tokens}}}').encode("utf-8")
+            if self._last_messages is None or self._last_messages[0] != key:
+                self._last_messages = (key, _encode_messages(*key))
+            return (f'{{"model": {json.dumps(profile.name)}, "messages": {self._last_messages[1]}, '
+                    f'"temperature": {profile.temperature!r}, '
+                    f'"max_tokens": {profile.max_output_tokens!r}}}').encode("utf-8")
 
         return self._request(profile, body, lambda backend: backend.respond(profile, prompt))
 
