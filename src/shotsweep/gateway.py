@@ -748,12 +748,12 @@ class Client:
         if next_at > now:
             self.sleeper(next_at - now)
 
-    def _request(self, profile: ModelProfile, body: Callable[[], bytes], ask_mock):
+    def _request(self, profile: ModelProfile, encode: Callable[[], bytes], ask_mock):
         """The send and read steps of one attempt at profile's endpoint. A
         mock:// backend is asked by ask_mock(backend) when read. An HTTP endpoint
-        is sent body(), called once (a retry resends the same bytes), and read
-        gives the answer its kind's pick finds in a UTF-8 JSON reply, or a
-        GatewayError."""
+        is sent the body encode() gives, called once (a retry resends the same
+        bytes), and read gives the answer its kind's pick finds in a UTF-8 JSON
+        reply, or a GatewayError."""
         name = mock_name(profile.base_url)
         if name is not None:
             if name not in self.mocks:
@@ -762,14 +762,14 @@ class Client:
             return (lambda: None), (lambda _: ask_mock(backend))
         path, kind, pick = _ENDPOINTS[profile.kind]
         url = profile.base_url.rstrip("/") + path
-        data = body()
+        body = encode()
         headers = {"Content-Type": "application/json", "User-Agent": "shotsweep"}
         if api_key := os.environ.get(profile.api_key_env):
             headers["Authorization"] = f"Bearer {api_key}"
 
         def send() -> _Sent:
             try:
-                return self._pool.send(url, data, headers, profile.timeout_s)
+                return self._pool.send(url, body, headers, profile.timeout_s)
             except OSError as exc:
                 raise TransportError(f"{url} unreachable: {exc}") from exc
 
@@ -822,7 +822,7 @@ class Client:
         )
 
     def _chat_request(self, profile: ModelProfile, prompt: PromptSpec):
-        def body() -> bytes:
+        def encode() -> bytes:
             """json.dumps of the request, bytes for bytes: the numbers, a finite
             float or an int as ModelProfile checks, are their reprs in JSON."""
             key = (prompt.system_message, prompt.user_message)
@@ -832,7 +832,7 @@ class Client:
                     f'"temperature": {profile.temperature!r}, '
                     f'"max_tokens": {profile.max_output_tokens!r}}}').encode("utf-8")
 
-        return self._request(profile, body, lambda backend: backend.respond(profile, prompt))
+        return self._request(profile, encode, lambda backend: backend.respond(profile, prompt))
 
     def embed_batch(self, profile: ModelProfile, texts: Sequence[str]) -> list[list[float]]:
         if profile.kind != "embedding":
