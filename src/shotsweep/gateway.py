@@ -719,7 +719,7 @@ class Client:
     _pool: _ConnectionPool = field(default_factory=_ConnectionPool)
     # ((system, user), encoded messages) of the last prompt sent: a sweep sends
     # each prompt to every model before the next, so it is encoded once for all
-    _last_messages: tuple[tuple[str, str], str] | None = None
+    _last_messages: tuple[tuple[str, str], str] | None = field(default=None, repr=False)
 
     def register_mock(self, name: str, backend: object) -> None:
         self.mocks[name] = backend
